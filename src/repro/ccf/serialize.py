@@ -36,29 +36,17 @@ from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.range_ccf import DyadicRangeCCF
 from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
-from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits, fingerprint_fold
+from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 from repro.cuckoo.filter import CuckooFilter
 from repro.sketches.bitpack import BitReader, BitWriter
 from repro.sketches.bloom import BloomFilter
 
-# Current (dtype-tagged) wire formats: one tag byte records the slot
-# storage dtype of the width-adaptive SlotMatrix (DESIGN.md §9).
+# Wire formats: one tag byte records the slot storage dtype of the
+# width-adaptive SlotMatrix (DESIGN.md §9).
 _MAGIC_CCF = b"CCF3"
 _MAGIC_VIEW = b"CCV3"
 _MAGIC_CUCKOO = b"CKF3"
 _MAGIC_RANGE = b"CRF2"
-
-# Legacy (pre-dtype-tag, int64 EMPTY=-1 era) magics; still loadable.  At
-# boundary fingerprint widths (8/16/32 bits) legacy payloads may contain the
-# all-ones fingerprint that packed storage reserves as its EMPTY sentinel;
-# loading folds those stored values to 0, mirroring the fingerprint
-# functions' fold so the loaded filter keeps answering True for every key
-# the legacy filter answered True for (no false negatives; the fold can only
-# add false positives at the 2^-f collision rate).
-_LEGACY_CCF = b"CCF2"
-_LEGACY_VIEW = b"CCV2"
-_LEGACY_CUCKOO = b"CKF2"
-_LEGACY_RANGE = b"CRF1"
 
 _KIND_CODES = {"plain": 0, "chained": 1, "bloom": 2, "mixed": 3}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
@@ -99,7 +87,8 @@ class SerializeError(ValueError):
             message = f"{message} ({' '.join(context)})"
         super().__init__(message)
 
-# Storage dtype tags: 0 = legacy int64, 1..4 = uint8/16/32/64.
+# Storage dtype tags: 0 = int64 reference storage (packed=False),
+# 1..4 = uint8/16/32/64.
 _DTYPE_TAGS = {"int64": 0, "uint8": 1, "uint16": 2, "uint32": 3, "uint64": 4}
 
 
@@ -117,21 +106,6 @@ def _check_dtype_tag(tag: int, key_bits: int, packed: bool) -> None:
         )
 
 
-def _fold_loaded(fps: Any, key_bits: int) -> Any:
-    """Apply the legacy-payload sentinel fold to loaded fingerprints.
-
-    ``fps`` may be a scalar int or an int64 ndarray; values equal to the
-    reserved all-ones fingerprint of a boundary width fold to 0.
-    """
-    fold = fingerprint_fold(key_bits)
-    if fold is None:
-        return fps
-    if isinstance(fps, int):
-        return 0 if fps == fold else fps
-    fps[fps == fold] = 0
-    return fps
-
-
 def dumps(obj: Any) -> bytes:
     """Serialise a CCF, range wrapper, extracted view, or cuckoo filter."""
     if isinstance(obj, ConditionalCuckooFilterBase):
@@ -146,7 +120,7 @@ def dumps(obj: Any) -> bytes:
 
 
 def loads(data: bytes, *, source: str | None = None) -> Any:
-    """Inverse of :func:`dumps` (current formats; legacy payloads migrate).
+    """Inverse of :func:`dumps`.
 
     Decode failures raise :class:`SerializeError` with ``source`` (if given)
     and the bit offset the reader had reached — never a raw ``EOFError`` /
@@ -161,14 +135,14 @@ def loads(data: bytes, *, source: str | None = None) -> Any:
         )
     reader = BitReader(data[4:])
     try:
-        if magic == _MAGIC_CCF or magic == _LEGACY_CCF:
-            return _load_ccf(reader, tagged=magic == _MAGIC_CCF)
-        if magic == _MAGIC_RANGE or magic == _LEGACY_RANGE:
-            return _load_range(reader, tagged=magic == _MAGIC_RANGE)
-        if magic == _MAGIC_VIEW or magic == _LEGACY_VIEW:
-            return _load_view(reader, tagged=magic == _MAGIC_VIEW)
-        if magic == _MAGIC_CUCKOO or magic == _LEGACY_CUCKOO:
-            return _load_cuckoo(reader, tagged=magic == _MAGIC_CUCKOO)
+        if magic == _MAGIC_CCF:
+            return _load_ccf(reader)
+        if magic == _MAGIC_RANGE:
+            return _load_range(reader)
+        if magic == _MAGIC_VIEW:
+            return _load_view(reader)
+        if magic == _MAGIC_CUCKOO:
+            return _load_cuckoo(reader)
     except SerializeError:
         raise
     except (EOFError, ValueError, KeyError, IndexError, OverflowError, TypeError) as exc:
@@ -392,18 +366,14 @@ def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
     return writer.getvalue()
 
 
-def _load_ccf(reader: BitReader, tagged: bool = True) -> ConditionalCuckooFilterBase:
+def _load_ccf(reader: BitReader) -> ConditionalCuckooFilterBase:
     kind = _KIND_NAMES[reader.read(8)]
-    tag = reader.read(8) if tagged else None
+    tag = reader.read(8)
     params, num_buckets = _read_params(reader)
     if tag == 0:
         params = params.replace(packed=False)
     schema = _read_schema(reader)
-    if tag is not None:
-        _check_dtype_tag(tag, params.key_bits, params.packed)
-    # Legacy payloads at boundary widths may store the now-reserved all-ones
-    # fingerprint; fold it on the way in (see the module docstring).
-    fold_bits = params.key_bits if not tagged else None
+    _check_dtype_tag(tag, params.key_bits, params.packed)
     ccf = make_ccf(kind, schema, num_buckets, params)
     ccf.num_rows_inserted = reader.read(64)
     ccf.num_rows_discarded = reader.read(64)
@@ -413,13 +383,10 @@ def _load_ccf(reader: BitReader, tagged: bool = True) -> ConditionalCuckooFilter
         ccf.num_conversions = reader.read(32)
         ccf.num_absorbed = reader.read(64)
 
-    def fold(fp):
-        return _fold_loaded(fp, fold_bits) if fold_bits is not None else fp
-
     groups: list[ConvertedGroup] = []
     num_groups = reader.read(32)
     for _ in range(num_groups):
-        fp = fold(reader.read(params.key_bits))
+        fp = reader.read(params.key_bits)
         num_slots = reader.read(8)
         matching = reader.read_bool()
         bloom = _read_bloom_payload(
@@ -438,7 +405,7 @@ def _load_ccf(reader: BitReader, tagged: bool = True) -> ConditionalCuckooFilter
     vector_mask = tags == _VECTOR
     num_vectors = int(vector_mask.sum())
     flat_fps = ccf.buckets.fps.ravel()
-    flat_fps[vector_mask] = fold(reader.read_array(num_vectors, params.key_bits))
+    flat_fps[vector_mask] = reader.read_array(num_vectors, params.key_bits)
     ccf._avecs.reshape(-1, num_attrs)[vector_mask] = reader.read_array(
         num_vectors * num_attrs, params.attr_bits
     ).reshape(num_vectors, num_attrs)
@@ -447,7 +414,7 @@ def _load_ccf(reader: BitReader, tagged: bool = True) -> ConditionalCuckooFilter
     flags = ccf._flags.ravel()
     bloom_slots = np.nonzero(tags == _BLOOM)[0]
     for index in bloom_slots.tolist():
-        fp = fold(reader.read(params.key_bits))
+        fp = reader.read(params.key_bits)
         matching = reader.read_bool()
         bloom = _read_bloom_payload(
             reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt
@@ -469,12 +436,12 @@ def _load_ccf(reader: BitReader, tagged: bool = True) -> ConditionalCuckooFilter
     def read_entry() -> Any:
         tag = reader.read(2)
         if tag == _VECTOR:
-            fp = fold(reader.read(params.key_bits))
+            fp = reader.read(params.key_bits)
             avec = tuple(reader.read(params.attr_bits) for _ in range(num_attrs))
             matching = reader.read_bool()
             return VectorEntry(fp, avec, matching)
         if tag == _BLOOM:
-            fp = fold(reader.read(params.key_bits))
+            fp = reader.read(params.key_bits)
             matching = reader.read_bool()
             bloom = _read_bloom_payload(
                 reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt
@@ -510,9 +477,8 @@ def _dump_range(wrapper: DyadicRangeCCF) -> bytes:
     return writer.getvalue()
 
 
-def _load_range(reader: BitReader, tagged: bool = True) -> DyadicRangeCCF:
-    if tagged:
-        reader.read(8)  # wrapper-level dtype tag; the inner payload re-checks
+def _load_range(reader: BitReader) -> DyadicRangeCCF:
+    reader.read(8)  # wrapper-level dtype tag; the inner payload re-checks
     schema = _read_schema(reader)
     range_index = reader.read(8)
     low = reader.read(64)
@@ -577,16 +543,15 @@ def _dump_view(view: ExtractedKeyFilter | MarkedKeyFilter) -> bytes:
     return writer.getvalue()
 
 
-def _load_view(reader: BitReader, tagged: bool = True) -> ExtractedKeyFilter | MarkedKeyFilter:
+def _load_view(reader: BitReader) -> ExtractedKeyFilter | MarkedKeyFilter:
     view_type = reader.read(8)
-    tag = reader.read(8) if tagged else None
+    tag = reader.read(8)
     num_buckets = reader.read(32)
     key_bits = reader.read(8)
     seed = reader.read(64)
     bucket_size = reader.read(8)
     packed = tag != 0
-    if tag is not None:
-        _check_dtype_tag(tag, key_bits, packed)
+    _check_dtype_tag(tag, key_bits, packed)
     geometry = PairGeometry(num_buckets, key_bits, seed)
     if view_type == _VIEW_MARKED:
         max_dupes = reader.read(8)
@@ -603,25 +568,18 @@ def _load_view(reader: BitReader, tagged: bool = True) -> ExtractedKeyFilter | M
     capacity = num_buckets * bucket_size
     occupied = reader.read_bool_array(capacity)
     count = int(occupied.sum())
-    loaded = reader.read_array(count, key_bits)
-    if not tagged:
-        loaded = _fold_loaded(loaded, key_bits)
-    view.buckets.fps.ravel()[occupied] = loaded
+    view.buckets.fps.ravel()[occupied] = reader.read_array(count, key_bits)
     view.buckets.recount()
-
-    def fold(fp):
-        return _fold_loaded(fp, key_bits) if not tagged else fp
-
     if view_type == _VIEW_MARKED:
         view.marks.ravel()[occupied] = reader.read_bool_array(count)
         stash_count = reader.read(16)
         for _ in range(stash_count):
-            fp = fold(reader.read(key_bits))
+            fp = reader.read(key_bits)
             view.stash_entries.append((fp, reader.read_bool()))
     else:
         stash_count = reader.read(16)
         for _ in range(stash_count):
-            view.stash_fingerprints.append(fold(reader.read(key_bits)))
+            view.stash_fingerprints.append(reader.read(key_bits))
     return view
 
 
@@ -651,16 +609,15 @@ def _dump_cuckoo(cuckoo: CuckooFilter) -> bytes:
     return writer.getvalue()
 
 
-def _load_cuckoo(reader: BitReader, tagged: bool = True) -> CuckooFilter:
-    tag = reader.read(8) if tagged else None
+def _load_cuckoo(reader: BitReader) -> CuckooFilter:
+    tag = reader.read(8)
     num_buckets = reader.read(32)
     bucket_size = reader.read(8)
     fingerprint_bits = reader.read(8)
     max_kicks = reader.read(32)
     seed = reader.read(64)
     packed = tag != 0
-    if tag is not None:
-        _check_dtype_tag(tag, fingerprint_bits, packed)
+    _check_dtype_tag(tag, fingerprint_bits, packed)
     cuckoo = CuckooFilter(
         num_buckets, bucket_size, fingerprint_bits, max_kicks, seed, packed=packed
     )
@@ -668,15 +625,11 @@ def _load_cuckoo(reader: BitReader, tagged: bool = True) -> CuckooFilter:
     cuckoo.failed = reader.read_bool()
     occupied = reader.read_bool_array(num_buckets * bucket_size)
     count = int(occupied.sum())
-    loaded = reader.read_array(count, fingerprint_bits)
-    if not tagged:
-        loaded = _fold_loaded(loaded, fingerprint_bits)
-    cuckoo.buckets.fps.ravel()[occupied] = loaded
+    cuckoo.buckets.fps.ravel()[occupied] = reader.read_array(count, fingerprint_bits)
     cuckoo.buckets.recount()
     stash_count = reader.read(16)
     for _ in range(stash_count):
-        fp = reader.read(fingerprint_bits)
-        cuckoo.stash.append(_fold_loaded(fp, fingerprint_bits) if not tagged else fp)
+        cuckoo.stash.append(reader.read(fingerprint_bits))
     return cuckoo
 
 

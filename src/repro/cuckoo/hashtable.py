@@ -196,28 +196,13 @@ class CuckooHashTable:
         return False
 
     def _insert_new(self, pair: tuple[object, Any], i1: int, i2: int) -> None:
-        digest = self._digest(pair[0])
-        if (
-            self.buckets.try_add(i1, digest, pair) >= 0
-            or self.buckets.try_add(i2, digest, pair) >= 0
-        ):
+        orphan = self._place(pair, i1, i2)
+        if orphan is None:
             self._count += 1
-            return
-        item = pair
-        current = self._rng.choice((i1, i2))
-        for _ in range(self.max_kicks):
-            victim_slot = self._rng.randrange(self.bucket_size)
-            victim = self.buckets.payload_at(current, victim_slot)
-            self.buckets.set_slot(current, victim_slot, self._digest(item[0]), item)
-            item = victim
-            a, b = self._indexes(item[0])
-            current = b if current == a else a
-            if self.buckets.try_add(current, self._digest(item[0]), item) >= 0:
-                self._count += 1
-                return
-        # MaxKicks exhausted: grow the table and retry (§4.1), carrying the
-        # displaced victim along with all resident pairs.
-        self._resize(item)
+        else:
+            # MaxKicks exhausted: grow the table and retry (§4.1), carrying
+            # the displaced victim along with all resident pairs.
+            self._resize(orphan)
 
     def _resize(self, pending: tuple[object, Any]) -> None:
         old_entries = [entry for _, _, _fp, entry in self.buckets.iter_entries()]
@@ -235,17 +220,25 @@ class CuckooHashTable:
     def _try_bulk_insert(self, entries: list[tuple[object, Any]]) -> bool:
         for pair in entries:
             i1, i2 = self._indexes(pair[0])
-            if not self._try_place(pair, i1, i2):
+            if self._place(pair, i1, i2) is not None:
                 return False
         return True
 
-    def _try_place(self, pair: tuple[object, Any], i1: int, i2: int) -> bool:
+    def _place(
+        self, pair: tuple[object, Any], i1: int, i2: int
+    ) -> tuple[object, Any] | None:
+        """Place ``pair`` in bucket ``i1`` or ``i2``, kicking residents on.
+
+        The one kick loop: up to ``max_kicks`` random evictions.  Returns
+        None once every displaced pair has a slot, otherwise the pair left
+        homeless when the kicks run out (the caller grows the table).
+        """
         digest = self._digest(pair[0])
         if (
             self.buckets.try_add(i1, digest, pair) >= 0
             or self.buckets.try_add(i2, digest, pair) >= 0
         ):
-            return True
+            return None
         item = pair
         current = self._rng.choice((i1, i2))
         for _ in range(self.max_kicks):
@@ -256,8 +249,8 @@ class CuckooHashTable:
             a, b = self._indexes(item[0])
             current = b if current == a else a
             if self.buckets.try_add(current, self._digest(item[0]), item) >= 0:
-                return True
-        return False
+                return None
+        return item
 
     def __getitem__(self, key: object) -> Any:
         value = self.get(key, _MISSING)

@@ -5,15 +5,16 @@ Two subcommands::
     python -m repro.store inspect <path>
 
 prints a snapshot directory's manifest (format, kind, schema, store shape),
-a per-level table — payload format, geometry, storage dtype, load factor,
-entries and on-disk byte size — and one compact memory line per shard
-(mapped vs resident column bytes, from segment metadata).  Segment levels
-are inspected from their SEG1 metadata alone (O(metadata), no column data
-read); bit-packed ``.ccf`` payloads are fully deserialised.  Durable roots
-additionally show a store-level ``durability:`` mode line and one WAL line
-per shard — frames, rows, bytes, last seq, and whether the tail is clean
-or torn (the scan is read-only: inspecting a crashed store never truncates
-what recovery would).
+a per-level table — geometry, storage dtype, load factor, stash and
+on-disk byte size — and one compact memory line per shard (mapped vs
+resident column bytes).  Levels are inspected from their SEG1 metadata
+alone (plus the one-byte-per-bucket occupancy column; no slot data read).
+The manifest goes through the store's own reader (`read_manifest`), so a
+manifest ``FilterStore.open`` would reject prints one ``error:`` line and
+exits 1.  Durable roots additionally show a store-level ``durability:``
+mode line and one WAL line per shard — frames, rows, bytes, last seq, and
+whether the tail is clean or torn (the scan is read-only: inspecting a
+crashed store never truncates what recovery would).
 
 ::
 
@@ -28,27 +29,18 @@ text exposition (default) or JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro import obs
 from repro.ccf.mmapio import map_column
-from repro.ccf.serialize import SerializeError, loads
+from repro.ccf.serialize import SerializeError
 from repro.cuckoo.buckets import dtype_for_bits
 from repro.kernels import active_backend
 from repro.store.metrics import store_metrics
 from repro.store.segments import read_segment_meta, segment_nbytes
-from repro.store.store import MANIFEST_NAME, FilterStore
+from repro.store.store import MANIFEST_NAME, FilterStore, read_manifest
 from repro.store.wal import scan_wal, wal_dir, wal_name
-
-
-def _level_entries(record: dict) -> list[dict]:
-    """Normalise a shard record's level list (format-1 compat)."""
-    return [
-        {"file": entry, "format": "ccf"} if isinstance(entry, str) else entry
-        for entry in record["levels"]
-    ]
 
 
 def _describe_segment(path: Path) -> dict:
@@ -65,34 +57,13 @@ def _describe_segment(path: Path) -> dict:
     else:
         dtype = "int64"
     return {
-        "format": "segment",
-        "kind": meta["kind"],
         "num_buckets": num_buckets,
         "bucket_size": bucket_size,
-        "capacity": capacity,
         "dtype": dtype,
         "stash": len(meta["stash"]),
         "file_bytes": meta["file_size"],
         "column_bytes": sum(column_bytes.values()),
         "load_factor": entries / capacity if capacity else 0.0,
-        "entries": entries,
-    }
-
-
-def _describe_ccf(path: Path) -> dict:
-    level = loads(path.read_bytes(), source=str(path))
-    return {
-        "format": "ccf",
-        "kind": level.kind,
-        "num_buckets": level.buckets.num_buckets,
-        "bucket_size": level.buckets.bucket_size,
-        "capacity": level.buckets.capacity,
-        "dtype": level.buckets.fps.dtype.name,
-        "stash": len(level.stash),
-        "file_bytes": path.stat().st_size,
-        "column_bytes": level.buckets.fingerprint_bytes(),
-        "load_factor": level.load_factor(),
-        "entries": level.num_entries,
     }
 
 
@@ -100,11 +71,14 @@ def inspect(path: str | Path, out=None) -> int:
     """Print a snapshot's manifest and per-level geometry; 0 on success."""
     out = sys.stdout if out is None else out
     root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
+    if not (root / MANIFEST_NAME).exists():
         print(f"error: no {MANIFEST_NAME} under {root}", file=out)
         return 1
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = read_manifest(root)
+    except SerializeError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     params = manifest["params"]
     config = manifest["config"]
     print(f"FilterStore snapshot: {root}", file=out)
@@ -167,36 +141,26 @@ def inspect(path: str | Path, out=None) -> int:
             f"compactions={record['compactions']}",
             file=out,
         )
-        shard_mapped = shard_resident = 0
-        for entry in _level_entries(record):
-            level_path = root / entry["file"]
+        shard_mapped = 0
+        for entry in record["levels"]:
             try:
-                if entry["format"] == "segment":
-                    info = _describe_segment(level_path)
-                else:
-                    info = _describe_ccf(level_path)
+                info = _describe_segment(root / entry["file"])
             except (OSError, SerializeError) as exc:
                 print(f"    {entry['file']}: UNREADABLE ({exc})", file=out)
                 return 1
             print(
-                f"    {entry['file']} [{info['format']}] "
+                f"    {entry['file']} [segment] "
                 f"{info['num_buckets']}x{info['bucket_size']} slots "
                 f"dtype={info['dtype']} load={info['load_factor']:.3f} "
                 f"stash={info['stash']} bytes={info['file_bytes']}",
                 file=out,
             )
-            # Segment columns serve memory-mapped (shared page cache);
-            # ccf payloads deserialise to private heap arrays.
-            if info["format"] == "segment":
-                shard_mapped += info["column_bytes"]
-            else:
-                shard_resident += info["column_bytes"]
+            shard_mapped += info["column_bytes"]
             total_bytes += info["file_bytes"]
             total_levels += 1
-        print(
-            f"    memory: mapped={shard_mapped} resident={shard_resident} bytes",
-            file=out,
-        )
+        # Segment columns serve memory-mapped (shared page cache); an opened
+        # snapshot holds no private heap columns until a mutation promotes one.
+        print(f"    memory: mapped={shard_mapped} resident=0 bytes", file=out)
         if walsec is not None:
             wal_line = _describe_wal(
                 wal_dir(root) / wal_name(shard_index, walsec["gen"])

@@ -48,27 +48,21 @@ class SegmentLevelRef:
     are single-shot by design: the shard materialises every ref of its stack
     the first time any probe needs the levels, then drops them.
 
-    ``verify`` is `repro.ccf.mmapio.open_segment`'s checksum policy: the
-    default (None) validates exactly the columns that carry a CRC32C —
-    checkpoint-sealed baselines verify as they map, classic snapshots keep
-    their O(metadata) open.
+    Mapping uses `repro.ccf.mmapio.open_segment`'s default checksum policy:
+    exactly the columns that carry a CRC32C are validated — checkpoint-sealed
+    baselines verify as they map, classic snapshots keep their O(metadata)
+    open.
     """
 
-    __slots__ = ("path", "expected_buckets", "verify")
+    __slots__ = ("path", "expected_buckets")
 
-    def __init__(
-        self,
-        path: str | Path,
-        expected_buckets: int,
-        verify: bool | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, expected_buckets: int) -> None:
         self.path = Path(path)
         self.expected_buckets = expected_buckets
-        self.verify = verify
 
     def open(self) -> PlainCCF:
         """Map the segment and validate it against the store geometry."""
-        level = open_segment(self.path, verify=self.verify)
+        level = open_segment(self.path)
         if not isinstance(level, PlainCCF):
             raise SerializeError(
                 f"level segment holds a {level.kind!r} CCF; store levels "

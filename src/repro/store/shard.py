@@ -175,27 +175,27 @@ class FilterShard:
     def attach_pending_levels(
         self,
         refs: list[SegmentLevelRef],
-        seqs: Sequence[str | None] | None = None,
+        seqs: Sequence[str | None],
     ) -> None:
         """Adopt a snapshot's level stack lazily (replacing the current one).
 
         ``seqs`` carries the manifest's per-level content tokens so a later
-        :meth:`refresh_from` can recognise unchanged levels; omitted (legacy
-        manifests), every level is treated as new content.
+        :meth:`refresh_from` can recognise unchanged levels; a ``None`` seq
+        (a manifest entry without one) is always treated as new content.
         """
         if not refs:
             raise ValueError("a shard needs at least one level")
-        if seqs is not None and len(seqs) != len(refs):
+        if len(seqs) != len(refs):
             raise ValueError("level seqs must parallel the refs")
         self._levels = []
         self._pending_segments = list(refs)
-        self.level_seqs = list(seqs) if seqs is not None else [None] * len(refs)
+        self.level_seqs = list(seqs)
         self.generation += 1
 
     def refresh_from(
         self,
         seqs: Sequence[str | None],
-        refs: Sequence["SegmentLevelRef | PlainCCF"],
+        refs: Sequence[SegmentLevelRef],
     ) -> tuple[int, int]:
         """Adopt a newer snapshot's stack, reusing unchanged attached levels.
 
@@ -210,9 +210,7 @@ class FilterShard:
             raise ValueError("a shard needs at least one level")
         if len(seqs) != len(refs):
             raise ValueError("level seqs must parallel the refs")
-        if self._pending_segments and all(
-            isinstance(ref, SegmentLevelRef) for ref in refs
-        ):
+        if self._pending_segments:
             # Nothing is materialised yet — stay lazy, adopt wholesale.
             self.attach_pending_levels(list(refs), seqs)
             return 0, len(refs)
@@ -228,10 +226,8 @@ class FilterShard:
             if current is not None:
                 new_levels.append(current)
                 reused += 1
-            elif isinstance(ref, SegmentLevelRef):
-                new_levels.append(ref.open())
             else:
-                new_levels.append(ref)
+                new_levels.append(ref.open())
         self._levels = new_levels
         self._pending_segments = []
         self.level_seqs = list(seqs)

@@ -14,16 +14,16 @@ path a single vectorised fan-out:
    (`shard.py`), growing a level when the active one saturates and merging
    the stack into one right-sized filter on compaction (`compaction.py`).
 
-Persistence is **segment-first** (DESIGN.md §10): ``snapshot(path)`` stages
-a JSON manifest plus one SEG1 segment per level into a temp directory and
-renames it into place (a crash can never leave a torn store), and
-``open(path)`` restores an equivalent store in O(manifest) — sealed levels
-stay on disk as :class:`~repro.store.segments.SegmentLevelRef` handles and
-map (read-only, zero-copy) the first time a probe touches their shard.
-``snapshot(path, level_format="ccf")`` keeps the bit-packed
-`ccf/serialize.py` wire payloads for interchange; those deserialise eagerly
-on open.  The deployment contract either way: answers after ``open`` equal
-answers before ``snapshot``.
+Persistence is SEG1 segments plus the WAL (DESIGN.md §10, §14):
+``snapshot(path)`` stages a JSON manifest plus one SEG1 segment per level
+into a temp directory and renames it into place (a crash can never leave a
+torn store), and ``open(path)`` restores an equivalent store in
+O(manifest) — sealed levels stay on disk as
+:class:`~repro.store.segments.SegmentLevelRef` handles and map (read-only,
+zero-copy) the first time a probe touches their shard.  :func:`read_manifest`
+is the one reader of the manifest format, shared by ``open``, ``refresh``
+and ``python -m repro.store inspect``.  The deployment contract: answers
+after ``open`` equal answers before ``snapshot``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from repro.ccf.base import (
 )
 from repro.ccf.chain import PairGeometry
 from repro.ccf.params import CCFParams
-from repro.ccf.plain import PlainCCF
 from repro.ccf.predicates import Predicate
-from repro.ccf.serialize import SerializeError, dumps, loads
+from repro.ccf.serialize import SerializeError
 from repro.hashing.mixers import derive_seed, hash64, hash64_many
 from repro.kernels import active_backend
 from repro.store import faults
@@ -77,13 +76,10 @@ from repro.store.wal import (
 )
 
 #: Manifest schema version; bump on layout changes.  Format 2 records each
-#: level as ``{"file", "format"}`` (``segment`` = SEG1, ``ccf`` = bit-packed
-#: wire payload); format-1 manifests (bare filename lists, all ccf) still load.
+#: level as ``{"file", "format": "segment", "seq"}`` (``seq`` optional), one
+#: SEG1 segment per level; :func:`read_manifest` accepts nothing else.
 MANIFEST_FORMAT = 2
 MANIFEST_NAME = "manifest.json"
-
-#: Per-level payload formats a snapshot can write.
-LEVEL_FORMATS = ("segment", "ccf")
 
 #: The operation kinds `OpCounters` tracks (batch calls and keys for each).
 OP_KINDS = ("query", "insert", "delete")
@@ -572,14 +568,11 @@ class FilterStore:
     # Persistence
     # ------------------------------------------------------------------
 
-    def snapshot(self, path: str | Path, level_format: str = "segment") -> Path:
-        """Write the store to a directory: manifest + one payload per level.
+    def snapshot(self, path: str | Path) -> Path:
+        """Write the store to a directory: manifest + one SEG1 segment per level.
 
-        ``level_format="segment"`` (the default) writes each level as a SEG1
-        segment file (`repro.ccf.mmapio`) — page-aligned raw columns that
-        :meth:`open` maps back zero-copy.  ``level_format="ccf"`` writes the
-        bit-packed columnar wire format (`ccf/serialize.py`) instead, so any
-        tool that reads a serialised CCF can read a level.
+        Each level is a segment file (`repro.ccf.mmapio`) — page-aligned raw
+        columns that :meth:`open` maps back zero-copy.
 
         The write is staged: everything lands in a hidden sibling temp
         directory (manifest last, the commit point) and is renamed into
@@ -592,10 +585,6 @@ class FilterStore:
         momentarily absent but both snapshots intact under their hidden
         names (and the next snapshot to the same path cleans them up).
         """
-        if level_format not in LEVEL_FORMATS:
-            raise ValueError(
-                f"level_format must be one of {LEVEL_FORMATS}, got {level_format!r}"
-            )
         if self._root is not None and Path(path).resolve() == self._root:
             # Snapshotting a durable store onto its own root *is* a
             # checkpoint: seal, commit manifest-last, roll the WALs.  The
@@ -603,13 +592,13 @@ class FilterStore:
             # delete) the live WAL directory out from under the store.
             return self.checkpoint()
         start = perf_counter()
-        with obs.span("store.snapshot", path=str(path), level_format=level_format):
-            root = self._snapshot(path, level_format)
+        with obs.span("store.snapshot", path=str(path)):
+            root = self._snapshot(path)
         _SNAPSHOTS.inc()
         _SNAPSHOT_US.observe((perf_counter() - start) * 1e6)
         return root
 
-    def _snapshot(self, path: str | Path, level_format: str) -> Path:
+    def _snapshot(self, path: str | Path) -> Path:
         root = Path(path)
         root.parent.mkdir(parents=True, exist_ok=True)
         # Clear staging/displaced debris from earlier runs, whatever their
@@ -619,24 +608,23 @@ class FilterStore:
                 shutil.rmtree(stale, ignore_errors=True)
         staging = root.parent / f".{root.name}.tmp-{os.getpid()}"
         staging.mkdir()
-        suffix = SEGMENT_SUFFIX if level_format == "segment" else ".ccf"
         try:
             shard_records = []
             for shard in self.shards:
                 level_files = []
                 for level_index, level in enumerate(shard.levels):
-                    name = f"shard-{shard.shard_id:04d}-level-{level_index:04d}{suffix}"
-                    if level_format == "segment":
-                        write_segment(level, staging / name)
-                    else:
-                        (staging / name).write_bytes(dumps(level))
+                    name = (
+                        f"shard-{shard.shard_id:04d}"
+                        f"-level-{level_index:04d}{SEGMENT_SUFFIX}"
+                    )
+                    write_segment(level, staging / name)
                     # The seq names this level's content version: readers
                     # refreshing onto this snapshot keep any level they
                     # already have mapped under the same seq (DESIGN.md §11).
                     level_files.append(
                         {
                             "file": name,
-                            "format": level_format,
+                            "format": "segment",
                             "seq": shard.level_seqs[level_index],
                         }
                     )
@@ -844,16 +832,7 @@ class FilterStore:
             if old_wal is not None:
                 old_wal.close()
                 old_wal.path.unlink(missing_ok=True)
-        referenced = {
-            entry["file"] for record in shard_records for entry in record["levels"]
-        }
-        for stale in root.iterdir():
-            if (
-                stale.is_file()
-                and stale.suffix in (SEGMENT_SUFFIX, ".ccf")
-                and stale.name not in referenced
-            ):
-                stale.unlink()
+        _reap_unreferenced_segments(root, shard_records)
         for stale in wdir.glob(f"*{WAL_SUFFIX}"):
             if stale.name not in {wal_name(s.shard_id, gen) for s in self.shards}:
                 stale.unlink()
@@ -863,12 +842,12 @@ class FilterStore:
     def open(cls, path: str | Path) -> "FilterStore":
         """Restore a store from a :meth:`snapshot` directory.
 
-        Segment-backed shards open in O(manifest): sealed levels are
-        attached as lazy :class:`SegmentLevelRef` handles and memory-map on
-        the first probe that reaches their shard, so cold-open cost and
-        resident memory are independent of store size.  CCF wire payloads
-        (``level_format="ccf"`` snapshots and format-1 manifests)
-        deserialise eagerly, as before.
+        Opens in O(manifest): sealed levels are attached as lazy
+        :class:`SegmentLevelRef` handles and memory-map on the first probe
+        that reaches their shard, so cold-open cost and resident memory are
+        independent of store size.  The manifest must pass
+        :func:`read_manifest`, which raises :class:`SerializeError` on
+        anything but a format-2 manifest of segment levels.
 
         A durable root (manifest carries a ``wal`` section) additionally
         **recovers**: each shard's log is scanned, a torn/corrupt tail is
@@ -878,33 +857,21 @@ class FilterStore:
         writer resuming exactly where the last acked batch left it.
         """
         root = Path(path)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        if manifest.get("format") not in (1, MANIFEST_FORMAT):
-            raise ValueError(
-                f"unsupported FilterStore manifest format {manifest.get('format')!r}"
-            )
+        manifest = read_manifest(root)
         schema = AttributeSchema(manifest["schema"])
         params = CCFParams(**manifest["params"])
         config = StoreConfig.from_dict(manifest["config"])
         store = cls(schema, params, config, kind=manifest["kind"])
         store.ops = OpCounters(manifest.get("ops"))
         for shard, record in zip(store.shards, manifest["shards"]):
-            entries = _normalise_level_entries(record)
-            if entries and all(entry["format"] == "segment" for entry in entries):
-                shard.attach_pending_levels(
-                    [
-                        SegmentLevelRef(root / entry["file"], config.level_buckets)
-                        for entry in entries
-                    ],
-                    seqs=[entry.get("seq") for entry in entries],
-                )
-            elif entries:
-                shard.levels = [
-                    _load_level(root, entry, config) for entry in entries
-                ]
-                # Keep the manifest's content tokens so a later refresh can
-                # recognise these levels as already loaded.
-                shard.level_seqs = [entry.get("seq") for entry in entries]
+            entries = record["levels"]
+            shard.attach_pending_levels(
+                [
+                    SegmentLevelRef(root / entry["file"], config.level_buckets)
+                    for entry in entries
+                ],
+                seqs=[entry.get("seq") for entry in entries],
+            )
             shard.rows_inserted = record["rows_inserted"]
             shard.rows_deleted = record["rows_deleted"]
             shard.num_compactions = record["compactions"]
@@ -927,18 +894,7 @@ class FilterStore:
         for stale in wdir.glob(f"*{WAL_SUFFIX}"):
             if stale.name not in expected:
                 stale.unlink()
-        referenced = {
-            entry["file"]
-            for record in manifest["shards"]
-            for entry in _normalise_level_entries(record)
-        }
-        for stale in root.iterdir():
-            if (
-                stale.is_file()
-                and stale.suffix in (SEGMENT_SUFFIX, ".ccf")
-                and stale.name not in referenced
-            ):
-                stale.unlink()
+        _reap_unreferenced_segments(root, manifest["shards"])
         for stale in root.glob(f".{MANIFEST_NAME}.tmp-*"):
             if not _pid_alive(_path_pid(stale)):
                 stale.unlink()
@@ -1004,11 +960,7 @@ class FilterStore:
 
     def _refresh(self, path: str | Path) -> dict[str, int]:
         root = Path(path)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        if manifest.get("format") not in (1, MANIFEST_FORMAT):
-            raise ValueError(
-                f"unsupported FilterStore manifest format {manifest.get('format')!r}"
-            )
+        manifest = read_manifest(root)
         if manifest["kind"] != self.kind:
             raise ValueError(
                 f"cannot refresh a {self.kind!r} store from a "
@@ -1022,12 +974,10 @@ class FilterStore:
             raise ValueError("cannot refresh from a snapshot with a different config")
         reused = attached = 0
         for shard, record in zip(self.shards, manifest["shards"]):
-            entries = _normalise_level_entries(record)
+            entries = record["levels"]
             seqs = [entry.get("seq") for entry in entries]
-            refs: list[SegmentLevelRef | PlainCCF] = [
+            refs = [
                 SegmentLevelRef(root / entry["file"], self.config.level_buckets)
-                if entry["format"] == "segment"
-                else _load_level(root, entry, self.config)
                 for entry in entries
             ]
             guard = self._write_guard(shard.shard_id)
@@ -1045,41 +995,47 @@ class FilterStore:
         return {"levels_reused": reused, "levels_attached": attached}
 
 
-def _normalise_level_entries(record: Mapping[str, Any]) -> list[dict]:
-    """A shard record's level list as dicts (format-1 manifests recorded
-    bare filenames, all ccf payloads), with payload formats validated."""
-    entries = [
-        {"file": entry, "format": "ccf"} if isinstance(entry, str) else entry
-        for entry in record["levels"]
-    ]
-    for entry in entries:
-        if entry["format"] not in LEVEL_FORMATS:
-            raise ValueError(
-                f"unsupported level payload format {entry['format']!r} "
-                f"for {entry['file']}"
-            )
-    return entries
+def read_manifest(root: str | Path) -> dict:
+    """Load and validate the manifest of a snapshot or durable root.
 
-
-def _load_level(root: Path, entry: Mapping[str, str], config: StoreConfig) -> PlainCCF:
-    """Eagerly load one level payload (the non-lazy open path)."""
-    name = entry["file"]
-    if entry["format"] == "segment":
-        return SegmentLevelRef(root / name, config.level_buckets).open()
-    level = loads((root / name).read_bytes(), source=str(root / name))
-    if not isinstance(level, PlainCCF):
+    The one reader of the manifest format: :meth:`FilterStore.open`,
+    :meth:`FilterStore.refresh` and ``python -m repro.store inspect`` all go
+    through it.  It accepts only format 2 with one shard record per
+    configured shard and every level entry a ``"segment"``; anything else
+    raises :class:`SerializeError` naming the manifest file.  A shard-record
+    count below ``num_shards`` must never open: the missing shards would
+    answer False for every row they own.
+    """
+    path = Path(root) / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SerializeError(
-            f"level payload holds a {getattr(level, 'kind', type(level).__name__)!r}; "
-            "store levels must be plain CCFs",
-            source=str(root / name),
-        )
-    if level.buckets.num_buckets != config.level_buckets:
+            f"manifest is not valid JSON: {exc}", source=str(path)
+        ) from exc
+    version = manifest.get("format") if isinstance(manifest, dict) else None
+    if version != MANIFEST_FORMAT:
         raise SerializeError(
-            f"level payload has {level.buckets.num_buckets} buckets, "
-            f"manifest says {config.level_buckets}",
-            source=str(root / name),
+            f"unsupported FilterStore manifest format {version!r} "
+            f"(this build reads format {MANIFEST_FORMAT})",
+            source=str(path),
         )
-    return level
+    shards = manifest["shards"]
+    num_shards = manifest["config"]["num_shards"]
+    if len(shards) != num_shards:
+        raise SerializeError(
+            f"manifest lists {len(shards)} shard records, config says "
+            f"num_shards={num_shards}",
+            source=str(path),
+        )
+    for shard_id, record in enumerate(shards):
+        for entry in record["levels"]:
+            if not isinstance(entry, dict) or entry.get("format") != "segment":
+                raise SerializeError(
+                    f"shard {shard_id} level entry {entry!r} is not a SEG1 segment",
+                    source=str(path),
+                )
+    return manifest
 
 
 def _params_to_dict(params: CCFParams) -> dict:
@@ -1132,6 +1088,17 @@ def _reap_stale_wal_temps(wdir: Path) -> int:
             stale.unlink(missing_ok=True)
             reaped += 1
     return reaped
+
+
+def _reap_unreferenced_segments(root: Path, shard_records: Sequence[Mapping]) -> None:
+    """Unlink segment files under ``root`` that no committed level entry names
+    (superseded generations and debris from crashed checkpoints)."""
+    referenced = {
+        entry["file"] for record in shard_records for entry in record["levels"]
+    }
+    for stale in root.glob(f"*{SEGMENT_SUFFIX}"):
+        if stale.is_file() and stale.name not in referenced:
+            stale.unlink()
 
 
 def _replay_frames(shard: FilterShard, frames: Sequence) -> None:

@@ -52,7 +52,7 @@ class TestCLI:
 class TestStoreInspectCLI:
     """``python -m repro.store inspect <path>``: manifest + per-level table."""
 
-    def _snapshot(self, tmp_path, level_format="segment"):
+    def _snapshot(self, tmp_path):
         schema = AttributeSchema(["color", "size"])
         params = CCFParams(key_bits=20, attr_bits=8, bucket_size=4, seed=5)
         store = FilterStore(
@@ -61,7 +61,7 @@ class TestStoreInspectCLI:
         keys = np.arange(1200, dtype=np.int64)
         colors = np.array(["red", "green", "blue"], dtype=object)[keys % 3]
         store.insert_many(keys, [colors, keys % 7])
-        return store, store.snapshot(tmp_path / "snap", level_format=level_format)
+        return store, store.snapshot(tmp_path / "snap")
 
     def test_inspect_segment_snapshot(self, capsys, tmp_path):
         store, root = self._snapshot(tmp_path)
@@ -75,13 +75,6 @@ class TestStoreInspectCLI:
         assert "dtype=uint32" in out        # 20-bit keys pack into uint32
         assert "load=0." in out             # real occupancy from the counts column
         assert f"total: {store.num_levels} levels" in out
-
-    def test_inspect_ccf_snapshot(self, capsys, tmp_path):
-        store, root = self._snapshot(tmp_path, level_format="ccf")
-        assert store_main(["inspect", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[ccf]") == store.num_levels
-        assert "dtype=uint32" in out
 
     def test_inspect_reports_op_counters(self, capsys, tmp_path):
         store, _root = self._snapshot(tmp_path)
@@ -137,14 +130,6 @@ class TestStoreInspectCLI:
             assert "resident=" in line and line.endswith("bytes")
         # Segment snapshots serve mmap'd: all column bytes are mapped.
         assert all("resident=0 bytes" in line for line in memory_lines)
-
-    def test_inspect_ccf_snapshot_is_resident(self, capsys, tmp_path):
-        _store, root = self._snapshot(tmp_path, level_format="ccf")
-        assert store_main(["inspect", str(root)]) == 0
-        out = capsys.readouterr().out
-        memory_lines = [l for l in out.splitlines() if "memory:" in l]
-        assert all("mapped=0 " in line for line in memory_lines)
-        assert not any("resident=0 " in line for line in memory_lines)
 
     def test_unknown_subcommand_errors(self):
         with pytest.raises(SystemExit):

@@ -10,12 +10,16 @@ Acceptance contract of the mapped-segment engine (ISSUE 5 / DESIGN.md §10):
 * mutating a reopened store promotes only the touched levels to heap
   (copy-on-write) and never writes the segment files;
 * ``snapshot`` is atomic: an injected failure mid-snapshot leaves the
-  previous snapshot untouched and no staging debris behind.
+  previous snapshot untouched and no staging debris behind;
+* the one manifest reader refuses anything but format 2 of segment levels
+  with one record per shard, whether ``open``, ``refresh`` or ``inspect``
+  reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Eq
 from repro.ccf.serialize import SerializeError
 from repro.store import FilterStore, StoreConfig
+from repro.store.__main__ import main as store_main
 
 SCHEMA = AttributeSchema(["color", "size"])
 PARAMS = CCFParams(key_bits=24, attr_bits=16, bucket_size=4, seed=23)
@@ -186,23 +191,55 @@ class TestMappedParity:
         assert reopened.query_many(keys).all()
         assert len(reopened) == len(store) + len(extra)
 
-    def test_ccf_level_format_still_round_trips(self, tmp_path):
-        store = make_store()
-        keys = np.arange(1500, dtype=np.int64)
-        store.insert_many(keys, row_columns(keys))
-        root = store.snapshot(tmp_path / "snap", level_format="ccf")
-        assert len(list(root.glob("*.ccf"))) == store.num_levels
-        reopened = FilterStore.open(root)
-        # Eager path: nothing pending, nothing mapped.
-        assert all(s.num_pending_segments == 0 for s in reopened.shards)
-        assert reopened.stats()["mapped_bytes"] == 0
-        probe = np.arange(3000, dtype=np.int64)
-        assert (reopened.query_many(probe) == store.query_many(probe)).all()
 
-    def test_unknown_level_format_is_rejected(self, tmp_path):
+
+def _format_1(manifest: dict) -> str:
+    manifest["format"] = 1
+    for record in manifest["shards"]:
+        record["levels"] = [entry["file"] for entry in record["levels"]]
+    return json.dumps(manifest)
+
+
+def _ccf_level(manifest: dict) -> str:
+    manifest["shards"][0]["levels"][0]["format"] = "ccf"
+    return json.dumps(manifest)
+
+
+def _missing_shard(manifest: dict) -> str:
+    manifest["shards"].pop()
+    return json.dumps(manifest)
+
+
+def _not_json(manifest: dict) -> str:
+    return json.dumps(manifest)[:-40]
+
+
+class TestManifestReader:
+    """Every manifest but format 2 of segment levels, one record per shard,
+    is refused loudly — by ``open``, ``refresh`` and ``inspect`` alike."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_format_1, _ccf_level, _missing_shard, _not_json],
+        ids=["format-1", "ccf-level", "shard-count", "not-json"],
+    )
+    def test_open_refresh_and_inspect_reject(self, tmp_path, capsys, corrupt):
         store = make_store()
-        with pytest.raises(ValueError, match="level_format"):
-            store.snapshot(tmp_path / "snap", level_format="parquet")
+        keys = np.arange(2000, dtype=np.int64)
+        store.insert_many(keys, row_columns(keys))
+        root = store.snapshot(tmp_path / "snap")
+        manifest_path = root / "manifest.json"
+        manifest_path.write_text(corrupt(json.loads(manifest_path.read_text())))
+
+        with pytest.raises(SerializeError) as opened:
+            FilterStore.open(root)
+        assert opened.value.source == str(manifest_path)
+        replica = make_store()
+        with pytest.raises(SerializeError):
+            replica.refresh(root)
+        assert store_main(["inspect", str(root)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"error: {opened.value}"]
 
 
 class TestAtomicSnapshot:

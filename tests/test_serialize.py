@@ -261,9 +261,12 @@ class TestErrors:
     def _payload(self):
         return dumps(build_ccf("plain", SCHEMA, random_rows(60, 4, seed=4), PARAMS))
 
-    def test_unknown_magic(self):
+    # The pre-dtype-tag wire formats (CCF2/CKF2/CCV2/CRF1) are retired and
+    # refused like any other unknown magic.
+    @pytest.mark.parametrize("magic", ["XXXX", "CCF2", "CKF2", "CCV2", "CRF1"])
+    def test_unknown_magic(self, magic):
         with pytest.raises(SerializeError, match="magic"):
-            loads(b"XXXX\x00\x00")
+            loads(magic.encode() + b"\x00\x00")
 
     def test_unknown_magic_is_still_a_value_error(self):
         # Backward compatibility: SerializeError subclasses ValueError.
