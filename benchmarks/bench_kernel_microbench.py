@@ -14,9 +14,11 @@ ISSUE 7 adds the kernel-backend dimension (DESIGN.md §12): the record's
 *timed* backend — numpy always, numba when importable (the ``python``
 oracle exists for parity testing, not timing).  Per backend it records the
 numba version (or null), **cold vs warm JIT timing separately** (the cold
-bulk insert includes any ``@njit`` compile; with ``cache=True`` a warm
-on-disk cache makes cold ~= warm), and speedups relative to the in-process
-numpy run.  ISSUE 7 acceptance, asserted only when numba is importable and
+batch insert includes any ``@njit`` compile; with ``cache=True`` a warm
+on-disk cache makes cold ~= warm), speedups relative to the in-process
+numpy run, and — report-only — the keys/s of a per-key ``insert`` loop
+filling the same geometry to load 0.95 (the batch-of-one path, which runs
+its kick chains through the shared sequential tail).  ISSUE 7 acceptance, asserted only when numba is importable and
 the run is at the 1M scale: warm numba ``insert_many`` (kick-heavy, load
 >= 0.9) >= 2x numpy, with no probe/delete regression.
 
@@ -70,7 +72,7 @@ def _build(packed: bool) -> CuckooFilter:
     cuckoo = CuckooFilter.from_capacity(
         NUM_KEYS, bucket_size=4, fingerprint_bits=12, seed=7, packed=packed
     )
-    cuckoo.insert_many(np.arange(NUM_KEYS, dtype=np.int64), bulk=True)
+    cuckoo.insert_many(np.arange(NUM_KEYS, dtype=np.int64))
     return cuckoo
 
 
@@ -114,7 +116,7 @@ def _kick_heavy_buckets() -> int:
     ``from_capacity`` at the default 0.95 target usually rounds up a full
     power of two (load ~0.48) — far too roomy to exercise the eviction
     loop.  The backend sweep instead sizes the table tight: at the 1M
-    default this lands at 262144 buckets (load ~0.954), making the bulk
+    default this lands at 262144 buckets (load ~0.954), making the batch
     insert kick-heavy as ISSUE 7's acceptance bar requires.
     """
     buckets = 1
@@ -130,24 +132,35 @@ def _bench_one_backend(
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """Time insert (cold + warm), probe and delete under backend ``name``.
 
-    Cold = the first bulk insert after selecting the backend, which pays any
-    JIT compile (or on-disk cache load) the backend defers to first use.
+    Cold = the first batch insert after selecting the backend, which pays
+    any JIT compile (or on-disk cache load) the backend defers to first use.
     Warm = the same build on a fresh filter once the kernels are compiled.
-    Returns the timing record plus the probe/delete answers for parity
-    assertions against the reference backend.
+    Scalar = a per-key ``insert`` loop filling the same geometry to load
+    0.95.  Returns the timing record plus the probe/delete answers for
+    parity assertions against the reference backend.
     """
     backend = set_backend(name)
     num_buckets = _kick_heavy_buckets()
     try:
         cold_filter = CuckooFilter(num_buckets, 4, 12, seed=7)
         start = time.perf_counter()
-        cold_filter.insert_many(keys, bulk=True)
+        cold_filter.insert_many(keys)
         insert_cold = time.perf_counter() - start
 
         warm_filter = CuckooFilter(num_buckets, 4, 12, seed=7)
         start = time.perf_counter()
-        warm_filter.insert_many(keys, bulk=True)
+        warm_filter.insert_many(keys)
         insert_warm = time.perf_counter() - start
+
+        # Filled to load 0.95 of the same geometry, so the per-key loop is
+        # kick-heavy at every scale (the batch build reaches ~0.95 only at 1M).
+        scalar_filter = CuckooFilter(num_buckets, 4, 12, seed=7)
+        scalar_keys = list(range(int(0.95 * num_buckets * 4)))
+        insert = scalar_filter.insert
+        start = time.perf_counter()
+        for key in scalar_keys:
+            insert(key)
+        insert_scalar = time.perf_counter() - start
 
         contains = _best_of(3, warm_filter.contains_many, probes)
         probe_answers = warm_filter.contains_many(probes)
@@ -166,6 +179,8 @@ def _bench_one_backend(
             "jit_overhead_s": max(0.0, insert_cold - insert_warm),
             "insert_cold_keys_per_s": NUM_KEYS / insert_cold,
             "insert_warm_keys_per_s": NUM_KEYS / insert_warm,
+            "scalar_insert_keys_per_s": len(scalar_keys) / insert_scalar,
+            "scalar_insert_load_factor": scalar_filter.load_factor(),
             "contains_keys_per_s": NUM_KEYS / contains,
             "delete_keys_per_s": len(victims) / delete,
         }
@@ -228,11 +243,11 @@ def test_kernel_microbench():
         == _pre_pr_contains_many(legacy, probes).tolist()
     )
 
-    # Bulk insert (wave eviction) timing on fresh twins.
+    # Batch insert (first wave + wave eviction) timing on a fresh filter.
     keys = np.arange(NUM_KEYS, dtype=np.int64)
     fresh = CuckooFilter.from_capacity(NUM_KEYS, bucket_size=4, fingerprint_bits=12, seed=7)
     start = time.perf_counter()
-    fresh.insert_many(keys, bulk=True)
+    fresh.insert_many(keys)
     packed_insert = time.perf_counter() - start
 
     # Deletes mutate: one run each on identically-built twins.
@@ -259,7 +274,7 @@ def test_kernel_microbench():
         "fingerprint_bytes_int64": legacy.buckets.fingerprint_bytes(),
         "fingerprint_byte_ratio": fingerprint_byte_ratio,
         "bytes_per_slot_packed": packed.buckets.bytes_per_slot,
-        "packed_insert_bulk_keys_per_s": NUM_KEYS / packed_insert,
+        "packed_insert_keys_per_s": NUM_KEYS / packed_insert,
         "packed_contains_keys_per_s": NUM_KEYS / packed_contains,
         "int64_contains_keys_per_s": NUM_KEYS / legacy_contains,
         "pre_pr_contains_keys_per_s": NUM_KEYS / pre_pr_contains,
@@ -298,7 +313,9 @@ def test_kernel_microbench():
             f"  backend {name} (numba={version}): insert warm "
             f"{entry['insert_warm_keys_per_s']/1e6:.2f}M/s "
             f"(cold {entry['insert_cold_keys_per_s']/1e6:.2f}M/s, "
-            f"jit {entry['jit_overhead_s']*1e3:.0f}ms), contains "
+            f"jit {entry['jit_overhead_s']*1e3:.0f}ms), per-key insert "
+            f"{entry['scalar_insert_keys_per_s']/1e6:.2f}M/s "
+            f"(load {entry['scalar_insert_load_factor']:.3f}), contains "
             f"{entry['contains_keys_per_s']/1e6:.1f}M/s, delete "
             f"{entry['delete_keys_per_s']/1e6:.2f}M/s "
             f"[{entry['insert_speedup_vs_numpy']:.2f}x / "
@@ -336,7 +353,7 @@ def test_kernel_microbench():
         assert contains_speedup_vs_pre_pr >= MIN_CONTAINS_SPEEDUP
 
     # ISSUE 7 acceptance: numba's JIT path must earn its keep at scale —
-    # >= 2x on the kick-heavy bulk insert (built load >= 0.9) with no
+    # >= 2x on the kick-heavy batch insert (built load >= 0.9) with no
     # probe/delete regression.  Self-disables honestly when numba is not
     # importable (the record then carries numba_version: null).
     numba_entry = backends.get("numba")

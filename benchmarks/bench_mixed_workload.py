@@ -12,10 +12,9 @@ This benchmark replays PR 1's exact probe policy (resurrected below as
 snapshot, scalar-fallback heuristic) against the columnar engine on the same
 hashing, the same key stream and the same interleave, at 1M total operations,
 and asserts the columnar path is at least 3x faster end to end.  Answers are
-asserted equal, and the columnar filter is additionally driven through its
-``bulk=True`` build wave (placement-divergent but membership-preserving, see
-DESIGN.md §7) — the configuration a precompute-then-probe deployment would
-use.
+asserted equal: the columnar ``insert_many`` (first wave + wave eviction)
+may place entries differently from the baseline's per-key kicks, but
+membership is preserved (DESIGN.md §7).
 
 Environment knobs: ``REPRO_MIXED_OPS`` (total operations, default 1M).
 """
@@ -23,10 +22,10 @@ Environment knobs: ``REPRO_MIXED_OPS`` (total operations, default 1M).
 from __future__ import annotations
 
 import os
+import random
 import time
 
 import numpy as np
-import pytest
 
 from repro.bench.reporting import save_json
 from repro.cuckoo.filter import CuckooFilter
@@ -57,6 +56,7 @@ class SnapshotPathBaseline:
         self._snapshot: tuple[int, np.ndarray] | None = None
         self._scalar_probe_version = -1
         self._scalar_probe_rows = 0
+        self._rng = random.Random(twin.seed)
 
     # -- PR 1 insert path: vectorised hashing, per-key list placement ------
 
@@ -81,7 +81,7 @@ class SnapshotPathBaseline:
         return False
 
     def _kick(self, twin: CuckooFilter, start: int, fp: int) -> None:
-        rng = twin._rng
+        rng = self._rng
         current = rng.choice((start, twin.alt_index(start, fp)))
         item = fp
         size = self.bucket_size
@@ -170,8 +170,7 @@ def _key_stream(total_ops: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return inserts, queries
 
 
-@pytest.mark.parametrize("bulk", [False, True], ids=["sequential", "bulk"])
-def test_mixed_workload_speedup(bulk):
+def test_mixed_workload_speedup():
     """1M interleaved ops: columnar live-array probes vs PR 1 snapshots."""
     inserts, queries = _key_stream(TOTAL_OPS)
     capacity = sum(len(batch) for batch in inserts)
@@ -195,27 +194,27 @@ def test_mixed_workload_speedup(bulk):
         columnar_seconds = min(
             columnar_seconds,
             _interleave(
-                lambda keys: columnar.insert_many(keys, bulk=bulk),
+                columnar.insert_many,
                 lambda keys: columnar_answers.append(columnar.contains_many(keys)),
                 inserts,
                 queries,
             ),
         )
 
-    # Same final membership picture on both sides (placement may differ under
-    # bulk, the answers may not): every inserted key answers True.
+    # Same final membership picture on both sides (placement may differ, the
+    # answers may not): every inserted key answers True.
     inserted = np.concatenate(inserts)
     assert bool(columnar.contains_many(inserted).all())
     assert not columnar.failed
     # And the interleaved probe answers agree with the baseline's final state
-    # reply for the last round (cheap spot check; full parity is covered by
-    # tests/test_batch_parity.py for the sequential path).
+    # reply for the last round (cheap spot check; tests/test_batch_parity.py
+    # covers the membership contract).
     assert columnar_answers[-1].tolist() == baseline.contains_many(queries[-1]).tolist()
 
     total_ops = 2 * capacity
     speedup = baseline_seconds / columnar_seconds
     save_json(
-        f"mixed_workload_{'bulk' if bulk else 'sequential'}",
+        "mixed_workload_speedup",
         {
             "total_ops": total_ops,
             "batch": BATCH,
@@ -225,12 +224,11 @@ def test_mixed_workload_speedup(bulk):
         },
     )
     print(
-        f"mixed workload ({'bulk' if bulk else 'sequential'}): "
-        f"{total_ops} ops, snapshot path {baseline_seconds:.2f}s, "
+        f"mixed workload: {total_ops} ops, snapshot path {baseline_seconds:.2f}s, "
         f"columnar {columnar_seconds:.2f}s, speedup {speedup:.1f}x"
     )
     # The acceptance bar is defined at the 1M-op scale (ISSUE 2); shrunken
     # REPRO_MIXED_OPS smoke runs only report, since fixed per-batch overheads
     # dominate below a few hundred thousand operations.
-    if bulk and TOTAL_OPS >= 1_000_000:
+    if TOTAL_OPS >= 1_000_000:
         assert speedup >= MIN_SPEEDUP

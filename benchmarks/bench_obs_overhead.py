@@ -8,7 +8,7 @@ cost at the 1M-key kernel microbench scale is **under 3%**.
 The benchmark times the same workload twice in one process, flipping only
 ``obs.set_enabled``:
 
-* ``insert``  — kick-heavy bulk build (wave counters + kernel timing)
+* ``insert``  — kick-heavy batch build (wave counters + kernel timing)
 * ``contains``— batch probes, half present half absent (kernel timing)
 * ``delete``  — vectorised batch removal (kernel timing)
 * ``store``   — batch queries against a prebuilt FilterStore (per-level
@@ -76,7 +76,7 @@ STORE_ROWS = min(NUM_KEYS, 200_000)
 
 
 def _kick_heavy_buckets(num_keys: int) -> int:
-    """Smallest power-of-two table with load < 1 (kick-heavy bulk build)."""
+    """Smallest power-of-two table with load < 1 (kick-heavy batch build)."""
     buckets = 1
     while buckets * 4 < num_keys:
         buckets *= 2
@@ -90,7 +90,7 @@ def _filter_stage_times(keys: np.ndarray, probes: np.ndarray) -> dict:
     num_buckets = _kick_heavy_buckets(len(keys))
     filt = CuckooFilter(num_buckets, 4, 12, seed=7)
     start = time.perf_counter()
-    filt.insert_many(keys, bulk=True)
+    filt.insert_many(keys)
     insert = time.perf_counter() - start
 
     start = time.perf_counter()

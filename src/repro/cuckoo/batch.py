@@ -1,28 +1,30 @@
-"""Shared batch machinery for fingerprint-per-slot cuckoo structures.
+"""Shared core of the fingerprint-per-slot cuckoo filters.
 
 `CuckooFilter` and `MultisetCuckooFilter` store a bare integer fingerprint
-in each slot and share identical batch hashing and placement/removal
-kernels; this mixin holds the single copy.  Host classes provide ``buckets``
-(a :class:`~repro.cuckoo.buckets.SlotMatrix`), ``_fp_salt``, ``_index_salt``,
-``_jump_salt``, ``_fp_mask``, ``_fp_fold``, ``seed``, a ``num_items``
-counter, ``stash``/``failed``, and the scalar kernels ``_insert_hashed`` /
-``_delete_hashed``.
+in each slot and differ only in their query surface (membership vs copy
+counts); this mixin holds the single copy of everything else: construction
+(including the one fingerprint-width check), scalar and batch hashing, the
+one insertion algorithm and the removal kernels.  Host classes set
+``_salt_prefix``, which names their hash streams.
 
-Three kernels run loop-free on the live columnar matrix (no snapshot to
-build or invalidate; DESIGN.md §6, §9), all dispatched through the kernel
-backend seam (`repro.kernels`, DESIGN.md §12):
+The kernels run on the live columnar matrix (no snapshot to build or
+invalidate; DESIGN.md §6, §9), dispatched through the kernel backend seam
+(`repro.kernels`, DESIGN.md §12):
 
 * **Fused pair probe** — `contains_many`/`count_many` gather each key's home
   and alternate rows in one ``take`` over the (width-adaptive) fingerprint
   matrix (`SlotMatrix.pair_eq` → backend ``pair_eq``).
-* **Wave eviction** — the opt-in bulk build (`insert_many(..., bulk=True)`)
-  places the conflict-free first wave, then hands the kick residue to the
-  backend ``wave_kick`` kernel: every in-flight item attempts its target
-  bucket per round, conflicting evictions are resolved one-per-bucket, and
-  only the final stragglers fall back to the scalar kick loop here.  Victim
-  slots come from a stateless counter-based SplitMix64 stream (seed + stream
-  position persisted on the host object), so every backend reproduces the
-  same kick chains and no per-call RNG object is ever constructed.
+* **One kick loop** — `insert_many` scatters the conflict-free first wave
+  (every key whose home bucket still has room) in one pass and hands the
+  residue to the backend ``wave_kick`` kernel: every in-flight item
+  attempts its target bucket per round, conflicting evictions are resolved
+  one per bucket, and the last few items finish through the kernel's
+  shared sequential tail.  Scalar `insert` is the same algorithm for a
+  batch of one — home, then alternate, then the tail's kick chain — so
+  ``insert(k)`` leaves state bit-identical to ``insert_many([k])``.  Victim
+  slots come from a stateless counter-based SplitMix64 stream (seed and
+  stream position live on the filter), so every backend reproduces the
+  same kick chains and no RNG object exists.
 * **Vectorised delete** — `delete_many` selects each key's first matching
   slot by rank over the pair equality mask, made conflict-safe for
   duplicate keys in one batch by rank-deduping within (fingerprint, pair)
@@ -37,19 +39,25 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.hashing.mixers import _mixed_seed, derive_seed, hash64_many_masked
+from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold
+from repro.hashing.mixers import (
+    JumpCache,
+    _mixed_seed,
+    derive_seed,
+    hash64,
+    hash64_many_masked,
+)
 from repro.kernels import active_backend
+from repro.kernels._sequential import kick_one
 
-#: Below this many surviving in-flight items a wave round costs more than the
-#: scalar kick loop; the stragglers are settled sequentially instead.
-WAVE_SCALAR_CUTOFF = 4
+DEFAULT_MAX_KICKS = 500
 
 # Wave-eviction instrumentation: one record set per wave_kick call (never per
 # key).  Relocations are counted from the victim-stream counter delta — each
 # draw is exactly one eviction, and the counter advances identically on every
 # backend, so this is the backend-stable kick-depth signal.
 _WAVE_CALLS = obs.counter(
-    "repro_wave_calls_total", "Bulk wave-eviction kernel invocations."
+    "repro_wave_calls_total", "Wave-eviction kernel invocations."
 )
 _WAVE_ITEMS = obs.counter(
     "repro_wave_items_total", "In-flight items handed to the wave kernel."
@@ -62,10 +70,6 @@ _WAVE_STASH_SPILLS = obs.counter(
     "repro_wave_stash_spills_total",
     "Items whose kick chains exhausted max_kicks and spilled to the stash.",
 )
-_WAVE_STRAGGLERS = obs.counter(
-    "repro_wave_stragglers_total",
-    "Items settled by the scalar kick loop after the wave rounds.",
-)
 _WAVE_RELOCATION_HIST = obs.histogram(
     "repro_wave_relocations",
     "Evictions per wave_kick call (insert-depth distribution).",
@@ -73,7 +77,69 @@ _WAVE_RELOCATION_HIST = obs.histogram(
 
 
 class FingerprintBatchMixin:
-    """Vectorised fingerprint/index derivation, probing, placement, removal."""
+    """Construction, hashing, placement and removal for fingerprint filters."""
+
+    #: Prefix of the salt names deriving this class's hash streams.
+    _salt_prefix: str
+
+    def __init__(
+        self,
+        num_buckets: int,
+        bucket_size: int = 4,
+        fingerprint_bits: int = 12,
+        max_kicks: int = DEFAULT_MAX_KICKS,
+        seed: int = 0,
+        packed: bool = True,
+    ) -> None:
+        if fingerprint_bits < 1 or fingerprint_bits > 62:
+            raise ValueError("fingerprint_bits must be in [1, 62]")
+        self.fingerprint_bits = fingerprint_bits
+        self.max_kicks = max_kicks
+        self.seed = seed
+        self.packed = packed
+        self.buckets = SlotMatrix(
+            num_buckets, bucket_size, fp_bits=fingerprint_bits if packed else None
+        )
+        self.num_items = 0
+        self.failed = False
+        self.stash: list[int] = []
+        self._fp_mask = (1 << fingerprint_bits) - 1
+        self._fp_fold = fingerprint_fold(fingerprint_bits)
+        prefix = self._salt_prefix
+        self._index_salt = derive_seed(seed, f"{prefix}-index")
+        self._fp_salt = derive_seed(seed, f"{prefix}-fingerprint")
+        self._jump_salt = derive_seed(seed, f"{prefix}-jump")
+        self._jump_cache = JumpCache(self._jump_salt, self.buckets.num_buckets - 1)
+        # The kick loop's inputs: the jump hash as the kernels compute it, and
+        # the victim-slot stream (seed + position; each draw is one eviction).
+        self._jump_seed = _mixed_seed(self._jump_salt)
+        self._wave_victim_seed = _mixed_seed(derive_seed(seed, "wave-kick"))
+        self._wave_victim_counter = 0
+
+    # ------------------------------------------------------------------
+    # Hashing
+    # ------------------------------------------------------------------
+
+    def fingerprint_of(self, key: object) -> int:
+        """Return the fingerprint of ``key`` (``fingerprint_bits`` wide).
+
+        At boundary widths (8/16/32 bits) the all-ones value is reserved as
+        the packed EMPTY sentinel and folds to 0 (DESIGN.md §9).
+        """
+        fp = hash64(key, self._fp_salt) & self._fp_mask
+        return 0 if fp == self._fp_fold else fp
+
+    def home_index(self, key: object) -> int:
+        """Return the primary bucket for ``key``."""
+        return hash64(key, self._index_salt) & (self.buckets.num_buckets - 1)
+
+    def _fp_jump(self, fingerprint: int) -> int:
+        """Return ``h(fingerprint) mod m``, the XOR offset to the alternate bucket."""
+        return self._jump_cache.jump(fingerprint)
+
+    def alt_index(self, index: int, fingerprint: int) -> int:
+        """Return the partner bucket of ``index`` for ``fingerprint``."""
+        return index ^ self._fp_jump(fingerprint)
 
     def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Batch `fingerprint_of` (int64 array, bit-identical per element)."""
@@ -93,188 +159,136 @@ class FingerprintBatchMixin:
         return self.buckets.pair_eq(fps, homes, alts), alts
 
     # ------------------------------------------------------------------
+    # Size and occupancy
+    # ------------------------------------------------------------------
+
+    def load_factor(self) -> float:
+        """Fraction of table slots occupied (stash excluded)."""
+        return self.buckets.load_factor()
+
+    def size_in_bits(self) -> int:
+        """Table size under the paper's accounting: one fingerprint per slot."""
+        return self.buckets.capacity * self.fingerprint_bits
+
+    def __len__(self) -> int:
+        return self.num_items
+
+    def __contains__(self, key: object) -> bool:
+        return self.contains(key)
+
+    # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
 
-    def insert_many(
-        self, keys: Sequence[object] | np.ndarray, bulk: bool = False
-    ) -> np.ndarray:
-        """Insert a batch of keys; returns the per-key `insert` results.
+    def _insert_hashed(self, fp: int, home: int) -> bool:
+        """Placement kernel of `insert`: home, then alternate, then kick.
 
-        Default path (``bulk=False``): fingerprints and home buckets are
-        derived in one vectorised pass; the residual placement loop (which
-        is inherently sequential — each placement may displace earlier
-        entries) runs per key.  State and results are bit-identical to
-        calling `insert` in a loop.
+        The batch-of-one case of `insert_many`, sent straight to the wave
+        kernel's sequential tail (`kick_one`) — which first tries the
+        alternate bucket, then kicks from it on the shared victim stream —
+        so the two calls leave bit-identical state.  A chain that exhausts
+        ``max_kicks`` evictions stashes its in-flight fingerprint
+        (DESIGN.md §1) and returns False.
+        """
+        self.num_items += 1
+        buckets = self.buckets
+        # try_add promotes mapped columns, so kick_one writes heap arrays.
+        if buckets.try_add(home, fp) >= 0:
+            return True
+        fp, placed, self._wave_victim_counter = kick_one(
+            buckets.fps, buckets.counts, buckets.empty, fp, home ^ self._fp_jump(fp), 0,
+            self.max_kicks, self._jump_seed, self._wave_victim_seed, self._wave_victim_counter,
+        )
+        if placed:
+            buckets.note_kernel_fills(1)
+            return True
+        self.stash.append(fp)
+        self.failed = True
+        return False
 
-        Bulk path (``bulk=True``): the conflict-free first wave — every key
-        whose home bucket still has room, counted vectorised against the
-        live occupancy column — is scattered into the fingerprint matrix in
-        one pass, and the residue runs the **wave eviction** kick loop
-        (whole-residue rounds, scalar only for the final stragglers).  The
-        resulting *placement* may differ from the scalar loop (first-wave
-        keys never probe their alternate bucket, and wave kicks consume a
-        separate RNG stream), but the membership contract is preserved
-        exactly: every key is stored (or stashed) within its own bucket
-        pair and `contains` has no false negatives.  See DESIGN.md §7/§9.
+    def insert_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
+        """Insert a batch of keys; returns per-key results (False = stashed).
+
+        The conflict-free first wave — keys ranked within their home bucket
+        (stable sort), the first ``bucket_size - counts[bucket]`` of each
+        written straight into that bucket's free slots — is scattered in
+        one pass (`SlotMatrix.plan_bulk_placement`).  The residue starts at
+        its alternate buckets in the backend ``wave_kick`` kernel, which
+        runs the eviction rounds and the sequential tail directly on the
+        fingerprint and occupancy columns (`repro.kernels.reference`); this
+        method owns everything object-shaped: the stash list, the
+        ``failed`` latch, occupancy reconciliation and the victim-stream
+        counter.  An item whose chain exhausts ``max_kicks`` evictions is
+        stashed (DESIGN.md §1) and its originating key reports False.
+
+        A single key takes exactly the path of `insert`.  In larger batches
+        *placement* depends on the batching (first-wave keys never probe
+        their alternate bucket), but membership does not: evictions stay
+        within the victim's own bucket pair, so while nothing is stashed
+        `contains`/`count` answer exactly as after a per-key `insert` loop.
+        See DESIGN.md §5 and §7.
         """
         fps = self.fingerprints_of_many(keys)
         homes = self.home_indices_of_many(keys)
-        if bulk:
-            return self._bulk_insert_hashed(fps, homes)
-        out = np.empty(len(fps), dtype=bool)
-        for i, (fp, home) in enumerate(zip(fps.tolist(), homes.tolist())):
-            out[i] = self._insert_hashed(fp, home)
-        return out
-
-    def _bulk_insert_hashed(self, fps: np.ndarray, homes: np.ndarray) -> np.ndarray:
-        """Vectorised first-wave placement; wave eviction for the residue.
-
-        The first wave fills each home bucket's free slots in key order:
-        keys are ranked within their home bucket (stable sort), and the
-        first ``bucket_size - counts[bucket]`` of them are written straight
-        into that bucket's free slots — no per-key Python placement at all.
-        Everything else (keys whose home bucket is already full, or whose
-        rank exceeds the free room) becomes the in-flight set of
-        `_wave_insert`.
-        """
-        n = len(fps)
-        out = np.ones(n, dtype=bool)
-        if n == 0:
+        out = np.ones(len(fps), dtype=bool)
+        if len(fps) == 0:
             return out
-        if not self.buckets.writeable:
-            self.buckets.promote()
-        # The (bucket, rank) -> free-slot assignment lives on SlotMatrix
-        # (`plan_bulk_placement`), shared with store compaction.
-        rows, placed_buckets, slots, residue = self.buckets.plan_bulk_placement(homes)
-        if placed_buckets.size:
-            self.buckets.fps[placed_buckets, slots] = fps[rows]
-            self.buckets.note_bulk_placement(placed_buckets)
-            self.num_items += int(placed_buckets.size)
-        if residue.size:
-            self._wave_insert(fps[residue], homes[residue], residue, out)
-        return out
-
-    def _wave_victim_seed(self) -> int:
-        """The victim-slot stream seed (derived once, cached on the host).
-
-        The wave kernel draws victim slots from a stateless SplitMix64
-        stream keyed by this seed and a persistent counter
-        (``_wave_victim_counter``) — the bulk path's separate "RNG stream"
-        without any RNG object: nothing to construct per call, nothing to
-        reseed, and any backend reproduces the draws from two integers.
-        """
-        seed = getattr(self, "_wave_victim_seed_val", None)
-        if seed is None:
-            seed = _mixed_seed(derive_seed(self.seed, "wave-kick"))
-            self._wave_victim_seed_val = seed
-            self._wave_victim_counter = 0
-        return seed
-
-    def _wave_insert(
-        self, item_fps: np.ndarray, homes: np.ndarray, origins: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Wave eviction: hand the kick residue to the backend kernel.
-
-        Every in-flight item targets one bucket (initially the alternate —
-        its home filled up in the first wave).  The backend ``wave_kick``
-        kernel runs the rounds (place / stash exhausted chains / one
-        eviction per contested bucket; see `repro.kernels.reference`)
-        directly on the fingerprint and occupancy columns; this host wrapper
-        owns everything object-shaped: the stash list, the ``failed`` latch,
-        occupancy reconciliation, the victim-stream counter, and the final
-        <= `WAVE_SCALAR_CUTOFF` stragglers, which settle through the scalar
-        kick loop.  Evictions always stay within the victim's own bucket
-        pair, so per-pair fingerprint multisets (and hence membership
-        answers) evolve exactly as under scalar kicking; an item whose chain
-        exhausts ``max_kicks`` evictions is stashed (DESIGN.md §1) and its
-        originating key reports False.
-        """
         buckets = self.buckets
-        self.num_items += int(item_fps.size)
         if not buckets.writeable:
             buckets.promote()
-        # Residue home buckets are full after the first wave: start at the
-        # alternates, like the scalar kernel's second `try_add`.
-        cur = homes ^ self._fp_jump_many(item_fps)
-        victim_seed = self._wave_victim_seed()
+        self.num_items += len(fps)
+        rows, placed_buckets, slots, residue = buckets.plan_bulk_placement(homes)
+        if placed_buckets.size:
+            buckets.fps[placed_buckets, slots] = fps[rows]
+            buckets.note_bulk_placement(placed_buckets)
+        if residue.size == 0:
+            return out
+        item_fps = fps[residue]
         counter_before = self._wave_victim_counter
-        (
-            stash_fps,
-            stash_origins,
-            strag_fps,
-            strag_cur,
-            strag_origins,
-            strag_kicks,
-            placed,
-            self._wave_victim_counter,
-        ) = active_backend().wave_kick(
-            buckets.fps,
-            buckets.counts,
-            buckets.empty,
-            item_fps.copy(),
-            cur,
-            origins.copy(),
-            np.zeros(item_fps.size, dtype=np.int64),
-            out,
-            self.max_kicks,
-            buckets.num_buckets - 1,
-            _mixed_seed(self._jump_salt),
-            victim_seed,
-            self._wave_victim_counter,
-            WAVE_SCALAR_CUTOFF,
+        stash_fps, _stash_origins, placed, self._wave_victim_counter = (
+            active_backend().wave_kick(
+                buckets.fps,
+                buckets.counts,
+                buckets.empty,
+                item_fps,
+                homes[residue] ^ self._fp_jump_many(item_fps),
+                residue,
+                np.zeros(residue.size, dtype=np.int64),
+                out,
+                self.max_kicks,
+                buckets.num_buckets - 1,
+                self._jump_seed,
+                self._wave_victim_seed,
+                counter_before,
+            )
         )
         buckets.note_kernel_fills(placed)
         if obs.state.enabled:
             relocations = self._wave_victim_counter - counter_before
             _WAVE_CALLS.inc()
-            _WAVE_ITEMS.inc(int(item_fps.size))
+            _WAVE_ITEMS.inc(int(residue.size))
             _WAVE_RELOCATIONS.inc(relocations)
             _WAVE_STASH_SPILLS.inc(int(stash_fps.size))
-            _WAVE_STRAGGLERS.inc(int(strag_fps.size))
             _WAVE_RELOCATION_HIST.observe(relocations)
         if stash_fps.size:
             self.stash.extend(stash_fps.tolist())
             self.failed = True
-        for fp, bucket, origin, used in zip(
-            strag_fps.tolist(), strag_cur.tolist(), strag_origins.tolist(),
-            strag_kicks.tolist(),
-        ):
-            out[origin] &= self._settle_item(fp, bucket, used)
-
-    def _settle_item(self, fp: int, bucket: int, kicks_used: int) -> bool:
-        """Scalar finish for one in-flight wave item (remaining kick budget)."""
-        if self.buckets.try_add(bucket, fp) >= 0:
-            return True
-        alt = self.alt_index(bucket, fp)
-        if alt != bucket and self.buckets.try_add(alt, fp) >= 0:
-            return True
-        return self._kick_residual(self._rng.choice((bucket, alt)), fp, self.max_kicks - kicks_used)
-
-    def _kick_residual(self, start: int, item: int, budget: int) -> bool:
-        """The classic random-walk kick loop, shared by all scalar paths.
-
-        Swaps the in-flight item into a random victim slot and continues
-        with the victim at its alternate bucket, for at most ``budget``
-        kicks; on exhaustion the in-flight item is stashed (DESIGN.md §1)
-        and the structure latches ``failed``.
-        """
-        current = start
-        for _ in range(max(0, budget)):
-            victim_slot = self._rng.randrange(self.buckets.bucket_size)
-            victim = self.buckets.fp_at(current, victim_slot)
-            self.buckets.set_slot(current, victim_slot, item)
-            item = victim
-            current = self.alt_index(current, item)
-            if self.buckets.try_add(current, item) >= 0:
-                return True
-        self.stash.append(item)
-        self.failed = True
-        return False
+        return out
 
     # ------------------------------------------------------------------
     # Deletion
     # ------------------------------------------------------------------
+
+    def _delete_hashed(self, fp: int, home: int) -> bool:
+        """Removal kernel shared by `delete` and `delete_many`."""
+        if self.buckets.remove_fp(home, fp):
+            self.num_items -= 1
+            return True
+        alt = self.alt_index(home, fp)
+        if alt != home and self.buckets.remove_fp(alt, fp):
+            self.num_items -= 1
+            return True
+        return self._stash_delete(fp)
 
     def delete_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Delete a batch of keys; returns the per-key `delete` results.

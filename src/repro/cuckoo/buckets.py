@@ -103,7 +103,7 @@ class SlotMatrix:
       ``empty = iinfo(dtype).max``, or legacy int64 with ``empty = -1`` when
       ``fp_bits`` is None.  Batch probes fancy-index this array directly.
     * ``counts`` — per-bucket occupancy counts (uint8, length
-      ``num_buckets``); the bulk-build first wave sizes its conflict-free
+      ``num_buckets``); the `insert_many` first wave sizes its conflict-free
       placements from this column without touching the matrix rows.
     * ``payloads`` — optional flat (bucket-major) object column for slots
       that carry more than a fingerprint; ``None`` when the structure is
@@ -431,7 +431,7 @@ class SlotMatrix:
         The planner only *reads* the matrix; callers scatter their columns
         into ``fps[buckets, slots]`` (and any parallel columns), then update
         occupancy via `recount` or `note_bulk_placement`.  Shared by the
-        cuckoo-filter bulk build and wave eviction (`cuckoo/batch.py`) and
+        cuckoo-filter first wave and wave eviction (`cuckoo/batch.py`) and
         store compaction (`store/compaction.py`).  Dispatches to the active
         kernel backend (`repro.kernels`).
         """
@@ -459,7 +459,7 @@ class SlotMatrix:
     def recount(self) -> None:
         """Rebuild the occupancy column from the fingerprint matrix.
 
-        For bulk loaders (deserialisation, bulk build) that write the matrix
+        For bulk loaders (deserialisation) that write the matrix
         wholesale instead of going through the slot mutators.
         """
         if not self._writeable:

@@ -18,56 +18,28 @@ failure by returning False and setting :attr:`failed`.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 import numpy as np
 
 from repro.cuckoo.batch import FingerprintBatchMixin
-from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold, next_power_of_two
-from repro.hashing.mixers import JumpCache, derive_seed, hash64
-
-DEFAULT_MAX_KICKS = 500
+from repro.cuckoo.buckets import next_power_of_two
 
 
 class CuckooFilter(FingerprintBatchMixin):
     """Approximate-set-membership filter with partial-key cuckoo hashing.
 
-    Storage is width-adaptive by default (``packed=True``): fingerprints
-    live in the minimal unsigned dtype for ``fingerprint_bits`` (DESIGN.md
-    §9).  ``packed=False`` keeps the legacy int64 layout; membership
-    answers are bit-identical either way (the boundary-width sentinel fold
-    applies to both).
+    Constructed as ``CuckooFilter(num_buckets, bucket_size=4,
+    fingerprint_bits=12, max_kicks=500, seed=0, packed=True)`` (the shared
+    constructor in `repro.cuckoo.batch`); ``num_buckets`` must be a power of
+    two.  Storage is width-adaptive by default (``packed=True``):
+    fingerprints live in the minimal unsigned dtype for ``fingerprint_bits``
+    (DESIGN.md §9).  ``packed=False`` keeps the legacy int64 layout;
+    membership answers are bit-identical either way (the boundary-width
+    sentinel fold applies to both).
     """
 
-    def __init__(
-        self,
-        num_buckets: int,
-        bucket_size: int = 4,
-        fingerprint_bits: int = 12,
-        max_kicks: int = DEFAULT_MAX_KICKS,
-        seed: int = 0,
-        packed: bool = True,
-    ) -> None:
-        if fingerprint_bits < 1 or fingerprint_bits > 62:
-            raise ValueError("fingerprint_bits must be in [1, 62]")
-        self.fingerprint_bits = fingerprint_bits
-        self.max_kicks = max_kicks
-        self.seed = seed
-        self.packed = packed
-        self.buckets = SlotMatrix(
-            num_buckets, bucket_size, fp_bits=fingerprint_bits if packed else None
-        )
-        self.num_items = 0
-        self.failed = False
-        self.stash: list[int] = []
-        self._fp_mask = (1 << fingerprint_bits) - 1
-        self._fp_fold = fingerprint_fold(fingerprint_bits)
-        self._index_salt = derive_seed(seed, "cf-index")
-        self._fp_salt = derive_seed(seed, "cf-fingerprint")
-        self._jump_salt = derive_seed(seed, "cf-jump")
-        self._jump_cache = JumpCache(self._jump_salt, self.buckets.num_buckets - 1)
-        self._rng = random.Random(derive_seed(seed, "cf-rng"))
+    _salt_prefix = "cf"
 
     @classmethod
     def from_capacity(
@@ -91,29 +63,6 @@ class CuckooFilter(FingerprintBatchMixin):
         num_buckets = next_power_of_two(max(1, round(slots_needed / bucket_size)))
         return cls(num_buckets, bucket_size, fingerprint_bits, **kwargs)
 
-    # -- hashing ------------------------------------------------------------
-
-    def fingerprint_of(self, key: object) -> int:
-        """Return the fingerprint of ``key`` (``fingerprint_bits`` wide).
-
-        At boundary widths (8/16/32 bits) the all-ones value is reserved as
-        the packed EMPTY sentinel and folds to 0 (DESIGN.md §9).
-        """
-        fp = hash64(key, self._fp_salt) & self._fp_mask
-        return 0 if fp == self._fp_fold else fp
-
-    def home_index(self, key: object) -> int:
-        """Return the primary bucket for ``key``."""
-        return hash64(key, self._index_salt) & (self.buckets.num_buckets - 1)
-
-    def _fp_jump(self, fingerprint: int) -> int:
-        """Return ``h(fingerprint) mod m``, the XOR offset to the alternate bucket."""
-        return self._jump_cache.jump(fingerprint)
-
-    def alt_index(self, index: int, fingerprint: int) -> int:
-        """Return the partner bucket of ``index`` for ``fingerprint``."""
-        return index ^ self._fp_jump(fingerprint)
-
     # -- operations -----------------------------------------------------------
 
     def insert(self, key: object) -> bool:
@@ -123,14 +72,6 @@ class CuckooFilter(FingerprintBatchMixin):
         stashed) but flags it as over capacity via :attr:`failed`.
         """
         return self._insert_hashed(self.fingerprint_of(key), self.home_index(key))
-
-    def _insert_hashed(self, fp: int, i1: int) -> bool:
-        """Placement kernel shared by `insert` and `insert_many`."""
-        i2 = self.alt_index(i1, fp)
-        self.num_items += 1
-        if self.buckets.try_add(i1, fp) >= 0 or self.buckets.try_add(i2, fp) >= 0:
-            return True
-        return self._kick_residual(self._rng.choice((i1, i2)), fp, self.max_kicks)
 
     def contains(self, key: object) -> bool:
         """Return True if ``key`` may be in the set (no false negatives)."""
@@ -158,9 +99,6 @@ class CuckooFilter(FingerprintBatchMixin):
             found |= np.isin(fps, stash)
         return found
 
-    def __contains__(self, key: object) -> bool:
-        return self.contains(key)
-
     def delete(self, key: object) -> bool:
         """Remove one copy of ``key``; True if a fingerprint was removed.
 
@@ -170,28 +108,7 @@ class CuckooFilter(FingerprintBatchMixin):
         """
         return self._delete_hashed(self.fingerprint_of(key), self.home_index(key))
 
-    def _delete_hashed(self, fp: int, i1: int) -> bool:
-        """Removal kernel shared by `delete` and `delete_many`."""
-        i2 = self.alt_index(i1, fp)
-        for bucket in (i1, i2):
-            if self.buckets.remove_fp(bucket, fp):
-                self.num_items -= 1
-                return True
-        if fp in self.stash:
-            self.stash.remove(fp)
-            self.num_items -= 1
-            return True
-        return False
-
     # -- statistics -----------------------------------------------------------
-
-    def load_factor(self) -> float:
-        """Fraction of table slots occupied (stash excluded)."""
-        return self.buckets.load_factor()
-
-    def size_in_bits(self) -> int:
-        """Table size under the paper's accounting: one fingerprint per slot."""
-        return self.buckets.capacity * self.fingerprint_bits
 
     def fpr_bound(self) -> float:
         """Upper bound 2b * 2^-f on the false positive rate (§4.2)."""
@@ -201,9 +118,6 @@ class CuckooFilter(FingerprintBatchMixin):
         """Refined bound E[D] * 2^-f using the realised fill (§7.1, Eq. 4)."""
         mean_filled_pair = 2 * self.buckets.bucket_size * self.load_factor()
         return min(1.0, mean_filled_pair * 2.0**-self.fingerprint_bits)
-
-    def __len__(self) -> int:
-        return self.num_items
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

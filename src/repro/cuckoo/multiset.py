@@ -15,67 +15,25 @@ Storage is the columnar :class:`~repro.cuckoo.buckets.SlotMatrix`; batch
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 import numpy as np
 
 from repro.cuckoo.batch import FingerprintBatchMixin
-from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold, next_power_of_two
-from repro.hashing.mixers import JumpCache, derive_seed, hash64
-
-DEFAULT_MAX_KICKS = 500
+from repro.cuckoo.buckets import next_power_of_two
 
 
 class MultisetCuckooFilter(FingerprintBatchMixin):
-    """Cuckoo filter that stores one fingerprint copy per insertion."""
+    """Cuckoo filter that stores one fingerprint copy per insertion.
 
-    def __init__(
-        self,
-        num_buckets: int,
-        bucket_size: int = 4,
-        fingerprint_bits: int = 12,
-        max_kicks: int = DEFAULT_MAX_KICKS,
-        seed: int = 0,
-        packed: bool = True,
-    ) -> None:
-        self.fingerprint_bits = fingerprint_bits
-        self.max_kicks = max_kicks
-        self.seed = seed
-        self.packed = packed
-        self.buckets = SlotMatrix(
-            next_power_of_two(num_buckets),
-            bucket_size,
-            fp_bits=fingerprint_bits if packed else None,
-        )
-        self.num_items = 0
-        self.failed = False
-        self.stash: list[int] = []
-        self._fp_mask = (1 << fingerprint_bits) - 1
-        self._fp_fold = fingerprint_fold(fingerprint_bits)
-        self._index_salt = derive_seed(seed, "mcf-index")
-        self._fp_salt = derive_seed(seed, "mcf-fingerprint")
-        self._jump_salt = derive_seed(seed, "mcf-jump")
-        self._jump_cache = JumpCache(self._jump_salt, self.buckets.num_buckets - 1)
-        self._rng = random.Random(derive_seed(seed, "mcf-rng"))
+    Takes the shared constructor's arguments (`repro.cuckoo.batch`);
+    ``num_buckets`` is rounded up to a power of two.
+    """
 
-    # -- hashing ------------------------------------------------------------
+    _salt_prefix = "mcf"
 
-    def fingerprint_of(self, key: object) -> int:
-        """Return the fingerprint of ``key`` (boundary widths fold all-ones)."""
-        fp = hash64(key, self._fp_salt) & self._fp_mask
-        return 0 if fp == self._fp_fold else fp
-
-    def home_index(self, key: object) -> int:
-        """Return the primary bucket for ``key``."""
-        return hash64(key, self._index_salt) & (self.buckets.num_buckets - 1)
-
-    def _fp_jump(self, fingerprint: int) -> int:
-        return self._jump_cache.jump(fingerprint)
-
-    def alt_index(self, index: int, fingerprint: int) -> int:
-        """Return the partner bucket of ``index`` for ``fingerprint``."""
-        return index ^ self._fp_jump(fingerprint)
+    def __init__(self, num_buckets: int, *args: object, **kwargs: object) -> None:
+        super().__init__(next_power_of_two(num_buckets), *args, **kwargs)
 
     # -- operations -----------------------------------------------------------
 
@@ -83,20 +41,9 @@ class MultisetCuckooFilter(FingerprintBatchMixin):
         """Add one copy of ``key``; False once the bucket pair is exhausted."""
         return self._insert_hashed(self.fingerprint_of(key), self.home_index(key))
 
-    def _insert_hashed(self, fp: int, i1: int) -> bool:
-        """Placement kernel shared by `insert` and `insert_many`."""
-        i2 = self.alt_index(i1, fp)
-        self.num_items += 1
-        if self.buckets.try_add(i1, fp) >= 0 or self.buckets.try_add(i2, fp) >= 0:
-            return True
-        return self._kick_residual(self._rng.choice((i1, i2)), fp, self.max_kicks)
-
     def contains(self, key: object) -> bool:
         """Return True if at least one copy of ``key`` may be present."""
         return self.count(key) > 0
-
-    def __contains__(self, key: object) -> bool:
-        return self.contains(key)
 
     def count(self, key: object) -> int:
         """Return the number of stored fingerprint copies matching ``key``.
@@ -137,30 +84,6 @@ class MultisetCuckooFilter(FingerprintBatchMixin):
     def delete(self, key: object) -> bool:
         """Remove one copy of ``key``; True if a fingerprint was removed."""
         return self._delete_hashed(self.fingerprint_of(key), self.home_index(key))
-
-    def _delete_hashed(self, fp: int, i1: int) -> bool:
-        """Removal kernel shared by `delete` and `delete_many`."""
-        i2 = self.alt_index(i1, fp)
-        for bucket in (i1, i2) if i1 != i2 else (i1,):
-            if self.buckets.remove_fp(bucket, fp):
-                self.num_items -= 1
-                return True
-        if fp in self.stash:
-            self.stash.remove(fp)
-            self.num_items -= 1
-            return True
-        return False
-
-    def load_factor(self) -> float:
-        """Fraction of table slots occupied."""
-        return self.buckets.load_factor()
-
-    def size_in_bits(self) -> int:
-        """Table size: one fingerprint per slot."""
-        return self.buckets.capacity * self.fingerprint_bits
-
-    def __len__(self) -> int:
-        return self.num_items
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

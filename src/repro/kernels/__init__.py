@@ -13,7 +13,9 @@ The package splits into:
   (guarded import; falls back to numpy when numba is absent).
 
 Call sites never pick an implementation: they fetch
-``active_backend()`` and call through its :class:`KernelBackend` fields.
+``active_backend()`` and call through its :class:`KernelBackend` fields
+(the backend-independent kick tail, ``_sequential.kick_one``, is the one
+function a scalar insert calls directly).
 """
 
 from repro.kernels import _sequential, numba_backend, reference

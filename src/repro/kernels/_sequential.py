@@ -1,12 +1,14 @@
 """Sequential kernel implementations shared by the python and numba backends.
 
-These are the *exact* functions the numba backend JIT-compiles — written in
-the numba-compatible subset of Python/numpy (scalar loops, no fancy
-indexing, no Python objects), and registered un-jitted as the ``"python"``
-backend so their bit-identity to the vectorised numpy reference is
-property-testable on machines without numba installed.  The python backend
-is a correctness oracle, not a fast path: interpreted per-item loops are
-orders of magnitude slower than either real backend at scale.
+The ``*_impl`` functions are the *exact* functions the numba backend
+JIT-compiles — written in the numba-compatible subset of Python/numpy
+(scalar loops, no fancy indexing, no Python objects), and registered
+un-jitted as the ``"python"`` backend so their bit-identity to the
+vectorised numpy reference is property-testable on machines without numba
+installed.  The python backend is a correctness oracle, not a fast path:
+interpreted per-item loops are orders of magnitude slower than either real
+backend at scale.  The kick tail (`kick_tail`, `kick_one`) is plain Python
+run by every backend, never jitted.
 
 Equivalence to the reference (``reference.py``), round for round:
 
@@ -24,6 +26,10 @@ Equivalence to the reference (``reference.py``), round for round:
   victim slots come from the same counter-based SplitMix64 stream, consumed
   in ascending item order in both backends, so every draw lands on the same
   item.
+* **Tail** — once at most `TAIL_ITEMS` items are in flight, every backend
+  (the numpy reference included) finishes them through the one shared
+  pure-Python `kick_tail`, which is also the kick loop of a scalar
+  ``insert`` (`kick_one`).
 
 uint64 discipline: all mixing arithmetic stays in uint64 via typed
 module-level constants — in numba, mixing uint64 with int64 operands
@@ -39,6 +45,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.hashing.mixers import mix64
+
+#: In-flight items at or below which another wave round costs more than
+#: finishing each chain on its own; every backend hands them to `kick_tail`.
+TAIL_ITEMS = 4
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 _U27 = np.uint64(27)
 _U30 = np.uint64(30)
 _U31 = np.uint64(31)
@@ -87,14 +100,15 @@ def wave_kick_impl(
     jump_seed,
     victim_seed,
     victim_counter,
-    scalar_cutoff,
 ):
-    """Scalar twin of the wave-eviction kick loop (see module docstring).
+    """Scalar twin of the reference's wave rounds (see module docstring).
 
     ``empty`` must be a scalar of the table dtype and ``index_mask`` /
     ``jump_seed`` / ``victim_seed`` uint64 scalars (host wrapper casts).
-    Mutates ``table``, ``counts``, ``out`` and the item arrays in place;
-    returns the same 8-tuple as the reference kernel.
+    Mutates ``table``, ``counts``, ``out`` and the item arrays in place and
+    stops once at most `TAIL_ITEMS` items are in flight, compacted at the
+    front of the item arrays.  Returns ``(stash_fps, stash_origins, n_live,
+    placed, counter)``; the host wrapper runs `kick_tail` on the survivors.
     """
     num_buckets = table.shape[0]
     bucket_size = table.shape[1]
@@ -108,7 +122,7 @@ def wave_kick_impl(
     contested = np.zeros(num_buckets, dtype=np.int64)
     round_id = 0
     counter = victim_counter
-    while n_live > scalar_cutoff:
+    while n_live > TAIL_ITEMS:
         # Placement pass: first-fit in item order == the rank-based plan.
         write = 0
         for r in range(n_live):
@@ -127,8 +141,6 @@ def wave_kick_impl(
                 kicks[write] = kicks[r]
                 write += 1
         n_live = write
-        if n_live == 0:
-            break
         # Exhaust pass: stash over-budget chains in batch order.
         write = 0
         for r in range(n_live):
@@ -144,7 +156,7 @@ def wave_kick_impl(
                 kicks[write] = kicks[r]
                 write += 1
         n_live = write
-        if n_live <= scalar_cutoff:
+        if n_live <= TAIL_ITEMS:
             break
         # Eviction pass: one eviction per contested bucket, earliest item
         # wins; losers retry next round against the winner-free bucket.
@@ -167,10 +179,71 @@ def wave_kick_impl(
     return (
         stash_fps[:n_stash].copy(),
         stash_origins[:n_stash].copy(),
-        item_fps[:n_live].copy(),
-        cur[:n_live].copy(),
-        origins[:n_live].copy(),
-        kicks[:n_live].copy(),
+        n_live,
+        placed,
+        counter,
+    )
+
+
+def kick_one(table, counts, empty, fp, bucket, kicks, max_kicks, jump_seed, victim_seed, counter):
+    """Finish one in-flight item's kick chain: the shared sequential tail.
+
+    Exactly one wave round after another with a single item in flight: the
+    item (bound for ``bucket``, ``kicks`` evictions spent) takes the first
+    free slot if the bucket has room; otherwise, budget permitting, it swaps
+    into victim slot ``mix64(counter ^ victim_seed) % bucket_size`` and
+    continues as the victim toward the victim's alternate bucket.  Pure
+    Python over Python ints — O(kicks), nothing sized by the table — and
+    never jitted: for a handful of items the dispatch would cost more than
+    the work.  ``empty``, the seeds and ``counter`` must be Python ints.
+    Mutates ``table`` and ``counts``; returns ``(fp, placed, counter)``,
+    where ``fp`` is the in-flight fingerprint to stash when ``placed`` is
+    False.
+    """
+    index_mask = table.shape[0] - 1
+    bucket_size = table.shape[1]
+    while counts[bucket] >= bucket_size:
+        if kicks >= max_kicks:
+            return fp, False, counter
+        slot = mix64(counter ^ victim_seed) % bucket_size
+        counter += 1
+        victim = int(table[bucket, slot])
+        table[bucket, slot] = fp
+        fp = victim
+        bucket ^= mix64(victim ^ jump_seed) & index_mask
+        kicks += 1
+    table[bucket, table[bucket].tolist().index(empty)] = fp
+    counts[bucket] += 1
+    return fp, True, counter
+
+
+def kick_tail(
+    table, counts, empty, item_fps, cur, origins, kicks, out, max_kicks, jump_seed, victim_seed,
+    counter,
+):
+    """Settle the wave survivors one whole chain at a time, in item order.
+
+    Every backend finishes its rounds here (arguments as for `kick_one`,
+    plus the survivors' item arrays and the ``out`` column, whose stashed
+    origins it clears).  Returns the tail's share of the `wave_kick` result:
+    ``(stash_fps, stash_origins, placed, counter)``.
+    """
+    stash_fps, stash_origins, placed = [], [], 0
+    for fp, bucket, origin, used in zip(
+        item_fps.tolist(), cur.tolist(), origins.tolist(), kicks.tolist()
+    ):
+        fp, ok, counter = kick_one(
+            table, counts, empty, fp, bucket, used, max_kicks, jump_seed, victim_seed, counter
+        )
+        if ok:
+            placed += 1
+        else:
+            out[origin] = False
+            stash_fps.append(fp)
+            stash_origins.append(origin)
+    return (
+        np.array(stash_fps, dtype=np.int64),
+        np.array(stash_origins, dtype=np.int64),
         placed,
         counter,
     )
@@ -185,7 +258,9 @@ def host_wrappers(
     to the table dtype, the EMPTY sentinel as a table-dtype scalar, masks
     and seeds as uint64 scalars — and run under ``errstate(over="ignore")``
     so the plain-python backend's intentional uint64 wrap-around stays
-    silent.
+    silent.  The wave wrapper skips the rounds (and their per-bucket
+    ``contested`` array) when the batch already fits the tail, then
+    finishes the survivors through `kick_tail`.
     """
 
     def pair_eq(table, qfps, homes, alts):
@@ -208,25 +283,36 @@ def host_wrappers(
         jump_seed,
         victim_seed,
         victim_counter,
-        scalar_cutoff,
     ):
-        with np.errstate(over="ignore"):
-            return wave_kick_fn(
-                table,
-                counts,
-                table.dtype.type(empty),
-                item_fps,
-                cur,
-                origins,
-                kicks,
-                out,
-                int(max_kicks),
-                np.uint64(index_mask),
-                np.uint64(jump_seed),
-                np.uint64(victim_seed),
-                int(victim_counter),
-                int(scalar_cutoff),
-            )
+        stash_fps = stash_origins = _EMPTY_I64
+        n_live, placed = item_fps.shape[0], 0
+        if n_live > TAIL_ITEMS:
+            with np.errstate(over="ignore"):
+                stash_fps, stash_origins, n_live, placed, victim_counter = wave_kick_fn(
+                    table,
+                    counts,
+                    table.dtype.type(empty),
+                    item_fps,
+                    cur,
+                    origins,
+                    kicks,
+                    out,
+                    int(max_kicks),
+                    np.uint64(index_mask),
+                    np.uint64(jump_seed),
+                    np.uint64(victim_seed),
+                    int(victim_counter),
+                )
+        tail_fps, tail_origins, tail_placed, victim_counter = kick_tail(
+            table, counts, int(empty), item_fps[:n_live], cur[:n_live], origins[:n_live],
+            kicks[:n_live], out, max_kicks, jump_seed, victim_seed, int(victim_counter),
+        )
+        return (
+            np.concatenate((stash_fps, tail_fps)),
+            np.concatenate((stash_origins, tail_origins)),
+            int(placed) + tail_placed,
+            victim_counter,
+        )
 
     return pair_eq, wave_kick
 

@@ -7,7 +7,10 @@ wave-eviction kick loop — is a *pure function over columns* collected into a
 ask :func:`active_backend` and call through it, so `SlotMatrix`, the five CCF
 variants, the FilterStore shards and the serve workers all share one seam
 behind which alternative implementations (numba JIT today, CuPy tomorrow)
-can slot in without touching any call site.
+can slot in without touching any call site.  The one direct import is the
+wave kick's shared pure-Python tail (``_sequential.kick_one``), which every
+backend runs unchanged and a scalar cuckoo-filter insert calls without
+dispatch.
 
 Selection, in precedence order:
 

@@ -13,9 +13,11 @@ round) or pays gather/reshape overheads on (pair probe).  The
 ``grouped_ranks`` / placement-planner / delete-plan kernels stay on the
 vectorised reference implementations: their cost is one ``lexsort`` +
 cumulative passes, already memory-bound optimal, and numba's typed
-re-implementation measured no better.  Because the jitted functions *are*
-the python backend's functions, the cross-backend parity property suite
-exercises this backend's exact algorithm even where numba itself is absent.
+re-implementation measured no better.  The wave kick's final <=4 items run
+the shared pure-Python tail (``kick_tail``), as on every backend.  Because
+the jitted functions *are* the python backend's functions, the
+cross-backend parity property suite exercises this backend's exact
+algorithm even where numba itself is absent.
 
 Compilation cost: ``cache=True`` persists compiled machine code next to the
 module, so the first call per (dtype) signature pays the JIT once per

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.mixers import mix64_many
+from repro.kernels._sequential import TAIL_ITEMS, kick_tail
 from repro.kernels.dispatch import KernelBackend, xp as _xp
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -105,7 +106,7 @@ def plan_bulk_placement(
 
     The planner only *reads* the columns; callers scatter into
     ``table[buckets, slots]`` (and any parallel columns) and update the
-    occupancy column themselves.  Shared by the cuckoo-filter bulk build,
+    occupancy column themselves.  Shared by the cuckoo-filter first wave,
     wave eviction, and store compaction.
     """
     n = len(homes)
@@ -216,8 +217,7 @@ def wave_kick(
     jump_seed: int,
     victim_seed: int,
     victim_counter: int,
-    scalar_cutoff: int,
-) -> tuple:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Wave eviction: process the whole kick residue per round, vectorised.
 
     Every in-flight item targets one bucket (``cur``).  Each round first
@@ -232,21 +232,22 @@ def wave_kick(
     index_mask)``, always within the victim's own pair, so per-pair
     fingerprint multisets (and hence membership answers) evolve exactly as
     under scalar kicking.  Winners are processed in ascending item order so
-    stream consumption matches a sequential scan draw for draw.
+    stream consumption matches a sequential scan draw for draw.  Once at
+    most ``TAIL_ITEMS`` items are in flight, the shared sequential tail
+    (:func:`~repro.kernels._sequential.kick_tail`) finishes them one chain
+    at a time — the same tail every backend runs.
 
     Mutates ``table``, ``counts`` and ``out`` in place; the item arrays are
-    consumed.  Returns ``(stash_fps, stash_origins, strag_fps, strag_cur,
-    strag_origins, strag_kicks, placed, victim_counter)``: the stashed
-    fingerprints/origin rows in stash order, the final <= ``scalar_cutoff``
-    stragglers (the host settles them through its scalar kick loop, which
-    costs less than another wave round), the number of slots filled (the
-    host reconciles its occupancy total) and the advanced stream counter.
+    consumed.  Returns ``(stash_fps, stash_origins, placed,
+    victim_counter)``: the stashed fingerprints/origin rows in stash order,
+    the number of slots filled (the host reconciles its occupancy total)
+    and the advanced stream counter.
     """
     bucket_size = table.shape[1]
     stash_fps_parts: list[np.ndarray] = []
     stash_origins_parts: list[np.ndarray] = []
     placed_total = 0
-    while item_fps.size > scalar_cutoff:
+    while item_fps.size > TAIL_ITEMS:
         rows, placed_buckets, slots, rem = plan_bulk_placement(table, counts, empty, cur)
         if rows.size:
             table[placed_buckets, slots] = item_fps[rows]
@@ -256,8 +257,6 @@ def wave_kick(
             cur = cur[rem]
             origins = origins[rem]
             kicks = kicks[rem]
-            if item_fps.size == 0:
-                break
         exhausted = kicks >= max_kicks
         if exhausted.any():
             stash_fps_parts.append(item_fps[exhausted])
@@ -268,9 +267,7 @@ def wave_kick(
             cur = cur[keep]
             origins = origins[keep]
             kicks = kicks[keep]
-            if item_fps.size == 0:
-                break
-        if item_fps.size <= scalar_cutoff:
+        if item_fps.size <= TAIL_ITEMS:
             break
         # One eviction per destination bucket this round; earliest item wins.
         _uniq, winners = np.unique(cur, return_index=True)
@@ -287,20 +284,16 @@ def wave_kick(
         ).astype(np.int64)
         cur[winners] = victim_buckets ^ jumps
         kicks[winners] += 1
-    stash_fps = (
-        np.concatenate(stash_fps_parts) if stash_fps_parts else _EMPTY_I64
+    tail_fps, tail_origins, tail_placed, victim_counter = kick_tail(
+        table, counts, empty, item_fps, cur, origins, kicks, out, max_kicks, jump_seed,
+        victim_seed, victim_counter,
     )
-    stash_origins = (
-        np.concatenate(stash_origins_parts) if stash_origins_parts else _EMPTY_I64
-    )
+    stash_fps_parts.append(tail_fps)
+    stash_origins_parts.append(tail_origins)
     return (
-        stash_fps,
-        stash_origins,
-        item_fps,
-        cur,
-        origins,
-        kicks,
-        placed_total,
+        np.concatenate(stash_fps_parts),
+        np.concatenate(stash_origins_parts),
+        placed_total + tail_placed,
         victim_counter,
     )
 

@@ -1,9 +1,11 @@
-"""Batch/scalar equivalence: the batch layer's bit-identity contract.
+"""Batch/scalar equivalence: the batch layer's contracts (DESIGN.md §5).
 
 For every structure with batch APIs, driving one instance through the scalar
 loop and a twin through `insert_many`/`query_many`/`delete_many` must produce
 identical membership answers, identical table and stash contents, and
-identical statistics counters (see DESIGN.md).  Tables are deliberately
+identical statistics counters.  The one exception is fingerprint-filter
+insertion: there a batch may place differently from a per-key loop, and only
+the answers must agree while nothing is stashed.  Tables are deliberately
 undersized in some cases so the stash/failure paths are exercised too.
 """
 
@@ -149,21 +151,27 @@ def test_range_ccf_insert_and_query_parity(rows, kind):
     seed=st.integers(min_value=0, max_value=5),
 )
 def test_cuckoo_filter_parity(keys, seed):
+    # Inserts: one batch and a per-key loop may place differently but answer
+    # identically while nothing is stashed (DESIGN.md §5 rule 3).
+    looped = CuckooFilter(16, 4, 10, seed=seed)
+    looped_results = [looped.insert(k) for k in keys]
     scalar = CuckooFilter(16, 4, 10, seed=seed)
     batch = CuckooFilter(16, 4, 10, seed=seed)
-    assert batch.insert_many(keys).tolist() == [scalar.insert(k) for k in keys]
-    assert scalar.buckets.state() == batch.buckets.state()
-    assert scalar.stash == batch.stash
-    assert scalar.num_items == batch.num_items == len(batch)
-    assert scalar.failed == batch.failed
-
+    scalar.insert_many(keys)
+    batch_results = batch.insert_many(keys).tolist()
+    assert looped.num_items == batch.num_items == len(batch) == len(keys)
     probes = list(keys) + list(range(50))
-    assert batch.contains_many(probes).tolist() == [scalar.contains(k) for k in probes]
+    if not (looped.stash or batch.stash):
+        assert batch_results == looped_results
+        assert batch.contains_many(probes).tolist() == [looped.contains(k) for k in probes]
 
+    # Queries and deletes on identically built twins: bit-identical.
+    assert batch.contains_many(probes).tolist() == [scalar.contains(k) for k in probes]
     victims = keys[::2]
     assert batch.delete_many(victims).tolist() == [scalar.delete(k) for k in victims]
     assert scalar.buckets.state() == batch.buckets.state()
     assert scalar.stash == batch.stash
+    assert scalar.num_items == batch.num_items
     assert batch.contains_many(probes).tolist() == [scalar.contains(k) for k in probes]
 
 
@@ -173,18 +181,23 @@ def test_cuckoo_filter_parity(keys, seed):
     seed=st.integers(min_value=0, max_value=5),
 )
 def test_multiset_parity(keys, seed):
+    looped = MultisetCuckooFilter(16, 4, 10, seed=seed)
+    for k in keys:
+        looped.insert(k)
     scalar = MultisetCuckooFilter(16, 4, 10, seed=seed)
     batch = MultisetCuckooFilter(16, 4, 10, seed=seed)
-    assert batch.insert_many(keys).tolist() == [scalar.insert(k) for k in keys]
-    assert scalar.buckets.state() == batch.buckets.state()
-    assert scalar.stash == batch.stash
-
+    scalar.insert_many(keys)
+    batch.insert_many(keys)
     probes = list(range(60))
+    if not (looped.stash or batch.stash):
+        assert batch.count_many(probes).tolist() == [looped.count(k) for k in probes]
+
     assert batch.count_many(probes).tolist() == [scalar.count(k) for k in probes]
     assert batch.contains_many(probes).tolist() == [scalar.contains(k) for k in probes]
-
     victims = keys[::3]
     assert batch.delete_many(victims).tolist() == [scalar.delete(k) for k in victims]
+    assert scalar.buckets.state() == batch.buckets.state()
+    assert scalar.stash == batch.stash
     assert batch.count_many(probes).tolist() == [scalar.count(k) for k in probes]
 
 

@@ -18,6 +18,7 @@ pool.
 from __future__ import annotations
 
 import io
+import random
 import sys
 
 import numpy as np
@@ -145,7 +146,7 @@ class TestDispatch:
         # The degraded process must stay fully functional end to end.
         filt = CuckooFilter(32, 4, 12, seed=1)
         keys = np.arange(40, dtype=np.int64)
-        assert filt.insert_many(keys, bulk=True).all()
+        assert filt.insert_many(keys).all()
         assert filt.contains_many(keys).all()
 
     def test_failed_factory_is_not_cached(self, monkeypatch):
@@ -185,6 +186,7 @@ def _filter_state(filt) -> tuple:
         list(filt.stash),
         filt.num_items,
         filt.failed,
+        filt._wave_victim_counter,
     )
 
 
@@ -199,8 +201,8 @@ def _run_trace(backend: str, ops, fp_bits, seed: int):
         observed = []
         for op, keys in ops:
             arr = np.asarray(keys, dtype=np.int64)
-            if op == "bulk":
-                observed.append(("bulk", filt.insert_many(arr, bulk=True).tolist()))
+            if op == "scalar":
+                observed.append(("scalar", [filt.insert(k) for k in arr.tolist()]))
             elif op == "insert":
                 observed.append(("insert", filt.insert_many(arr).tolist()))
             elif op == "delete":
@@ -214,7 +216,7 @@ def _run_trace(backend: str, ops, fp_bits, seed: int):
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(("bulk", "insert", "delete", "query")),
+        st.sampled_from(("scalar", "insert", "delete", "query")),
         st.lists(st.integers(min_value=0, max_value=120), max_size=60),
     ),
     min_size=1,
@@ -255,7 +257,7 @@ class TestCrossBackendParity:
             try:
                 filt = MultisetCuckooFilter(16, 4, 12, max_kicks=16, seed=seed)
                 arr = np.asarray(keys, dtype=np.int64)
-                inserted = filt.insert_many(arr, bulk=True).tolist()
+                inserted = filt.insert_many(arr).tolist()
                 queried = filt.contains_many(np.arange(50)).tolist()
                 deleted = filt.delete_many(arr[::2]).tolist()
                 return inserted, queried, deleted, _filter_state(filt)
@@ -274,7 +276,7 @@ class TestCrossBackendParity:
             set_backend(backend)
             try:
                 filt = CuckooFilter(32, 4, 12, max_kicks=8, seed=3)
-                ok = filt.insert_many(keys, bulk=True)
+                ok = filt.insert_many(keys)
                 return ok.tolist(), _filter_state(filt)
             finally:
                 set_backend(None)
@@ -334,11 +336,11 @@ class TestCrossBackendParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mapped_readonly_columns_probe_and_promote(self, backend, tmp_path):
         # Build on the heap, remap the columns read-only (the SEG1 serve
-        # path), then probe *and* bulk-insert: the probe must run on the
+        # path), then probe *and* insert: the probe must run on the
         # mapped columns as-is and the insert must CoW-promote first.
         base = CuckooFilter(64, 4, 12, seed=9)
         keys = np.arange(180, dtype=np.int64)
-        base.insert_many(keys, bulk=True)
+        base.insert_many(keys)
 
         def remap(filt, tag):
             fps_path = tmp_path / f"{tag}-fps.npy"
@@ -354,7 +356,7 @@ class TestCrossBackendParity:
         set_backend(backend)
         try:
             mapped = CuckooFilter(64, 4, 12, seed=9)
-            mapped.insert_many(keys, bulk=True)
+            mapped.insert_many(keys)
             remap(mapped, backend)
             assert not mapped.buckets.writeable
             probes = np.arange(400, dtype=np.int64)
@@ -363,7 +365,7 @@ class TestCrossBackendParity:
             )
             assert not mapped.buckets.writeable  # probing never promoted
             extra = np.arange(1000, 1040, dtype=np.int64)
-            assert mapped.insert_many(extra, bulk=True).all()
+            assert mapped.insert_many(extra).all()
             assert mapped.buckets.writeable  # the write path promoted
             assert mapped.contains_many(extra).all()
         finally:
@@ -374,29 +376,33 @@ class TestVictimStream:
     def test_wave_build_is_deterministic_per_seed(self):
         def build():
             filt = CuckooFilter.from_capacity(2000, fingerprint_bits=12, seed=4)
-            filt.insert_many(np.arange(1900, dtype=np.int64), bulk=True)
-            return _filter_state(filt), filt._wave_victim_counter
+            filt.insert_many(np.arange(1900, dtype=np.int64))
+            return _filter_state(filt)
 
         first = build()
         assert first == build()
-        assert first[1] > 0  # the kick-heavy build actually drew victims
+        assert first[-1] > 0  # the kick-heavy build actually drew victims
 
     def test_counter_persists_across_waves(self):
         filt = CuckooFilter.from_capacity(2000, fingerprint_bits=12, seed=4)
-        filt.insert_many(np.arange(950, dtype=np.int64), bulk=True)
+        filt.insert_many(np.arange(950, dtype=np.int64))
         after_first = filt._wave_victim_counter
-        filt.insert_many(np.arange(950, 1900, dtype=np.int64), bulk=True)
+        filt.insert_many(np.arange(950, 1900, dtype=np.int64))
         assert filt._wave_victim_counter >= after_first
 
     def test_no_generator_object_in_wave_path(self):
-        # The satellite: the wave loop must not construct a Generator per
-        # call — the victim stream is a counter, not an RNG object.
-        filt = CuckooFilter.from_capacity(2000, fingerprint_bits=12, seed=4)
-        filt.insert_many(np.arange(1900, dtype=np.int64), bulk=True)
-        assert not any(
-            isinstance(value, np.random.Generator)
-            for value in vars(filt).values()
-        )
+        # Neither insert path holds an RNG object — no numpy Generator, no
+        # random.Random: the victim stream is a counter.
+        for cls in (CuckooFilter, MultisetCuckooFilter):
+            filt = cls(512, 4, 12, seed=4)
+            filt.insert_many(np.arange(1900, dtype=np.int64))
+            for key in range(1900, 1950):
+                filt.insert(key)
+            assert filt._wave_victim_counter > 0
+            assert not any(
+                isinstance(value, (np.random.Generator, random.Random))
+                for value in vars(filt).values()
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,20 @@ class TestBasics:
         for _ in range(6):  # 2b = 4 fit; extras stash or fail
             multiset.insert(key)
         assert multiset.count(key) >= 4
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("bits", [0, 63, 64])
+    def test_fingerprint_bits_validated_at_construction(self, bits):
+        """Out-of-range widths fail at construction, before any insert: a
+        64-bit fingerprint overflows the int64 matrix mid-insert (after
+        ``num_items`` is bumped), and 0 bits give every key fingerprint 0."""
+        with pytest.raises(ValueError, match=r"fingerprint_bits must be in \[1, 62\]"):
+            make_filter(fingerprint_bits=bits, packed=False)
+
+    @pytest.mark.parametrize("bits", [1, 62])
+    def test_boundary_widths_accepted(self, bits):
+        multiset = make_filter(fingerprint_bits=bits, packed=False)
+        assert multiset.insert("key")
+        assert multiset.count("key") >= 1
+        assert len(multiset) == multiset.buckets.filled == 1

@@ -136,7 +136,7 @@ def test_bulk_build_populates_wave_metrics():
     # place everything, so the residue goes through the wave-kick kernel.
     filt = CuckooFilter(64, 4, 10, seed=7)
     keys = list(range(230))
-    filt.insert_many(keys, bulk=True)
+    filt.insert_many(keys)
 
     snap = obs.snapshot()
     assert counters_total(snap, "repro_wave_calls_total") >= 1
