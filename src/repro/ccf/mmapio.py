@@ -27,6 +27,11 @@ magic and dict header, padded with spaces so the raw data starts on a
 the block offset; the open path maps the recorded ``data_offset`` directly.
 The JSON metadata at the tail is the source of truth (offsets, dtypes,
 shapes, filter parameters, stash entries); the prelude locates it in O(1).
+A column table entry may carry a ``"crc32"`` key, the standard library's
+``zlib.crc32`` of the column's data, which :func:`open_segment` verifies as
+it maps; ``write_segment(checksums=True)`` (FilterStore checkpoints) records
+it.  It is the only checksum key this module reads, so a segment from an
+older writer that recorded another opens as unchecksummed.
 
 Only vector-slot filters can be segmented — plain and chained CCFs, and in
 particular every FilterStore level.  Bloom/mixed variants carry live Python
@@ -42,6 +47,7 @@ import json
 import mmap
 import os
 import struct
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
@@ -54,7 +60,7 @@ from repro.ccf.chain import PairGeometry
 from repro.ccf.entries import VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
-from repro.ccf.serialize import SerializeError, crc32c
+from repro.ccf.serialize import SerializeError
 from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 
 MAGIC = b"SEG1"
@@ -133,7 +139,7 @@ def write_segment(
     with no columnar representation and raise ``TypeError``.  Writing a
     *mapped* filter works and simply streams the mapped columns through.
 
-    ``checksums=True`` records a CRC32C per column block in the metadata
+    ``checksums=True`` records a CRC-32 per column block in the metadata
     table; :func:`open_segment` then verifies each column as it maps.  It
     is opt-in (FilterStore checkpoints use it) so default snapshots stay
     byte-identical to pre-checksum writers.  ``fsync=True`` forces the
@@ -186,7 +192,7 @@ def write_segment(
                 "nbytes": int(arr.nbytes),
             }
             if checksums:
-                table[name]["crc32c"] = crc32c(arr)
+                table[name]["crc32"] = zlib.crc32(arr)
         _fault_hit("segment.write.columns")
         meta["columns"] = table
         meta_offset = f.tell()
@@ -263,6 +269,13 @@ def read_segment_meta(path: str | Path) -> dict:
             offset=meta_offset,
             offset_unit="bytes",
         ) from exc
+    if not isinstance(meta, dict):
+        raise SerializeError(
+            f"segment metadata is not a JSON object (found {type(meta).__name__})",
+            source=source,
+            offset=meta_offset,
+            offset_unit="bytes",
+        )
     for key in ("kind", "params", "schema", "counters", "stash", "columns"):
         if key not in meta:
             raise SerializeError(
@@ -338,7 +351,7 @@ def open_segment(
     the first mutation (insert/delete) copy-on-write-promotes all columns to
     private heap arrays.
 
-    ``verify`` controls CRC32C validation of column blocks written with
+    ``verify`` controls CRC-32 validation of column blocks written with
     ``write_segment(checksums=True)``: ``None`` (default) verifies exactly
     the columns that carry a checksum — unchecksummed segments keep their
     O(metadata) open; ``True`` additionally *requires* every column to be
@@ -408,7 +421,7 @@ def open_segment(
         ) from exc
     if verify is not False:
         for name in COLUMN_NAMES:
-            recorded = specs[name].get("crc32c")
+            recorded = specs[name].get("crc32")
             if recorded is None:
                 if verify:
                     raise SerializeError(
@@ -419,7 +432,7 @@ def open_segment(
                         offset_unit="bytes",
                     )
                 continue
-            actual = crc32c(mapped[name])
+            actual = zlib.crc32(mapped[name])
             if actual != recorded:
                 raise SerializeError(
                     f"column {name!r} fails its checksum "

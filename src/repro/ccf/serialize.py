@@ -20,6 +20,11 @@ storage arrays.
 predicate-extracted views, and the plain cuckoo filter.  Slot payloads are
 bit-packed at their declared widths (12-bit fingerprints cost 12 bits), so
 the on-wire size tracks ``size_in_bits()`` up to small headers.
+
+:class:`SerializeError` is the one typed decode error of every on-disk
+format, these wire formats and the store's SEG1 segments and WAL alike.
+The wire formats carry no checksum; the durable formats checksum with the
+standard library's ``zlib.crc32`` (`repro.store.wal`, `repro.ccf.mmapio`).
 """
 
 from __future__ import annotations
@@ -631,144 +636,3 @@ def _load_cuckoo(reader: BitReader) -> CuckooFilter:
     for _ in range(stash_count):
         cuckoo.stash.append(reader.read(fingerprint_bits))
     return cuckoo
-
-
-# ---------------------------------------------------------------------------
-# CRC32C (Castagnoli) — the checksum of WAL frames and SEG1 column blocks
-# ---------------------------------------------------------------------------
-#
-# Pure numpy + Python, no C extension: small buffers run a table-driven
-# serial loop; large buffers are split into S independent stripes whose CRC
-# states advance *in parallel* as numpy vectors (the serial dependency of a
-# CRC is per stripe, so one vectorised table-lookup step advances all S
-# stripes by 4 bytes), then the per-stripe states are folded together with a
-# log2(S)-level GF(2) matrix tree.  CRC is linear over GF(2), which is what
-# makes both the striping and the fold exact — see DESIGN.md §14.
-
-_CRC32C_POLY = np.uint32(0x82F63B78)  # reflected Castagnoli polynomial
-
-
-def _crc32c_tables() -> np.ndarray:
-    """Slice-by-4 lookup tables: ``tables[k][b]`` advances byte ``b`` past
-    ``k`` further message bytes."""
-    table = np.arange(256, dtype=np.uint32)
-    for _ in range(8):
-        table = np.where(table & 1, (table >> 1) ^ _CRC32C_POLY, table >> 1)
-    tables = [table]
-    for _ in range(3):
-        prev = tables[-1]
-        tables.append((prev >> np.uint32(8)) ^ table[prev & 0xFF])
-    return np.stack(tables)
-
-
-_CRC_T = _crc32c_tables()
-#: Python-list mirror of table 0 for the scalar loop (list indexing is
-#: several times faster than numpy scalar indexing).
-_CRC_T0 = [int(x) for x in _CRC_T[0]]
-
-
-def _crc_zero_byte_matrix() -> np.ndarray:
-    """The GF(2) matrix advancing a CRC state past one zero message byte,
-    as 32 uint32 columns (column i = image of basis vector ``1 << i``)."""
-    basis = np.uint32(1) << np.arange(32, dtype=np.uint32)
-    return (basis >> np.uint32(8)) ^ _CRC_T[0][basis & 0xFF]
-
-
-def _mat_apply(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply a 32-column GF(2) matrix to a vector of CRC states."""
-    bits = (states[:, None] >> np.arange(32, dtype=np.uint32)) & 1
-    return np.bitwise_xor.reduce(
-        np.where(bits.astype(bool), mat[None, :], np.uint32(0)), axis=1
-    )
-
-
-#: ``_CRC_POW2[j]`` advances a CRC state past ``2**j`` zero message bytes.
-_CRC_POW2 = [_crc_zero_byte_matrix()]
-for _ in range(47):
-    _m = _CRC_POW2[-1]
-    _CRC_POW2.append(_mat_apply(_m, _m))
-del _m
-
-
-def _crc_shift_state(state: int, num_bytes: int) -> int:
-    """Advance one CRC state past ``num_bytes`` zero message bytes."""
-    vec = np.array([state], dtype=np.uint32)
-    j = 0
-    while num_bytes:
-        if num_bytes & 1:
-            vec = _mat_apply(_CRC_POW2[j], vec)
-        num_bytes >>= 1
-        j += 1
-    return int(vec[0])
-
-
-def _crc32c_serial(buf: np.ndarray, state: int) -> int:
-    table = _CRC_T0
-    for b in buf.tolist():
-        state = (state >> 8) ^ table[(state ^ b) & 0xFF]
-    return state
-
-
-def _crc32c_striped(buf: np.ndarray) -> int:
-    """Raw (zero-init) CRC32C of ``buf`` via parallel stripes + fold tree."""
-    n = len(buf)
-    # Stripe count: enough stripes that the per-column numpy ops amortise,
-    # few enough that the serial tail (< 4S bytes) stays negligible.
-    log_s = max(4, min(12, n.bit_length() - 9))
-    num_stripes = 1 << log_s
-    stripe_len = (n // (4 * num_stripes)) * 4
-    if stripe_len == 0:
-        return _crc32c_serial(buf, 0)
-    body = buf[: num_stripes * stripe_len].reshape(num_stripes, stripe_len)
-    words = body.view("<u4")  # little-endian 32-bit loads, platform-independent
-    t3, t2, t1, t0 = _CRC_T[3], _CRC_T[2], _CRC_T[1], _CRC_T[0]
-    states = np.zeros(num_stripes, dtype=np.uint32)
-    for j in range(stripe_len // 4):
-        x = states ^ words[:, j]
-        states = (
-            t3[x & 0xFF]
-            ^ t2[(x >> np.uint32(8)) & 0xFF]
-            ^ t1[(x >> np.uint32(16)) & 0xFF]
-            ^ t0[x >> np.uint32(24)]
-        )
-    # Fold the stripes pairwise: combine(left, right) advances the left
-    # state past the right stripe's bytes, then XORs the right state in.
-    # The shift distance doubles each level, so the matrix squares.  The
-    # level-0 matrix (advance by stripe_len bytes) composes from the
-    # precomputed power-of-two ladder.
-    level_mat = None
-    remaining, j = stripe_len, 0
-    while remaining:
-        if remaining & 1:
-            level_mat = (
-                _CRC_POW2[j]
-                if level_mat is None
-                else _mat_apply(_CRC_POW2[j], level_mat)
-            )
-        remaining >>= 1
-        j += 1
-    while len(states) > 1:
-        states = _mat_apply(level_mat, states[0::2]) ^ states[1::2]
-        level_mat = _mat_apply(level_mat, level_mat)
-    state = int(states[0])
-    return _crc32c_serial(buf[num_stripes * stripe_len :], state)
-
-
-def crc32c(data, crc: int = 0) -> int:
-    """CRC32C (Castagnoli) of ``data``, chainable via the ``crc`` argument.
-
-    ``data`` is any contiguous bytes-like object (bytes, memoryview, or a
-    C-contiguous numpy array).  Matches the standard CRC32C used by RFC
-    3720 / the ``crc32c`` PyPI package: ``crc32c(b"123456789") ==
-    0xE3069283``.
-    """
-    if isinstance(data, np.ndarray):
-        buf = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-    else:
-        buf = np.frombuffer(memoryview(data).cast("B"), dtype=np.uint8)
-    n = len(buf)
-    init = ~crc & 0xFFFFFFFF
-    if n < 1024:
-        return ~_crc32c_serial(buf, init) & 0xFFFFFFFF
-    raw = _crc32c_striped(buf)
-    return ~(raw ^ _crc_shift_state(init, n)) & 0xFFFFFFFF

@@ -24,11 +24,15 @@ The full serving topology of DESIGN.md §11::
   holding mappings into them keep serving from the live inodes.
 * Reads default to the pool (scales across cores, epoch-consistent);
   ``fresh=True`` reads hit the writer store under its shard read locks.
+* While started, the runtime lowers the interpreter's switch interval to
+  :data:`SWITCH_INTERVAL_S`, so reader threads wait less on the writer's
+  GIL.
 """
 
 from __future__ import annotations
 
 import shutil
+import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -44,6 +48,12 @@ from repro.store.store import FilterStore
 
 #: Epoch directories are named so a directory listing sorts by recency.
 EPOCH_DIR_FORMAT = "epoch-{epoch:06d}"
+
+#: Interpreter switch interval while a runtime is started; ``start()``
+#: never raises a smaller one.  At the default 5 ms, a Python writer
+#: thread's GIL holds stall every thread hop of a pooled read; DESIGN.md
+#: §11 has the measured trade behind 1 ms.
+SWITCH_INTERVAL_S = 0.001
 
 
 class ServeRuntime:
@@ -76,6 +86,8 @@ class ServeRuntime:
         self.start_method = start_method
         self.epoch = 0
         self.pool: WorkerPool | None = None
+        #: The switch interval ``start()`` replaced, restored by ``close()``.
+        self._saved_switch_interval: float | None = None
         self.telemetry = None  # TelemetryServer once serve_telemetry() runs
         #: Optional budgeted maintenance, run after each publish
         #: (`install_maintenance`); requires a durable (WAL-attached) writer.
@@ -90,7 +102,8 @@ class ServeRuntime:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ServeRuntime":
-        """Publish epoch 1 and launch the reader pool against it."""
+        """Publish epoch 1, launch the reader pool against it, and lower
+        the switch interval to :data:`SWITCH_INTERVAL_S`."""
         if self.pool is not None:
             raise RuntimeError("runtime already started")
         path = self.publish()
@@ -101,16 +114,20 @@ class ServeRuntime:
             predicates=self.predicates,
             start_method=self.start_method,
         ).start()
+        self._saved_switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._saved_switch_interval, SWITCH_INTERVAL_S))
         return self
 
     def close(self) -> dict | None:
         """Stop the telemetry server and the pool (writer store stays
-        usable); returns the final pool stats."""
+        usable) and restore the switch interval ``start()`` replaced;
+        returns the final pool stats."""
         if self.telemetry is not None:
             self.telemetry.close()
             self.telemetry = None
         if self.pool is None:
             return None
+        sys.setswitchinterval(self._saved_switch_interval)
         final = self.pool.close()
         self.pool = None
         self.store.install_shard_locks(None)

@@ -11,6 +11,9 @@ The ref also owns the level-shape validation that ``FilterStore.open`` used
 to do eagerly: a mapped level must be a plain CCF on the store's shared
 geometry, or every cross-level kernel (hash-once fan-out, delete routing,
 compaction) would silently mis-probe.
+
+Checkpoint segments checksum each column with the same CRC-32
+(``zlib.crc32``) as the WAL's frames; snapshot segments carry none.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class SegmentLevelRef:
     the first time any probe needs the levels, then drops them.
 
     Mapping uses `repro.ccf.mmapio.open_segment`'s default checksum policy:
-    exactly the columns that carry a CRC32C are validated — checkpoint-sealed
+    exactly the columns that carry a CRC-32 are validated — checkpoint-sealed
     baselines verify as they map, classic snapshots keep their O(metadata)
     open.
     """

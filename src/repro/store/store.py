@@ -84,6 +84,15 @@ MANIFEST_NAME = "manifest.json"
 #: The operation kinds `OpCounters` tracks (batch calls and keys for each).
 OP_KINDS = ("query", "insert", "delete")
 
+#: Shard counters a manifest's shard record carries: record key -> the
+#: `FilterShard` attribute it persists.
+_SHARD_COUNTERS = {
+    "rows_inserted": "rows_inserted",
+    "rows_deleted": "rows_deleted",
+    "compactions": "num_compactions",
+    "entries_compacted": "entries_compacted",
+}
+
 # Persistence-path instrumentation: one record per snapshot/refresh call.
 _SNAPSHOT_US = obs.histogram(
     "repro_store_snapshot_us", "Snapshot write duration in microseconds."
@@ -609,35 +618,7 @@ class FilterStore:
         staging = root.parent / f".{root.name}.tmp-{os.getpid()}"
         staging.mkdir()
         try:
-            shard_records = []
-            for shard in self.shards:
-                level_files = []
-                for level_index, level in enumerate(shard.levels):
-                    name = (
-                        f"shard-{shard.shard_id:04d}"
-                        f"-level-{level_index:04d}{SEGMENT_SUFFIX}"
-                    )
-                    write_segment(level, staging / name)
-                    # The seq names this level's content version: readers
-                    # refreshing onto this snapshot keep any level they
-                    # already have mapped under the same seq (DESIGN.md §11).
-                    level_files.append(
-                        {
-                            "file": name,
-                            "format": "segment",
-                            "seq": shard.level_seqs[level_index],
-                        }
-                    )
-                shard_records.append(
-                    {
-                        "levels": level_files,
-                        "rows_inserted": shard.rows_inserted,
-                        "rows_deleted": shard.rows_deleted,
-                        "compactions": shard.num_compactions,
-                        "entries_compacted": shard.entries_compacted,
-                    }
-                )
-            manifest = self._manifest_dict(shard_records)
+            manifest = self._write_levels(staging)
             # The manifest is the commit point within the staging directory.
             (staging / MANIFEST_NAME).write_text(
                 json.dumps(manifest, indent=2, sort_keys=True)
@@ -656,8 +637,41 @@ class FilterStore:
             os.replace(staging, root)
         return root
 
-    def _manifest_dict(self, shard_records: list[dict]) -> dict:
-        """The manifest common to snapshots and checkpoints (no wal section)."""
+    def _write_levels(
+        self, directory: Path, prefix: str = "", durable: bool = False
+    ) -> dict:
+        """Write every level to a SEG1 segment in ``directory``; returns the
+        manifest naming them, common to snapshots and checkpoints (no wal
+        section).
+
+        ``durable`` (checkpoints) checksums and fsyncs each segment and
+        crosses the ``checkpoint.segment`` fault point after it.
+        """
+        shard_records = []
+        for shard in self.shards:
+            level_files = []
+            for level_index, level in enumerate(shard.levels):
+                name = (
+                    f"{prefix}shard-{shard.shard_id:04d}"
+                    f"-level-{level_index:04d}{SEGMENT_SUFFIX}"
+                )
+                if durable:
+                    write_segment(level, directory / name, checksums=True, fsync=True)
+                    faults.hit("checkpoint.segment")
+                else:
+                    write_segment(level, directory / name)
+                # The seq names this level's content version: readers
+                # refreshing onto this manifest keep any level they already
+                # have mapped under the same seq (DESIGN.md §11).
+                level_files.append(
+                    {
+                        "file": name,
+                        "format": "segment",
+                        "seq": shard.level_seqs[level_index],
+                    }
+                )
+            counters = {k: getattr(shard, a) for k, a in _SHARD_COUNTERS.items()}
+            shard_records.append({"levels": level_files, **counters})
         return {
             "format": MANIFEST_FORMAT,
             "kind": self.kind,
@@ -770,33 +784,7 @@ class FilterStore:
             #    manifest commits these names are unreferenced, so a crash
             #    leaves debris (reaped on the next open/checkpoint), never
             #    a torn store.
-            shard_records = []
-            for shard in self.shards:
-                level_files = []
-                for level_index, level in enumerate(shard.levels):
-                    name = (
-                        f"g{gen:06d}-shard-{shard.shard_id:04d}"
-                        f"-level-{level_index:04d}{SEGMENT_SUFFIX}"
-                    )
-                    write_segment(level, root / name, checksums=True, fsync=True)
-                    faults.hit("checkpoint.segment")
-                    level_files.append(
-                        {
-                            "file": name,
-                            "format": "segment",
-                            "seq": shard.level_seqs[level_index],
-                        }
-                    )
-                shard_records.append(
-                    {
-                        "levels": level_files,
-                        "rows_inserted": shard.rows_inserted,
-                        "rows_deleted": shard.rows_deleted,
-                        "compactions": shard.num_compactions,
-                        "entries_compacted": shard.entries_compacted,
-                    }
-                )
-            manifest = self._manifest_dict(shard_records)
+            manifest = self._write_levels(root, f"g{gen:06d}-", durable=True)
             manifest["wal"] = {"gen": gen, **self._durability.to_dict()}
             # 3. Commit: durable staged manifest, one atomic replace.
             staged = root / f".{MANIFEST_NAME}.tmp-{os.getpid()}"
@@ -832,7 +820,7 @@ class FilterStore:
             if old_wal is not None:
                 old_wal.close()
                 old_wal.path.unlink(missing_ok=True)
-        _reap_unreferenced_segments(root, shard_records)
+        _reap_unreferenced_segments(root, manifest["shards"])
         for stale in wdir.glob(f"*{WAL_SUFFIX}"):
             if stale.name not in {wal_name(s.shard_id, gen) for s in self.shards}:
                 stale.unlink()
@@ -872,10 +860,7 @@ class FilterStore:
                 ],
                 seqs=[entry.get("seq") for entry in entries],
             )
-            shard.rows_inserted = record["rows_inserted"]
-            shard.rows_deleted = record["rows_deleted"]
-            shard.num_compactions = record["compactions"]
-            shard.entries_compacted = record["entries_compacted"]
+            _adopt_shard_counters(shard, record)
         if manifest.get("wal") is not None:
             store._recover_wal(root, manifest)
         return store
@@ -988,10 +973,7 @@ class FilterStore:
                     shard_reused, shard_attached = shard.refresh_from(seqs, refs)
             reused += shard_reused
             attached += shard_attached
-            shard.rows_inserted = record["rows_inserted"]
-            shard.rows_deleted = record["rows_deleted"]
-            shard.num_compactions = record["compactions"]
-            shard.entries_compacted = record["entries_compacted"]
+            _adopt_shard_counters(shard, record)
         return {"levels_reused": reused, "levels_attached": attached}
 
 
@@ -1036,6 +1018,12 @@ def read_manifest(root: str | Path) -> dict:
                     source=str(path),
                 )
     return manifest
+
+
+def _adopt_shard_counters(shard: FilterShard, record: Mapping[str, Any]) -> None:
+    """Set a shard's counters from its manifest record (open and refresh)."""
+    for key, attr in _SHARD_COUNTERS.items():
+        setattr(shard, attr, record[key])
 
 
 def _params_to_dict(params: CCFParams) -> dict:

@@ -5,7 +5,7 @@ checkpoint generation)::
 
     header   <4sIIIQQ>   magic b"WAL1", version, shard_id, reserved,
                          generation, base_seq          (32 bytes)
-    frame*   <II>        payload_len, crc32c(payload)  (8 bytes)
+    frame*   <II>        payload_len, crc32(payload)   (8 bytes)
              payload     <BBHIQ> op, flags, nattrs, nrows, seq
                          fps   int64[nrows]
                          homes int64[nrows]
@@ -19,12 +19,13 @@ buckets re-derive from the shared geometry, and every shard mutation is
 deterministic given these arrays, so replay over the checkpoint baseline
 is bit-identical to the original application (DESIGN.md §14).
 
-Frame seqs chain contiguously from the header's ``base_seq``; the CRC, the
-length prefix, and the seq chain together classify any tail damage — a
-torn write, a bit flip, a duplicated or dropped frame all stop the scan at
-the last good frame instead of raising.  :func:`scan_wal` is pure (the
-``inspect`` CLI uses it on live stores); truncation of a torn tail happens
-only when :meth:`ShardWal.attach` takes ownership during recovery.
+Frame seqs chain contiguously from the header's ``base_seq``; the CRC-32
+(the standard library's ``zlib.crc32``), the length prefix, and the seq
+chain together classify any tail damage — a torn write, a bit flip, a
+duplicated or dropped frame all stop the scan at the last good frame
+instead of raising.  :func:`scan_wal` is pure (the ``inspect`` CLI uses it
+on live stores); truncation of a torn tail happens only when
+:meth:`ShardWal.attach` takes ownership during recovery.
 
 fsync discipline is per :class:`~repro.store.config.DurabilityConfig`:
 ``always`` syncs inside every append (acked ⇒ power-loss durable),
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -44,12 +46,14 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.ccf.serialize import SerializeError, crc32c
+from repro.ccf.serialize import SerializeError
 from repro.store import faults
 from repro.store.config import DurabilityConfig
 
 WAL_MAGIC = b"WAL1"
-WAL_VERSION = 1
+#: Version 2 checksums frames with CRC-32.  Version-1 logs (CRC-32C
+#: frames) are rejected: a durable root upgrades through a snapshot.
+WAL_VERSION = 2
 WAL_DIRNAME = "wal"
 WAL_SUFFIX = ".wal"
 
@@ -137,7 +141,7 @@ def encode_frame(
     homes: np.ndarray,
     avecs: np.ndarray,
 ) -> bytes:
-    """Encode one frame (length prefix + CRC32C + payload) to bytes."""
+    """Encode one frame (length prefix + CRC-32 + payload) to bytes."""
     fps = np.ascontiguousarray(fps, dtype="<i8")
     homes = np.ascontiguousarray(homes, dtype="<i8")
     avecs = np.ascontiguousarray(avecs, dtype="<i8")
@@ -153,7 +157,7 @@ def encode_frame(
             avecs.tobytes(),
         )
     )
-    return _FRAME.pack(len(payload), crc32c(payload)) + payload
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes | memoryview) -> Frame:
@@ -200,7 +204,7 @@ def scan_wal(path: str | Path) -> WalScan:
     The header must be intact — it is written under a temp-file + rename
     protocol, so a damaged header means corruption beyond the torn-tail
     model and raises :class:`SerializeError`.  Frame damage never raises:
-    the scan stops at the last frame whose length prefix, CRC32C, and seq
+    the scan stops at the last frame whose length prefix, CRC-32, and seq
     chain all check out, recording the reason.
     """
     path = Path(path)
@@ -217,8 +221,20 @@ def scan_wal(path: str | Path) -> WalScan:
             f"bad WAL magic {magic!r}", source=str(path), offset=0
         )
     if version != WAL_VERSION:
+        upgrade = (
+            "; its frames carry CRC-32C checksums, which this release does "
+            "not read.  Upgrade the durable root through a snapshot: "
+            "snapshot() it to a new directory with the previous release, "
+            "then open() that snapshot with this one and attach_wal()"
+            if version == 1
+            else ""
+        )
         raise SerializeError(
-            f"unsupported WAL version {version}", source=str(path), offset=4
+            f"unsupported WAL version {version} (this release writes "
+            f"version {WAL_VERSION}){upgrade}",
+            source=str(path),
+            offset=4,
+            offset_unit="bytes",
         )
     frames: list[Frame] = []
     offset = _HEADER.size
@@ -240,7 +256,7 @@ def scan_wal(path: str | Path) -> WalScan:
             torn_reason = "truncated payload"
             break
         payload = view[start : start + payload_len]
-        if crc32c(payload) != crc:
+        if zlib.crc32(payload) != crc:
             torn_reason = "checksum mismatch"
             break
         try:

@@ -456,9 +456,7 @@ class TestWalDisabledSnapshotsUnchanged:
         assert '"wal"' not in manifest
         for seg in first.glob("*.seg"):
             meta = read_segment_meta(seg)
-            assert all(
-                "crc32c" not in spec for spec in meta["columns"].values()
-            )
+            assert all("crc32" not in spec for spec in meta["columns"].values())
         digests = []
         for root in (first, second):
             files = sorted(p.name for p in root.iterdir())
@@ -481,5 +479,5 @@ class TestWalDisabledSnapshotsUnchanged:
         assert segs
         for seg in segs:
             meta = read_segment_meta(seg)
-            assert all("crc32c" in spec for spec in meta["columns"].values())
+            assert all("crc32" in spec for spec in meta["columns"].values())
         store.close()

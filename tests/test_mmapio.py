@@ -53,6 +53,24 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _replace_meta(path, payload: bytes) -> None:
+    """Swap a segment's metadata tail for ``payload``; restamp the prelude."""
+    raw = path.read_bytes()
+    meta_offset = struct.unpack_from("<Q", raw, 8)[0]
+    data = bytearray(raw[:meta_offset] + payload)
+    struct.pack_into("<QQ", data, 8, meta_offset, len(payload))
+    path.write_bytes(bytes(data))
+
+
+def _rewrite_meta(path, mutate) -> None:
+    """Apply ``mutate`` to the parsed JSON tail and restamp the prelude."""
+    raw = path.read_bytes()
+    meta_offset, meta_length = struct.unpack_from("<QQ", raw, 8)
+    meta = json.loads(raw[meta_offset : meta_offset + meta_length].decode())
+    mutate(meta)
+    _replace_meta(path, json.dumps(meta, sort_keys=True).encode())
+
+
 PARAMS = CCFParams(key_bits=12, attr_bits=8, bucket_size=4, seed=3)
 
 
@@ -184,7 +202,7 @@ class TestCopyOnWrite:
 
 
 class TestChecksums:
-    """Opt-in CRC32C column trailers (the durable-checkpoint segment mode)."""
+    """Opt-in CRC-32 column checksums (the durable-checkpoint segment mode)."""
 
     def _checksummed(self, tmp_path):
         return write_segment(
@@ -194,7 +212,7 @@ class TestChecksums:
     def test_checksums_are_recorded_and_verified(self, tmp_path):
         path = self._checksummed(tmp_path)
         meta = read_segment_meta(path)
-        assert all("crc32c" in spec for spec in meta["columns"].values())
+        assert all("crc32" in spec for spec in meta["columns"].values())
         # Auto mode verifies columns that carry checksums; strict requires them.
         for verify in (None, True):
             mapped = open_segment(path, verify=verify)
@@ -205,7 +223,7 @@ class TestChecksums:
         therefore snapshot bytes — exactly as before."""
         path = write_segment(_filled("plain", PARAMS), tmp_path / "plain.seg")
         meta = read_segment_meta(path)
-        assert all("crc32c" not in spec for spec in meta["columns"].values())
+        assert all("crc32" not in spec for spec in meta["columns"].values())
         with pytest.raises(SerializeError, match="carries no checksum"):
             open_segment(path, verify=True)
         open_segment(path)  # auto mode: nothing to verify, nothing raised
@@ -221,6 +239,22 @@ class TestChecksums:
         assert excinfo.value.offset == spec["data_offset"]
         # An explicit opt-out maps the damaged column without checking.
         open_segment(path, verify=False)
+
+    def test_old_checksum_key_opens_unchecksummed(self, tmp_path):
+        """A segment whose columns carry only the older writer's "crc32c"
+        key opens as unchecksummed: its value is never read, and strict
+        verification finds no checksum."""
+        path = self._checksummed(tmp_path)
+
+        def older_writer(meta):
+            for spec in meta["columns"].values():
+                del spec["crc32"]
+                spec["crc32c"] = 0xDEADBEEF
+
+        _rewrite_meta(path, older_writer)
+        assert open_segment(path).num_entries == 500
+        with pytest.raises(SerializeError, match="carries no checksum"):
+            open_segment(path, verify=True)
 
     def test_query_parity_with_checksums(self, tmp_path):
         ccf = _filled("plain", PARAMS)
@@ -281,24 +315,11 @@ class TestCorruption:
         with pytest.raises(SerializeError, match="truncated|past"):
             open_segment(path)
 
-    def _rewrite_meta(self, path, mutate) -> None:
-        """Apply ``mutate`` to the parsed JSON tail and restamp the prelude."""
-        raw = path.read_bytes()
-        meta_offset, meta_length = struct.unpack_from("<QQ", raw, 8)
-        meta = json.loads(raw[meta_offset : meta_offset + meta_length].decode())
-        mutate(meta)
-        payload = json.dumps(meta, sort_keys=True).encode()
-        data = bytearray(raw[:meta_offset] + payload)
-        struct.pack_into("<QQ", data, 8, meta_offset, len(payload))
-        path.write_bytes(bytes(data))
-
     def test_nbytes_shape_mismatch_is_typed(self, tmp_path):
         """A column whose nbytes disagrees with shape*itemsize must raise
         SerializeError, not leak a raw mmap ValueError."""
         path = self._segment(tmp_path)
-        self._rewrite_meta(
-            path, lambda meta: meta["columns"]["avecs"].update(nbytes=8)
-        )
+        _rewrite_meta(path, lambda meta: meta["columns"]["avecs"].update(nbytes=8))
         with pytest.raises(SerializeError, match="records 8 bytes"):
             open_segment(path)
 
@@ -310,7 +331,7 @@ class TestCorruption:
             spec["shape"] = [spec["shape"][0] * 64, spec["shape"][1]]
             spec["nbytes"] = spec["nbytes"] * 64
 
-        self._rewrite_meta(path, grow)
+        _rewrite_meta(path, grow)
         with pytest.raises(SerializeError, match="past|extends"):
             open_segment(path)
 
@@ -322,6 +343,16 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(SerializeError, match="corrupt segment metadata"):
             read_segment_meta(path)
+
+    @pytest.mark.parametrize("tail", [b"0", b"null", b'"columns"', b"[]"])
+    def test_non_object_metadata_is_typed(self, tmp_path, tail):
+        """Valid JSON that is not an object raises SerializeError, not the
+        TypeError of indexing into it."""
+        path = self._segment(tmp_path)
+        _replace_meta(path, tail)
+        with pytest.raises(SerializeError, match="not a JSON object") as excinfo:
+            read_segment_meta(path)
+        assert excinfo.value.source == str(path)
 
     def test_error_carries_offset_context(self, tmp_path):
         path = self._segment(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ class TestLifecycle:
         with runtime:
             with pytest.raises(RuntimeError, match="already started"):
                 runtime.start()
+
+    @pytest.mark.parametrize("before", [0.005, 0.0005])
+    def test_switch_interval_lowered_while_started(self, tmp_path, before):
+        """start() lowers the interpreter switch interval to at most 1 ms
+        (never raising a smaller one); close() restores the value start()
+        found."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(before)
+        try:
+            runtime, _ = make_runtime(tmp_path)
+            with runtime:
+                assert sys.getswitchinterval() == pytest.approx(min(before, 0.001))
+            assert sys.getswitchinterval() == pytest.approx(before)
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_unknown_predicate_rejected(self, tmp_path):
         runtime, keys = make_runtime(tmp_path)

@@ -1,7 +1,7 @@
 """WAL framing, scanning, fsync discipline, and the corruption matrix.
 
 The frame-chain contract (DESIGN.md §14): every appended batch is one
-length-prefixed, CRC32C-checksummed frame whose seq chains contiguously
+length-prefixed, CRC-32-checksummed frame whose seq chains contiguously
 from the header's base_seq.  :func:`scan_wal` must classify — never raise
 on — any tail damage the torn-write crash model can produce (and a few it
 can't, like bit flips), stopping at the last frame whose length prefix,
@@ -18,8 +18,10 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.ccf.serialize import SerializeError, crc32c
-from repro.store import faults
+from repro.ccf.attributes import AttributeSchema
+from repro.ccf.params import CCFParams
+from repro.ccf.serialize import SerializeError
+from repro.store import FilterStore, StoreConfig, faults
 from repro.store.config import DurabilityConfig
 from repro.store.wal import (
     OP_COMPACT,
@@ -65,41 +67,6 @@ def make_wal(path, n_frames=3, fsync="never", shard_id=0, gen=1, base_seq=0):
     return path
 
 
-class TestCrc32c:
-    """The from-scratch CRC32C against an independent bitwise reference."""
-
-    @staticmethod
-    def _reference(data: bytes, crc: int = 0) -> int:
-        crc ^= 0xFFFFFFFF
-        for byte in data:
-            crc ^= byte
-            for _ in range(8):
-                crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
-        return crc ^ 0xFFFFFFFF
-
-    def test_check_vector(self):
-        # The canonical CRC-32C check value (RFC 3720 appendix, etc).
-        assert crc32c(b"123456789") == 0xE3069283
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 63, 64, 1023, 1024, 4096, 70001])
-    def test_matches_bitwise_reference(self, n):
-        data = bytes(np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8))
-        assert crc32c(data) == self._reference(data)
-
-    def test_chaining_matches_whole(self):
-        data = bytes(range(256)) * 40
-        split = 777
-        assert crc32c(data[split:], crc32c(data[:split])) == crc32c(data)
-
-    def test_accepts_ndarrays(self):
-        arr = np.arange(1000, dtype=np.int64)
-        assert crc32c(arr) == crc32c(arr.tobytes())
-
-    def test_differs_from_crc32(self):
-        # Castagnoli, not the zlib polynomial.
-        assert crc32c(b"123456789") != zlib.crc32(b"123456789")
-
-
 class TestFrameCodec:
     @pytest.mark.parametrize("op", [OP_INSERT, OP_DELETE])
     def test_round_trip(self, op):
@@ -108,7 +75,7 @@ class TestFrameCodec:
         length, crc = FRAME.unpack_from(blob)
         payload = blob[FRAME.size :]
         assert len(payload) == length
-        assert crc32c(payload) == crc
+        assert zlib.crc32(payload) == crc
         frame = decode_payload(payload)
         assert (frame.op, frame.seq, frame.nrows) == (op, 42, 17)
         assert (frame.fps == fps).all()
@@ -330,6 +297,19 @@ class TestCorruptionMatrix:
         with pytest.raises(SerializeError, match="version 99"):
             scan_wal(path)
 
+    def test_version_one_log_rejected_with_upgrade_path(self, tmp_path):
+        """Version-1 logs carry CRC-32C frames: the scan refuses them by
+        name and says how to upgrade, rather than calling every frame
+        corrupt and truncating acked batches."""
+        path = self._log(tmp_path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 4, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SerializeError, match="version 1 .*snapshot") as excinfo:
+            scan_wal(path)
+        assert excinfo.value.source == str(path)
+        assert path.read_bytes() == bytes(data)
+
     def test_short_file_raises(self, tmp_path):
         path = self._log(tmp_path)
         path.write_bytes(path.read_bytes()[:10])
@@ -342,6 +322,28 @@ class TestCorruptionMatrix:
         before = path.read_bytes()
         scan_wal(path)
         assert path.read_bytes() == before  # classification never truncates
+
+
+class TestVersionOneRoot:
+    def test_open_of_durable_root_names_the_log(self, tmp_path):
+        root = tmp_path / "store"
+        store = FilterStore(
+            AttributeSchema(["a"]),
+            CCFParams(key_bits=12, attr_bits=8, bucket_size=4, seed=1),
+            StoreConfig(num_shards=2, level_buckets=64),
+        )
+        store.attach_wal(root, DurabilityConfig(fsync="never"))
+        keys = np.arange(40, dtype=np.int64)
+        store.insert_many(keys, [keys % 3])
+        store.close()
+        log = root / "wal" / wal_name(1, 1)
+        data = bytearray(log.read_bytes())
+        struct.pack_into("<I", data, 4, 1)
+        log.write_bytes(bytes(data))
+        with pytest.raises(SerializeError, match="WAL version 1") as excinfo:
+            FilterStore.open(root)
+        assert excinfo.value.source == str(log)
+        assert log.read_bytes() == bytes(data)
 
 
 class TestAttach:
