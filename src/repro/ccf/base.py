@@ -19,8 +19,9 @@ kernels read and write directly, while rich payloads (Bloom entries,
 converted-group slots) occupy a parallel object column.  Batch queries probe
 the live columns — there is no snapshot to rebuild after a mutation — and
 evaluate predicate admissibility only on the slots whose fingerprint
-actually matched — vectorised for vector slots, via a small per-predicate
-matcher (LRU-cached) for payload slots.
+actually matched: per-attribute lookup tables for vector slots, one batched
+test over the live sketch bits for payload slots, both precomputed once per
+predicate (LRU-cached).
 
 The kick loop only ever relocates an entry between the two buckets of its
 own pair — the structural property from which Lemma 1 follows.
@@ -41,10 +42,15 @@ from repro.ccf.entries import BloomEntry, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
-from repro.hashing.mixers import as_native_list, derive_seed
+from repro.hashing.mixers import as_native_list, canonical_bytes, derive_seed
 
-#: How many compiled predicates keep a precomputed payload matcher alive.
+#: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
+
+#: Widest attribute fingerprint tested through a lookup table (2**16 bools
+#: per constraint, built in microseconds); wider attribute fingerprints fall
+#: back to ``np.isin``.  DESIGN.md §6 has the measurements.
+LUT_MAX_BITS = 16
 
 # Probe-outcome instrumentation (one record per query batch, per variant):
 # the measurement substrate for the adaptive-CCF roadmap item — observed
@@ -83,22 +89,65 @@ class CompiledQuery:
 
     ``constraints`` holds one triple per constrained attribute:
     ``(attribute index, admissible raw values, admissible fingerprints)``.
-    ``fp_arrays`` carries the admissible fingerprints as int64 arrays for
-    the vectorised column probes.  Compiling once and reusing across many
-    keys is the intended hot path.
+    ``key`` is the same content in a type-exact, hashable form — raw values
+    as their canonical hash encoding, because Python's ``1 == True == 1.0``
+    would merge values that Bloom sketches hash apart — and keys the
+    per-filter matcher cache, so recompiling an equal predicate reuses its
+    matcher.  Compiling once and reusing across many keys is the intended
+    hot path.
     """
 
-    __slots__ = ("constraints", "fp_arrays")
+    __slots__ = ("constraints", "key")
 
     def __init__(self, constraints: Sequence[tuple[int, tuple, frozenset[int]]]) -> None:
         self.constraints = tuple(constraints)
-        self.fp_arrays = tuple(
-            np.fromiter(sorted(fps), dtype=np.int64, count=len(fps))
-            for _index, _values, fps in self.constraints
+        self.key = tuple(
+            (index, canonical_bytes(values), fps) for index, values, fps in self.constraints
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledQuery({self.constraints!r})"
+
+
+class PredicateMatcher:
+    """One compiled predicate's batch admissibility tests on one CCF.
+
+    Vector slots test each constrained attribute column through a lookup
+    table over the ``attr_bits`` domain (``np.isin`` beyond
+    :data:`LUT_MAX_BITS`); payload slots go to the variant's batch sketch
+    test (`_build_payload_matcher`).
+    """
+
+    __slots__ = ("columns", "payloads")
+
+    def __init__(
+        self,
+        compiled: CompiledQuery,
+        attr_bits: int,
+        payloads: Callable[[list[Any]], np.ndarray],
+    ) -> None:
+        self.columns: list[tuple[int, np.ndarray, int | None]] = []
+        for attr_index, _values, fps in compiled.constraints:
+            if attr_bits <= LUT_MAX_BITS:
+                mask = (1 << attr_bits) - 1
+                table = np.zeros(mask + 1, dtype=bool)
+                table[[fp for fp in fps if fp <= mask]] = True
+                self.columns.append((attr_index, table, mask))
+            else:
+                admissible = np.fromiter(fps, dtype=np.int64, count=len(fps))
+                self.columns.append((attr_index, admissible, None))
+        self.payloads = payloads
+
+    def vectors(self, avecs: np.ndarray) -> np.ndarray:
+        """Per ``(n, #attrs)`` attribute-fingerprint row: admissible?"""
+        ok = np.ones(len(avecs), dtype=bool)
+        for attr_index, table, mask in self.columns:
+            column = avecs[:, attr_index]
+            # The mask is the identity on stored fingerprints; it only keeps
+            # payload slots' fill values (overridden by the sketch test) in
+            # range.
+            ok &= table[column & mask] if mask is not None else np.isin(column, table)
+        return ok
 
 
 def compile_predicate(
@@ -196,7 +245,7 @@ class ConditionalCuckooFilterBase:
         self.fingerprinter = self.make_fingerprinter(schema, params)
         self._bloom_salt = derive_seed(params.seed, "ccf-bloom")
         self._rng = random.Random(derive_seed(params.seed, "ccf-rng"))
-        self._matcher_cache: OrderedDict[CompiledQuery, Callable[[Any], bool]] = OrderedDict()
+        self._matcher_cache: OrderedDict[tuple, PredicateMatcher] = OrderedDict()
         # Statistics and health flags.
         self.num_rows_inserted = 0
         self.num_rows_discarded = 0
@@ -444,28 +493,38 @@ class ConditionalCuckooFilterBase:
             return predicate
         return self.compile(predicate)
 
-    def _payload_matcher(self, compiled: CompiledQuery) -> Callable[[Any], bool]:
-        """Per-predicate matcher for payload (non-vector) slots, LRU-cached.
+    def _matcher(self, compiled: CompiledQuery) -> PredicateMatcher:
+        """The compiled predicate's batch matcher, LRU-cached by value.
 
-        Variants with payload entries precompute the predicate's Bloom
-        probe positions once per compiled query (`_build_payload_matcher`);
-        the small LRU keeps recently used predicates warm so alternating
-        predicates don't recompute every batch.
+        The cache is keyed by `CompiledQuery.key`, so a predicate compiled
+        afresh for every probe (the join pushdown's pattern) still finds its
+        lookup tables and sketch masks warm.
         """
         cache = self._matcher_cache
-        matcher = cache.get(compiled)
+        matcher = cache.get(compiled.key)
         if matcher is None:
-            matcher = self._build_payload_matcher(compiled)
-            cache[compiled] = matcher
+            matcher = PredicateMatcher(
+                compiled, self.params.attr_bits, self._build_payload_matcher(compiled)
+            )
+            cache[compiled.key] = matcher
             if len(cache) > MATCHER_CACHE_SIZE:
                 cache.popitem(last=False)
         else:
-            cache.move_to_end(compiled)
+            cache.move_to_end(compiled.key)
         return matcher
 
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[Any], bool]:
-        """Uncached `_payload_matcher` body; variants specialise."""
-        return lambda entry: self._entry_matches(entry, compiled)
+    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
+        """Batch admissibility of payload entries; variants with sketches
+        specialise it to one vectorised test over their live bits."""
+
+        def matches(entries: list[Any]) -> np.ndarray:
+            return np.fromiter(
+                (self._entry_matches(entry, compiled) for entry in entries),
+                dtype=bool,
+                count=len(entries),
+            )
+
+        return matches
 
     # ------------------------------------------------------------------
     # Shared statistics
@@ -495,10 +554,11 @@ class ConditionalCuckooFilterBase:
     # ------------------------------------------------------------------
     # Insert / query interface
     # ------------------------------------------------------------------
-    # Scalar `insert`/`query` and the batch `insert_many`/`query_many` are
-    # thin wrappers over one pair of per-variant kernels (`_insert_hashed`,
-    # `_query_hashed`) operating on precomputed hashes, so both paths share
-    # a single policy implementation and stay bit-identical by construction.
+    # Scalar `insert`/`query` and batch `insert_many` are thin wrappers over
+    # per-variant kernels on precomputed hashes (`_insert_hashed`,
+    # `_query_hashed`).  Batch `query_many` runs the vectorised
+    # `_query_hashed_many`, which must answer exactly as `_query_hashed`
+    # does key by key (DESIGN.md §5).
 
     #: Whether `_insert_hashed` consumes precomputed attribute fingerprint
     #: vectors (False for the Bloom CCF, which sketches raw values instead).
@@ -615,26 +675,13 @@ class ConditionalCuckooFilterBase:
         compiled: CompiledQuery | None,
         alts: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batch query kernel; the base fallback runs the scalar kernel.
+        """Batch query kernel on precomputed hashes; subclasses implement.
 
         ``alts`` optionally carries precomputed partner-bucket indices
         (shared-geometry callers like the FilterStore hash once and fan
-        out); kernels that don't use them may ignore the argument.
+        out).
         """
-        return self._scalar_batch_query(fps, homes, compiled)
-
-    def _scalar_batch_query(
-        self, fps: np.ndarray, homes: np.ndarray, compiled: CompiledQuery | None
-    ) -> np.ndarray:
-        """Row-by-row batch evaluation through the scalar kernel."""
-        return np.fromiter(
-            (
-                self._query_hashed(fp, home, compiled)
-                for fp, home in zip(fps.tolist(), homes.tolist())
-            ),
-            dtype=bool,
-            count=len(fps),
-        )
+        raise NotImplementedError
 
     def contains_key(self, key: object) -> bool:
         """Key-only membership test (no predicate)."""
@@ -702,50 +749,34 @@ class ConditionalCuckooFilterBase:
     # Vectorised probe machinery shared by the batch query kernels
     # ------------------------------------------------------------------
 
-    def _eq_under_predicate(
-        self, bucket_indices: np.ndarray, eq: np.ndarray, compiled: CompiledQuery
+    def _pair_admits(
+        self, lefts: np.ndarray, rights: np.ndarray, eq: np.ndarray, compiled: CompiledQuery
     ) -> np.ndarray:
-        """AND a fingerprint-equality mask with predicate admissibility.
+        """Per key: does its pair ``(lefts, rights)`` hold an admissible copy?
 
-        ``eq`` is the ``(n, b)`` equality mask of the probed buckets
-        ``bucket_indices``.  Admissibility is evaluated *only on the slots
-        whose fingerprint matched* — O(batch + hits), never O(table):
-        vector slots test their attribute-fingerprint columns vectorised,
-        payload slots run the (cached) per-predicate matcher on their live
-        objects, so in-place payload mutations are always visible.
+        ``eq`` is the pairs' ``(n, 2, b)`` fingerprint-equality mask
+        (`SlotMatrix.pair_eq`).  Admissibility is evaluated *only on the
+        slots whose fingerprint matched* — O(batch + hits), never O(table):
+        vector slots through the predicate's lookup tables, payload slots in
+        one batched test over their live sketch bits, so in-place payload
+        mutations (Bloom merges, group absorption) are always visible.
         """
-        out = np.zeros_like(eq)
-        rows, slots = np.nonzero(eq)
+        hit = np.zeros(len(eq), dtype=bool)
+        rows, sides, slots = np.nonzero(eq)
         if rows.size == 0:
-            return out
-        hit_buckets = bucket_indices[rows]
-        avec_rows = self._avecs[hit_buckets, slots]
-        vec_ok = self._flags[hit_buckets, slots].copy()
-        for (attr_index, _values, _fps), fp_array in zip(
-            compiled.constraints, compiled.fp_arrays
-        ):
-            vec_ok &= np.isin(avec_rows[:, attr_index], fp_array)
+            return hit
+        buckets = np.where(sides == 0, lefts[rows], rights[rows])
+        matcher = self._matcher(compiled)
+        admissible = self._flags[buckets, slots] & matcher.vectors(self._avecs[buckets, slots])
         if self._num_payload_slots:
             payloads = self.buckets.payloads
-            size = self.buckets.bucket_size
-            flat = (hit_buckets * size + slots).tolist()
-            objs = [payloads[i] for i in flat]
-            if any(obj is not None for obj in objs):
-                matcher = self._payload_matcher(compiled)
-                admissible = np.fromiter(
-                    (
-                        vec_ok[i] if obj is None else matcher(obj)
-                        for i, obj in enumerate(objs)
-                    ),
-                    dtype=bool,
-                    count=len(objs),
-                )
-            else:
-                admissible = vec_ok
-        else:
-            admissible = vec_ok
-        out[rows, slots] = admissible
-        return out
+            flat = (buckets * self.buckets.bucket_size + slots).tolist()
+            entries = [payloads[i] for i in flat]
+            at = [i for i, entry in enumerate(entries) if entry is not None]
+            if at:
+                admissible[at] = matcher.payloads([entries[i] for i in at])
+        hit[rows[admissible]] = True
+        return hit
 
     def _matching_stash_fps(self, compiled: CompiledQuery | None) -> np.ndarray | None:
         """Fingerprints of stashed entries admitting ``compiled``, or None."""
@@ -756,45 +787,12 @@ class ConditionalCuckooFilterBase:
             return None
         return np.array(fps, dtype=np.int64)
 
-    def _pair_probe(
-        self,
-        fps: np.ndarray,
-        homes: np.ndarray,
-        compiled: CompiledQuery | None,
-        alts: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused probe of each key's first bucket pair.
-
-        Returns ``(hit, eq_home, eq_alt, alts)``: the per-key match verdict
-        (table match under the predicate, or a matching stash entry), the
-        per-slot fingerprint-equality masks of both buckets, and the partner
-        bucket indices — the raw material both the single-pair kernel and
-        the chained hybrid kernel build on.  Home and alternate rows are
-        gathered in one ``take`` over the live (width-adaptive) fingerprint
-        column (`SlotMatrix.pair_eq`, dispatched to the active kernel
-        backend — see `repro.kernels`); no snapshot is built.  Callers that
-        already computed the partner indices (the FilterStore fans one
-        hashing pass across many levels) pass ``alts`` to skip the re-hash.
-        """
-        if alts is None:
-            alts = self.geometry.alt_indices_many(homes, fps)
-        eq = self.buckets.pair_eq(fps, homes, alts)
-        eq_home = eq[:, 0]
-        eq_alt = eq[:, 1]
-        if compiled is None:
-            hit = eq.any(axis=(1, 2))
-        else:
-            hit = self._eq_under_predicate(homes, eq_home, compiled).any(axis=1)
-            hit |= self._eq_under_predicate(alts, eq_alt, compiled).any(axis=1)
-        stash_fps = self._matching_stash_fps(compiled)
-        if stash_fps is not None:
-            stash_hit = np.isin(fps, stash_fps)
-            if obs.state.enabled:
-                rescued = int(np.count_nonzero(stash_hit & ~hit))
-                if rescued:
-                    _STASH_HITS.labels(kind=self.kind).inc(rescued)
-            hit |= stash_hit
-        return hit, eq_home, eq_alt, alts
+    def _count_stash_rescues(self, rescued: np.ndarray) -> None:
+        """Record keys that only a stash entry answered positively."""
+        if obs.state.enabled:
+            count = int(np.count_nonzero(rescued))
+            if count:
+                _STASH_HITS.labels(kind=self.kind).inc(count)
 
     def _single_pair_query_many(
         self,
@@ -803,8 +801,27 @@ class ConditionalCuckooFilterBase:
         compiled: CompiledQuery | None,
         alts: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fully vectorised one-bucket-pair probe (plain/mixed/bloom CCFs)."""
-        hit, _eq_home, _eq_alt, _alts = self._pair_probe(fps, homes, compiled, alts)
+        """Fully vectorised one-bucket-pair probe (plain/mixed/bloom CCFs).
+
+        Home and alternate rows are gathered in one fused `SlotMatrix.pair_eq`
+        over the live (width-adaptive) fingerprint column, dispatched to the
+        active kernel backend (`repro.kernels`); no snapshot is built.  A key
+        hits on an admissible table copy or a matching stash entry.  Callers
+        that already computed the partner indices (the FilterStore fans one
+        hashing pass across many levels) pass ``alts`` to skip the re-hash.
+        """
+        if alts is None:
+            alts = self.geometry.alt_indices_many(homes, fps)
+        eq = self.buckets.pair_eq(fps, homes, alts)
+        if compiled is None:
+            hit = eq.any(axis=(1, 2))
+        else:
+            hit = self._pair_admits(homes, alts, eq, compiled)
+        stash_fps = self._matching_stash_fps(compiled)
+        if stash_fps is not None:
+            stash_hit = np.isin(fps, stash_fps)
+            self._count_stash_rescues(stash_hit & ~hit)
+            hit |= stash_hit
         return hit
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import BloomEntry
 from repro.ccf.predicates import Predicate
-from repro.sketches.bloom import BloomFilter
+from repro.sketches.bloom import BatchProbe, BloomFilter
 
 
 class BloomCCF(ConditionalCuckooFilterBase):
@@ -88,30 +88,28 @@ class BloomCCF(ConditionalCuckooFilterBase):
     ) -> np.ndarray:
         return self._single_pair_query_many(fps, homes, compiled, alts)
 
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[Any], bool]:
-        """Batch specialisation: hash the predicate once, not once per entry.
+    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
+        """Batch specialisation: hash the predicate once, test bits in bulk.
 
         Every per-entry Bloom sketch shares (bloom_bits, bloom_hashes, salt),
         so each admissible (attribute, value) pair probes the same bit
-        positions in every entry; precomputing them reduces the per-slot work
-        to bit tests.  Answers equal `_entry_matches` per entry.
+        positions in every entry; a :class:`BatchProbe` turns them into bit
+        masks once and tests all entries' live bits in one pass.  Answers
+        equal `_entry_matches` per entry.
         """
-        probe = BloomFilter(
-            self.params.bloom_bits, self.params.bloom_hashes, seed=self._bloom_salt
+        probe = BatchProbe(
+            self.params.bloom_bits,
+            self.params.bloom_hashes,
+            self._bloom_salt,
+            [
+                [(attr_index, value) for value in values]
+                for attr_index, values, _fps in compiled.constraints
+            ],
         )
-        constraints = [
-            [probe.positions((attr_index, value)) for value in values]
-            for attr_index, values, _fps in compiled.constraints
-        ]
 
-        def matches(entry: Any) -> bool:
-            if not entry.matching:
-                return False
-            bloom = entry.bloom
-            return all(
-                any(bloom.contains_positions(positions) for positions in value_positions)
-                for value_positions in constraints
-            )
+        def matches(entries: list[Any]) -> np.ndarray:
+            matching = np.fromiter((e.matching for e in entries), dtype=bool, count=len(entries))
+            return matching & probe.matches([e.bloom for e in entries])
 
         return matches
 

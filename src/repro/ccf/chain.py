@@ -13,32 +13,46 @@ walk (a cycle); the paper detects cycles (Floyd) and extends the chain.  We
 reproduce that with a deterministic retry counter mixed into the chain hash —
 the same resolution is replayed identically at insert and query time, which
 is the property Lemma 2's correctness argument needs.
+
+:meth:`PairGeometry.walk_many` is the batch form of the query-side walk
+(Algorithm 5): every unresolved key of a batch moves one bucket pair forward
+per round, under the same cycle, walk-limit and stash rules as the scalar
+walk, with the caller supplying what counts as a hit in a pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.cuckoo.buckets import fingerprint_fold, is_power_of_two
+from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold, is_power_of_two
 from repro.hashing.mixers import (
     JumpCache,
     derive_seed,
     hash64,
     hash64_many_masked,
     mix64,
+    mix64_many,
 )
 
 #: How many deterministic re-hashes the walk tries when the next pair is
 #: already visited, before giving up on extending the chain.
 CYCLE_BUMP_LIMIT = 16
 
+#: Walk length at which `PairGeometry.walk_many` stops scanning each key's
+#: visited pairs and moves them to a hash set.  Up to here a scan takes less
+#: time per hop than the set for 4 to 500 walking keys (DESIGN.md §5), and
+#: join probes walk at most 21 pairs; a scan's cost grows with the walk.
+SCAN_PAIRS = 64
+
 # Odd 64-bit multipliers decorrelating the chain-step inputs (SplitMix64 /
 # Murmur finalizer constants).
 _CHAIN_FP_MULT = 0x9E3779B97F4A7C15
 _CHAIN_BUMP_MULT = 0xBF58476D1CE4E5B9
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# The golden-ratio multiplier as a wrapping int64.
+_FIB_MULT = np.int64(_CHAIN_FP_MULT - (1 << 64))
 
 
 class PairGeometry:
@@ -127,6 +141,20 @@ class PairGeometry:
         )
         return mix64(mixed) & (self.num_buckets - 1)
 
+    def chain_step_many(
+        self, pair_ids: np.ndarray, fingerprints: np.ndarray, bump: int = 0
+    ) -> np.ndarray:
+        """Batch `chain_step` (int64 array, bit-identical per element).
+
+        uint64 wrap-around multiplication is the scalar path's ``& 2**64-1``.
+        """
+        mixed = (
+            pair_ids.astype(np.uint64)
+            ^ fingerprints.astype(np.uint64) * np.uint64(_CHAIN_FP_MULT)
+            ^ np.uint64((bump * _CHAIN_BUMP_MULT & _MASK64) ^ self._chain_salt)
+        )
+        return (mix64_many(mixed) & np.uint64(self.num_buckets - 1)).astype(np.int64)
+
     def pair_of(self, key: object) -> tuple[int, int]:
         """Return the first bucket pair (home, alternate) for ``key``."""
         fingerprint = self.fingerprint_of(key)
@@ -162,3 +190,158 @@ class PairGeometry:
             visited.add(nxt_id)
             left, right, pair_id = nxt, nxt_right, nxt_id
             yield left, right
+
+    def walk_many(
+        self,
+        buckets: SlotMatrix,
+        fps: np.ndarray,
+        homes: np.ndarray,
+        alts: np.ndarray,
+        *,
+        max_dupes: int,
+        limit: int,
+        sticky: np.ndarray,
+        pair_hit: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Batch query walk (Algorithm 5), one bucket pair per round.
+
+        Every key starts at its first pair ``(home, alt)``.  Each round
+        probes the current pair of every walking key with one `pair_eq`
+        over ``buckets`` and asks ``pair_hit(lefts, rights, eq)`` whether
+        the pair holds a qualifying copy (``eq`` is the ``(k, 2, b)``
+        fingerprint-equality mask).  A hit answers True.  Otherwise a key
+        walks on while its pair holds exactly ``max_dupes`` copies, or
+        while its fingerprint is ``sticky`` (a stashed copy means counts
+        along its chain may have dropped), and answers False if not.  Walks
+        that reach ``limit`` pairs, or whose next pair cannot be found
+        within :data:`CYCLE_BUMP_LIMIT` bumps, answer True (Theorem 3).
+        The pair sequence is :meth:`pair_walk`'s, so answers equal the
+        scalar walk's key by key.
+
+        Each key's visited pair ids sit in one row of a matrix that every
+        hop scans, until the walks reach :data:`SCAN_PAIRS` pairs; from
+        then on they sit in a hash set of (batch position, pair id) codes,
+        so a hop costs O(1) however long the walk.
+        """
+        out = np.ones(len(fps), dtype=bool)
+        index = np.arange(len(fps))
+        lefts, rights = homes, alts
+        jumps = lefts ^ rights
+        pair_ids = np.minimum(lefts, rights)
+        visited = pair_ids[:, None]
+        far = None  # the _CodeSet, once walks are long
+        walked = 0
+        while index.size:
+            eq = buckets.pair_eq(fps, lefts, rights)
+            copies = eq[:, 0].sum(axis=1)
+            copies += np.where(lefts == rights, 0, eq[:, 1].sum(axis=1))
+            hit = pair_hit(lefts, rights, eq)
+            walk_on = ~hit & ((copies == max_dupes) | sticky)
+            out[index[~hit & ~walk_on]] = False
+            walked += 1
+            if walked >= limit:
+                break
+            keep = np.nonzero(walk_on)[0]
+            if far is None:
+                rows = visited[keep]
+
+                def revisits(at, ids):
+                    return (rows[at] == ids[:, None]).any(axis=1)
+
+            else:
+                codes = index[keep] * self.num_buckets
+
+                def revisits(at, ids):
+                    return ~far.add_new(codes[at] + ids)
+
+            lefts, pair_ids, fresh = self._next_pairs(
+                pair_ids[keep], fps[keep], jumps[keep], revisits
+            )
+            keep = keep[fresh]
+            lefts, pair_ids = lefts[fresh], pair_ids[fresh]
+            index, fps, jumps, sticky = index[keep], fps[keep], jumps[keep], sticky[keep]
+            rights = lefts ^ jumps
+            if far is None:
+                visited = np.concatenate([rows[fresh], pair_ids[:, None]], axis=1)
+                if visited.shape[1] == SCAN_PAIRS:
+                    far = _CodeSet()
+                    far.add_new((index[:, None] * self.num_buckets + visited).ravel())
+        return out
+
+    def _next_pairs(
+        self,
+        pair_ids: np.ndarray,
+        fps: np.ndarray,
+        jumps: np.ndarray,
+        revisits: Callable[[np.ndarray | slice, np.ndarray], np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One batch step of :meth:`pair_walk` past each key's visited pairs.
+
+        Returns ``(lefts, pair ids, fresh)`` of the next pairs.  The chain
+        step is bumped while ``revisits(keys, pair ids)`` says it landed on
+        a pair that key has visited; ``fresh`` is False where no unvisited
+        pair turned up within :data:`CYCLE_BUMP_LIMIT` bumps, which ends
+        that walk.
+        """
+        lefts = self.chain_step_many(pair_ids, fps)
+        next_ids = np.minimum(lefts, lefts ^ jumps)
+        cycling = np.nonzero(revisits(slice(None), next_ids))[0]
+        bump = 0
+        while cycling.size and bump < CYCLE_BUMP_LIMIT:
+            bump += 1
+            step = self.chain_step_many(pair_ids[cycling], fps[cycling], bump)
+            step_ids = np.minimum(step, step ^ jumps[cycling])
+            lefts[cycling] = step
+            next_ids[cycling] = step_ids
+            cycling = cycling[revisits(cycling, step_ids)]
+        fresh = np.ones(len(lefts), dtype=bool)
+        fresh[cycling] = False
+        return lefts, next_ids, fresh
+
+
+class _CodeSet:
+    """Insert-only hash set of non-negative int64 codes, batch at a time.
+
+    Open addressing with linear probing, Fibonacci hashing and a load of at
+    most one half, so `add_new` costs O(1) expected numpy work per code.
+    """
+
+    __slots__ = ("_table", "_bits", "_bound")
+
+    def __init__(self) -> None:
+        self._table = np.empty(0, dtype=np.int64)
+        self._bits = 0
+        self._bound = 0  # codes held, at most
+
+    def add_new(self, codes: np.ndarray) -> np.ndarray:
+        """Insert distinct ``codes``; True where a code was not yet present."""
+        self._bound += len(codes)
+        if 2 * self._bound > len(self._table):
+            held = self._table[self._table >= 0]
+            self._bound = len(held) + len(codes)
+            self._bits = max(6, (2 * self._bound).bit_length())
+            self._table = np.full(1 << self._bits, -1, dtype=np.int64)
+            if held.size:
+                self._insert(held, self._slots(held))
+        return self._insert(codes, self._slots(codes))
+
+    def _slots(self, codes: np.ndarray) -> np.ndarray:
+        # Fibonacci hashing: the top bits of code * 2**64 / golden ratio, in
+        # int64 (wrapping multiply; the mask drops the shift's sign bits).
+        return ((codes * _FIB_MULT) >> (64 - self._bits)) & ((1 << self._bits) - 1)
+
+    def _insert(self, codes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Insert-if-absent, probing from ``slots`` on; True where inserted."""
+        table = self._table
+        held = table[slots]
+        fresh = held < 0
+        table[slots[fresh]] = codes[fresh]  # of several claimants of a slot, one wins
+        fresh &= table[slots] == codes
+        if fresh.all():
+            return fresh
+        # Lost claims and slots holding other codes probe the next slot; at
+        # load <= 1/2 the recursion is as deep as the longest probe run.
+        clash = np.nonzero(~fresh & (held != codes))[0]
+        if clash.size:
+            fresh[clash] = self._insert(codes[clash], (slots[clash] + 1) & (len(table) - 1))
+        return fresh

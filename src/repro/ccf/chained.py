@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import VectorEntry
 from repro.ccf.predicates import Predicate
@@ -105,29 +106,45 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         compiled: CompiledQuery | None,
         alts: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Hybrid batch kernel: vectorise the first pair, walk the rest.
+        """Batch Algorithm 5: one probe for key-only queries, else one walk.
 
         §7.1: key-only queries never look past the first pair, so they are
-        one vectorised probe.  Predicate queries resolve in the first pair
-        whenever it holds a matching entry (True) or fewer than ``d``
-        fingerprint copies (False); only the residue — keys whose first pair
-        is d-full of non-matching copies, or whose fingerprint sits in the
-        stash — re-runs the scalar chain walk.
+        one vectorised probe.  Predicate queries answer True on a matching
+        stash entry, as the scalar walk does first; every other key walks
+        its chain in `PairGeometry.walk_many`, where a pair hits when it
+        holds an admissible copy.
         """
         if compiled is None:
             # Key-only: one pair probe, any stashed fingerprint copy is True —
             # exactly the shared single-pair kernel with no predicate.
             return self._single_pair_query_many(fps, homes, None, alts)
-        hit, eq_home, eq_alt, alts = self._pair_probe(fps, homes, compiled, alts)
-        copies = eq_home.sum(axis=1)
-        copies += np.where(alts == homes, 0, eq_alt.sum(axis=1))
-        resolved_false = ~hit & (copies < self.params.max_dupes)
+        if alts is None:
+            alts = self.geometry.alt_indices_many(homes, fps)
+        out = np.zeros(len(fps), dtype=bool)
+        sticky = np.zeros(len(fps), dtype=bool)
         if self.stash:
-            stash_fps = np.array([entry.fp for entry in self.stash], dtype=np.int64)
-            resolved_false &= ~np.isin(fps, stash_fps)
-        out = hit.copy()
-        for i in np.nonzero(~hit & ~resolved_false)[0]:
-            out[i] = self._query_hashed(int(fps[i]), int(homes[i]), compiled)
+            sticky = np.isin(fps, np.array([entry.fp for entry in self.stash], dtype=np.int64))
+            stash_fps = self._matching_stash_fps(compiled)
+            if stash_fps is not None:
+                out = np.isin(fps, stash_fps)
+                if obs.state.enabled:
+                    # Rescued: the first pair holds no admissible copy.
+                    at = np.nonzero(out)[0]
+                    eq = self.buckets.pair_eq(fps[at], homes[at], alts[at])
+                    self._count_stash_rescues(
+                        ~self._pair_admits(homes[at], alts[at], eq, compiled)
+                    )
+        walk = np.nonzero(~out)[0]
+        out[walk] = self.geometry.walk_many(
+            self.buckets,
+            fps[walk],
+            homes[walk],
+            alts[walk],
+            max_dupes=self.params.max_dupes,
+            limit=self._walk_limit(),
+            sticky=sticky[walk],
+            pair_hit=lambda lefts, rights, eq: self._pair_admits(lefts, rights, eq, compiled),
+        )
         return out
 
     def chain_length(self, key: object) -> int:

@@ -26,7 +26,7 @@ from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
-from repro.sketches.bloom import BloomFilter
+from repro.sketches.bloom import BatchProbe, BloomFilter
 
 
 def conversion_num_hashes(attr_bits: int, num_attributes: int, max_dupes: int) -> int:
@@ -154,30 +154,24 @@ class MixedCCF(ConditionalCuckooFilterBase):
     ) -> np.ndarray:
         return self._single_pair_query_many(fps, homes, compiled, alts)
 
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[Any], bool]:
+    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash converted-group probes once per predicate.
 
         All conversion Blooms share (bits, hashes, salt), so each admissible
         (attribute, fingerprint) component probes the same positions in every
-        group; the matcher reduces a group slot to precomputed bit tests.
-        Answers equal `_entry_matches` per entry.
+        group; a :class:`BatchProbe` tests all group slots' live bits in one
+        pass.  Answers equal `_entry_matches` per entry.
         """
-        probe = BloomFilter(
-            self._conversion_bits(), self._conversion_hashes(), seed=self._bloom_salt
+        probe = BatchProbe(
+            self._conversion_bits(),
+            self._conversion_hashes(),
+            self._bloom_salt,
+            [[(attr_index, fp) for fp in fps] for attr_index, _values, fps in compiled.constraints],
         )
-        constraints = [
-            [probe.positions((attr_index, fp)) for fp in fps]
-            for attr_index, _values, fps in compiled.constraints
-        ]
 
-        def matches(entry: Any) -> bool:
-            if not entry.matching:
-                return False
-            bloom = entry.group.bloom
-            return all(
-                any(bloom.contains_positions(positions) for positions in fp_positions)
-                for fp_positions in constraints
-            )
+        def matches(entries: list[Any]) -> np.ndarray:
+            matching = np.fromiter((e.matching for e in entries), dtype=bool, count=len(entries))
+            return matching & probe.matches([e.group.bloom for e in entries])
 
         return matches
 

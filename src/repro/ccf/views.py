@@ -169,7 +169,7 @@ class MarkedKeyFilter:
         )
 
     def _contains_hashed(self, fingerprint: int, home: int) -> bool:
-        """Lookup kernel on precomputed hashes (shared scalar/batch)."""
+        """Scalar lookup on precomputed hashes; `contains_many` equals it."""
         stash_has_fp = False
         for stash_fp, matches in self.stash_entries:
             if stash_fp == fingerprint:
@@ -202,36 +202,38 @@ class MarkedKeyFilter:
         return True
 
     def contains_many(self, keys) -> np.ndarray:
-        """Batch `contains`: hybrid kernel mirroring the chained CCF's.
+        """Batch `contains`: the chained CCF's vectorised chain walk.
 
-        The first bucket pair is probed fully vectorised: a key resolves
-        True if the pair holds a *marked* copy, and False if it holds fewer
-        than ``d`` copies total (the scalar walk would stop there).  Only the
-        residue — d-full first pairs of unmarked copies, or fingerprints
-        with stashed entries — replays the scalar chain walk.  Answers are
-        identical to scalar `contains` per key.
+        A marked stash entry answers True, as in the scalar lookup; every
+        other key walks its chain in `PairGeometry.walk_many`, where a pair
+        hits when it holds a *marked* copy and every copy, marked or not,
+        counts toward the ``d`` continue-condition.  Answers are identical
+        to scalar `contains` per key.
         """
         fps = self.geometry.fingerprints_of_many(keys)
         homes = self.geometry.home_indices_of_many(keys)
         alts = self.geometry.alt_indices_many(homes, fps)
-        eq = self.buckets.pair_eq(fps, homes, alts)
-        eq_home = eq[:, 0]
-        eq_alt = eq[:, 1]
-        marks = self.marks
-        hit = (eq_home & marks[homes]).any(axis=1)
-        hit |= (eq_alt & marks[alts]).any(axis=1)
-        copies = eq_home.sum(axis=1)
-        copies += np.where(alts == homes, 0, eq_alt.sum(axis=1))
-        resolved_false = ~hit & (copies < self.max_dupes)
+        out = np.zeros(len(fps), dtype=bool)
+        sticky = np.zeros(len(fps), dtype=bool)
         if self.stash_entries:
-            marked = [fp for fp, matching in self.stash_entries if matching]
-            if marked:
-                hit |= np.isin(fps, np.array(marked, dtype=np.int64))
-            all_stash = np.array([fp for fp, _m in self.stash_entries], dtype=np.int64)
-            resolved_false &= ~np.isin(fps, all_stash)
-        out = hit.copy()
-        for i in np.nonzero(~hit & ~resolved_false)[0]:
-            out[i] = self._contains_hashed(int(fps[i]), int(homes[i]))
+            stash = np.array([fp for fp, _m in self.stash_entries], dtype=np.int64)
+            marked = np.array([m for _fp, m in self.stash_entries], dtype=bool)
+            sticky = np.isin(fps, stash)
+            out = np.isin(fps, stash[marked])
+        walk = np.nonzero(~out)[0]
+        marks = self.marks
+        out[walk] = self.geometry.walk_many(
+            self.buckets,
+            fps[walk],
+            homes[walk],
+            alts[walk],
+            max_dupes=self.max_dupes,
+            limit=self._walk_limit(),
+            sticky=sticky[walk],
+            pair_hit=lambda lefts, rights, eq: (
+                (eq[:, 0] & marks[lefts]).any(axis=1) | (eq[:, 1] & marks[rights]).any(axis=1)
+            ),
+        )
         return out
 
     def __contains__(self, key: object) -> bool:

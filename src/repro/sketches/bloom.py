@@ -10,11 +10,18 @@ The filter is parameterised directly by bit count and hash count because the
 paper sizes the per-entry sketches that way (4-24 bits, 2-4 hashes);
 :meth:`BloomFilter.optimal_params` provides the textbook sizing for callers
 that start from an (n, target FPR) pair instead.
+
+:class:`BatchProbe` tests one predicate against many same-parameter filters
+at once: the live bits of every filter are gathered into one uint64 matrix
+and compared with per-value bit masks computed once.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 from repro.hashing.families import HashFamily
 from repro.sketches.bitarray import BitArray
@@ -69,16 +76,9 @@ class BloomFilter:
         """Bit positions ``value`` probes in any same-parameter filter.
 
         Positions depend only on (num_bits, num_hashes, seed), so they can be
-        computed once and tested against many filters via
-        :meth:`contains_positions` — the hot pattern of batch predicate
-        matching over per-entry sketches.
+        computed once and tested against many filters (:class:`BatchProbe`).
         """
         return self._family.indexes(value, self.num_bits)
-
-    def contains_positions(self, positions: list[int]) -> bool:
-        """Membership test against precomputed :meth:`positions` output."""
-        bits = self._bits
-        return all(bits.get(i) for i in positions)
 
     def contains(self, value: object) -> bool:
         """Return True if ``value`` may have been inserted (no false negatives)."""
@@ -151,3 +151,48 @@ class BloomFilter:
             f"BloomFilter(num_bits={self.num_bits}, num_hashes={self.num_hashes}, "
             f"inserted={self.num_inserted}, fill={self.fill_ratio():.3f})"
         )
+
+
+class BatchProbe:
+    """A conjunction of value alternatives, tested on many filters at once.
+
+    ``alternatives`` holds one sequence of values per conjunct; a filter
+    admits the probe when, for every conjunct, it contains at least one of
+    its values.  Probe positions depend only on (num_bits, num_hashes,
+    seed), so each value's positions become one little-endian uint64 bit
+    mask up front; :meth:`matches` then reads the filters' live bits, so
+    in-place inserts are always visible.  Answers equal
+    ``all(any(value in f for value in values) for values in alternatives)``
+    per filter.
+    """
+
+    __slots__ = ("num_bits", "masks")
+
+    def __init__(
+        self, num_bits: int, num_hashes: int, seed: int, alternatives: Sequence[Sequence[object]]
+    ) -> None:
+        probe = BloomFilter(num_bits, num_hashes, seed)
+        words = (num_bits + 63) // 64
+        self.num_bits = num_bits
+        self.masks = []
+        for values in alternatives:
+            rows = []
+            for value in values:
+                row = [0] * words
+                for position in probe.positions(value):
+                    row[position >> 6] |= 1 << (position & 63)
+                rows.append(row)
+            self.masks.append(np.array(rows, dtype=np.uint64).reshape(len(rows), words))
+
+    def matches(self, filters: Sequence[BloomFilter]) -> np.ndarray:
+        """Per filter: does it admit every conjunct?  (bool array)"""
+        nbytes = (self.num_bits + 7) // 8
+        words = (self.num_bits + 63) // 64
+        raw = np.frombuffer(b"".join([f._bits._buf for f in filters]), dtype=np.uint8)
+        padded = np.zeros((len(filters), 8 * words), dtype=np.uint8)
+        padded[:, :nbytes] = raw.reshape(len(filters), nbytes)
+        bits = padded.view("<u8")[:, None, :]
+        ok = np.ones(len(filters), dtype=bool)
+        for masks in self.masks:
+            ok &= ((bits & masks) == masks).all(axis=2).any(axis=1)
+        return ok

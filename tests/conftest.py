@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
+from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
+from repro.ccf.predicates import And, Eq, In
 
 
 @pytest.fixture
@@ -39,3 +43,48 @@ def random_rows(
                 rows.append((key, attrs))
     rng.shuffle(rows)
     return rows
+
+
+#: Eq, In and conjunctive predicates over `tiny_chained_ccfs`' attributes.
+TINY_PREDICATES = (
+    Eq("color", "red"),
+    In("size", (1, 3, 5)),
+    And([Eq("color", "blue"), In("size", (0, 2, 4, 6))]),
+)
+
+
+@st.composite
+def tiny_chained_ccfs(draw):
+    """Chained CCFs over ``["color", "size"]`` on 2-16 buckets.
+
+    b is 1-4, d is 1-2b and Lmax is None or 1-3; ``max_kicks=5`` and 4- or
+    8-bit key fingerprints make stashes and shared fingerprints common, so
+    chain walks run with and without the d-count early stop.
+    """
+    bucket_size = draw(st.integers(min_value=1, max_value=4))
+    params = CCFParams(
+        bucket_size=bucket_size,
+        max_dupes=draw(st.integers(min_value=1, max_value=2 * bucket_size)),
+        max_chain=draw(st.sampled_from((None, 1, 2, 3))),
+        max_kicks=5,
+        key_bits=draw(st.sampled_from((4, 8))),
+        attr_bits=5,
+        seed=draw(st.integers(min_value=0, max_value=50)),
+    )
+    num_buckets = draw(st.sampled_from((2, 4, 8, 16)))
+    ccf = make_ccf("chained", AttributeSchema(["color", "size"]), num_buckets, params)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30),
+                st.sampled_from(("red", "green", "blue")),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=80,
+        )
+    )
+    ccf.insert_many(
+        np.array([key for key, _c, _s in rows], dtype=np.int64),
+        [[color for _k, color, _s in rows], [size for _k, _c, size in rows]],
+    )
+    return ccf

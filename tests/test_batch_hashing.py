@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ccf.chain import CYCLE_BUMP_LIMIT, PairGeometry
 from repro.hashing.families import HashFamily
 from repro.hashing.mixers import hash64, hash64_many, mix64, mix64_many
 
@@ -91,3 +92,23 @@ def test_hash_family_huge_modulus_falls_back_exactly():
     values = [1, 2, 3]
     got = family.indexes_many(values, modulus)
     assert got.tolist() == [family.indexes(v, modulus) for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=62),
+    SEEDS,
+    st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0)), min_size=1, max_size=30
+    ),
+)
+def test_chain_step_many_matches_scalar(log_buckets, key_bits, seed, pairs):
+    geometry = PairGeometry(1 << log_buckets, key_bits, seed)
+    pair_ids = np.array([p % geometry.num_buckets for p, _fp in pairs], dtype=np.int64)
+    fps = np.array([fp % (1 << key_bits) for _p, fp in pairs], dtype=np.int64)
+    for bump in range(CYCLE_BUMP_LIMIT + 2):
+        want = [
+            geometry.chain_step(p, fp, bump) for p, fp in zip(pair_ids.tolist(), fps.tolist())
+        ]
+        assert geometry.chain_step_many(pair_ids, fps, bump).tolist() == want

@@ -20,11 +20,13 @@ from repro.ccf.attributes import AttributeSchema
 from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import CCF_KINDS, make_ccf
 from repro.ccf.params import CCFParams
-from repro.ccf.predicates import Eq, In
+from repro.ccf.predicates import And, Eq, In
 from repro.ccf.range_ccf import DyadicRangeCCF
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.hashtable import CuckooHashTable
 from repro.cuckoo.multiset import MultisetCuckooFilter
+
+from tests.conftest import TINY_PREDICATES, tiny_chained_ccfs
 
 SCHEMA = AttributeSchema(["color", "size"])
 COLORS = ("red", "green", "blue")
@@ -83,11 +85,18 @@ def _assert_ccf_twins_equal(scalar, batch):
 
 @pytest.mark.parametrize("kind", sorted(CCF_KINDS))
 @settings(max_examples=25, deadline=None)
-@given(rows=ROWS, seed=st.integers(min_value=0, max_value=5))
-def test_ccf_insert_and_query_parity(kind, rows, seed):
+@given(
+    rows=ROWS,
+    seed=st.integers(min_value=0, max_value=5),
+    # 20-bit attribute fingerprints are past the lookup-table width.
+    attr_bits=st.sampled_from((5, 20)),
+)
+def test_ccf_insert_and_query_parity(kind, rows, seed, attr_bits):
     # 32 buckets x 4 slots for up to 120 rows: overload (stash, failure,
     # chain-discard) paths are reachable and must also match.
-    params = _params(seed, max_chain=4 if kind == "chained" else None)
+    params = _params(seed, max_chain=4 if kind == "chained" else None).replace(
+        attr_bits=attr_bits
+    )
     scalar = make_ccf(kind, SCHEMA, 32, params)
     batch = make_ccf(kind, SCHEMA, 32, params)
 
@@ -108,6 +117,19 @@ def test_ccf_insert_and_query_parity(kind, rows, seed):
     assert batch.contains_key_many(probes).tolist() == [
         scalar.contains_key(int(key)) for key in probes.tolist()
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ccf=tiny_chained_ccfs())
+def test_chained_walk_parity_on_tiny_tables(ccf):
+    """The batch chain walk equals the scalar walk key by key: d-full
+    pairs, cycle bumps on 2-16 buckets, the Lmax cap and stashed
+    fingerprints (no early stop) all occur."""
+    probes = np.arange(40, dtype=np.int64)
+    for predicate in (None, *TINY_PREDICATES):
+        compiled = ccf.compile(predicate)
+        want = [ccf.query(key, compiled) for key in probes.tolist()]
+        assert ccf.query_many(probes, predicate).tolist() == want
 
 
 @settings(max_examples=15, deadline=None)
@@ -296,6 +318,93 @@ def test_mixed_batch_sees_in_place_group_absorption():
     assert ccf.num_absorbed == 1
     assert ccf.query(5, compiled)
     assert ccf.query_many(probes, compiled)[5]
+
+
+def _unmark_every_third_payload(ccf):
+    """Clear the live ``matching`` flag of every third payload entry."""
+    entries = [entry for entry in ccf.buckets.payloads if entry is not None]
+    for entry in entries[::3]:
+        target = entry.group if isinstance(entry, GroupSlot) else entry
+        target.matching = False
+    return len(entries)
+
+
+SKETCH_PREDICATES = (
+    Eq("color", "red"),
+    In("size", tuple(range(0, 30, 4))),
+    And([In("color", ("green", "blue")), In("size", (1, 2, 3, 5, 8, 13))]),
+)
+
+
+@pytest.mark.parametrize("bloom_bits", [1, 7, 24, 64, 100])
+def test_bloom_sketch_batch_matches_scalar(bloom_bits):
+    """Batched sketch matching over 1- and 2-word sketches, with entries
+    whose live ``matching`` flag is False, under Eq, In and And."""
+    params = _params(1).replace(bloom_bits=bloom_bits, bloom_hashes=3)
+    ccf = make_ccf("bloom", SCHEMA, 64, params)
+    rng = random.Random(bloom_bits)
+    rows = [(rng.randrange(150), rng.choice(COLORS), rng.randrange(30)) for _ in range(400)]
+    ccf.insert_many(
+        [k for k, _c, _s in rows], [[c for _k, c, _s in rows], [s for _k, _c, s in rows]]
+    )
+    probes = np.arange(200)
+    for unmark in (False, True):
+        if unmark:
+            assert _unmark_every_third_payload(ccf) > 0
+        for predicate in SKETCH_PREDICATES:
+            compiled = ccf.compile(predicate)
+            want = [ccf.query(int(key), compiled) for key in probes.tolist()]
+            assert ccf.query_many(probes, compiled).tolist() == want
+
+
+@pytest.mark.parametrize("attr_bits,max_dupes", [(4, 2), (5, 3), (12, 3)])
+def test_conversion_sketch_batch_matches_scalar(attr_bits, max_dupes):
+    """Mixed CCFs: converted groups' Blooms of one and two words beside
+    vector slots, including groups whose ``matching`` flag is False."""
+    params = _params(2).replace(attr_bits=attr_bits, max_dupes=max_dupes)
+    ccf = make_ccf("mixed", SCHEMA, 64, params)
+    rng = random.Random(attr_bits)
+    rows = [(rng.randrange(60), rng.choice(COLORS), rng.randrange(30)) for _ in range(400)]
+    ccf.insert_many(
+        [k for k, _c, _s in rows], [[c for _k, c, _s in rows], [s for _k, _c, s in rows]]
+    )
+    assert ccf.num_conversions > 0
+    probes = np.arange(100)
+    for unmark in (False, True):
+        if unmark:
+            _unmark_every_third_payload(ccf)
+        for predicate in SKETCH_PREDICATES:
+            compiled = ccf.compile(predicate)
+            want = [ccf.query(int(key), compiled) for key in probes.tolist()]
+            assert ccf.query_many(probes, compiled).tolist() == want
+
+
+def test_matcher_cache_is_keyed_by_value():
+    """An equal predicate compiled afresh reuses the cached matcher."""
+    ccf = make_ccf("bloom", SCHEMA, 16, _params(0))
+    ccf.insert(5, ("red", 1))
+    for _ in range(3):
+        assert ccf.query_many([5], ccf.compile(Eq("color", "red")))[0]
+    assert len(ccf._matcher_cache) == 1
+
+
+def test_matcher_cache_tells_bool_from_int():
+    """``1 == True`` in Python, but a Bloom sketch hashes them apart.
+
+    At this seed and width the attribute fingerprints of ``1`` and ``True``
+    coincide, so the compiled constraints of the two predicates are equal
+    under Python equality; a cache keyed that way would answer
+    ``Eq("flag", True)`` with the matcher of ``Eq("flag", 1)``.
+    """
+    schema = AttributeSchema(["flag"])
+    params = CCFParams(bucket_size=4, key_bits=8, attr_bits=2, bloom_bits=24, seed=1)
+    ccf = make_ccf("bloom", schema, 16, params)
+    assert ccf.fingerprinter.fingerprint(0, True) == ccf.fingerprinter.fingerprint(0, 1)
+    as_int, as_bool = ccf.compile(Eq("flag", 1)), ccf.compile(Eq("flag", True))
+    assert as_int.constraints == as_bool.constraints
+    ccf.insert(5, (True,))
+    assert not ccf.query_many([5], as_int)[0]
+    assert ccf.query_many([5], as_bool)[0]
 
 
 def test_insert_many_validates_columns():

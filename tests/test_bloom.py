@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.bloom import BloomFilter
+from repro.sketches.bloom import BatchProbe, BloomFilter
 
 
 class TestBasics:
@@ -135,3 +135,34 @@ class TestUnionAndCopy:
         clone.add("y")
         assert "y" in clone and "y" not in bloom
         assert "x" in clone
+
+
+class TestBatchProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_bits=st.sampled_from([1, 7, 8, 24, 64, 65, 100]),
+        num_hashes=st.integers(min_value=1, max_value=4),
+        stored=st.lists(st.lists(st.integers(min_value=0, max_value=30), max_size=6), max_size=8),
+        alternatives=st.lists(
+            st.lists(st.integers(min_value=0, max_value=30), max_size=4), max_size=3
+        ),
+    )
+    def test_matches_scalar_membership(self, num_bits, num_hashes, stored, alternatives):
+        """Live bits against precomputed masks, over one- and two-word
+        filters: equal to testing each value with ``in``."""
+        filters = []
+        for values in stored:
+            bloom = BloomFilter(num_bits, num_hashes, seed=5)
+            for value in values:
+                bloom.add(value)
+            filters.append(bloom)
+        probe = BatchProbe(num_bits, num_hashes, 5, alternatives)
+        want = [all(any(v in f for v in values) for values in alternatives) for f in filters]
+        assert probe.matches(filters).tolist() == want
+
+    def test_sees_inserts_after_construction(self):
+        bloom = BloomFilter(40, 3, seed=2)
+        probe = BatchProbe(40, 3, 2, [["late"]])
+        assert not probe.matches([bloom])[0]
+        bloom.add("late")
+        assert probe.matches([bloom])[0]

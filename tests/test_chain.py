@@ -2,9 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from repro.ccf.chain import CYCLE_BUMP_LIMIT, PairGeometry
+from repro.ccf.chain import CYCLE_BUMP_LIMIT, SCAN_PAIRS, PairGeometry
+from repro.cuckoo.buckets import SlotMatrix
 
 
 def make_geometry(num_buckets=256, key_bits=12, seed=5) -> PairGeometry:
@@ -116,3 +118,88 @@ class TestPairWalk:
 
     def test_cycle_bump_limit_positive(self):
         assert CYCLE_BUMP_LIMIT >= 1
+
+
+def _never(lefts, rights):
+    return lefts < 0
+
+
+class TestWalkMany:
+    """The batch walk visits exactly `pair_walk`'s pairs, in order."""
+
+    @staticmethod
+    def _batch_rounds(geometry, keys, limit, hit=_never):
+        """Pairs `walk_many` probes per round; a walk ends where ``hit``."""
+        fps = np.array([geometry.fingerprint_of(k) for k in keys])
+        homes = np.array([geometry.home_index(k) for k in keys])
+        rounds = []
+
+        def spy(lefts, rights, eq):
+            rounds.append(list(zip(lefts.tolist(), rights.tolist())))
+            return hit(lefts, rights)
+
+        answers = geometry.walk_many(
+            SlotMatrix(geometry.num_buckets, 2),
+            fps,
+            homes,
+            geometry.alt_indices_many(homes, fps),
+            max_dupes=1,
+            limit=limit,
+            sticky=np.ones(len(keys), dtype=bool),
+            pair_hit=spy,
+        )
+        assert answers.all()  # a hit, the limit or cycle exhaustion
+        return rounds
+
+    @staticmethod
+    def _scalar_rounds(geometry, keys, limit, hit=_never):
+        """The same rounds from the scalar walk: round r lists the r-th pair
+        of every key whose walk is still going, in batch order."""
+        walks = []
+        for key in keys:
+            walk = []
+            home, fp = geometry.home_index(key), geometry.fingerprint_of(key)
+            for left, right in itertools.islice(geometry.pair_walk(home, fp), limit):
+                walk.append((left, right))
+                if hit(left, right):
+                    break
+            walks.append(walk)
+        longest = max(len(walk) for walk in walks)
+        return [[walk[r] for walk in walks if len(walk) > r] for r in range(longest)]
+
+    @pytest.mark.parametrize("num_buckets", [2, 4, 8, 16, 32])
+    def test_pairs_and_cycle_exhaustion_match_scalar(self, num_buckets):
+        """Sticky walks run until no fresh pair is left within
+        CYCLE_BUMP_LIMIT bumps, so every bump count up to the limit occurs."""
+        geometry = make_geometry(num_buckets=num_buckets, key_bits=6)
+        for key in range(60):
+            want = self._scalar_rounds(geometry, [key], 10_000)
+            assert self._batch_rounds(geometry, [key], 10_000) == want
+
+    @pytest.mark.parametrize("num_buckets", [2, 16, 256])
+    def test_walks_of_one_batch_keep_their_own_visited_pairs(self, num_buckets):
+        """Many keys walk at once, several on the same pairs, and drop out
+        one by one as their walks are exhausted; at 256 buckets they walk
+        past SCAN_PAIRS."""
+        geometry = make_geometry(num_buckets=num_buckets, key_bits=6)
+        keys = list(range(300))
+        want = self._scalar_rounds(geometry, keys, 10_000)
+        assert self._batch_rounds(geometry, keys, 10_000) == want
+
+    def test_walks_end_before_and_after_the_scan_limit(self):
+        """Hits end walks at every length, so keys drop out both while their
+        visited pairs are scanned and once they sit in the hash set."""
+        geometry = make_geometry(num_buckets=1024)
+        keys = list(range(200))
+
+        def hit(lefts, rights):
+            return (lefts * 31 + rights) % 97 == 0
+
+        want = self._scalar_rounds(geometry, keys, 10_000, hit)
+        assert len(want) > SCAN_PAIRS and len(want[SCAN_PAIRS - 1]) < len(keys)
+        assert self._batch_rounds(geometry, keys, 10_000, hit) == want
+
+    def test_walk_limit_caps_pairs(self):
+        geometry = make_geometry(num_buckets=1024)
+        keys = list(range(20))
+        assert self._batch_rounds(geometry, keys, 5) == self._scalar_rounds(geometry, keys, 5)

@@ -1,12 +1,14 @@
 """Tests for predicate-only filter extraction (Algorithm 2 and §6.2)."""
 
+from hypothesis import given, settings
+
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.factory import build_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq
 from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
 
-from tests.conftest import random_rows
+from tests.conftest import TINY_PREDICATES, random_rows, tiny_chained_ccfs
 
 SCHEMA = AttributeSchema(["color", "size"])
 PARAMS = CCFParams(bucket_size=6, max_dupes=3, key_bits=12, attr_bits=8, seed=53)
@@ -143,3 +145,13 @@ class TestViewBatchProbes:
         probes = list(range(40)) + list(range(5000, 5200))
         batch = view.contains_many(probes)
         assert batch.tolist() == [view.contains(key) for key in probes]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ccf=tiny_chained_ccfs())
+    def test_marked_batch_matches_scalar_on_tiny_tables(self, ccf):
+        """Cycle bumps, the Lmax cap, stashed copies and d from 1 to 2b."""
+        probes = list(range(40))
+        for predicate in TINY_PREDICATES:
+            view = ccf.predicate_filter(predicate)
+            batch = view.contains_many(probes)
+            assert batch.tolist() == [view.contains(key) for key in probes]
