@@ -15,9 +15,10 @@ import pytest
 
 from repro.bench.reporting import save_json
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.factory import build_ccf
+from repro.ccf.factory import build_ccf, make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Eq
+from repro.ccf.serialize import dumps
 from repro.cuckoo.filter import CuckooFilter
 
 NUM_PROBES = 1_000_000
@@ -120,36 +121,36 @@ def test_ccf_query_many_speedup(probe_keys, kind, rows):
     assert speedup >= MIN_QUERY_SPEEDUP
 
 
-def test_ccf_insert_many_not_slower():
+@pytest.mark.parametrize("kind", ["chained", "bloom", "mixed"])
+def test_ccf_insert_many_not_slower(kind):
     """Builds keep a sequential placement loop, so the win is smaller; the
     batch path must at least not regress."""
     rng = np.random.default_rng(13)
     keys = rng.integers(0, CCF_KEYS, size=2 * CCF_KEYS)
     attrs = rng.integers(0, 256, size=2 * CCF_KEYS)
-    scalar_ccf = build_ccf("chained", SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), PARAMS)
+    scalar_ccf = build_ccf(kind, SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), PARAMS)
     num_buckets = scalar_ccf.buckets.num_buckets
-    from repro.ccf.factory import make_ccf
 
     def scalar_build():
-        ccf = make_ccf("chained", SCHEMA, num_buckets, PARAMS)
+        ccf = make_ccf(kind, SCHEMA, num_buckets, PARAMS)
         for key, attr in zip(keys.tolist(), attrs.tolist()):
             ccf.insert(key, (attr,))
         return ccf
 
     def batch_build():
-        ccf = make_ccf("chained", SCHEMA, num_buckets, PARAMS)
+        ccf = make_ccf(kind, SCHEMA, num_buckets, PARAMS)
         ccf.insert_many(keys, [attrs])
         return ccf
 
     scalar_ccf, scalar_seconds = _timed(scalar_build)
     batch_ccf, batch_seconds = _timed(batch_build)
-    # The gate is state parity; the timing is reported but not asserted —
-    # the true ratio sits near 1.0 (hashing is batched, placement is not),
-    # which a shared CI runner's scheduling noise could flip spuriously.
-    assert batch_ccf.num_entries == scalar_ccf.num_entries
-    assert batch_ccf.num_kicks == scalar_ccf.num_kicks
+    # The gate is state parity, down to every serialised bit; the timing is
+    # reported but not asserted — the true ratio sits near 1.0 (hashing is
+    # batched, placement is not), which a shared CI runner's scheduling
+    # noise could flip spuriously.
+    assert dumps(batch_ccf) == dumps(scalar_ccf)
     save_json(
-        "batch_throughput_ccf_insert",
+        f"batch_throughput_ccf_{kind}_insert",
         {
             "rows": int(2 * CCF_KEYS),
             "scalar_ops_per_second": 2 * CCF_KEYS / scalar_seconds,

@@ -9,11 +9,7 @@ positive rate of truly independent hashes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from repro.hashing.mixers import as_native_list, derive_seed, hash64, hash64_many
+from repro.hashing.mixers import derive_seed, hash64
 
 
 class HashFamily:
@@ -41,37 +37,6 @@ class HashFamily:
             raise ValueError("modulus must be positive")
         h1, h2 = self.hash_pair(value)
         return [(h1 + i * h2) % modulus for i in range(self.num_hashes)]
-
-    def hash_pair_many(
-        self, values: Sequence[object] | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch `hash_pair`: two ``uint64`` arrays, bit-identical per element."""
-        h1 = hash64_many(values, self._salt1)
-        h2 = hash64_many(values, self._salt2) | np.uint64(1)
-        return h1, h2
-
-    def indexes_many(
-        self, values: Sequence[object] | np.ndarray, modulus: int
-    ) -> np.ndarray:
-        """Batch `indexes`: an ``(n, num_hashes)`` array of probe positions.
-
-        The scalar path evaluates ``(h1 + i*h2) % modulus`` in arbitrary
-        precision, so the batch path reduces both base hashes mod ``modulus``
-        first (congruence-preserving) to keep every intermediate inside
-        uint64; the guard rejects moduli large enough to overflow anyway.
-        """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if self.num_hashes * modulus >= 1 << 63:
-            return np.array(
-                [self.indexes(v, modulus) for v in as_native_list(values)], dtype=np.int64
-            )
-        h1, h2 = self.hash_pair_many(values)
-        m = np.uint64(modulus)
-        h1m = (h1 % m)[:, None]
-        h2m = (h2 % m)[:, None]
-        strides = np.arange(self.num_hashes, dtype=np.uint64)[None, :]
-        return ((h1m + strides * h2m) % m).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashFamily(num_hashes={self.num_hashes}, seed={self.seed:#x})"

@@ -14,17 +14,87 @@ that start from an (n, target FPR) pair instead.
 :class:`BatchProbe` tests one predicate against many same-parameter filters
 at once: the live bits of every filter are gathered into one uint64 matrix
 and compared with per-value bit masks computed once.
+
+Every filter with the same (num_bits, num_hashes, seed) shares one
+:class:`SketchHashing`, so a CCF's thousands of per-entry sketches, which
+see a few hundred distinct (attribute, value) pairs, hash each pair once
+rather than once per row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from repro.hashing.families import HashFamily
+from repro.hashing.mixers import canonical_bytes
 from repro.sketches.bitarray import BitArray
+
+#: Distinct values one :class:`SketchHashing` memoises; older ones are
+#: evicted first.  A small tuple value and its positions take about 0.2 KiB,
+#: so a full memo holds about 3 MiB.
+POSITION_MEMO_LIMIT = 1 << 14
+
+#: Parameter sets with a live shared state (least recently used evicted).
+#: Filters keep their own reference, so eviction costs only a fresh memo.
+HASHING_STATES_LIMIT = 16
+
+
+class SketchHashing:
+    """The hashing state shared by every Bloom filter with one parameter set.
+
+    Holds the :class:`HashFamily` for ``(num_hashes, seed)`` and a memo from
+    value to its ``num_hashes`` bit positions.  The memo is keyed by
+    ``canonical_bytes(value)``, not by the value: Python's
+    ``1 == True == 1.0`` and ``0.0 == -0.0`` would merge values the hash
+    keeps apart.  Positions are a pure function of the key, so memoised
+    bits are bit-identical to hashing afresh, and eviction only costs a
+    re-derivation.  Hits are one dict read; misses take a lock, because
+    filters used from different threads share the memo.
+    """
+
+    __slots__ = ("num_bits", "family", "limit", "_memo", "_lock")
+
+    def __init__(self, num_bits: int, num_hashes: int, seed: int) -> None:
+        self.num_bits = num_bits
+        self.family = HashFamily(num_hashes, seed)
+        self.limit = POSITION_MEMO_LIMIT
+        # An OrderedDict evicts its oldest key in O(1); a plain dict's first
+        # key sits behind every slot deleted before it.
+        self._memo: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def positions(self, value: object) -> tuple[int, ...]:
+        """The bit positions of ``value``, hashed on its first request."""
+        key = canonical_bytes(value)
+        positions = self._memo.get(key)
+        if positions is None:
+            positions = tuple(self.family.indexes(value, self.num_bits))
+            with self._lock:
+                memo = self._memo
+                while len(memo) >= self.limit:
+                    memo.popitem(last=False)
+                memo[key] = positions
+        return positions
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def __reduce__(self) -> tuple:
+        # Pickles (and deep copies) re-attach to the process's shared state
+        # instead of carrying the memo.
+        return shared_hashing, (self.num_bits, self.family.num_hashes, self.family.seed)
+
+
+@functools.lru_cache(maxsize=HASHING_STATES_LIMIT)
+def shared_hashing(num_bits: int, num_hashes: int, seed: int) -> SketchHashing:
+    """The one :class:`SketchHashing` of Bloom filters with these parameters."""
+    return SketchHashing(num_bits, num_hashes, seed)
 
 
 class BloomFilter:
@@ -40,7 +110,7 @@ class BloomFilter:
         self.seed = seed
         self.num_inserted = 0
         self._bits = BitArray(num_bits)
-        self._family = HashFamily(num_hashes, seed)
+        self._hashing = shared_hashing(num_bits, num_hashes, seed)
 
     @staticmethod
     def optimal_params(num_items: int, target_fpr: float) -> tuple[int, int]:
@@ -65,20 +135,21 @@ class BloomFilter:
 
     def add(self, value: object) -> None:
         """Insert ``value`` into the filter."""
-        for index in self._family.indexes(value, self.num_bits):
+        for index in self._hashing.positions(value):
             self._bits.set(index)
         self.num_inserted += 1
 
     def __contains__(self, value: object) -> bool:
-        return all(self._bits.get(i) for i in self._family.indexes(value, self.num_bits))
+        return all(self._bits.get(i) for i in self._hashing.positions(value))
 
-    def positions(self, value: object) -> list[int]:
+    def positions(self, value: object) -> tuple[int, ...]:
         """Bit positions ``value`` probes in any same-parameter filter.
 
-        Positions depend only on (num_bits, num_hashes, seed), so they can be
-        computed once and tested against many filters (:class:`BatchProbe`).
+        Positions depend only on (num_bits, num_hashes, seed), so they come
+        from the parameters' shared memo (:class:`SketchHashing`) and can be
+        tested against many filters (:class:`BatchProbe`).
         """
-        return self._family.indexes(value, self.num_bits)
+        return self._hashing.positions(value)
 
     def contains(self, value: object) -> bool:
         """Return True if ``value`` may have been inserted (no false negatives)."""
@@ -171,7 +242,7 @@ class BatchProbe:
     def __init__(
         self, num_bits: int, num_hashes: int, seed: int, alternatives: Sequence[Sequence[object]]
     ) -> None:
-        probe = BloomFilter(num_bits, num_hashes, seed)
+        hashing = shared_hashing(num_bits, num_hashes, seed)
         words = (num_bits + 63) // 64
         self.num_bits = num_bits
         self.masks = []
@@ -179,7 +250,7 @@ class BatchProbe:
             rows = []
             for value in values:
                 row = [0] * words
-                for position in probe.positions(value):
+                for position in hashing.positions(value):
                     row[position >> 6] |= 1 << (position & 63)
                 rows.append(row)
             self.masks.append(np.array(rows, dtype=np.uint64).reshape(len(rows), words))

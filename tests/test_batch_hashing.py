@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccf.chain import CYCLE_BUMP_LIMIT, PairGeometry
-from repro.hashing.families import HashFamily
 from repro.hashing.mixers import hash64, hash64_many, mix64, mix64_many
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -69,29 +68,6 @@ def test_hash64_many_huge_ints_fall_back():
 def test_hash64_many_empty():
     assert hash64_many([], 3).shape == (0,)
     assert hash64_many(np.array([], dtype=np.int64), 3).shape == (0,)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(INT64, min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=10_000),
-    SEEDS,
-)
-def test_hash_family_batch_matches_scalar(values, num_hashes, modulus, seed):
-    family = HashFamily(num_hashes, seed=seed)
-    h1, h2 = family.hash_pair_many(np.array(values, dtype=np.int64))
-    assert list(zip(h1.tolist(), h2.tolist())) == [family.hash_pair(v) for v in values]
-    got = family.indexes_many(np.array(values, dtype=np.int64), modulus)
-    assert got.tolist() == [family.indexes(v, modulus) for v in values]
-
-
-def test_hash_family_huge_modulus_falls_back_exactly():
-    family = HashFamily(4, seed=3)
-    modulus = (1 << 62) + 11
-    values = [1, 2, 3]
-    got = family.indexes_many(values, modulus)
-    assert got.tolist() == [family.indexes(v, modulus) for v in values]
 
 
 @settings(max_examples=40, deadline=None)

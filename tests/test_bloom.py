@@ -1,10 +1,38 @@
 """Tests for the standard Bloom filter."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.bloom import BatchProbe, BloomFilter
+from repro.ccf.attributes import AttributeSchema
+from repro.ccf.factory import make_ccf
+from repro.ccf.params import CCFParams
+from repro.hashing.families import HashFamily
+from repro.sketches.bitarray import BitArray
+from repro.sketches.bloom import (
+    HASHING_STATES_LIMIT,
+    BatchProbe,
+    BloomFilter,
+    shared_hashing,
+)
+
+#: Values Python merges (``1 == True == 1.0``, ``0.0 == -0.0``,
+#: ``(0, 1) == (0, True)``) but the hash keeps apart.
+MERGED_VALUES = [1, True, 1.0, 0.0, -0.0, "1", b"1", (0, 1), (0, True)]
+
+
+def fresh_bits(num_bits, num_hashes, seed, values):
+    """The bits of a filter holding ``values``, hashed without any memo."""
+    family = HashFamily(num_hashes, seed)
+    bits = BitArray(num_bits)
+    for value in values:
+        for index in family.indexes(value, num_bits):
+            bits.set(index)
+    return bits
 
 
 class TestBasics:
@@ -166,3 +194,118 @@ class TestBatchProbe:
         assert not probe.matches([bloom])[0]
         bloom.add("late")
         assert probe.matches([bloom])[0]
+
+
+class TestSharedHashing:
+    """Same-parameter filters share one family and one position memo."""
+
+    @pytest.mark.parametrize("num_bits", [4096, 61])
+    def test_memo_is_type_exact(self, num_bits):
+        num_hashes, seed = 3, 0x5EED01
+        warm = BloomFilter(num_bits, num_hashes, seed)
+        for value in MERGED_VALUES:
+            warm.add(value)
+        family = HashFamily(num_hashes, seed)
+        for value in MERGED_VALUES:
+            second = BloomFilter(num_bits, num_hashes, seed)
+            assert list(second.positions(value)) == family.indexes(value, num_bits)
+            second.add(value)
+            assert second._bits == fresh_bits(num_bits, num_hashes, seed, [value])
+
+    def test_bloom_ccf_entries_equal_fresh_hashing(self):
+        """20 rows per key: every entry's bits are the OR of fresh-family
+        positions over the rows of its (fingerprint, bucket pair)."""
+        params = CCFParams(
+            key_bits=8, bucket_size=4, bloom_bits=512, bloom_hashes=3, seed=0x5EED02
+        )
+        ccf = make_ccf("bloom", AttributeSchema(["a", "b"]), 32, params)
+        keys = [key for key in range(60) for _ in range(20)]
+        pool = MERGED_VALUES[:7]
+        col_a = [pool[i % len(pool)] for i in range(len(keys))]
+        col_b = [pool[(i * 3 + i // 7) % len(pool)] for i in range(len(keys))]
+        assert ccf.insert_many(keys, [col_a, col_b]).all()
+        assert not ccf.stash
+        rows: dict[tuple[int, int, int], list] = {}
+        for key, a, b in zip(keys, col_a, col_b):
+            fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
+            pair = tuple(sorted((home, ccf.alt_index(home, fp))))
+            rows.setdefault((fp, *pair), []).extend([(0, a), (1, b)])
+        seen = set()
+        for bucket, _slot, entry in ccf.iter_entries():
+            pair = tuple(sorted((bucket, ccf.alt_index(bucket, entry.fp))))
+            want = fresh_bits(
+                params.bloom_bits, params.bloom_hashes, ccf._bloom_salt, rows[(entry.fp, *pair)]
+            )
+            assert entry.bloom._bits == want
+            seen.add((entry.fp, *pair))
+        assert seen == set(rows)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        num_bits, num_hashes, seed = 100, 2, 0x5EED03
+        state = BloomFilter(num_bits, num_hashes, seed)._hashing
+        monkeypatch.setattr(state, "limit", 16)
+        family = HashFamily(num_hashes, seed)
+        values = [(i % 3, i) for i in range(200)]
+        for _round in range(2):  # the second round re-derives evicted values
+            bloom = BloomFilter(num_bits, num_hashes, seed)
+            for value in values:
+                bloom.add(value)
+                assert len(state) <= 16
+                assert list(bloom.positions(value)) == family.indexes(value, num_bits)
+            assert bloom._bits == fresh_bits(num_bits, num_hashes, seed, values)
+
+    def test_memo_survives_concurrent_misses(self, monkeypatch):
+        """Threads missing on a one-entry memo at once: no eviction raises,
+        the bound holds and every answer is exact."""
+        num_bits, num_hashes, seed = 64, 2, 0x5EED06
+        state = BloomFilter(num_bits, num_hashes, seed)._hashing
+        monkeypatch.setattr(state, "limit", 1)
+        family = HashFamily(num_hashes, seed)
+        values = [(i % 2, i) for i in range(40)]
+        want = {value: family.indexes(value, num_bits) for value in values}
+        errors: list[Exception] = []
+
+        def worker(offset: int) -> None:
+            try:
+                for i in range(1_500):
+                    value = values[(i * 7 + offset) % len(values)]
+                    assert list(state.positions(value)) == want[value]
+                    assert len(state) <= 1
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+
+    def test_family_shared_per_parameter_set(self):
+        a, b = BloomFilter(64, 3, seed=5), BloomFilter(64, 3, seed=5)
+        assert a._hashing is b._hashing
+        assert a._hashing.family is b._hashing.family
+        other = BloomFilter(64, 3, seed=6)
+        assert other._hashing.family is not a._hashing.family
+        assert other._hashing.family.seed == 6
+
+    def test_parameter_sets_are_bounded(self):
+        for seed in range(HASHING_STATES_LIMIT + 4):
+            BloomFilter(32, 2, seed=0x5EED0400 + seed).add("x")
+        assert shared_hashing.cache_info().currsize <= HASHING_STATES_LIMIT
+
+    def test_pickle_keeps_bits_not_memo(self):
+        bloom = BloomFilter(256, 3, seed=0x5EED05)
+        for i in range(500):
+            bloom.add(("warm", i))
+        clone = pickle.loads(pickle.dumps(bloom))
+        assert clone._bits == bloom._bits
+        assert clone.num_inserted == bloom.num_inserted
+        assert clone._hashing is bloom._hashing
+        assert len(pickle.dumps(bloom)) < 1024

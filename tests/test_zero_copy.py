@@ -12,7 +12,6 @@ import pytest
 
 import repro.ccf.attributes as attributes_module
 import repro.ccf.base as base_module
-import repro.hashing.families as families_module
 import repro.hashing.mixers as mixers_module
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.factory import make_ccf
@@ -32,7 +31,7 @@ def forbid_native_lists(monkeypatch):
     def boom(values):
         raise AssertionError("integer fast path materialised a Python list")
 
-    for module in (mixers_module, families_module, attributes_module, base_module):
+    for module in (mixers_module, attributes_module, base_module):
         monkeypatch.setattr(module, "as_native_list", boom)
 
 
