@@ -7,9 +7,9 @@ pair* ``(l, l')`` is the unit the paper reasons about: at most ``d``
 (= ``max_dupes``) copies of one fingerprint may live in a pair (Lemma 1),
 and the chained variant extends a key to further pairs via the one-way step
 ``l̃ = h(min(l, l'), κ)`` (§6.2).  All geometry lives in
-:class:`~repro.ccf.chain.PairGeometry`; this base class adds storage, the
-Algorithm 4 placement/kick loop, predicate compilation, and entry matching
-for the three entry shapes.
+:class:`~repro.ccf.chain.PairGeometry`; this base class adds storage,
+Algorithm 4's placement, predicate compilation, and entry matching for the
+three entry shapes.
 
 Storage is **structure-of-arrays** over a columnar
 :class:`~repro.cuckoo.buckets.SlotMatrix` (DESIGN.md §6): the key
@@ -23,13 +23,16 @@ actually matched: per-attribute lookup tables for vector slots, one batched
 test over the live sketch bits for payload slots, both precomputed once per
 predicate (LRU-cached).
 
-The kick loop only ever relocates an entry between the two buckets of its
-own pair — the structural property from which Lemma 1 follows.
+Placement kicks through the fingerprint filters' one kick loop
+(`repro.kernels._sequential.kick_one`), which only ever relocates an entry
+between the two buckets of its own pair — the structural property from
+which Lemma 1 follows.  Victim slots come from the counter-based victim
+stream at position `num_kicks`, so a filter reloaded with its counters
+kicks exactly as the one it was saved from.
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -43,6 +46,7 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
 from repro.hashing.mixers import as_native_list, canonical_bytes, derive_seed
+from repro.kernels._sequential import kick_one
 
 #: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
@@ -244,7 +248,7 @@ class ConditionalCuckooFilterBase:
         self._readonly = False
         self.fingerprinter = self.make_fingerprinter(schema, params)
         self._bloom_salt = derive_seed(params.seed, "ccf-bloom")
-        self._rng = random.Random(derive_seed(params.seed, "ccf-rng"))
+        self._victim_seed = derive_seed(params.seed, "ccf-victim")
         self._matcher_cache: OrderedDict[tuple, PredicateMatcher] = OrderedDict()
         # Statistics and health flags.
         self.num_rows_inserted = 0
@@ -351,38 +355,41 @@ class ConditionalCuckooFilterBase:
                 resident += int(column.nbytes)
         return mapped, resident
 
-    def _store_entry(self, bucket: int, slot: int, entry: Any) -> None:
-        """Overwrite (bucket, slot) with ``entry``, decomposed into columns."""
-        self._ensure_writable()
-        prev = self.buckets.payloads[bucket * self.buckets.bucket_size + slot]
-        if isinstance(entry, VectorEntry):
-            self.buckets.set_slot(bucket, slot, entry.fp, None)
-            self._avecs[bucket, slot] = entry.avec
-            if prev is not None:
-                self._num_payload_slots -= 1
-        else:
-            self.buckets.set_slot(bucket, slot, entry.fp, entry)
-            self._avecs[bucket, slot] = self._avec_empty
-            if prev is None:
-                self._num_payload_slots += 1
-        self._flags[bucket, slot] = entry.matching
+    def _write_columns(self, path: Sequence[tuple[int, int, int]], entry: Any) -> Any:
+        """Write ``entry``'s attribute vector, matching flag and payload at
+        the first slot of ``path``; each displaced entry moves on to the next.
 
-    def _try_add_entry(self, bucket: int, entry: Any) -> bool:
-        """Place ``entry`` in the first free slot of ``bucket``; False if full."""
+        The one column write of every placement.  ``path`` lists ``(bucket,
+        slot, displaced fingerprint)`` as `kick_one` reports it: the key
+        fingerprints there are already written (by `kick_one`,
+        `SlotMatrix.try_add`, or unchanged for an in-place conversion), so
+        the companion columns follow the same chain.  Returns the entry
+        pushed out of the last slot, or None if that slot was free.
+        """
         self._ensure_writable()
-        if isinstance(entry, VectorEntry):
-            slot = self.buckets.try_add(bucket, entry.fp, None)
-            if slot < 0:
-                return False
-            self._avecs[bucket, slot] = entry.avec
-        else:
-            slot = self.buckets.try_add(bucket, entry.fp, entry)
-            if slot < 0:
-                return False
-            self._avecs[bucket, slot] = self._avec_empty
-            self._num_payload_slots += 1
-        self._flags[bucket, slot] = entry.matching
-        return True
+        avecs, flags, payloads = self._avecs, self._flags, self.buckets.payloads
+        size, empty = self.buckets.bucket_size, self.buckets.empty
+        for bucket, slot, displaced in path:
+            at = bucket * size + slot
+            pushed = None
+            if displaced != empty:
+                pushed = payloads[at]
+                if pushed is None:
+                    pushed = VectorEntry(
+                        displaced, tuple(avecs[bucket, slot].tolist()), bool(flags[bucket, slot])
+                    )
+                else:
+                    self._num_payload_slots -= 1
+            if isinstance(entry, VectorEntry):
+                avecs[bucket, slot] = entry.avec
+                payloads[at] = None
+            else:
+                avecs[bucket, slot] = self._avec_empty
+                payloads[at] = entry
+                self._num_payload_slots += 1
+            flags[bucket, slot] = entry.matching
+            entry = pushed
+        return entry
 
     def _clear_entry(self, bucket: int, slot: int) -> None:
         """Free (bucket, slot), resetting every parallel column."""
@@ -419,29 +426,32 @@ class ConditionalCuckooFilterBase:
         return matches
 
     def _place_in_pair(self, left: int, right: int, entry: Any) -> bool:
-        """Algorithm 4's placement: prefer ``left``, then kick within ``right``.
+        """Algorithm 4's placement: prefer ``left``, then kick from ``right``.
 
-        Kicks swap the in-flight item into the victim's slot and continue
-        with the victim at *its* alternate bucket — which is always the other
+        The kicks are the fingerprint filters' sequential chain (`kick_one`):
+        the in-flight item swaps into a victim slot drawn from the victim
+        stream at position `num_kicks` (one draw per eviction) and goes on
+        as the victim toward *its* alternate bucket — always the other
         bucket of the victim's own pair, so per-pair fingerprint counts are
         invariant under kicking (the structural core of Lemma 1).  On
         MaxKicks exhaustion the in-flight victim is stashed (queries consult
         the stash) and the structure is flagged failed.
         """
-        if self._try_add_entry(left, entry):
+        buckets = self.buckets
+        # try_add promotes mapped columns, so kick_one writes heap arrays.
+        slot = buckets.try_add(left, entry.fp)
+        if slot >= 0:
+            self._write_columns([(left, slot, buckets.empty)], entry)
             return True
-        current = right
-        item = entry
-        for _ in range(self.params.max_kicks):
-            if self._try_add_entry(current, item):
-                return True
-            victim_slot = self._rng.randrange(self.buckets.bucket_size)
-            victim = self.entry_at(current, victim_slot)
-            self._store_entry(current, victim_slot, item)
-            item = victim
-            current = self.alt_index(current, item.fp)
-            self.num_kicks += 1
-        self.stash.append(item)
+        _fp, placed, self.num_kicks, path = kick_one(
+            buckets.fps, buckets.counts, buckets.empty, entry.fp, right, 0,
+            self.params.max_kicks, self.geometry.jump_seed, self._victim_seed, self.num_kicks,
+        )
+        pushed = self._write_columns(path, entry)
+        if placed:
+            buckets.note_kernel_fills(1)
+            return True
+        self.stash.append(pushed)
         self.failed = True
         return False
 
@@ -643,8 +653,16 @@ class ConditionalCuckooFilterBase:
     def _query_hashed(
         self, fingerprint: int, home: int, compiled: CompiledQuery | None
     ) -> bool:
-        """Query policy on precomputed hashes; subclasses implement."""
-        raise NotImplementedError
+        """Query policy on precomputed hashes: the stash, then the key's one
+        bucket pair (the chained variant walks its chain instead)."""
+        if self.stash and self._stash_matches(fingerprint, compiled):
+            return True
+        left = home
+        right = self.geometry.alt_index(left, fingerprint)
+        return any(
+            self._entry_matches(entry, compiled)
+            for entry in self._fp_entries_in_pair(left, right, fingerprint)
+        )
 
     def query_many(
         self,
@@ -675,13 +693,13 @@ class ConditionalCuckooFilterBase:
         compiled: CompiledQuery | None,
         alts: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batch query kernel on precomputed hashes; subclasses implement.
+        """Batch `_query_hashed` on precomputed hashes: one single-pair probe.
 
         ``alts`` optionally carries precomputed partner-bucket indices
         (shared-geometry callers like the FilterStore hash once and fan
         out).
         """
-        raise NotImplementedError
+        return self._single_pair_query_many(fps, homes, compiled, alts)
 
     def contains_key(self, key: object) -> bool:
         """Key-only membership test (no predicate)."""

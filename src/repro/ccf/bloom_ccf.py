@@ -66,28 +66,6 @@ class BloomCCF(ConditionalCuckooFilterBase):
         entry.add_attributes(values)
         return self._place_in_pair(left, right, entry)
 
-    def _query_hashed(
-        self, fingerprint: int, home: int, compiled: CompiledQuery | None
-    ) -> bool:
-        """Membership test under an optional predicate; Algorithm 1."""
-        if self.stash and self._stash_matches(fingerprint, compiled):
-            return True
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        return any(
-            self._entry_matches(entry, compiled)
-            for entry in self._fp_entries_in_pair(left, right, fingerprint)
-        )
-
-    def _query_hashed_many(
-        self,
-        fps: np.ndarray,
-        homes: np.ndarray,
-        compiled: CompiledQuery | None,
-        alts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return self._single_pair_query_many(fps, homes, compiled, alts)
-
     def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash the predicate once, test bits in bulk.
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold, is_power_of_two
 from repro.hashing.mixers import (
     JumpCache,
+    _mixed_seed,
     derive_seed,
     hash64,
     hash64_many_masked,
@@ -62,6 +63,7 @@ class PairGeometry:
         "num_buckets",
         "key_bits",
         "seed",
+        "jump_seed",
         "_fp_mask",
         "_fp_fold",
         "_index_salt",
@@ -86,6 +88,9 @@ class PairGeometry:
         self._jump_salt = derive_seed(seed, "geom-jump")
         self._chain_salt = derive_seed(seed, "geom-chain")
         self._jump_cache = JumpCache(self._jump_salt, num_buckets - 1)
+        #: The jump hash as the kick kernels compute it:
+        #: ``mix64(fp ^ jump_seed) & (num_buckets - 1)`` is `fp_jump`.
+        self.jump_seed = _mixed_seed(self._jump_salt)
 
     def fingerprint_of(self, key: object) -> int:
         """Return the key fingerprint κ (``key_bits`` wide).

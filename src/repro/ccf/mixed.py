@@ -122,7 +122,7 @@ class MixedCCF(ConditionalCuckooFilterBase):
                 if self.buckets.payloads[bucket * size + slot] is not None:
                     continue
                 group.add_vector(tuple(self._avecs[bucket, slot].tolist()))
-                self._store_entry(bucket, slot, GroupSlot(group))
+                self._write_columns([(bucket, slot, fingerprint)], GroupSlot(group))
                 converted += 1
         if converted != self.params.max_dupes:
             raise AssertionError(
@@ -131,28 +131,6 @@ class MixedCCF(ConditionalCuckooFilterBase):
             )
         group.add_vector(new_avec)
         self.num_conversions += 1
-
-    def _query_hashed(
-        self, fingerprint: int, home: int, compiled: CompiledQuery | None
-    ) -> bool:
-        """Membership test under an optional predicate (single pair probe)."""
-        if self.stash and self._stash_matches(fingerprint, compiled):
-            return True
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        return any(
-            self._entry_matches(entry, compiled)
-            for entry in self._fp_entries_in_pair(left, right, fingerprint)
-        )
-
-    def _query_hashed_many(
-        self,
-        fps: np.ndarray,
-        homes: np.ndarray,
-        compiled: CompiledQuery | None,
-        alts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return self._single_pair_query_many(fps, homes, compiled, alts)
 
     def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash converted-group probes once per predicate.

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.base import ConditionalCuckooFilterBase
 from repro.ccf.entries import VectorEntry
 
 
@@ -58,28 +56,6 @@ class PlainCCF(ConditionalCuckooFilterBase):
         if self.stash and any(entry.same_row(fingerprint, avec) for entry in self.stash):
             return True
         return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
-
-    def _query_hashed(
-        self, fingerprint: int, home: int, compiled: CompiledQuery | None
-    ) -> bool:
-        """Membership test under an optional predicate (single pair probe)."""
-        if self.stash and self._stash_matches(fingerprint, compiled):
-            return True
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        return any(
-            self._entry_matches(entry, compiled)
-            for entry in self._fp_entries_in_pair(left, right, fingerprint)
-        )
-
-    def _query_hashed_many(
-        self,
-        fps: np.ndarray,
-        homes: np.ndarray,
-        compiled: CompiledQuery | None,
-        alts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return self._single_pair_query_many(fps, homes, compiled, alts)
 
     def _row_present(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
         """Is this exact (fingerprint, vector) row stored (table or stash)?

@@ -4,8 +4,11 @@ The paper's deployment model (§2-§3) is that filters are *precomputed and
 stored*, then shipped to scans — so round-trippable wire formats are part of
 the system, not an afterthought.  Everything a structure needs is its
 parameters (all hash salts derive from the seed), its schema, and its slot
-contents; RNG state for future kicks is deliberately not preserved (it
-affects only the randomness of later insertions, never answers).
+contents.  A CCF's kick victims come from a counter-based stream whose
+position is `num_kicks`, which CCF3 carries, so a loaded CCF places later
+rows bit-identically to the filter it was saved from.  CKF3 still drops
+`CuckooFilter._wave_victim_counter`, so a loaded cuckoo filter's later
+kicks may differ (answers never do).
 
 The wire format is **columnar**, mirroring the in-memory SlotMatrix layout
 (DESIGN.md §6): a 2-bit tag column over all slots, then the vector slots'
@@ -307,12 +310,14 @@ def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
     payloads = ccf.buckets.payloads
 
     # Converted groups are shared across slots: emit them once, indexed by
-    # first occurrence in flat slot order.
+    # first occurrence in flat slot order, then in the stash (kicks can
+    # stash every slot of a group).
     groups: list[ConvertedGroup] = []
     group_index: dict[int, int] = {}
     group_slots = np.nonzero(tags == _GROUP)[0]
-    for index in group_slots.tolist():
-        group = payloads[index].group
+    for group in [payloads[index].group for index in group_slots.tolist()] + [
+        entry.group for entry in ccf.stash if isinstance(entry, GroupSlot)
+    ]:
         if id(group) not in group_index:
             group_index[id(group)] = len(groups)
             groups.append(group)

@@ -195,7 +195,7 @@ class FingerprintBatchMixin:
         # try_add promotes mapped columns, so kick_one writes heap arrays.
         if buckets.try_add(home, fp) >= 0:
             return True
-        fp, placed, self._wave_victim_counter = kick_one(
+        fp, placed, self._wave_victim_counter, _path = kick_one(
             buckets.fps, buckets.counts, buckets.empty, fp, home ^ self._fp_jump(fp), 0,
             self.max_kicks, self._jump_seed, self._wave_victim_seed, self._wave_victim_counter,
         )

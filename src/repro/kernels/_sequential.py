@@ -28,8 +28,9 @@ Equivalence to the reference (``reference.py``), round for round:
   item.
 * **Tail** — once at most `TAIL_ITEMS` items are in flight, every backend
   (the numpy reference included) finishes them through the one shared
-  pure-Python `kick_tail`, which is also the kick loop of a scalar
-  ``insert`` (`kick_one`).
+  pure-Python `kick_tail`, whose per-item step (`kick_one`) is also the
+  kick loop of a scalar fingerprint-filter ``insert`` and of every CCF
+  placement.
 
 uint64 discipline: all mixing arithmetic stays in uint64 via typed
 module-level constants — in numba, mixing uint64 with int64 operands
@@ -196,25 +197,32 @@ def kick_one(table, counts, empty, fp, bucket, kicks, max_kicks, jump_seed, vict
     Python over Python ints — O(kicks), nothing sized by the table — and
     never jitted: for a handful of items the dispatch would cost more than
     the work.  ``empty``, the seeds and ``counter`` must be Python ints.
-    Mutates ``table`` and ``counts``; returns ``(fp, placed, counter)``,
-    where ``fp`` is the in-flight fingerprint to stash when ``placed`` is
-    False.
+    Mutates ``table`` and ``counts``; returns ``(fp, placed, counter,
+    path)``, where ``fp`` is the in-flight fingerprint to stash when
+    ``placed`` is False.  ``path`` reports each write in order as
+    ``(bucket, slot, displaced fingerprint)`` — the evictions, then, if
+    placed, the free slot (displacing ``empty``) — so a caller with
+    companion columns (the CCFs) can move them along the same chain.
     """
     index_mask = table.shape[0] - 1
     bucket_size = table.shape[1]
+    path = []
     while counts[bucket] >= bucket_size:
         if kicks >= max_kicks:
-            return fp, False, counter
+            return fp, False, counter, path
         slot = mix64(counter ^ victim_seed) % bucket_size
         counter += 1
         victim = int(table[bucket, slot])
         table[bucket, slot] = fp
+        path.append((bucket, slot, victim))
         fp = victim
         bucket ^= mix64(victim ^ jump_seed) & index_mask
         kicks += 1
-    table[bucket, table[bucket].tolist().index(empty)] = fp
+    slot = table[bucket].tolist().index(empty)
+    table[bucket, slot] = fp
+    path.append((bucket, slot, empty))
     counts[bucket] += 1
-    return fp, True, counter
+    return fp, True, counter, path
 
 
 def kick_tail(
@@ -232,7 +240,7 @@ def kick_tail(
     for fp, bucket, origin, used in zip(
         item_fps.tolist(), cur.tolist(), origins.tolist(), kicks.tolist()
     ):
-        fp, ok, counter = kick_one(
+        fp, ok, counter, _path = kick_one(
             table, counts, empty, fp, bucket, used, max_kicks, jump_seed, victim_seed, counter
         )
         if ok:

@@ -144,7 +144,7 @@ class MaintenanceScheduler:
         if shard_id is not None:
             start = perf_counter()
             with obs.span("maintenance.step", kind="compact", shard=shard_id):
-                self._compact_one(shard_id)
+                self.store._compact_shard(shard_id)
             _STEP_US.labels(kind="compact").observe((perf_counter() - start) * 1e6)
             _STEPS.labels(kind="compact").inc()
             self.steps_run += 1
@@ -160,18 +160,6 @@ class MaintenanceScheduler:
             self.steps_run += 1
             return "checkpoint"
         return None
-
-    def _compact_one(self, shard_id: int) -> None:
-        store = self.store
-        shard = store.shards[shard_id]
-        guard = store._write_guard(shard_id)
-        if guard is None:
-            shard.log_compact()
-            shard.compact()
-        else:
-            with guard:
-                shard.log_compact()
-                shard.compact()
 
     def run(self, max_steps: int = 64) -> list[str]:
         """Step until no debt remains or the budget is spent; returns the

@@ -136,11 +136,8 @@ class FilterShard:
         #: Detached (None) during recovery replay so replays don't re-log.
         self.wal: ShardWal | None = None
 
-    def _new_level(self, bucket_size: int | None = None) -> PlainCCF:
-        params = self.params
-        if bucket_size is not None and bucket_size != params.bucket_size:
-            params = params.replace(bucket_size=bucket_size)
-        return PlainCCF(self.schema, self.config.level_buckets, params)
+    def _new_level(self) -> PlainCCF:
+        return PlainCCF(self.schema, self.config.level_buckets, self.params)
 
     # ------------------------------------------------------------------
     # Level stack (with lazy segment materialisation)

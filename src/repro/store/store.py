@@ -32,7 +32,7 @@ import json
 import os
 import shutil
 import threading
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Mapping, Sequence
@@ -83,6 +83,9 @@ MANIFEST_NAME = "manifest.json"
 
 #: The operation kinds `OpCounters` tracks (batch calls and keys for each).
 OP_KINDS = ("query", "insert", "delete")
+
+#: The shard guard while no locks are installed (nullcontext is reusable).
+_UNGUARDED = nullcontext()
 
 #: Shard counters a manifest's shard record carries: record key -> the
 #: `FilterShard` attribute it persists.
@@ -222,11 +225,11 @@ class FilterStore:
 
     def _read_guard(self, shard_id: int):
         locks = self._shard_locks
-        return None if locks is None else locks[shard_id].read_locked()
+        return _UNGUARDED if locks is None else locks[shard_id].read_locked()
 
     def _write_guard(self, shard_id: int):
         locks = self._shard_locks
-        return None if locks is None else locks[shard_id].write_locked()
+        return _UNGUARDED if locks is None else locks[shard_id].write_locked()
 
     @property
     def durable(self) -> bool:
@@ -315,16 +318,10 @@ class FilterStore:
             index = np.nonzero(shard_ids == shard.shard_id)[0]
             if index.size == 0:
                 continue
-            guard = self._write_guard(shard.shard_id)
-            if guard is None:
+            with self._write_guard(shard.shard_id):
                 out[index] = shard.insert_hashed_rows(
                     fps[index], homes[index], [avecs[i] for i in index.tolist()], alts[index]
                 )
-            else:
-                with guard:
-                    out[index] = shard.insert_hashed_rows(
-                        fps[index], homes[index], [avecs[i] for i in index.tolist()], alts[index]
-                    )
         return out
 
     def delete(self, key: object, attrs: Mapping[str, Any] | Sequence[Any]) -> bool:
@@ -356,16 +353,10 @@ class FilterStore:
             index = np.nonzero(shard_ids == shard.shard_id)[0]
             if index.size == 0:
                 continue
-            guard = self._write_guard(shard.shard_id)
-            if guard is None:
+            with self._write_guard(shard.shard_id):
                 out[index] = shard.delete_hashed_rows(
                     fps[index], homes[index], [avecs[i] for i in index.tolist()], alts[index]
                 )
-            else:
-                with guard:
-                    out[index] = shard.delete_hashed_rows(
-                        fps[index], homes[index], [avecs[i] for i in index.tolist()], alts[index]
-                    )
         return out
 
     # ------------------------------------------------------------------
@@ -431,17 +422,7 @@ class FilterStore:
             index = np.nonzero(shard_ids == shard.shard_id)[0]
             if index.size == 0:
                 continue
-            guard = self._read_guard(shard.shard_id)
-            self._probe_shard(shard, guard, out, index, fps, homes, alts, compiled)
-
-    @staticmethod
-    def _probe_shard(shard, guard, out, index, fps, homes, alts, compiled) -> None:
-        if guard is None:
-            out[index] = shard.query_hashed_many(
-                fps[index], homes[index], compiled, alts[index]
-            )
-        else:
-            with guard:
+            with self._read_guard(shard.shard_id):
                 out[index] = shard.query_hashed_many(
                     fps[index], homes[index], compiled, alts[index]
                 )
@@ -470,16 +451,20 @@ class FilterStore:
         On a durable store each shard logs a compaction frame first, so
         recovery re-merges at the same point in the operation order.
         """
-        self._ensure_writable()
         for shard in self.shards:
-            guard = self._write_guard(shard.shard_id)
-            if guard is None:
-                shard.log_compact()
-                shard.compact()
-            else:
-                with guard:
-                    shard.log_compact()
-                    shard.compact()
+            self._compact_shard(shard.shard_id)
+
+    def _compact_shard(self, shard_id: int) -> None:
+        """Compact one shard under its write lock, logged first when durable.
+
+        The one compaction step of `compact` and the maintenance scheduler,
+        so both refuse a write-poisoned store (see `_ensure_writable`).
+        """
+        self._ensure_writable()
+        shard = self.shards[shard_id]
+        with self._write_guard(shard_id):
+            shard.log_compact()
+            shard.compact()
 
     def warm(self) -> int:
         """Prefault every mapped level's columns; returns bytes warmed.
@@ -747,9 +732,7 @@ class FilterStore:
         with obs.span("store.checkpoint", path=str(self._root), gen=gen):
             with ExitStack() as stack:
                 for shard in self.shards:
-                    guard = self._write_guard(shard.shard_id)
-                    if guard is not None:
-                        stack.enter_context(guard)
+                    stack.enter_context(self._write_guard(shard.shard_id))
                 root = self._checkpoint(gen)
         _CHECKPOINTS.inc()
         _CHECKPOINT_US.observe((perf_counter() - start) * 1e6)
@@ -965,12 +948,8 @@ class FilterStore:
                 SegmentLevelRef(root / entry["file"], self.config.level_buckets)
                 for entry in entries
             ]
-            guard = self._write_guard(shard.shard_id)
-            if guard is None:
+            with self._write_guard(shard.shard_id):
                 shard_reused, shard_attached = shard.refresh_from(seqs, refs)
-            else:
-                with guard:
-                    shard_reused, shard_attached = shard.refresh_from(seqs, refs)
             reused += shard_reused
             attached += shard_attached
             _adopt_shard_counters(shard, record)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
+from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In
@@ -43,6 +45,30 @@ def random_rows(
                 rows.append((key, attrs))
     rng.shuffle(rows)
     return rows
+
+
+def _entry_state(entry: Any) -> tuple:
+    """One entry's stored content, payload sketch bits included."""
+    if isinstance(entry, VectorEntry):
+        return ("vector", entry.fp, tuple(entry.avec), entry.matching)
+    bloom = entry.group.bloom if isinstance(entry, GroupSlot) else entry.bloom
+    return (type(entry).__name__, entry.fp, bloom._bits.to_bytes(), entry.matching)
+
+
+def ccf_state(ccf) -> dict:
+    """Everything placement decides in a CCF: the slot columns, the payload
+    sketch bits, the stash (in order), the kick count and the failure latch."""
+    payloads = ccf.buckets.payloads or [None] * ccf.buckets.capacity
+    return {
+        "fps": ccf.buckets.fps.tolist(),
+        "counts": ccf.buckets.counts.tolist(),
+        "avecs": ccf._avecs.tolist(),
+        "flags": ccf._flags.tolist(),
+        "payloads": [None if p is None else _entry_state(p) for p in payloads],
+        "stash": [_entry_state(entry) for entry in ccf.stash],
+        "num_kicks": ccf.num_kicks,
+        "failed": ccf.failed,
+    }
 
 
 #: Eq, In and conjunctive predicates over `tiny_chained_ccfs`' attributes.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from repro.store import DurabilityConfig, FilterStore, StoreConfig, faults
 from repro.store.faults import InjectedFault
 from repro.store.store import MANIFEST_NAME
 from repro.store.wal import scan_wal, wal_dir, wal_name
+
+from tests.conftest import ccf_state
 
 SCHEMA = AttributeSchema(["color", "size"])
 #: Wide fingerprints so false positives cannot blur parity assertions.
@@ -258,6 +261,34 @@ class TestDurableLifecycle:
         assert posture["gen"] == 1
         assert posture["wal_frames"] > 0
         assert posture["wal_bytes"] > 0
+        store.close()
+
+
+class TestReplayIsBitIdentical:
+    def test_reopened_copy_equals_the_live_store_level_by_level(self, tmp_path):
+        """Each level saves its victim-stream position (`num_kicks`), so a
+        level checkpointed mid-stream and written on with kicks replays
+        those kicks exactly: slot columns, stash and kick counts match."""
+        root = tmp_path / "store"
+        store = FilterStore(
+            SCHEMA, PARAMS, StoreConfig(num_shards=1, level_buckets=64, target_load=0.95)
+        )
+        store.attach_wal(root, DURABILITY)
+        head = np.arange(150, dtype=np.int64)
+        store.insert_many(head, columns(head))
+        store.checkpoint()
+        kicks = store.shards[0].levels[0].num_kicks
+        for start in range(150, 600, 90):
+            keys = np.arange(start, start + 90, dtype=np.int64)
+            store.insert_many(keys, columns(keys))
+        assert store.shards[0].levels[0].num_kicks > kicks > 0
+        shutil.copytree(root, tmp_path / "copy")
+        recovered = FilterStore.open(tmp_path / "copy")
+        for live, replayed in zip(store.shards, recovered.shards):
+            assert len(replayed.levels) == len(live.levels) > 1
+            for live_level, replayed_level in zip(live.levels, replayed.levels):
+                assert ccf_state(replayed_level) == ccf_state(live_level)
+        abandon(recovered)
         store.close()
 
 

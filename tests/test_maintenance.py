@@ -180,6 +180,26 @@ class TestSteps:
         assert recovered.num_levels == store.num_levels
         abandon(recovered)
 
+    def test_write_poisoned_store_is_not_compacted(self, tmp_path):
+        """After a checkpoint dies part-way the WAL handles are closed, so a
+        compaction could not be logged: the scheduler refuses it, as
+        `compact()` does."""
+        store = make_durable(tmp_path / "store")
+        fill(store, 2000)
+        faults.arm("checkpoint.staged")
+        with pytest.raises(InjectedFault):
+            store.checkpoint()
+        faults.reset()
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=2))
+        levels = store.num_levels
+        assert "compact" in sched.pending()
+        with pytest.raises(RuntimeError, match="poisoned"):
+            sched.step()
+        assert store.num_levels == levels
+        with pytest.raises(RuntimeError, match="poisoned"):
+            store.compact()
+        assert store.num_levels == levels
+
     def test_mid_maintenance_crash_recovers(self, tmp_path):
         from tests.test_crash_recovery import abandon
 

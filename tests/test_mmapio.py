@@ -35,6 +35,8 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Eq, In
 from repro.ccf.serialize import SerializeError
 
+from tests.conftest import ccf_state
+
 SCHEMA = AttributeSchema(["color", "size"])
 COLORS = ("red", "green", "blue")
 
@@ -112,6 +114,25 @@ class TestRoundTrip:
         assert mapped.load_factor() == ccf.load_factor()
         # A stashed fingerprint still answers True through the mapped filter.
         assert mapped._stash_matches(7, None)
+
+    @pytest.mark.parametrize("kind", ["plain", "chained"])
+    def test_reopened_level_kicks_like_the_original(self, tmp_path, kind):
+        """The segment meta carries `num_kicks`, the victim stream's
+        position, so a reopened filter fed the original's next rows ends
+        bit-identical to it."""
+        ccf = make_ccf(kind, SCHEMA, 32, PARAMS.replace(max_kicks=40))
+        keys = np.arange(140, dtype=np.int64)
+        columns = [np.array(COLORS, dtype=object)[keys % 3], keys % 7]
+        ccf.insert_many(keys[:100], [column[:100] for column in columns])
+        assert ccf.num_kicks > 0
+        mapped = open_segment(write_segment(ccf, tmp_path / "level.seg"))
+        tail = [column[100:] for column in columns]
+        assert (
+            mapped.insert_many(keys[100:], tail).tolist()
+            == ccf.insert_many(keys[100:], tail).tolist()
+        )
+        assert ccf.stash
+        assert ccf_state(mapped) == ccf_state(ccf)
 
     def test_payload_variants_are_rejected(self, tmp_path):
         bloom = _filled("bloom", PARAMS.replace(max_dupes=2))

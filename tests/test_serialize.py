@@ -10,7 +10,7 @@ from repro.ccf.predicates import And, Eq
 from repro.ccf.serialize import SerializeError, dumps, loads
 from repro.cuckoo.filter import CuckooFilter
 
-from tests.conftest import random_rows
+from tests.conftest import ccf_state, random_rows
 
 SCHEMA = AttributeSchema(["color", "size"])
 PARAMS = CCFParams(bucket_size=6, max_dupes=3, key_bits=12, attr_bits=8, seed=101)
@@ -120,6 +120,42 @@ class TestCCFRoundTrips:
         assert np.array_equal(restored._flags, ccf._flags)
         assert restored.buckets.counts.tolist() == ccf.buckets.counts.tolist()
         assert restored._num_payload_slots == ccf._num_payload_slots
+
+    @pytest.mark.parametrize(
+        "kind, num_keys", [("plain", 65), ("chained", 65), ("bloom", 135), ("mixed", 80)]
+    )
+    def test_reloaded_filter_kicks_like_the_original(self, kind, num_keys):
+        """CCF3 carries `num_kicks`, the victim stream's position, so a
+        reloaded filter fed the original's next rows ends bit-identical."""
+        from repro.ccf.factory import make_ccf
+
+        params = PARAMS.replace(bucket_size=4, max_dupes=2, max_kicks=40)
+        ccf = make_ccf(kind, SCHEMA, 32, params)
+        rows = random_rows(num_keys, 3, seed=7)
+        split = len(rows) * 2 // 3
+        for key, attrs in rows[:split]:
+            ccf.insert(key, attrs)
+        assert ccf.num_kicks > 0
+        restored = loads(dumps(ccf))
+        for key, attrs in rows[split:]:
+            assert restored.insert(key, attrs) == ccf.insert(key, attrs)
+        assert ccf.stash, f"{kind} did not overload as intended"
+        assert ccf_state(restored) == ccf_state(ccf)
+
+    def test_group_stashed_whole_round_trips(self):
+        """Kicks can stash every slot of a converted group; the group must
+        still reach the wire."""
+        from repro.ccf.entries import GroupSlot
+
+        ccf = build_ccf("mixed", SCHEMA, [(1, ("a", i)) for i in range(20)], PARAMS)
+        for bucket, slot, entry in list(ccf.iter_entries()):
+            if isinstance(entry, GroupSlot):
+                ccf._clear_entry(bucket, slot)
+                ccf.stash.append(entry)
+        assert ccf.stash
+        restored = loads(dumps(ccf))
+        assert ccf_state(restored) == ccf_state(ccf)
+        assert restored.query(1, Eq("size", 7))
 
     def test_size_on_wire_tracks_size_in_bits(self):
         rows = random_rows(400, 4, seed=4)
