@@ -23,12 +23,12 @@ actually matched: per-attribute lookup tables for vector slots, one batched
 test over the live sketch bits for payload slots, both precomputed once per
 predicate (LRU-cached).
 
-Placement kicks through the fingerprint filters' one kick loop
-(`repro.kernels._sequential.kick_one`), which only ever relocates an entry
-between the two buckets of its own pair — the structural property from
-which Lemma 1 follows.  Victim slots come from the counter-based victim
-stream at position `num_kicks`, so a filter reloaded with its counters
-kicks exactly as the one it was saved from.
+Placement goes through `SlotMatrix.place`, shared by every cuckoo
+structure, whose kick chain (`repro.kernels._sequential.kick_one`) only
+ever relocates an entry between the two buckets of its own pair — the
+structural property from which Lemma 1 follows.  Victim slots come from
+the counter-based victim stream at position `num_kicks`, so a filter
+reloaded with its counters kicks exactly as the one it was saved from.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
 from repro.hashing.mixers import as_native_list, canonical_bytes, derive_seed
-from repro.kernels._sequential import kick_one
 
 #: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
@@ -360,11 +359,11 @@ class ConditionalCuckooFilterBase:
         the first slot of ``path``; each displaced entry moves on to the next.
 
         The one column write of every placement.  ``path`` lists ``(bucket,
-        slot, displaced fingerprint)`` as `kick_one` reports it: the key
-        fingerprints there are already written (by `kick_one`,
-        `SlotMatrix.try_add`, or unchanged for an in-place conversion), so
-        the companion columns follow the same chain.  Returns the entry
-        pushed out of the last slot, or None if that slot was free.
+        slot, displaced fingerprint)`` as `SlotMatrix.place` reports it: the
+        key fingerprints there are already written (by the placement, or
+        unchanged for an in-place conversion), so the companion columns
+        follow the same chain.  Returns the entry pushed out of the last
+        slot, or None if that slot was free.
         """
         self._ensure_writable()
         avecs, flags, payloads = self._avecs, self._flags, self.buckets.payloads
@@ -428,28 +427,21 @@ class ConditionalCuckooFilterBase:
     def _place_in_pair(self, left: int, right: int, entry: Any) -> bool:
         """Algorithm 4's placement: prefer ``left``, then kick from ``right``.
 
-        The kicks are the fingerprint filters' sequential chain (`kick_one`):
-        the in-flight item swaps into a victim slot drawn from the victim
-        stream at position `num_kicks` (one draw per eviction) and goes on
-        as the victim toward *its* alternate bucket — always the other
-        bucket of the victim's own pair, so per-pair fingerprint counts are
-        invariant under kicking (the structural core of Lemma 1).  On
-        MaxKicks exhaustion the in-flight victim is stashed (queries consult
-        the stash) and the structure is flagged failed.
+        The kicks are the fingerprint filters' sequential chain
+        (`SlotMatrix.place`): the in-flight item swaps into a victim slot
+        drawn from the victim stream at position `num_kicks` (one draw per
+        eviction) and goes on as the victim toward *its* alternate bucket —
+        always the other bucket of the victim's own pair, so per-pair
+        fingerprint counts are invariant under kicking (the structural core
+        of Lemma 1).  On MaxKicks exhaustion the in-flight victim is stashed
+        (queries consult the stash) and the structure is flagged failed.
         """
-        buckets = self.buckets
-        # try_add promotes mapped columns, so kick_one writes heap arrays.
-        slot = buckets.try_add(left, entry.fp)
-        if slot >= 0:
-            self._write_columns([(left, slot, buckets.empty)], entry)
-            return True
-        _fp, placed, self.num_kicks, path = kick_one(
-            buckets.fps, buckets.counts, buckets.empty, entry.fp, right, 0,
-            self.params.max_kicks, self.geometry.jump_seed, self._victim_seed, self.num_kicks,
+        _fp, placed, self.num_kicks, path = self.buckets.place(
+            entry.fp, left, right, self.params.max_kicks, self.geometry.jump_seed,
+            self._victim_seed, self.num_kicks,
         )
         pushed = self._write_columns(path, entry)
         if placed:
-            buckets.note_kernel_fills(1)
             return True
         self.stash.append(pushed)
         self.failed = True

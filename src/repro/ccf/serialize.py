@@ -4,11 +4,10 @@ The paper's deployment model (§2-§3) is that filters are *precomputed and
 stored*, then shipped to scans — so round-trippable wire formats are part of
 the system, not an afterthought.  Everything a structure needs is its
 parameters (all hash salts derive from the seed), its schema, and its slot
-contents.  A CCF's kick victims come from a counter-based stream whose
-position is `num_kicks`, which CCF3 carries, so a loaded CCF places later
-rows bit-identically to the filter it was saved from.  CKF3 still drops
-`CuckooFilter._wave_victim_counter`, so a loaded cuckoo filter's later
-kicks may differ (answers never do).
+contents.  Kick victims come from a counter-based stream whose position
+each format carries — a CCF's `num_kicks` in CCF3, a cuckoo filter's
+`_wave_victim_counter` in CKF4 — so a loaded filter places later keys
+bit-identically to the one it was saved from.
 
 The wire format is **columnar**, mirroring the in-memory SlotMatrix layout
 (DESIGN.md §6): a 2-bit tag column over all slots, then the vector slots'
@@ -20,9 +19,12 @@ storage arrays.
 
 :func:`dumps` / :func:`loads` handle every CCF variant, the
 :class:`~repro.ccf.range_ccf.DyadicRangeCCF` wrapper, the two
-predicate-extracted views, and the plain cuckoo filter.  Slot payloads are
-bit-packed at their declared widths (12-bit fingerprints cost 12 bits), so
-the on-wire size tracks ``size_in_bits()`` up to small headers.
+predicate-extracted views, and the plain cuckoo filter — exactly
+:class:`~repro.cuckoo.filter.CuckooFilter`: a subclass such as the
+semi-sorted filter hashes under other salts, so it is refused.  Slot
+payloads are bit-packed at their declared widths (12-bit fingerprints cost
+12 bits), so the on-wire size tracks ``size_in_bits()`` up to small
+headers.
 
 :class:`SerializeError` is the one typed decode error of every on-disk
 format, these wire formats and the store's SEG1 segments and WAL alike.
@@ -53,7 +55,7 @@ from repro.sketches.bloom import BloomFilter
 # width-adaptive SlotMatrix (DESIGN.md §9).
 _MAGIC_CCF = b"CCF3"
 _MAGIC_VIEW = b"CCV3"
-_MAGIC_CUCKOO = b"CKF3"
+_MAGIC_CUCKOO = b"CKF4"
 _MAGIC_RANGE = b"CRF2"
 
 _KIND_CODES = {"plain": 0, "chained": 1, "bloom": 2, "mixed": 3}
@@ -122,7 +124,7 @@ def dumps(obj: Any) -> bytes:
         return _dump_range(obj)
     if isinstance(obj, (ExtractedKeyFilter, MarkedKeyFilter)):
         return _dump_view(obj)
-    if isinstance(obj, CuckooFilter):
+    if type(obj) is CuckooFilter:
         return _dump_cuckoo(obj)
     raise TypeError(f"cannot serialise objects of type {type(obj).__name__}")
 
@@ -608,6 +610,7 @@ def _dump_cuckoo(cuckoo: CuckooFilter) -> bytes:
     writer.write(cuckoo.max_kicks, 32)
     writer.write(cuckoo.seed & _MASK64, 64)
     writer.write(cuckoo.num_items, 64)
+    writer.write(cuckoo._wave_victim_counter, 64)
     writer.write_bool(cuckoo.failed)
     flat_fps = cuckoo.buckets.fps.ravel()
     occupied = flat_fps != cuckoo.buckets.empty
@@ -632,6 +635,7 @@ def _load_cuckoo(reader: BitReader) -> CuckooFilter:
         num_buckets, bucket_size, fingerprint_bits, max_kicks, seed, packed=packed
     )
     cuckoo.num_items = reader.read(64)
+    cuckoo._wave_victim_counter = reader.read(64)
     cuckoo.failed = reader.read_bool()
     occupied = reader.read_bool_array(num_buckets * bucket_size)
     count = int(occupied.sum())

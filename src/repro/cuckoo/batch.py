@@ -48,7 +48,6 @@ from repro.hashing.mixers import (
     hash64_many_masked,
 )
 from repro.kernels import active_backend
-from repro.kernels._sequential import kick_one
 
 DEFAULT_MAX_KICKS = 500
 
@@ -183,24 +182,18 @@ class FingerprintBatchMixin:
     def _insert_hashed(self, fp: int, home: int) -> bool:
         """Placement kernel of `insert`: home, then alternate, then kick.
 
-        The batch-of-one case of `insert_many`, sent straight to the wave
-        kernel's sequential tail (`kick_one`) — which first tries the
-        alternate bucket, then kicks from it on the shared victim stream —
-        so the two calls leave bit-identical state.  A chain that exhausts
-        ``max_kicks`` evictions stashes its in-flight fingerprint
-        (DESIGN.md §1) and returns False.
+        The batch-of-one case of `insert_many`: `SlotMatrix.place` runs the
+        wave kernel's sequential tail (`kick_one`) from the alternate
+        bucket on the shared victim stream, so the two calls leave
+        bit-identical state.  A chain that exhausts ``max_kicks`` evictions
+        stashes its in-flight fingerprint (DESIGN.md §1) and returns False.
         """
         self.num_items += 1
-        buckets = self.buckets
-        # try_add promotes mapped columns, so kick_one writes heap arrays.
-        if buckets.try_add(home, fp) >= 0:
-            return True
-        fp, placed, self._wave_victim_counter, _path = kick_one(
-            buckets.fps, buckets.counts, buckets.empty, fp, home ^ self._fp_jump(fp), 0,
-            self.max_kicks, self._jump_seed, self._wave_victim_seed, self._wave_victim_counter,
+        fp, placed, self._wave_victim_counter, _path = self.buckets.place(
+            fp, home, home ^ self._fp_jump(fp), self.max_kicks, self._jump_seed,
+            self._wave_victim_seed, self._wave_victim_counter,
         )
         if placed:
-            buckets.note_kernel_fills(1)
             return True
         self.stash.append(fp)
         self.failed = True

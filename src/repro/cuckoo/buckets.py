@@ -5,8 +5,10 @@ A :class:`SlotMatrix` is the repository's storage engine: a contiguous
 **occupancy-count column**, and — for structures that carry rich per-slot
 data (hash-table pairs, Bloom entries, converted groups) — an optional
 parallel **payload column** of Python objects.  All cuckoo structures (hash
-table, filter, conditional filters) sit on top of it; it knows nothing about
-hashing or collision policy.
+tables, filters, conditional filters) sit on top of it and place through
+its one :meth:`SlotMatrix.place` (home bucket, then the shared kick chain);
+the hashing — fingerprints, buckets, jump and victim seeds — stays with
+the structures.
 
 Storage is **width-adaptive** (DESIGN.md §9): pass ``fp_bits`` and the
 matrix picks the minimal unsigned dtype that holds an ``fp_bits``-wide
@@ -49,6 +51,7 @@ import numpy as np
 # (DESIGN.md §12); re-exported here because it has always been part of this
 # module's public surface.
 from repro.kernels import active_backend, grouped_ranks  # noqa: F401
+from repro.kernels._sequential import kick_one
 
 #: Sentinel for a free slot in the *legacy* int64 fingerprint matrix.  Packed
 #: matrices use ``iinfo(dtype).max`` instead; always read ``matrix.empty``.
@@ -264,13 +267,6 @@ class SlotMatrix:
         self._check(bucket, slot)
         return int(self.fps[bucket, slot])
 
-    def payload_at(self, bucket: int, slot: int) -> Any:
-        """Return the payload object at (bucket, slot), or None."""
-        self._check(bucket, slot)
-        if self.payloads is None:
-            return None
-        return self.payloads[bucket * self.bucket_size + slot]
-
     def set_slot(self, bucket: int, slot: int, fp: int, payload: Any = None) -> None:
         """Overwrite (bucket, slot) with ``fp`` (and optional payload)."""
         if not self._writeable:
@@ -300,7 +296,7 @@ class SlotMatrix:
 
     # -- bucket-level operations ------------------------------------------
 
-    def try_add(self, bucket: int, fp: int, payload: Any = None) -> int:
+    def try_add(self, bucket: int, fp: int) -> int:
         """Place ``fp`` in the first free slot of ``bucket``.
 
         Returns the slot index, or -1 if the bucket is full.
@@ -318,10 +314,58 @@ class SlotMatrix:
                 row[slot] = fp
                 self.counts[bucket] += 1
                 self._filled += 1
-                if self.payloads is not None:
-                    self.payloads[bucket * self.bucket_size + slot] = payload
                 return slot
         raise AssertionError("occupancy count disagrees with fingerprint matrix")
+
+    def place(
+        self,
+        fp: int,
+        home: int,
+        alt: int,
+        max_kicks: int,
+        jump_seed: int,
+        victim_seed: int,
+        counter: int,
+    ) -> tuple[int, bool, int, list[tuple[int, int, int]]]:
+        """Place ``fp`` at ``home``, else kick it in from ``alt``.
+
+        The one placement of every cuckoo structure: `try_add` at the home
+        bucket (which promotes mapped columns), then the shared kick chain
+        (`repro.kernels._sequential.kick_one`) starting at the partner
+        bucket, whose victim slots come from the counter-based stream
+        ``(victim_seed, counter)`` and whose evicted fingerprints move on by
+        ``mix64(fp ^ jump_seed)`` XOR jumps.  Returns ``kick_one``'s ``(fp,
+        placed, counter, path)``: the in-flight fingerprint (to stash when
+        ``placed`` is False), the advanced stream position, and each write
+        as ``(bucket, slot, displaced fingerprint)`` — a home placement is
+        the one-step path ``[(home, slot, empty)]`` — so callers with
+        companion columns (payloads, attribute vectors) move them along the
+        same chain.
+        """
+        slot = self.try_add(home, fp)
+        if slot >= 0:
+            return fp, True, counter, [(home, slot, self.empty)]
+        fp, placed, counter, path = kick_one(
+            self.fps, self.counts, self.empty, fp, alt, 0, max_kicks, jump_seed, victim_seed,
+            counter,
+        )
+        self._filled += placed
+        return fp, placed, counter, path
+
+    def carry_payloads(self, path: list[tuple[int, int, int]], payload: Any) -> Any:
+        """Move payloads along a `place` path.
+
+        ``payload`` goes into the path's first slot and each payload it
+        displaces into the next, so payloads follow their fingerprints.
+        Returns the payload pushed out of the last slot: None when the
+        chain ended in a free slot, the homeless one when it ran out of
+        kicks.
+        """
+        payloads, size = self.payloads, self.bucket_size
+        for bucket, slot, _displaced in path:
+            at = bucket * size + slot
+            payload, payloads[at] = payloads[at], payload
+        return payload
 
     def count(self, bucket: int) -> int:
         """Return the number of occupied slots in a bucket."""

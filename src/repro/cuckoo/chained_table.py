@@ -7,11 +7,13 @@ cuckoo placement, where a key overflows into further bucket pairs once a
 pair holds ``max_dupes`` of its entries.
 
 Because full keys are stored, the chain geometry can be derived per level:
-level ``j`` of a key hashes to the pair ``(h1(key, j), h2(key, j))``.  The
-Lemma 1/2 reasoning carries over: a pair never holds more than ``max_dupes``
-entries of one key, kicks relocate entries only within their own (level)
-pair, and a lookup stops at the first pair holding fewer than ``max_dupes``
-entries of the key.
+level ``j`` of a key hashes to a 63-bit digest ``h(key, j)`` whose low bits
+are the home bucket and whose XOR jump ``mix64(digest ^ jump_seed)`` gives
+the partner, as in `repro.cuckoo.hashtable` (DESIGN.md §9).  The Lemma 1/2
+reasoning carries over: a pair never holds more than ``max_dupes`` entries
+of one key, kicks (`SlotMatrix.place`) relocate entries only within their
+own (level) pair, and a lookup stops at the first pair holding fewer than
+``max_dupes`` entries of the key.
 
 Removal cannot simply clear a slot — that would open a gap in the chain and
 hide deeper values — so removed entries become *tombstones* that keep the
@@ -21,11 +23,10 @@ key (and only the same key).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Iterator
 
 from repro.cuckoo.buckets import SlotMatrix, next_power_of_two
-from repro.hashing.mixers import derive_seed, hash64
+from repro.hashing.mixers import _mixed_seed, derive_seed, hash64, mix64
 
 DEFAULT_MAX_KICKS = 200
 #: Safety bound on chain levels walked (a key cannot use more pairs than
@@ -69,7 +70,10 @@ class ChainedCuckooHashTable:
         self.max_kicks = max_kicks
         self.seed = seed
         self.num_resizes = 0
-        self._rng = random.Random(derive_seed(seed, "ccht-rng"))
+        #: The victim stream's position: one draw per eviction.
+        self.num_kicks = 0
+        self._jump_seed = _mixed_seed(derive_seed(seed, "ccht-jump"))
+        self._victim_seed = derive_seed(seed, "ccht-victim")
         self._generation = 0
         self._init_table(next_power_of_two(num_buckets))
 
@@ -77,31 +81,28 @@ class ChainedCuckooHashTable:
         # 63-bit (key, level) digests in a packed uint64 column, matching
         # the plain hash table's width-adaptive storage.
         self.buckets = SlotMatrix(num_buckets, self.bucket_size, with_payloads=True, fp_bits=63)
-        self._salt1 = derive_seed(self.seed, "ccht-h1", self._generation)
-        self._salt2 = derive_seed(self.seed, "ccht-h2", self._generation)
+        self._salt = derive_seed(self.seed, "ccht-h1", self._generation)
         self._count = 0
 
     # -- geometry -----------------------------------------------------------
 
-    def _digest(self, key: object, level: int) -> int:
-        """Typed-column digest of a (key, level) pair (63 bits, home = low bits)."""
-        return hash64((key, level), self._salt1) & ((1 << 63) - 1)
+    def _hashes(self, key: object, level: int) -> tuple[int, int, int]:
+        """``(digest, left, right)`` of a (key, level) pair from one hash.
 
-    def _pair(self, key: object, level: int) -> tuple[int, int]:
+        The 63-bit typed-column digest; its low bits are the home bucket
+        and its XOR jump the partner.
+        """
+        digest = hash64((key, level), self._salt) & ((1 << 63) - 1)
         mask = self.buckets.num_buckets - 1
-        left = hash64((key, level), self._salt1) & mask
-        right = hash64((key, level), self._salt2) & mask
-        return left, right
+        left = digest & mask
+        return digest, left, left ^ (mix64(digest ^ self._jump_seed) & mask)
 
-    def _pair_buckets(self, key: object, level: int) -> tuple[int, ...]:
-        left, right = self._pair(key, level)
-        return (left,) if left == right else (left, right)
-
-    def _key_entries(self, key: object, level: int) -> list[tuple[int, int, _Entry]]:
+    def _key_entries(
+        self, key: object, level: int, digest: int, left: int, right: int
+    ) -> list[tuple[int, int, _Entry]]:
         """(bucket, slot, entry) triples for ``key`` at chain ``level``."""
         found = []
-        digest = self._digest(key, level)
-        for bucket in self._pair_buckets(key, level):
+        for bucket in (left,) if left == right else (left, right):
             for slot, stored_digest, entry in self.buckets.iter_slots(bucket):
                 if stored_digest == digest and entry.key == key and entry.level == level:
                     found.append((bucket, slot, entry))
@@ -115,7 +116,8 @@ class ChainedCuckooHashTable:
     def add(self, key: object, value: Any) -> bool:
         """Add ``value`` to ``key``'s set; returns False if already present."""
         for level in range(self._max_levels()):
-            slots = self._key_entries(key, level)
+            hashes = self._hashes(key, level)
+            slots = self._key_entries(key, level, *hashes)
             for _bucket, _slot, entry in slots:
                 if entry.alive and entry.value == value:
                     return False
@@ -129,7 +131,7 @@ class ChainedCuckooHashTable:
                     return True
             if len(slots) >= self.max_dupes:
                 continue
-            orphan = self._place(_Entry(key, value, level))
+            orphan = self._place(_Entry(key, value, level), *hashes)
             if orphan is None:
                 self._count += 1
                 return True
@@ -140,25 +142,14 @@ class ChainedCuckooHashTable:
             return True
         raise RuntimeError("chain walk exhausted; table pathologically small")
 
-    def _place(self, entry: _Entry) -> "_Entry | None":
-        """Cuckoo placement; returns the displaced orphan on failure."""
-        left, right = self._pair(entry.key, entry.level)
-        if self.buckets.try_add(left, self._digest(entry.key, entry.level), entry) >= 0:
-            return None
-        current = right
-        item = entry
-        for _ in range(self.max_kicks):
-            if self.buckets.try_add(current, self._digest(item.key, item.level), item) >= 0:
-                return None
-            victim_slot = self._rng.randrange(self.bucket_size)
-            victim = self.buckets.payload_at(current, victim_slot)
-            self.buckets.set_slot(
-                current, victim_slot, self._digest(item.key, item.level), item
-            )
-            item = victim
-            a, b = self._pair(item.key, item.level)
-            current = b if current == a else a
-        return item
+    def _place(self, entry: _Entry, digest: int, left: int, right: int) -> "_Entry | None":
+        """Cuckoo placement (`SlotMatrix.place`, victim stream at
+        `num_kicks`); returns the displaced orphan on failure."""
+        _digest, _placed, self.num_kicks, path = self.buckets.place(
+            digest, left, right, self.max_kicks, self._jump_seed, self._victim_seed,
+            self.num_kicks,
+        )
+        return self.buckets.carry_payloads(path, entry)
 
     def _resize(self, orphan: _Entry) -> None:
         """Double the table and re-add every live pair plus the orphan.
@@ -180,7 +171,7 @@ class ChainedCuckooHashTable:
         """Return all values stored for ``key`` (exact, in chain order)."""
         values: list[Any] = []
         for level in range(self._max_levels()):
-            slots = self._key_entries(key, level)
+            slots = self._key_entries(key, level, *self._hashes(key, level))
             values.extend(entry.value for _b, _s, entry in slots if entry.alive)
             if len(slots) < self.max_dupes:
                 break
@@ -198,7 +189,7 @@ class ChainedCuckooHashTable:
     def remove(self, key: object, value: Any) -> bool:
         """Remove one (key, value); leaves a chain-preserving tombstone."""
         for level in range(self._max_levels()):
-            slots = self._key_entries(key, level)
+            slots = self._key_entries(key, level, *self._hashes(key, level))
             for _bucket, _slot, entry in slots:
                 if entry.alive and entry.value == value:
                     entry.alive = False

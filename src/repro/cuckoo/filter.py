@@ -26,6 +26,15 @@ from repro.cuckoo.batch import FingerprintBatchMixin
 from repro.cuckoo.buckets import next_power_of_two
 
 
+def buckets_for_capacity(capacity: int, bucket_size: int, target_load: float) -> int:
+    """The power-of-two bucket count holding ``capacity`` items at ``target_load``."""
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
+    if not 0.0 < target_load <= 1.0:
+        raise ValueError("target_load must be in (0, 1]")
+    return next_power_of_two(max(1, round(capacity / target_load / bucket_size)))
+
+
 class CuckooFilter(FingerprintBatchMixin):
     """Approximate-set-membership filter with partial-key cuckoo hashing.
 
@@ -55,12 +64,7 @@ class CuckooFilter(FingerprintBatchMixin):
         §4.2: an optimally sized filter with b=4 empirically reaches ~95%
         load, hence the default target.
         """
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if not 0.0 < target_load <= 1.0:
-            raise ValueError("target_load must be in (0, 1]")
-        slots_needed = capacity / target_load
-        num_buckets = next_power_of_two(max(1, round(slots_needed / bucket_size)))
+        num_buckets = buckets_for_capacity(capacity, bucket_size, target_load)
         return cls(num_buckets, bucket_size, fingerprint_bits, **kwargs)
 
     # -- operations -----------------------------------------------------------

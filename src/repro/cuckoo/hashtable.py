@@ -1,27 +1,36 @@
 """Classic cuckoo hash table (key -> value), as reviewed in §4/§4.1.
 
-Unlike the filters, the table stores full keys, uses two independent bucket
-hashes (not partial-key hashing), updates values for duplicate keys, and
-resizes itself (doubling) when an insertion cannot be placed within MaxKicks
-— exactly the behaviour described in §4.1.
+Unlike the filters, the table stores full keys, updates values for
+duplicate keys, and resizes itself (doubling) when an insertion cannot be
+placed within MaxKicks — exactly the behaviour described in §4.1.
 
 Storage is a payload-bearing :class:`~repro.cuckoo.buckets.SlotMatrix`: the
-typed column holds a 63-bit **key digest** (the full first bucket hash, so
-the home index is just ``digest & (m-1)``) and the payload column holds the
-``(key, value)`` pair.  Batch probes vectorise a digest pre-filter against
-the live column — digest equality is necessary for key equality — and only
-candidate rows fall back to exact key comparison.
+typed column holds a 63-bit **key digest** (one key hash; the home index is
+``digest & (m-1)``) and the payload column holds the ``(key, value)`` pair.
+The partner bucket is the digest's XOR jump, ``home ^ (mix64(digest ^
+jump_seed) & (m-1))``, rather than §4.1's second hash function (DESIGN.md
+§9), so the table places through `SlotMatrix.place` like every cuckoo
+structure and kicks never re-hash a stored key.  Batch probes vectorise a
+digest pre-filter against the live column — digest equality is necessary
+for key equality — and only candidate rows fall back to exact key
+comparison.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.cuckoo.buckets import SlotMatrix, next_power_of_two
-from repro.hashing.mixers import derive_seed, hash64, hash64_many
+from repro.hashing.mixers import (
+    _mixed_seed,
+    derive_seed,
+    hash64,
+    hash64_many,
+    mix64,
+    mix64_many,
+)
 
 DEFAULT_MAX_KICKS = 500
 
@@ -36,7 +45,7 @@ def _native_item(values: Sequence[object] | np.ndarray, index: int) -> object:
     """One element as a native Python object (numpy scalars unwrapped).
 
     Scalar hash/storage paths dispatch on Python types (stored keys are
-    re-hashed by kicks and resizes, and `hash64` rejects numpy scalars),
+    re-hashed by resizes, and `hash64` rejects numpy scalars),
     but only the elements that actually reach a scalar path need
     unwrapping — batch ingress never materialises a whole Python list.
     """
@@ -58,7 +67,10 @@ class CuckooHashTable:
         self.max_kicks = max_kicks
         self.seed = seed
         self.num_resizes = 0
-        self._rng = random.Random(derive_seed(seed, "cht-rng"))
+        #: The victim stream's position: one draw per eviction.
+        self.num_kicks = 0
+        self._jump_seed = _mixed_seed(derive_seed(seed, "cht-jump"))
+        self._victim_seed = derive_seed(seed, "cht-victim")
         self._generation = 0
         self._init_table(next_power_of_two(num_buckets))
 
@@ -66,51 +78,47 @@ class CuckooHashTable:
         # 63-bit digests in a packed uint64 column (sentinel = 2^64-1, out
         # of the digest range by construction — no folding needed).
         self.buckets = SlotMatrix(num_buckets, self.bucket_size, with_payloads=True, fp_bits=63)
-        self._salt1 = derive_seed(self.seed, "cht-h1", self._generation)
-        self._salt2 = derive_seed(self.seed, "cht-h2", self._generation)
+        self._salt = derive_seed(self.seed, "cht-h1", self._generation)
         self._count = 0
 
     # -- hashing ------------------------------------------------------------
 
-    def _digest(self, key: object) -> int:
-        """The 63-bit typed-column digest (home index = low bits)."""
-        return hash64(key, self._salt1) & _DIGEST_MASK
-
-    def _indexes(self, key: object) -> tuple[int, int]:
+    def _hashes(self, key: object) -> tuple[int, int, int]:
+        """``(digest, home, partner)`` from one key hash (home = low bits)."""
+        digest = hash64(key, self._salt) & _DIGEST_MASK
         mask = self.buckets.num_buckets - 1
-        return hash64(key, self._salt1) & mask, hash64(key, self._salt2) & mask
+        home = digest & mask
+        return digest, home, home ^ (mix64(digest ^ self._jump_seed) & mask)
 
-    def _indexes_many(
+    def _hashes_many(
         self, keys: Sequence[object] | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch `_indexes` plus digests: both bucket hashes, vectorised.
+        """Batch `_hashes`, vectorised.
 
         Digests stay uint64 so comparisons against the packed digest column
         run natively (an int64/uint64 mix would promote to float64 and lose
         low bits).
         """
         mask = np.uint64(self.buckets.num_buckets - 1)
-        h1 = hash64_many(keys, self._salt1)
-        digests = h1 & np.uint64(_DIGEST_MASK)
-        i1 = (h1 & mask).astype(np.int64)
-        i2 = (hash64_many(keys, self._salt2) & mask).astype(np.int64)
-        return digests, i1, i2
+        digests = hash64_many(keys, self._salt) & np.uint64(_DIGEST_MASK)
+        homes = digests & mask
+        alts = homes ^ (mix64_many(digests ^ np.uint64(self._jump_seed)) & mask)
+        return digests, homes.astype(np.int64), alts.astype(np.int64)
 
     # -- mapping protocol -----------------------------------------------------
 
     def __setitem__(self, key: object, value: Any) -> None:
-        i1, i2 = self._indexes(key)
-        self._set_hashed(key, value, i1, i2)
+        self._set_hashed(key, value, *self._hashes(key))
 
-    def _set_hashed(self, key: object, value: Any, i1: int, i2: int) -> None:
+    def _set_hashed(self, key: object, value: Any, digest: int, i1: int, i2: int) -> None:
         """Upsert kernel shared by `__setitem__` and `insert_many`."""
         # Update in place if the key is already present.
         for bucket in (i1, i2):
             for slot, _digest, entry in self.buckets.iter_slots(bucket):
                 if entry[0] == key:
-                    self.buckets.set_slot(bucket, slot, self._digest(key), (key, value))
+                    self.buckets.set_slot(bucket, slot, digest, (key, value))
                     return
-        self._insert_new((key, value), i1, i2)
+        self._insert_new((key, value), digest, i1, i2)
 
     def insert_many(self, keys: Sequence[object], values: Sequence[Any]) -> None:
         """Batch upsert: hash all keys in one pass, then place sequentially.
@@ -123,18 +131,19 @@ class CuckooHashTable:
             raise ValueError("keys and values must have the same length")
         # Hashing consumes the input as-is (zero-copy for int ndarrays);
         # only the per-key placement unwraps elements to native objects —
-        # stored keys are re-hashed by kicks/resizes and hash64 rejects
-        # numpy scalars.
+        # stored keys are re-hashed by resizes and hash64 rejects numpy
+        # scalars.
         index = 0
         while index < len(keys):
             generation = self._generation
-            _digests, h1s, h2s = self._indexes_many(keys[index:])
+            digests, h1s, h2s = self._hashes_many(keys[index:])
             base = index
             while index < len(keys) and self._generation == generation:
                 offset = index - base
                 self._set_hashed(
                     _native_item(keys, index),
                     _native_item(values, index),
+                    int(digests[offset]),
                     int(h1s[offset]),
                     int(h2s[offset]),
                 )
@@ -149,7 +158,7 @@ class CuckooHashTable:
         one fancy-indexed comparison; only rows with a digest hit compare
         actual keys.
         """
-        digests, h1s, h2s = self._indexes_many(keys)
+        digests, h1s, h2s = self._hashes_many(keys)
         candidate = self.buckets.pair_eq(digests, h1s, h2s).any(axis=(1, 2))
         out = [default] * len(keys)
         for i in np.nonzero(candidate)[0].tolist():
@@ -179,7 +188,7 @@ class CuckooHashTable:
         A vectorised digest pre-filter screens definite misses; only
         candidate rows run the exact per-key removal.
         """
-        digests, h1s, h2s = self._indexes_many(keys)
+        digests, h1s, h2s = self._hashes_many(keys)
         candidate = self.buckets.pair_eq(digests, h1s, h2s).any(axis=(1, 2))
         out = np.zeros(len(keys), dtype=bool)
         for i in np.nonzero(candidate)[0].tolist():
@@ -195,8 +204,8 @@ class CuckooHashTable:
                     return True
         return False
 
-    def _insert_new(self, pair: tuple[object, Any], i1: int, i2: int) -> None:
-        orphan = self._place(pair, i1, i2)
+    def _insert_new(self, pair: tuple[object, Any], digest: int, i1: int, i2: int) -> None:
+        orphan = self._place(pair, digest, i1, i2)
         if orphan is None:
             self._count += 1
         else:
@@ -219,38 +228,25 @@ class CuckooHashTable:
 
     def _try_bulk_insert(self, entries: list[tuple[object, Any]]) -> bool:
         for pair in entries:
-            i1, i2 = self._indexes(pair[0])
-            if self._place(pair, i1, i2) is not None:
+            if self._place(pair, *self._hashes(pair[0])) is not None:
                 return False
         return True
 
     def _place(
-        self, pair: tuple[object, Any], i1: int, i2: int
+        self, pair: tuple[object, Any], digest: int, i1: int, i2: int
     ) -> tuple[object, Any] | None:
-        """Place ``pair`` in bucket ``i1`` or ``i2``, kicking residents on.
+        """Place ``pair`` in bucket ``i1``, else kick it in from ``i2``.
 
-        The one kick loop: up to ``max_kicks`` random evictions.  Returns
-        None once every displaced pair has a slot, otherwise the pair left
-        homeless when the kicks run out (the caller grows the table).
+        `SlotMatrix.place` moves the digests (up to ``max_kicks`` evictions
+        on the victim stream at `num_kicks`); the pairs follow the same
+        path.  Returns None once every displaced pair has a slot, otherwise
+        the pair left homeless when the kicks run out (the caller grows the
+        table).
         """
-        digest = self._digest(pair[0])
-        if (
-            self.buckets.try_add(i1, digest, pair) >= 0
-            or self.buckets.try_add(i2, digest, pair) >= 0
-        ):
-            return None
-        item = pair
-        current = self._rng.choice((i1, i2))
-        for _ in range(self.max_kicks):
-            victim_slot = self._rng.randrange(self.bucket_size)
-            victim = self.buckets.payload_at(current, victim_slot)
-            self.buckets.set_slot(current, victim_slot, self._digest(item[0]), item)
-            item = victim
-            a, b = self._indexes(item[0])
-            current = b if current == a else a
-            if self.buckets.try_add(current, self._digest(item[0]), item) >= 0:
-                return None
-        return item
+        _digest, _placed, self.num_kicks, path = self.buckets.place(
+            digest, i1, i2, self.max_kicks, self._jump_seed, self._victim_seed, self.num_kicks
+        )
+        return self.buckets.carry_payloads(path, pair)
 
     def __getitem__(self, key: object) -> Any:
         value = self.get(key, _MISSING)
@@ -260,14 +256,15 @@ class CuckooHashTable:
 
     def get(self, key: object, default: Any = None) -> Any:
         """Return the value stored for ``key``, or ``default``."""
-        for bucket in self._indexes(key):
+        _digest, i1, i2 = self._hashes(key)
+        for bucket in (i1, i2):
             for _slot, _digest, entry in self.buckets.iter_slots(bucket):
                 if entry[0] == key:
                     return entry[1]
         return default
 
     def __delitem__(self, key: object) -> None:
-        i1, i2 = self._indexes(key)
+        _digest, i1, i2 = self._hashes(key)
         if not self._remove_key(key, i1, i2):
             raise KeyError(key)
 

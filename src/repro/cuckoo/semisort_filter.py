@@ -3,30 +3,40 @@
 The referenced optimisation from Fan et al.: buckets store their
 fingerprints as a compressed code — sorted 4-bit prefixes encoded
 combinatorially plus raw suffixes — saving one bit per entry and making the
-space cost ``(log2(1/ρ) + 2)/β`` bits per item.  This class realises the
-scheme end to end: buckets *are* integer codes (decoded on probe, re-encoded
-on mutation), not object slots, so the claimed size is the actual
-representation size.
+space cost ``(log2(1/ρ) + 2)/β`` bits per item.  The slots live in the same
+:class:`~repro.cuckoo.buckets.SlotMatrix` as every other cuckoo structure
+(DESIGN.md §6), so the filter inserts, probes, deletes and batches exactly
+like :class:`~repro.cuckoo.filter.CuckooFilter`; the codes are derived from
+the live slots (:meth:`SemiSortedCuckooFilter.bucket_codes`, through
+`repro.cuckoo.semisort`), and ``size_in_bits`` is their size.
 
 Fingerprints use the semi-sorting convention that 0 marks an empty slot, so
-key fingerprints are drawn from ``[1, 2^f)``.
+key fingerprints are drawn from ``[1, 2^f)``: 0 folds to 1, as does the
+all-ones value the packed EMPTY sentinel reserves at 8/16-bit widths.
 """
 
 from __future__ import annotations
 
-import random
+from typing import Sequence
 
+import numpy as np
+
+from repro.cuckoo.batch import DEFAULT_MAX_KICKS
 from repro.cuckoo.buckets import next_power_of_two
-from repro.cuckoo.semisort import decode_bucket, encode_bucket, encoded_bucket_bits
-from repro.hashing.mixers import JumpCache, derive_seed, hash64
-
-DEFAULT_MAX_KICKS = 500
+from repro.cuckoo.filter import CuckooFilter, buckets_for_capacity
+from repro.cuckoo.semisort import encode_bucket, encoded_bucket_bits
 
 
-class SemiSortedCuckooFilter:
-    """Approximate-set-membership filter over compressed 4-slot buckets."""
+class SemiSortedCuckooFilter(CuckooFilter):
+    """Approximate-set-membership filter over semi-sorted 4-slot buckets.
+
+    ``num_buckets`` is rounded up to a power of two.  Not a wire format of
+    its own: `repro.ccf.serialize.dumps` refuses it, since a plain cuckoo
+    filter payload would reload under the wrong hash salts.
+    """
 
     BUCKET_SIZE = 4  # the semi-sorting codec is defined for b = 4
+    _salt_prefix = "sscf"
 
     def __init__(
         self,
@@ -37,131 +47,45 @@ class SemiSortedCuckooFilter:
     ) -> None:
         if fingerprint_bits <= 4 or fingerprint_bits > 62:
             raise ValueError("fingerprint_bits must be in (4, 62] for semi-sorting")
-        self.num_buckets = next_power_of_two(num_buckets)
-        self.fingerprint_bits = fingerprint_bits
-        self.max_kicks = max_kicks
-        self.seed = seed
-        self.num_items = 0
-        self.failed = False
-        self.stash: list[int] = []
-        # Every bucket holds the code of four zero (= empty) fingerprints.
-        self._empty_code = encode_bucket([], fingerprint_bits, self.BUCKET_SIZE)
-        self._codes = [self._empty_code] * self.num_buckets
-        self._filled = 0
-        self._fp_mask = (1 << fingerprint_bits) - 1
-        self._index_salt = derive_seed(seed, "sscf-index")
-        self._fp_salt = derive_seed(seed, "sscf-fp")
-        self._jump_salt = derive_seed(seed, "sscf-jump")
-        self._jump_cache = JumpCache(self._jump_salt, self.num_buckets - 1)
-        self._rng = random.Random(derive_seed(seed, "sscf-rng"))
+        super().__init__(
+            next_power_of_two(num_buckets), self.BUCKET_SIZE, fingerprint_bits, max_kicks, seed
+        )
 
-    # -- hashing ------------------------------------------------------------
+    @classmethod
+    def from_capacity(
+        cls,
+        capacity: int,
+        fingerprint_bits: int = 12,
+        target_load: float = 0.95,
+        **kwargs: object,
+    ) -> "SemiSortedCuckooFilter":
+        """`CuckooFilter.from_capacity` at the codec's fixed b = 4."""
+        num_buckets = buckets_for_capacity(capacity, cls.BUCKET_SIZE, target_load)
+        return cls(num_buckets, fingerprint_bits, **kwargs)
 
     def fingerprint_of(self, key: object) -> int:
         """Nonzero fingerprint in [1, 2^f): zero is the empty-slot marker."""
-        raw = hash64(key, self._fp_salt) & self._fp_mask
-        return raw if raw != 0 else 1
+        return super().fingerprint_of(key) or 1
 
-    def home_index(self, key: object) -> int:
-        """Primary bucket for ``key``."""
-        return hash64(key, self._index_salt) & (self.num_buckets - 1)
+    def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
+        """Batch `fingerprint_of` (int64 array, bit-identical per element)."""
+        fps = super().fingerprints_of_many(keys)
+        fps[fps == 0] = 1
+        return fps
 
-    def _fp_jump(self, fingerprint: int) -> int:
-        return self._jump_cache.jump(fingerprint)
-
-    def alt_index(self, index: int, fingerprint: int) -> int:
-        """Partner bucket via the XOR map."""
-        return index ^ self._fp_jump(fingerprint)
-
-    # -- compressed bucket access ---------------------------------------------
-
-    def _bucket(self, index: int) -> list[int]:
-        """Decode a bucket's fingerprints (0 entries = empty slots)."""
-        return decode_bucket(self._codes[index], self.fingerprint_bits, self.BUCKET_SIZE)
-
-    def _store(self, index: int, fingerprints: list[int]) -> None:
-        occupied = [fp for fp in fingerprints if fp != 0]
-        self._filled += len(occupied) - sum(1 for fp in self._bucket(index) if fp != 0)
-        self._codes[index] = encode_bucket(occupied, self.fingerprint_bits, self.BUCKET_SIZE)
-
-    def _try_add(self, index: int, fingerprint: int) -> bool:
-        fingerprints = self._bucket(index)
-        for slot, existing in enumerate(fingerprints):
-            if existing == 0:
-                fingerprints[slot] = fingerprint
-                self._store(index, fingerprints)
-                return True
-        return False
-
-    # -- operations -----------------------------------------------------------
-
-    def insert(self, key: object) -> bool:
-        """Insert ``key``; False only on a MaxKicks failure (victim stashed)."""
-        fingerprint = self.fingerprint_of(key)
-        home = self.home_index(key)
-        alt = self.alt_index(home, fingerprint)
-        self.num_items += 1
-        if self._try_add(home, fingerprint) or self._try_add(alt, fingerprint):
-            return True
-        current = self._rng.choice((home, alt))
-        item = fingerprint
-        for _ in range(self.max_kicks):
-            fingerprints = self._bucket(current)
-            victim_slot = self._rng.randrange(self.BUCKET_SIZE)
-            victim = fingerprints[victim_slot]
-            fingerprints[victim_slot] = item
-            self._store(current, fingerprints)
-            item = victim
-            current = self.alt_index(current, item)
-            if self._try_add(current, item):
-                return True
-        self.stash.append(item)
-        self.failed = True
-        return False
-
-    def contains(self, key: object) -> bool:
-        """Membership test (no false negatives)."""
-        fingerprint = self.fingerprint_of(key)
-        home = self.home_index(key)
-        alt = self.alt_index(home, fingerprint)
-        if fingerprint in self._bucket(home) or fingerprint in self._bucket(alt):
-            return True
-        return fingerprint in self.stash
-
-    def __contains__(self, key: object) -> bool:
-        return self.contains(key)
-
-    def delete(self, key: object) -> bool:
-        """Remove one fingerprint copy of ``key``."""
-        fingerprint = self.fingerprint_of(key)
-        for index in (self.home_index(key), self.alt_index(self.home_index(key), fingerprint)):
-            fingerprints = self._bucket(index)
-            if fingerprint in fingerprints:
-                fingerprints[fingerprints.index(fingerprint)] = 0
-                self._store(index, fingerprints)
-                self.num_items -= 1
-                return True
-        if fingerprint in self.stash:
-            self.stash.remove(fingerprint)
-            self.num_items -= 1
-            return True
-        return False
-
-    # -- statistics -----------------------------------------------------------
-
-    def load_factor(self) -> float:
-        """Occupied slots over capacity."""
-        return self._filled / (self.num_buckets * self.BUCKET_SIZE)
+    def bucket_codes(self) -> list[int]:
+        """Every bucket's semi-sorted code, encoded from its live slots."""
+        return [
+            encode_bucket(self.buckets.bucket_fps(bucket), self.fingerprint_bits)
+            for bucket in range(self.buckets.num_buckets)
+        ]
 
     def size_in_bits(self) -> int:
-        """The genuinely materialised size: encoded code bits per bucket."""
-        return self.num_buckets * encoded_bucket_bits(self.fingerprint_bits, self.BUCKET_SIZE)
-
-    def __len__(self) -> int:
-        return self.num_items
+        """The semi-sorted size: one encoded code per bucket."""
+        return self.buckets.num_buckets * encoded_bucket_bits(self.fingerprint_bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SemiSortedCuckooFilter(buckets={self.num_buckets}, "
+            f"SemiSortedCuckooFilter(buckets={self.buckets.num_buckets}, "
             f"f={self.fingerprint_bits}, load={self.load_factor():.3f})"
         )

@@ -136,6 +136,12 @@ def build_filter_bundle(
     deletes after the build — no occupancy prediction or resize-retry loop
     is needed because stores grow levels on demand.
     """
+    if store_config is not None and kind != "plain":
+        raise ValueError(
+            "FilterStore levels must be plain CCFs: plain placement is the "
+            "only policy whose entries can be deleted and relocated during "
+            f"compaction (got kind={kind!r}); see DESIGN.md §8"
+        )
     binning = YearBinning(dataset, num_year_bins)
     bundle = FilterBundle(name=name or f"{kind}", kind=kind, params=params, binning=binning)
     for table in dataset.tables:
@@ -148,7 +154,7 @@ def build_filter_bundle(
         keys = relation.column(key_column)
         attr_arrays = [relation.column(c) for c in attr_columns]
         if store_config is not None:
-            store = FilterStore(schema, params, store_config, kind=kind)
+            store = FilterStore(schema, params, store_config)
             store.insert_many(keys, attr_arrays)
             store.compact()
             bundle.ccfs[table] = store

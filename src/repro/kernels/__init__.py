@@ -15,7 +15,7 @@ The package splits into:
 Call sites never pick an implementation: they fetch
 ``active_backend()`` and call through its :class:`KernelBackend` fields
 (the backend-independent kick tail, ``_sequential.kick_one``, is the one
-function a scalar insert calls directly).
+function ``SlotMatrix.place``, every scalar placement, calls directly).
 """
 
 from repro.kernels import _sequential, numba_backend, reference

@@ -29,7 +29,7 @@ Equivalence to the reference (``reference.py``), round for round:
 * **Tail** — once at most `TAIL_ITEMS` items are in flight, every backend
   (the numpy reference included) finishes them through the one shared
   pure-Python `kick_tail`, whose per-item step (`kick_one`) is also the
-  kick loop of a scalar fingerprint-filter ``insert`` and of every CCF
+  kick loop of `SlotMatrix.place`, every cuckoo structure's scalar
   placement.
 
 uint64 discipline: all mixing arithmetic stays in uint64 via typed
@@ -202,7 +202,8 @@ def kick_one(table, counts, empty, fp, bucket, kicks, max_kicks, jump_seed, vict
     ``placed`` is False.  ``path`` reports each write in order as
     ``(bucket, slot, displaced fingerprint)`` — the evictions, then, if
     placed, the free slot (displacing ``empty``) — so a caller with
-    companion columns (the CCFs) can move them along the same chain.
+    companion columns (the CCFs, the hash tables) can move them along the
+    same chain.
     """
     index_mask = table.shape[0] - 1
     bucket_size = table.shape[1]

@@ -9,8 +9,8 @@ variants, the FilterStore shards and the serve workers all share one seam
 behind which alternative implementations (numba JIT today, CuPy tomorrow)
 can slot in without touching any call site.  The one direct import is the
 wave kick's shared pure-Python tail (``_sequential.kick_one``), which every
-backend runs unchanged and scalar cuckoo-filter inserts and CCF placements
-call without dispatch.
+backend runs unchanged and ``SlotMatrix.place`` — every cuckoo structure's
+scalar placement — calls without dispatch.
 
 Selection, in precedence order:
 

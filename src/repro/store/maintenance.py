@@ -53,22 +53,19 @@ class MaintenancePolicy:
     * ``compact_levels`` — a shard owing this many levels is compaction
       debt (must exceed the store's own ``compact_at`` auto-trigger to
       matter, since the shard self-compacts at that depth).
-    * ``roll_bytes`` — WAL size past which a checkpoint is due; ``None``
-      adopts the store's ``DurabilityConfig.roll_bytes``.
     * ``seal_rows`` — rows mutated since the last checkpoint past which a
       seal is due even if the WAL is small (bounds replay *work*, not just
       replay *bytes*).  ``None`` disables the row trigger.
+
+    The byte trigger is the store's own ``DurabilityConfig.roll_bytes``.
     """
 
     compact_levels: int = 4
-    roll_bytes: int | None = None
     seal_rows: int | None = None
 
     def __post_init__(self) -> None:
         if self.compact_levels < 2:
             raise ValueError("compact_levels must be at least 2")
-        if self.roll_bytes is not None and self.roll_bytes < 1:
-            raise ValueError("roll_bytes must be positive (or None)")
         if self.seal_rows is not None and self.seal_rows < 1:
             raise ValueError("seal_rows must be positive (or None)")
 
@@ -91,13 +88,8 @@ class MaintenanceScheduler:
     # Debt assessment (cheap: counters only, no locks)
     # ------------------------------------------------------------------
 
-    def _roll_bytes(self) -> int:
-        if self.policy.roll_bytes is not None:
-            return self.policy.roll_bytes
-        return self.store._durability.roll_bytes
-
     def _checkpoint_due(self) -> bool:
-        roll_at = self._roll_bytes()
+        roll_at = self.store._durability.roll_bytes
         seal_rows = self.policy.seal_rows
         for shard in self.store.shards:
             wal = shard.wal

@@ -165,15 +165,7 @@ class FilterStore:
         schema: AttributeSchema,
         params: CCFParams,
         config: StoreConfig | None = None,
-        kind: str = "plain",
     ) -> None:
-        if kind != "plain":
-            raise ValueError(
-                "FilterStore levels must be plain CCFs: plain placement is the "
-                "only policy whose entries can be deleted and relocated during "
-                f"compaction (got kind={kind!r}); see DESIGN.md §8"
-            )
-        self.kind = kind
         self.schema = schema
         self.params = params
         self.config = config or StoreConfig()
@@ -659,7 +651,7 @@ class FilterStore:
             shard_records.append({"levels": level_files, **counters})
         return {
             "format": MANIFEST_FORMAT,
-            "kind": self.kind,
+            "kind": "plain",
             "schema": list(self.schema.names),
             "params": _params_to_dict(self.params),
             "config": self.config.to_dict(),
@@ -832,7 +824,7 @@ class FilterStore:
         schema = AttributeSchema(manifest["schema"])
         params = CCFParams(**manifest["params"])
         config = StoreConfig.from_dict(manifest["config"])
-        store = cls(schema, params, config, kind=manifest["kind"])
+        store = cls(schema, params, config)
         store.ops = OpCounters(manifest.get("ops"))
         for shard, record in zip(store.shards, manifest["shards"]):
             entries = record["levels"]
@@ -929,11 +921,6 @@ class FilterStore:
     def _refresh(self, path: str | Path) -> dict[str, int]:
         root = Path(path)
         manifest = read_manifest(root)
-        if manifest["kind"] != self.kind:
-            raise ValueError(
-                f"cannot refresh a {self.kind!r} store from a "
-                f"{manifest['kind']!r} snapshot"
-            )
         if list(manifest["schema"]) != list(self.schema.names):
             raise ValueError("cannot refresh from a snapshot with a different schema")
         if CCFParams(**manifest["params"]) != self.params:
@@ -961,9 +948,11 @@ def read_manifest(root: str | Path) -> dict:
 
     The one reader of the manifest format: :meth:`FilterStore.open`,
     :meth:`FilterStore.refresh` and ``python -m repro.store inspect`` all go
-    through it.  It accepts only format 2 with one shard record per
-    configured shard and every level entry a ``"segment"``; anything else
-    raises :class:`SerializeError` naming the manifest file.  A shard-record
+    through it.  It accepts only format 2 of a ``"plain"`` store (levels
+    are plain CCFs, the one variant whose entries compaction can delete and
+    relocate; DESIGN.md §8) with one shard record per configured shard and
+    every level entry a ``"segment"``; anything else raises
+    :class:`SerializeError` naming the manifest file.  A shard-record
     count below ``num_shards`` must never open: the missing shards would
     answer False for every row they own.
     """
@@ -979,6 +968,11 @@ def read_manifest(root: str | Path) -> dict:
         raise SerializeError(
             f"unsupported FilterStore manifest format {version!r} "
             f"(this build reads format {MANIFEST_FORMAT})",
+            source=str(path),
+        )
+    if manifest.get("kind") != "plain":
+        raise SerializeError(
+            f"manifest kind {manifest.get('kind')!r} is not a plain store",
             source=str(path),
         )
     shards = manifest["shards"]

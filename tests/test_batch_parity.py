@@ -25,6 +25,7 @@ from repro.ccf.range_ccf import DyadicRangeCCF
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.hashtable import CuckooHashTable
 from repro.cuckoo.multiset import MultisetCuckooFilter
+from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
 from tests.conftest import TINY_PREDICATES, tiny_chained_ccfs
 
@@ -173,12 +174,25 @@ def test_range_ccf_insert_and_query_parity(rows, kind):
     seed=st.integers(min_value=0, max_value=5),
 )
 def test_cuckoo_filter_parity(keys, seed):
+    _check_membership_filter_parity(lambda: CuckooFilter(16, 4, 10, seed=seed), keys)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=150),
+    seed=st.integers(min_value=0, max_value=5),
+)
+def test_semisorted_filter_parity(keys, seed):
+    _check_membership_filter_parity(lambda: SemiSortedCuckooFilter(16, 10, seed=seed), keys)
+
+
+def _check_membership_filter_parity(make, keys):
     # Inserts: one batch and a per-key loop may place differently but answer
     # identically while nothing is stashed (DESIGN.md §5 rule 3).
-    looped = CuckooFilter(16, 4, 10, seed=seed)
+    looped = make()
     looped_results = [looped.insert(k) for k in keys]
-    scalar = CuckooFilter(16, 4, 10, seed=seed)
-    batch = CuckooFilter(16, 4, 10, seed=seed)
+    scalar = make()
+    batch = make()
     scalar.insert_many(keys)
     batch_results = batch.insert_many(keys).tolist()
     assert looped.num_items == batch.num_items == len(batch) == len(keys)
@@ -236,7 +250,7 @@ def test_hashtable_parity(pairs):
     for key, value in pairs:
         scalar[key] = value
     batch.insert_many([k for k, _v in pairs], [v for _k, v in pairs])
-    # Identical hashing and RNG use mean identical resize points and layout.
+    # Identical hashing and victim streams mean identical resize points and layout.
     assert scalar.num_resizes == batch.num_resizes
     assert len(scalar) == len(batch)
     assert scalar.buckets.state() == batch.buckets.state()
@@ -259,7 +273,7 @@ def test_hashtable_parity(pairs):
 
 def test_hashtable_insert_many_accepts_ndarrays():
     """Regression: ndarray keys must be stored as native ints — stored keys
-    are re-hashed by kicks and resizes, and hash64 rejects numpy scalars."""
+    are re-hashed by resizes, and hash64 rejects numpy scalars."""
     table = CuckooHashTable(num_buckets=4, bucket_size=2, seed=1)
     keys = np.arange(100)
     table.insert_many(keys, keys * 10)  # forces kicks and resizes

@@ -128,11 +128,28 @@ class TestSlotMatrix:
     def test_payload_column(self):
         matrix = SlotMatrix(2, 2, with_payloads=True)
         payload = {"k": 1}
-        slot = matrix.try_add(0, 7, payload)
-        assert matrix.payload_at(0, slot) is payload
-        assert list(matrix.iter_slots(0)) == [(slot, 7, payload)]
-        matrix.clear_slot(0, slot)
-        assert matrix.payload_at(0, slot) is None
+        matrix.set_slot(0, 1, 7, payload)
+        assert list(matrix.iter_slots(0)) == [(1, 7, payload)]
+        matrix.clear_slot(0, 1)
+        assert matrix.payloads == [None] * 4
+
+    def test_place_carries_payloads_along_the_path(self):
+        """Home first, then kicks from the partner; payloads follow their
+        fingerprints, and a chain out of kicks hands back the homeless one."""
+        matrix = SlotMatrix(2, 1, with_payloads=True, fp_bits=8)
+        names = {5: "a", 6: "b", 7: "c"}
+        fp, placed, counter, path = matrix.place(5, 0, 1, 3, 11, 13, 0)
+        assert (fp, placed, counter, path) == (5, True, 0, [(0, 0, matrix.empty)])
+        assert matrix.carry_payloads(path, "a") is None
+        fp, placed, counter, path = matrix.place(6, 0, 1, 3, 11, 13, counter)
+        assert (placed, counter, path) == (True, 0, [(1, 0, matrix.empty)])
+        assert matrix.carry_payloads(path, "b") is None
+        fp, placed, counter, path = matrix.place(7, 0, 1, 3, 11, 13, counter)
+        assert not placed and counter == 3 and len(path) == 3
+        assert matrix.carry_payloads(path, "c") == names[fp]
+        assert matrix.filled == 2
+        for _bucket, _slot, stored, payload in matrix.iter_entries():
+            assert payload == names[stored]
 
     def test_payloads_rejected_without_column(self):
         matrix = SlotMatrix(2, 2)

@@ -1,11 +1,13 @@
 """Tests for the classic cuckoo hash table (§4.1)."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cuckoo.chained_table import ChainedCuckooHashTable
 from repro.cuckoo.hashtable import CuckooHashTable
 
 
@@ -77,6 +79,34 @@ class TestResizing:
         for i in range(1000):
             table[i] = i
         assert 0.1 < table.load_factor() <= 1.0
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("cls", [CuckooHashTable, ChainedCuckooHashTable])
+    def test_kicks_never_rehash_keys(self, monkeypatch, cls):
+        """The partner bucket is the stored digest's XOR jump, so an upsert
+        that kicks makes no more key hashes than one that lands at once
+        (counted at the module's `hash64`)."""
+        module = sys.modules[cls.__module__]
+        real_hash64 = module.hash64
+        calls = []
+
+        def counting_hash64(*args):
+            calls.append(args)
+            return real_hash64(*args)
+
+        monkeypatch.setattr(module, "hash64", counting_hash64)
+        table = cls(num_buckets=64, bucket_size=4, seed=5)
+        upsert = table.__setitem__ if cls is CuckooHashTable else table.add
+        costs = {True: set(), False: set()}  # kicked? -> hash64 calls
+        for key in range(240):
+            calls.clear()
+            kicks, resizes = table.num_kicks, table.num_resizes
+            upsert(key, -key)
+            if table.num_resizes == resizes:
+                costs[table.num_kicks > kicks].add(len(calls))
+        assert costs[True] and costs[False]
+        assert max(costs[True]) <= min(costs[False])
 
 
 class TestAgainstDictModel:

@@ -18,6 +18,7 @@ from repro.ccf.attributes import AttributeSchema
 from repro.ccf.params import CCFParams
 from repro.ccf.plain import PlainCCF
 from repro.ccf.predicates import Eq
+from repro.ccf.serialize import SerializeError
 from repro.store import FilterStore, StoreConfig
 
 SCHEMA = AttributeSchema(["color", "size"])
@@ -214,9 +215,19 @@ class TestDeleteRouting:
         assert not store.query(key)
         assert not store.delete(key, ("green", 9))
 
-    def test_chained_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="plain"):
-            FilterStore(SCHEMA, PARAMS, StoreConfig(), kind="chained")
+    def test_chained_kind_is_rejected(self, tmp_path):
+        """Stores hold plain levels only: a manifest of another kind neither
+        opens nor refreshes (building one is refused earlier, by
+        `build_filter_bundle`; see test_reduction)."""
+        root = make_store().snapshot(tmp_path / "snap")
+        manifest = root / "manifest.json"
+        manifest.write_text(
+            manifest.read_text().replace('"kind": "plain"', '"kind": "chained"')
+        )
+        with pytest.raises(SerializeError, match="plain"):
+            FilterStore.open(root)
+        with pytest.raises(SerializeError, match="plain"):
+            make_store().refresh(root)
 
 
 class TestPersistence:

@@ -59,13 +59,12 @@ class TestPolicy:
     def test_defaults_are_valid(self):
         policy = MaintenancePolicy()
         assert policy.compact_levels == 4
-        assert policy.roll_bytes is None and policy.seal_rows is None
+        assert policy.seal_rows is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"compact_levels": 1},
-            {"roll_bytes": 0},
             {"seal_rows": 0},
         ],
     )
@@ -103,11 +102,9 @@ class TestSteps:
         store.close()
 
     def test_checkpoint_step_rolls_wals_on_bytes(self, tmp_path):
-        store = make_durable(tmp_path / "store")
+        store = make_durable(tmp_path / "store", roll_bytes=1)
         fill(store, 200)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=64, roll_bytes=1)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=64))
         assert sched.pending() == ["checkpoint"]
         assert sched.step() == "checkpoint"
         assert store._wal_gen == 2
@@ -115,11 +112,10 @@ class TestSteps:
         store.close()
 
     def test_seal_rows_triggers_without_byte_debt(self, tmp_path):
-        store = make_durable(tmp_path / "store")
+        store = make_durable(tmp_path / "store", roll_bytes=1 << 30)
         fill(store, 64)
         sched = MaintenanceScheduler(
-            store,
-            MaintenancePolicy(compact_levels=64, roll_bytes=1 << 30, seal_rows=16),
+            store, MaintenancePolicy(compact_levels=64, seal_rows=16)
         )
         assert sched.pending() == ["checkpoint"]
         assert sched.step() == "checkpoint"
@@ -136,11 +132,9 @@ class TestSteps:
     def test_run_compacts_before_checkpointing(self, tmp_path):
         """Merging first makes the seal smaller: one segment per shard
         instead of one per level of the pre-compaction stack."""
-        store = make_durable(tmp_path / "store")
+        store = make_durable(tmp_path / "store", roll_bytes=1)
         fill(store, 2000)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=2, roll_bytes=1)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=2))
         executed = sched.run()
         assert executed[-1] == "checkpoint"
         assert set(executed[:-1]) == {"compact"}
@@ -150,11 +144,9 @@ class TestSteps:
         store.close()
 
     def test_run_respects_budget(self, tmp_path):
-        store = make_durable(tmp_path / "store")
+        store = make_durable(tmp_path / "store", roll_bytes=1)
         fill(store, 2000)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=2, roll_bytes=1)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=2))
         assert len(sched.run(max_steps=1)) == 1
         assert sched.pending()  # debt remains; the next call continues
         store.close()
@@ -165,11 +157,9 @@ class TestSteps:
         from tests.test_crash_recovery import abandon
 
         root = tmp_path / "store"
-        store = make_durable(root)
+        store = make_durable(root, roll_bytes=1 << 30)
         keys = fill(store, 2000)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=2, roll_bytes=1 << 30)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=2))
         while sched.step() == "compact":
             pass
         abandon(store)
@@ -204,11 +194,9 @@ class TestSteps:
         from tests.test_crash_recovery import abandon
 
         root = tmp_path / "store"
-        store = make_durable(root)
+        store = make_durable(root, roll_bytes=1)
         keys = fill(store, 2000)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=2, roll_bytes=1)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=2))
         faults.arm("checkpoint.segment", 2)  # die sealing the second level
         with pytest.raises(InjectedFault):
             sched.run()
@@ -221,12 +209,10 @@ class TestSteps:
 
 class TestServeIntegration:
     def test_publish_runs_installed_maintenance(self, tmp_path):
-        store = make_durable(tmp_path / "store")
+        store = make_durable(tmp_path / "store", roll_bytes=1)
         fill(store, 200)
         runtime = ServeRuntime(store, tmp_path / "epochs", warm=False)
-        sched = MaintenanceScheduler(
-            store, MaintenancePolicy(compact_levels=64, roll_bytes=1)
-        )
+        sched = MaintenanceScheduler(store, MaintenancePolicy(compact_levels=64))
         runtime.install_maintenance(sched, steps_per_publish=4)
         runtime.publish()
         assert sched.steps_run >= 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cuckoo.filter import CuckooFilter
+from repro.cuckoo.semisort import decode_bucket, encoded_bucket_bits
 from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
 
@@ -24,6 +25,22 @@ class TestBasics:
         filter_ = make_filter()
         for key in range(2000):
             assert filter_.fingerprint_of(key) != 0
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_fingerprints_avoid_the_packed_sentinel(self, bits):
+        """At dtype widths the all-ones value is the EMPTY sentinel: it
+        folds to 1 like 0 does, identically on the scalar and batch paths."""
+        filter_ = make_filter(fingerprint_bits=bits)
+        keys = list(range(5000))
+        fps = filter_.fingerprints_of_many(keys)
+        assert fps.tolist() == [filter_.fingerprint_of(key) for key in keys]
+        assert fps.min() >= 1 and fps.max() < (1 << bits) - 1
+
+    def test_from_capacity_keeps_four_slot_buckets(self):
+        filter_ = SemiSortedCuckooFilter.from_capacity(1000, fingerprint_bits=16, seed=3)
+        assert filter_.buckets.bucket_size == 4
+        assert filter_.fingerprint_bits == 16
+        assert filter_.buckets.num_buckets == 512
 
     def test_fingerprint_bits_validation(self):
         with pytest.raises(ValueError):
@@ -100,3 +117,18 @@ class TestCompression:
         for _ in range(4):
             assert filter_.delete("same-key")
         assert "same-key" not in filter_
+
+    @pytest.mark.parametrize("bits", [5, 8, 12, 16, 20])
+    def test_bucket_codes_encode_the_live_slots(self, bits):
+        """Each code decodes to its bucket's sorted fingerprints (0 = empty)
+        and fits in the codec's bucket width."""
+        filter_ = make_filter(num_buckets=32, fingerprint_bits=bits)
+        keys = list(range(110))
+        filter_.insert_many(keys)
+        filter_.delete_many(keys[::4])  # holes: the codes hold live slots only
+        codes = filter_.bucket_codes()
+        assert len(codes) == 32
+        for bucket, code in enumerate(codes):
+            live = filter_.buckets.bucket_fps(bucket)
+            assert decode_bucket(code, bits) == sorted(live + [0] * (4 - len(live)))
+            assert code.bit_length() <= encoded_bucket_bits(bits)

@@ -278,6 +278,28 @@ class TestCuckooFilterRoundTrip:
             assert restored.contains(key) == cuckoo.contains(key)
         assert dumps(restored) == payload
 
+    def test_reloaded_filter_kicks_like_the_original(self):
+        """CKF4 carries the victim stream's position, so a reloaded filter
+        fed the original's next keys ends bit-identical."""
+        cuckoo = CuckooFilter(256, 4, 12, seed=3)
+        cuckoo.insert_many(range(900))
+        assert cuckoo._wave_victim_counter > 0
+        restored = loads(dumps(cuckoo))
+        more = range(900, 990)
+        assert restored.insert_many(more).tolist() == cuckoo.insert_many(more).tolist()
+        assert cuckoo.stash, "the filter did not overload as intended"
+        assert restored.buckets.state() == cuckoo.buckets.state()
+        assert restored.stash == cuckoo.stash
+        assert restored._wave_victim_counter == cuckoo._wave_victim_counter
+
+    def test_semisorted_filter_is_refused(self):
+        """A subclass hashes under other salts: shipped as a plain CKF4
+        payload it would reload with false negatives."""
+        from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
+
+        with pytest.raises(TypeError):
+            dumps(SemiSortedCuckooFilter(16))
+
     def test_round_trip_after_overload_with_stash(self):
         cuckoo = CuckooFilter(2, 2, 10, max_kicks=4, seed=12)
         keys = list(range(25))
@@ -297,9 +319,10 @@ class TestErrors:
     def _payload(self):
         return dumps(build_ccf("plain", SCHEMA, random_rows(60, 4, seed=4), PARAMS))
 
-    # The pre-dtype-tag wire formats (CCF2/CKF2/CCV2/CRF1) are retired and
+    # The pre-dtype-tag wire formats (CCF2/CKF2/CCV2/CRF1) and CKF3, which
+    # dropped the cuckoo filter's victim-stream position, are retired and
     # refused like any other unknown magic.
-    @pytest.mark.parametrize("magic", ["XXXX", "CCF2", "CKF2", "CCV2", "CRF1"])
+    @pytest.mark.parametrize("magic", ["XXXX", "CCF2", "CKF2", "CKF3", "CCV2", "CRF1"])
     def test_unknown_magic(self, magic):
         with pytest.raises(SerializeError, match="magic"):
             loads(magic.encode() + b"\x00\x00")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.multiset import MultisetCuckooFilter
+from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 from repro.kernels import set_backend
 
 #: Backends every machine can run; numba joins when importable.
@@ -25,6 +26,10 @@ try:  # pragma: no cover - exercised on the CI numba leg
     BACKENDS.append("numba")
 except Exception:
     pass
+
+
+#: Every fingerprint-per-slot filter; they share one insert path.
+FINGERPRINT_FILTERS = [CuckooFilter, MultisetCuckooFilter, SemiSortedCuckooFilter]
 
 
 def _twins(cls, **kwargs):
@@ -218,7 +223,7 @@ def _check_one_insert_path(backend, cls, keys, seed):
     batching answers identically while nothing is stashed; ``delete_many``
     == a ``delete`` loop bit for bit."""
     def make():
-        return cls(16, 4, 10, max_kicks=16, seed=seed)
+        return cls(16, fingerprint_bits=10, max_kicks=16, seed=seed)
 
     set_backend(backend)
     try:
@@ -246,7 +251,7 @@ def _check_one_insert_path(backend, cls, keys, seed):
         set_backend(None)
 
 
-@pytest.mark.parametrize("cls", [CuckooFilter, MultisetCuckooFilter])
+@pytest.mark.parametrize("cls", FINGERPRINT_FILTERS)
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(
@@ -258,13 +263,13 @@ def test_one_insert_path_contract(backend, cls, keys, seed):
     _check_one_insert_path(backend, cls, keys, seed)
 
 
-@pytest.mark.parametrize("cls", [CuckooFilter, MultisetCuckooFilter])
+@pytest.mark.parametrize("cls", FINGERPRINT_FILTERS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_one_insert_path_contract_at_150_percent_load(backend, cls):
     """96 distinct keys into 64 slots: chains exhaust, the stash fills, and
     the scalar and batch-of-one paths must still agree bit for bit."""
     keys = list(range(96))
     _check_one_insert_path(backend, cls, keys, seed=3)
-    overloaded = cls(16, 4, 10, max_kicks=16, seed=3)
+    overloaded = cls(16, fingerprint_bits=10, max_kicks=16, seed=3)
     overloaded.insert_many(keys)
     assert overloaded.failed and overloaded.stash
