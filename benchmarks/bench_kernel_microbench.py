@@ -89,7 +89,7 @@ def _pre_pr_contains_many(cuckoo: CuckooFilter, keys: np.ndarray) -> np.ndarray:
     """The pre-PR probe kernel, verbatim: two int64 fancy-gathers."""
     fps = cuckoo.fingerprints_of_many(keys)
     homes = cuckoo.home_indices_of_many(keys)
-    alts = homes ^ cuckoo._fp_jump_many(fps)
+    alts = homes ^ cuckoo.geometry.fp_jump_many(fps)
     table = cuckoo.buckets.fps
     fp_col = fps[:, None]
     found = (table[homes] == fp_col).any(axis=1)

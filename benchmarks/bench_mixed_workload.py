@@ -146,7 +146,7 @@ class SnapshotPathBaseline:
                 dtype=bool,
                 count=len(keys),
             )
-        alts = homes ^ hash64_many_masked(fps, twin._jump_salt, self.num_buckets - 1)
+        alts = homes ^ hash64_many_masked(fps, twin.geometry._jump_salt, self.num_buckets - 1)
         table = self._fp_table()
         fp_col = fps[:, None]
         found = (table[homes] == fp_col).any(axis=1)

@@ -34,7 +34,7 @@ from repro.ccf.predicates import (
 )
 from repro.ccf.mmapio import open_segment, read_segment_meta, write_segment
 from repro.ccf.serialize import SerializeError, dumps, loads
-from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
+from repro.ccf.views import MarkedKeyFilter
 
 __all__ = [
     "And",
@@ -50,7 +50,6 @@ __all__ = [
     "DyadicRangeCCF",
     "Eq",
     "EquiSizeBinner",
-    "ExtractedKeyFilter",
     "In",
     "LARGE_PARAMS",
     "MarkedKeyFilter",

@@ -7,7 +7,10 @@ pair* ``(l, l')`` is the unit the paper reasons about: at most ``d``
 (= ``max_dupes``) copies of one fingerprint may live in a pair (Lemma 1),
 and the chained variant extends a key to further pairs via the one-way step
 ``l̃ = h(min(l, l'), κ)`` (§6.2).  All geometry lives in
-:class:`~repro.ccf.chain.PairGeometry`; this base class adds storage,
+:class:`~repro.ccf.chain.PairGeometry` — the cuckoo filters'
+:class:`~repro.cuckoo.geometry.BucketGeometry` plus the chain step — so a
+CCF hashes keys exactly as a cuckoo filter of the same bucket count,
+fingerprint width and seed does; this base class adds storage,
 Algorithm 4's placement, predicate compilation, and entry matching for the
 three entry shapes.
 

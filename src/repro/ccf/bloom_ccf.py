@@ -99,13 +99,13 @@ class BloomCCF(ConditionalCuckooFilterBase):
         """Rows merge by fingerprint, so a pair holds one entry per κ."""
         return 1
 
-    def predicate_filter(self, predicate: Predicate) -> "ExtractedKeyFilter":
+    def predicate_filter(self, predicate: Predicate) -> "CuckooFilter":
         """Predicate-only query (Algorithm 2): return a key-only cuckoo filter.
 
         Entries whose Bloom sketch cannot match the predicate are erased; the
         result answers ``contains(key)`` for the (approximate) set of keys
         with a matching attribute row.
         """
-        from repro.ccf.views import ExtractedKeyFilter
+        from repro.ccf.views import extract_key_filter
 
-        return ExtractedKeyFilter.from_ccf(self, predicate)
+        return extract_key_filter(self, predicate)

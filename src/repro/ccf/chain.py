@@ -1,11 +1,12 @@
 """Pair geometry and the chained pair walk (§4.2, §6.2).
 
-:class:`PairGeometry` bundles everything that determines *where* a key's
-entries may live, independent of what is stored there: the home-bucket hash,
-the key fingerprint, the XOR alternate-bucket map and the one-way chain step
-``l̃ = h(min(l, l'), κ)``.  Both the CCF variants and the predicate-extracted
-filter views (Algorithm 2) share one ``PairGeometry`` instance, which is what
-guarantees a view probes exactly the buckets its source filter filled.
+:class:`PairGeometry` is the cuckoo layer's
+:class:`~repro.cuckoo.geometry.BucketGeometry` — the home-bucket hash, the
+key fingerprint and the XOR alternate-bucket map that every fingerprint
+structure shares — plus the one-way chain step ``l̃ = h(min(l, l'), κ)`` of
+the chained CCF.  A predicate view shares its source filter's
+``PairGeometry``, which is what guarantees it probes exactly the buckets
+its source filled.
 
 The *pair walk* yields the deterministic sequence of bucket pairs a
 fingerprint may occupy.  Chain steps can collide with pairs already on the
@@ -16,26 +17,21 @@ is the property Lemma 2's correctness argument needs.
 
 :meth:`PairGeometry.walk_many` is the batch form of the query-side walk
 (Algorithm 5): every unresolved key of a batch moves one bucket pair forward
-per round, under the same cycle, walk-limit and stash rules as the scalar
-walk, with the caller supplying what counts as a hit in a pair.
+per round, under the same cycle and walk-limit rules as the scalar walk,
+with the caller supplying what counts as a hit in a pair.  Callers answer
+keys whose fingerprint sits in the stash before walking: such a walk could
+only end True.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold, is_power_of_two
-from repro.hashing.mixers import (
-    JumpCache,
-    _mixed_seed,
-    derive_seed,
-    hash64,
-    hash64_many_masked,
-    mix64,
-    mix64_many,
-)
+from repro.cuckoo.buckets import SlotMatrix
+from repro.cuckoo.geometry import BucketGeometry
+from repro.hashing.mixers import derive_seed, mix64, mix64_many
 
 #: How many deterministic re-hashes the walk tries when the next pair is
 #: already visited, before giving up on extending the chain.
@@ -56,80 +52,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FIB_MULT = np.int64(_CHAIN_FP_MULT - (1 << 64))
 
 
-class PairGeometry:
-    """Hashing geometry of a cuckoo table: buckets, fingerprints, chains."""
+class PairGeometry(BucketGeometry):
+    """Bucket geometry plus the one-way chain step of chained CCFs."""
 
-    __slots__ = (
-        "num_buckets",
-        "key_bits",
-        "seed",
-        "jump_seed",
-        "_fp_mask",
-        "_fp_fold",
-        "_index_salt",
-        "_fp_salt",
-        "_jump_salt",
-        "_chain_salt",
-        "_jump_cache",
-    )
+    __slots__ = ("_chain_salt",)
 
     def __init__(self, num_buckets: int, key_bits: int, seed: int = 0) -> None:
-        if not is_power_of_two(num_buckets):
-            raise ValueError(f"num_buckets must be a power of two, got {num_buckets}")
-        if not 1 <= key_bits <= 62:
-            raise ValueError("key_bits must be in [1, 62]")
-        self.num_buckets = num_buckets
-        self.key_bits = key_bits
-        self.seed = seed
-        self._fp_mask = (1 << key_bits) - 1
-        self._fp_fold = fingerprint_fold(key_bits)
-        self._index_salt = derive_seed(seed, "geom-index")
-        self._fp_salt = derive_seed(seed, "geom-fp")
-        self._jump_salt = derive_seed(seed, "geom-jump")
+        super().__init__(num_buckets, key_bits, seed)
         self._chain_salt = derive_seed(seed, "geom-chain")
-        self._jump_cache = JumpCache(self._jump_salt, num_buckets - 1)
-        #: The jump hash as the kick kernels compute it:
-        #: ``mix64(fp ^ jump_seed) & (num_buckets - 1)`` is `fp_jump`.
-        self.jump_seed = _mixed_seed(self._jump_salt)
-
-    def fingerprint_of(self, key: object) -> int:
-        """Return the key fingerprint κ (``key_bits`` wide).
-
-        At boundary widths (8/16/32 bits) the all-ones value is reserved as
-        the packed EMPTY sentinel and folds to 0 (DESIGN.md §9).
-        """
-        fp = hash64(key, self._fp_salt) & self._fp_mask
-        return 0 if fp == self._fp_fold else fp
-
-    def home_index(self, key: object) -> int:
-        """Return the primary bucket l for ``key``."""
-        return hash64(key, self._index_salt) & (self.num_buckets - 1)
-
-    def fp_jump(self, fingerprint: int) -> int:
-        """Return ``h(κ) mod m``, the XOR offset between a pair's buckets."""
-        return self._jump_cache.jump(fingerprint)
-
-    def alt_index(self, index: int, fingerprint: int) -> int:
-        """Return the partner bucket ``index XOR h(κ)`` (an involution)."""
-        return index ^ self.fp_jump(fingerprint)
-
-    # -- batch geometry ----------------------------------------------------
-
-    def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
-        """Batch `fingerprint_of` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._fp_salt, self._fp_mask, self._fp_fold)
-
-    def home_indices_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
-        """Batch `home_index` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._index_salt, self.num_buckets - 1)
-
-    def fp_jump_many(self, fingerprints: np.ndarray) -> np.ndarray:
-        """Batch `fp_jump`, computed on the fly (bypasses the memo)."""
-        return hash64_many_masked(fingerprints, self._jump_salt, self.num_buckets - 1)
-
-    def alt_indices_many(self, indices: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
-        """Batch `alt_index`."""
-        return indices ^ self.fp_jump_many(fingerprints)
 
     def chain_step(self, pair_id: int, fingerprint: int, bump: int = 0) -> int:
         """One-way chain hash ``h(min(l, l'), κ)`` with a cycle-retry bump.
@@ -159,12 +89,6 @@ class PairGeometry:
             ^ np.uint64((bump * _CHAIN_BUMP_MULT & _MASK64) ^ self._chain_salt)
         )
         return (mix64_many(mixed) & np.uint64(self.num_buckets - 1)).astype(np.int64)
-
-    def pair_of(self, key: object) -> tuple[int, int]:
-        """Return the first bucket pair (home, alternate) for ``key``."""
-        fingerprint = self.fingerprint_of(key)
-        home = self.home_index(key)
-        return home, self.alt_index(home, fingerprint)
 
     def pair_walk(self, home: int, fingerprint: int) -> Iterator[tuple[int, int]]:
         """Yield the deterministic chain of bucket pairs for a fingerprint.
@@ -205,7 +129,6 @@ class PairGeometry:
         *,
         max_dupes: int,
         limit: int,
-        sticky: np.ndarray,
         pair_hit: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     ) -> np.ndarray:
         """Batch query walk (Algorithm 5), one bucket pair per round.
@@ -215,11 +138,10 @@ class PairGeometry:
         over ``buckets`` and asks ``pair_hit(lefts, rights, eq)`` whether
         the pair holds a qualifying copy (``eq`` is the ``(k, 2, b)``
         fingerprint-equality mask).  A hit answers True.  Otherwise a key
-        walks on while its pair holds exactly ``max_dupes`` copies, or
-        while its fingerprint is ``sticky`` (a stashed copy means counts
-        along its chain may have dropped), and answers False if not.  Walks
-        that reach ``limit`` pairs, or whose next pair cannot be found
-        within :data:`CYCLE_BUMP_LIMIT` bumps, answer True (Theorem 3).
+        walks on while its pair holds exactly ``max_dupes`` copies, and
+        answers False if not.  Walks that reach ``limit`` pairs, or whose
+        next pair cannot be found within :data:`CYCLE_BUMP_LIMIT` bumps,
+        answer True (Theorem 3).
         The pair sequence is :meth:`pair_walk`'s, so answers equal the
         scalar walk's key by key.
 
@@ -241,7 +163,7 @@ class PairGeometry:
             copies = eq[:, 0].sum(axis=1)
             copies += np.where(lefts == rights, 0, eq[:, 1].sum(axis=1))
             hit = pair_hit(lefts, rights, eq)
-            walk_on = ~hit & ((copies == max_dupes) | sticky)
+            walk_on = ~hit & (copies == max_dupes)
             out[index[~hit & ~walk_on]] = False
             walked += 1
             if walked >= limit:
@@ -264,7 +186,7 @@ class PairGeometry:
             )
             keep = keep[fresh]
             lefts, pair_ids = lefts[fresh], pair_ids[fresh]
-            index, fps, jumps, sticky = index[keep], fps[keep], jumps[keep], sticky[keep]
+            index, fps, jumps = index[keep], fps[keep], jumps[keep]
             rights = lefts ^ jumps
             if far is None:
                 visited = np.concatenate([rows[fresh], pair_ids[:, None]], axis=1)

@@ -68,15 +68,14 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         self, fingerprint: int, home: int, compiled: CompiledQuery | None
     ) -> bool:
         """Membership test under an optional predicate; Algorithm 5."""
-        if self.stash and self._stash_matches(fingerprint, compiled):
+        if self.stash and any(entry.fp == fingerprint for entry in self.stash):
+            # A matching stashed entry answers True.  Any other stashed copy
+            # of this fingerprint means some pair on its chain lost a copy
+            # (violating Lemma 1's never-decrease property), so the d-count
+            # early stop below is no longer trustworthy: the walk could only
+            # end in the conservative True, which is answered here.
             return True
-        # A stashed victim with this fingerprint means some pair on its chain
-        # lost a copy (violating Lemma 1's never-decrease property), so the
-        # d-count early-stop below is no longer trustworthy for this
-        # fingerprint: fall through to the conservative True instead.
-        stash_has_fp = any(entry.fp == fingerprint for entry in self.stash)
-        d = self.params.max_dupes
-        if compiled is None and not stash_has_fp:
+        if compiled is None:
             # §7.1: for key-only queries the chain is irrelevant — an
             # inserted key always leaves at least one copy in its first pair.
             left = home
@@ -92,7 +91,7 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             for entry in slots:
                 if self._entry_matches(entry, compiled):
                     return True
-            if len(slots) == d or stash_has_fp:
+            if len(slots) == self.params.max_dupes:
                 continue
             return False
         # Lmax pairs exhausted (or the walk could not be extended) with every
@@ -109,10 +108,10 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         """Batch Algorithm 5: one probe for key-only queries, else one walk.
 
         §7.1: key-only queries never look past the first pair, so they are
-        one vectorised probe.  Predicate queries answer True on a matching
-        stash entry, as the scalar walk does first; every other key walks
-        its chain in `PairGeometry.walk_many`, where a pair hits when it
-        holds an admissible copy.
+        one vectorised probe.  Predicate queries answer True where the stash
+        holds the key's fingerprint, as the scalar walk does first; every
+        other key walks its chain in `PairGeometry.walk_many`, where a pair
+        hits when it holds an admissible copy.
         """
         if compiled is None:
             # Key-only: one pair probe, any stashed fingerprint copy is True —
@@ -121,19 +120,18 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         if alts is None:
             alts = self.geometry.alt_indices_many(homes, fps)
         out = np.zeros(len(fps), dtype=bool)
-        sticky = np.zeros(len(fps), dtype=bool)
         if self.stash:
-            sticky = np.isin(fps, np.array([entry.fp for entry in self.stash], dtype=np.int64))
-            stash_fps = self._matching_stash_fps(compiled)
-            if stash_fps is not None:
-                out = np.isin(fps, stash_fps)
-                if obs.state.enabled:
-                    # Rescued: the first pair holds no admissible copy.
-                    at = np.nonzero(out)[0]
+            if obs.state.enabled:
+                stash_fps = self._matching_stash_fps(compiled)
+                if stash_fps is not None:
+                    # Rescued: a matching stash entry admits the key and its
+                    # first pair holds no admissible copy.
+                    at = np.nonzero(np.isin(fps, stash_fps))[0]
                     eq = self.buckets.pair_eq(fps[at], homes[at], alts[at])
                     self._count_stash_rescues(
                         ~self._pair_admits(homes[at], alts[at], eq, compiled)
                     )
+            out = np.isin(fps, np.array([entry.fp for entry in self.stash], dtype=np.int64))
         walk = np.nonzero(~out)[0]
         out[walk] = self.geometry.walk_many(
             self.buckets,
@@ -142,7 +140,6 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             alts[walk],
             max_dupes=self.params.max_dupes,
             limit=self._walk_limit(),
-            sticky=sticky[walk],
             pair_hit=lambda lefts, rights, eq: self._pair_admits(lefts, rights, eq, compiled),
         )
         return out

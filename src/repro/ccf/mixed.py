@@ -177,8 +177,8 @@ class MixedCCF(ConditionalCuckooFilterBase):
                     f"fingerprint {fingerprint:#x}"
                 )
 
-    def predicate_filter(self, predicate: Predicate) -> "ExtractedKeyFilter":
+    def predicate_filter(self, predicate: Predicate) -> "CuckooFilter":
         """Predicate-only query: erase non-matching entries (safe — no chains)."""
-        from repro.ccf.views import ExtractedKeyFilter
+        from repro.ccf.views import extract_key_filter
 
-        return ExtractedKeyFilter.from_ccf(self, predicate)
+        return extract_key_filter(self, predicate)

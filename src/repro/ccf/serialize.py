@@ -6,7 +6,7 @@ the system, not an afterthought.  Everything a structure needs is its
 parameters (all hash salts derive from the seed), its schema, and its slot
 contents.  Kick victims come from a counter-based stream whose position
 each format carries — a CCF's `num_kicks` in CCF3, a cuckoo filter's
-`_wave_victim_counter` in CKF4 — so a loaded filter places later keys
+`_wave_victim_counter` in CKF5 — so a loaded filter places later keys
 bit-identically to the one it was saved from.
 
 The wire format is **columnar**, mirroring the in-memory SlotMatrix layout
@@ -18,13 +18,16 @@ sequential.  Loading scatters the columns straight back into the typed
 storage arrays.
 
 :func:`dumps` / :func:`loads` handle every CCF variant, the
-:class:`~repro.ccf.range_ccf.DyadicRangeCCF` wrapper, the two
-predicate-extracted views, and the plain cuckoo filter — exactly
-:class:`~repro.cuckoo.filter.CuckooFilter`: a subclass such as the
-semi-sorted filter hashes under other salts, so it is refused.  Slot
-payloads are bit-packed at their declared widths (12-bit fingerprints cost
-12 bits), so the on-wire size tracks ``size_in_bits()`` up to small
-headers.
+:class:`~repro.ccf.range_ccf.DyadicRangeCCF` wrapper, the chained CCF's
+marked predicate view (CCV3), and the plain cuckoo filter (CKF5), which is
+also what a Bloom or Mixed CCF's extracted key filter is.  CKF5 is exactly
+:class:`~repro.cuckoo.filter.CuckooFilter`: the semi-sorted subclass folds
+fingerprint 0 to 1, so a plain filter reloaded from its slots would probe
+for 0 and miss the stored 1; it is refused.  CKF4 payloads hashed under
+salts of their own and are refused like any unknown magic, and so are
+CCV3 payloads of the retired extracted-view type.  Slot payloads are
+bit-packed at their declared widths (12-bit fingerprints cost 12 bits), so
+the on-wire size tracks ``size_in_bits()`` up to small headers.
 
 :class:`SerializeError` is the one typed decode error of every on-disk
 format, these wire formats and the store's SEG1 segments and WAL alike.
@@ -45,7 +48,7 @@ from repro.ccf.entries import BloomEntry, ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.range_ccf import DyadicRangeCCF
-from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
+from repro.ccf.views import MarkedKeyFilter
 from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 from repro.cuckoo.filter import CuckooFilter
 from repro.sketches.bitpack import BitReader, BitWriter
@@ -55,7 +58,7 @@ from repro.sketches.bloom import BloomFilter
 # width-adaptive SlotMatrix (DESIGN.md §9).
 _MAGIC_CCF = b"CCF3"
 _MAGIC_VIEW = b"CCV3"
-_MAGIC_CUCKOO = b"CKF4"
+_MAGIC_CUCKOO = b"CKF5"
 _MAGIC_RANGE = b"CRF2"
 
 _KIND_CODES = {"plain": 0, "chained": 1, "bloom": 2, "mixed": 3}
@@ -117,12 +120,12 @@ def _check_dtype_tag(tag: int, key_bits: int, packed: bool) -> None:
 
 
 def dumps(obj: Any) -> bytes:
-    """Serialise a CCF, range wrapper, extracted view, or cuckoo filter."""
+    """Serialise a CCF, range wrapper, marked view, or cuckoo filter."""
     if isinstance(obj, ConditionalCuckooFilterBase):
         return _dump_ccf(obj)
     if isinstance(obj, DyadicRangeCCF):
         return _dump_range(obj)
-    if isinstance(obj, (ExtractedKeyFilter, MarkedKeyFilter)):
+    if isinstance(obj, MarkedKeyFilter):
         return _dump_view(obj)
     if type(obj) is CuckooFilter:
         return _dump_cuckoo(obj)
@@ -150,7 +153,7 @@ def loads(data: bytes, *, source: str | None = None) -> Any:
         if magic == _MAGIC_RANGE:
             return _load_range(reader)
         if magic == _MAGIC_VIEW:
-            return _load_view(reader)
+            return _load_view(reader, source)
         if magic == _MAGIC_CUCKOO:
             return _load_cuckoo(reader)
     except SerializeError:
@@ -521,42 +524,46 @@ def _load_range(reader: BitReader) -> DyadicRangeCCF:
 # Views
 # ---------------------------------------------------------------------------
 
+#: View type codes.  Type 0 is retired: an extracted key filter is a
+#: `CuckooFilter` and ships as CKF5, so only the marked view is written.
 _VIEW_EXTRACTED, _VIEW_MARKED = 0, 1
 
 
-def _dump_view(view: ExtractedKeyFilter | MarkedKeyFilter) -> bytes:
+def _dump_view(view: MarkedKeyFilter) -> bytes:
     writer = BitWriter()
     writer.write_bytes(_MAGIC_VIEW)
-    is_marked = isinstance(view, MarkedKeyFilter)
-    writer.write(_VIEW_MARKED if is_marked else _VIEW_EXTRACTED, 8)
+    writer.write(_VIEW_MARKED, 8)
     writer.write(_dtype_tag(view.buckets), 8)
     geometry = view.geometry
     writer.write(geometry.num_buckets, 32)
     writer.write(geometry.key_bits, 8)
     writer.write(geometry.seed & _MASK64, 64)
     writer.write(view.buckets.bucket_size, 8)
-    if is_marked:
-        writer.write(view.max_dupes, 8)
-        writer.write(0 if view.max_chain is None else view.max_chain + 1, 32)
+    writer.write(view.max_dupes, 8)
+    writer.write(0 if view.max_chain is None else view.max_chain + 1, 32)
     flat_fps = view.buckets.fps.ravel()
     occupied = flat_fps != view.buckets.empty
     writer.write_bool_array(occupied)
     writer.write_array(flat_fps[occupied], geometry.key_bits)
-    if is_marked:
-        writer.write_bool_array(view.marks.ravel()[occupied])
-        writer.write(len(view.stash_entries), 16)
-        for fp, matching in view.stash_entries:
-            writer.write(fp, geometry.key_bits)
-            writer.write_bool(matching)
-    else:
-        writer.write(len(view.stash_fingerprints), 16)
-        for fp in view.stash_fingerprints:
-            writer.write(fp, geometry.key_bits)
+    writer.write_bool_array(view.marks.ravel()[occupied])
+    writer.write(len(view.stash_entries), 16)
+    for fp, matching in view.stash_entries:
+        writer.write(fp, geometry.key_bits)
+        writer.write_bool(matching)
     return writer.getvalue()
 
 
-def _load_view(reader: BitReader) -> ExtractedKeyFilter | MarkedKeyFilter:
+def _load_view(reader: BitReader, source: str | None) -> MarkedKeyFilter:
     view_type = reader.read(8)
+    if view_type == _VIEW_EXTRACTED:
+        raise SerializeError(
+            "CCV3 extracted-view payloads are retired: an extracted key filter "
+            "is a cuckoo filter and ships as CKF5",
+            source=source,
+            offset=32,
+        )
+    if view_type != _VIEW_MARKED:
+        raise ValueError(f"unknown view type {view_type}")
     tag = reader.read(8)
     num_buckets = reader.read(32)
     key_bits = reader.read(8)
@@ -564,34 +571,25 @@ def _load_view(reader: BitReader) -> ExtractedKeyFilter | MarkedKeyFilter:
     bucket_size = reader.read(8)
     packed = tag != 0
     _check_dtype_tag(tag, key_bits, packed)
-    geometry = PairGeometry(num_buckets, key_bits, seed)
-    if view_type == _VIEW_MARKED:
-        max_dupes = reader.read(8)
-        max_chain_raw = reader.read(32)
-        view: MarkedKeyFilter | ExtractedKeyFilter = MarkedKeyFilter(
-            geometry,
-            bucket_size,
-            max_dupes,
-            None if max_chain_raw == 0 else max_chain_raw - 1,
-            packed=packed,
-        )
-    else:
-        view = ExtractedKeyFilter(geometry, bucket_size, packed=packed)
+    max_dupes = reader.read(8)
+    max_chain_raw = reader.read(32)
+    view = MarkedKeyFilter(
+        PairGeometry(num_buckets, key_bits, seed),
+        bucket_size,
+        max_dupes,
+        None if max_chain_raw == 0 else max_chain_raw - 1,
+        packed=packed,
+    )
     capacity = num_buckets * bucket_size
     occupied = reader.read_bool_array(capacity)
     count = int(occupied.sum())
     view.buckets.fps.ravel()[occupied] = reader.read_array(count, key_bits)
     view.buckets.recount()
-    if view_type == _VIEW_MARKED:
-        view.marks.ravel()[occupied] = reader.read_bool_array(count)
-        stash_count = reader.read(16)
-        for _ in range(stash_count):
-            fp = reader.read(key_bits)
-            view.stash_entries.append((fp, reader.read_bool()))
-    else:
-        stash_count = reader.read(16)
-        for _ in range(stash_count):
-            view.stash_fingerprints.append(reader.read(key_bits))
+    view.marks.ravel()[occupied] = reader.read_bool_array(count)
+    stash_count = reader.read(16)
+    for _ in range(stash_count):
+        fp = reader.read(key_bits)
+        view.stash_entries.append((fp, reader.read_bool()))
     return view
 
 

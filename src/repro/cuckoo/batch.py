@@ -2,10 +2,11 @@
 
 `CuckooFilter` and `MultisetCuckooFilter` store a bare integer fingerprint
 in each slot and differ only in their query surface (membership vs copy
-counts); this mixin holds the single copy of everything else: construction
-(including the one fingerprint-width check), scalar and batch hashing, the
-one insertion algorithm and the removal kernels.  Host classes set
-``_salt_prefix``, which names their hash streams.
+counts); this mixin holds the single copy of everything else: construction,
+the one insertion algorithm and the removal kernels.  Keys hash through the
+filter's :class:`~repro.cuckoo.geometry.BucketGeometry`, the one geometry
+every fingerprint structure shares, so a filter hashes a key exactly as a
+CCF of the same bucket count, fingerprint width and seed does.
 
 The kernels run on the live columnar matrix (no snapshot to build or
 invalidate; DESIGN.md §6, §9), dispatched through the kernel backend seam
@@ -39,14 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.cuckoo.buckets import SlotMatrix, fingerprint_fold
-from repro.hashing.mixers import (
-    JumpCache,
-    _mixed_seed,
-    derive_seed,
-    hash64,
-    hash64_many_masked,
-)
+from repro.cuckoo.buckets import SlotMatrix
+from repro.cuckoo.geometry import BucketGeometry
+from repro.hashing.mixers import _mixed_seed, derive_seed
 from repro.kernels import active_backend
 
 DEFAULT_MAX_KICKS = 500
@@ -78,9 +74,6 @@ _WAVE_RELOCATION_HIST = obs.histogram(
 class FingerprintBatchMixin:
     """Construction, hashing, placement and removal for fingerprint filters."""
 
-    #: Prefix of the salt names deriving this class's hash streams.
-    _salt_prefix: str
-
     def __init__(
         self,
         num_buckets: int,
@@ -99,62 +92,42 @@ class FingerprintBatchMixin:
         self.buckets = SlotMatrix(
             num_buckets, bucket_size, fp_bits=fingerprint_bits if packed else None
         )
+        self.geometry = BucketGeometry(num_buckets, fingerprint_bits, seed)
         self.num_items = 0
         self.failed = False
         self.stash: list[int] = []
-        self._fp_mask = (1 << fingerprint_bits) - 1
-        self._fp_fold = fingerprint_fold(fingerprint_bits)
-        prefix = self._salt_prefix
-        self._index_salt = derive_seed(seed, f"{prefix}-index")
-        self._fp_salt = derive_seed(seed, f"{prefix}-fingerprint")
-        self._jump_salt = derive_seed(seed, f"{prefix}-jump")
-        self._jump_cache = JumpCache(self._jump_salt, self.buckets.num_buckets - 1)
-        # The kick loop's inputs: the jump hash as the kernels compute it, and
-        # the victim-slot stream (seed + position; each draw is one eviction).
-        self._jump_seed = _mixed_seed(self._jump_salt)
+        # The victim-slot stream of the kick loop: seed + position; each
+        # draw is one eviction.
         self._wave_victim_seed = _mixed_seed(derive_seed(seed, "wave-kick"))
         self._wave_victim_counter = 0
 
     # ------------------------------------------------------------------
-    # Hashing
+    # Hashing (the geometry's)
     # ------------------------------------------------------------------
 
     def fingerprint_of(self, key: object) -> int:
-        """Return the fingerprint of ``key`` (``fingerprint_bits`` wide).
-
-        At boundary widths (8/16/32 bits) the all-ones value is reserved as
-        the packed EMPTY sentinel and folds to 0 (DESIGN.md §9).
-        """
-        fp = hash64(key, self._fp_salt) & self._fp_mask
-        return 0 if fp == self._fp_fold else fp
+        """Return the fingerprint of ``key`` (``fingerprint_bits`` wide)."""
+        return self.geometry.fingerprint_of(key)
 
     def home_index(self, key: object) -> int:
         """Return the primary bucket for ``key``."""
-        return hash64(key, self._index_salt) & (self.buckets.num_buckets - 1)
-
-    def _fp_jump(self, fingerprint: int) -> int:
-        """Return ``h(fingerprint) mod m``, the XOR offset to the alternate bucket."""
-        return self._jump_cache.jump(fingerprint)
+        return self.geometry.home_index(key)
 
     def alt_index(self, index: int, fingerprint: int) -> int:
         """Return the partner bucket of ``index`` for ``fingerprint``."""
-        return index ^ self._fp_jump(fingerprint)
+        return self.geometry.alt_index(index, fingerprint)
 
     def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
-        """Batch `fingerprint_of` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._fp_salt, self._fp_mask, self._fp_fold)
+        """Batch `fingerprint_of`."""
+        return self.geometry.fingerprints_of_many(keys)
 
     def home_indices_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
-        """Batch `home_index` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._index_salt, self.buckets.num_buckets - 1)
-
-    def _fp_jump_many(self, fingerprints: np.ndarray) -> np.ndarray:
-        """Batch `_fp_jump`, computed on the fly (bypasses the memo)."""
-        return hash64_many_masked(fingerprints, self._jump_salt, self.buckets.num_buckets - 1)
+        """Batch `home_index`."""
+        return self.geometry.home_indices_of_many(keys)
 
     def _pair_eq_many(self, fps: np.ndarray, homes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fused probe of each key's bucket pair: ``((n, 2, b) mask, alts)``."""
-        alts = homes ^ self._fp_jump_many(fps)
+        alts = self.geometry.alt_indices_many(homes, fps)
         return self.buckets.pair_eq(fps, homes, alts), alts
 
     # ------------------------------------------------------------------
@@ -166,8 +139,9 @@ class FingerprintBatchMixin:
         return self.buckets.load_factor()
 
     def size_in_bits(self) -> int:
-        """Table size under the paper's accounting: one fingerprint per slot."""
-        return self.buckets.capacity * self.fingerprint_bits
+        """Size under the paper's accounting: one fingerprint per slot, plus
+        one per stashed overflow entry."""
+        return (self.buckets.capacity + len(self.stash)) * self.fingerprint_bits
 
     def __len__(self) -> int:
         return self.num_items
@@ -190,8 +164,8 @@ class FingerprintBatchMixin:
         """
         self.num_items += 1
         fp, placed, self._wave_victim_counter, _path = self.buckets.place(
-            fp, home, home ^ self._fp_jump(fp), self.max_kicks, self._jump_seed,
-            self._wave_victim_seed, self._wave_victim_counter,
+            fp, home, self.geometry.alt_index(home, fp), self.max_kicks,
+            self.geometry.jump_seed, self._wave_victim_seed, self._wave_victim_counter,
         )
         if placed:
             return True
@@ -244,13 +218,13 @@ class FingerprintBatchMixin:
                 buckets.counts,
                 buckets.empty,
                 item_fps,
-                homes[residue] ^ self._fp_jump_many(item_fps),
+                self.geometry.alt_indices_many(homes[residue], item_fps),
                 residue,
                 np.zeros(residue.size, dtype=np.int64),
                 out,
                 self.max_kicks,
                 buckets.num_buckets - 1,
-                self._jump_seed,
+                self.geometry.jump_seed,
                 self._wave_victim_seed,
                 counter_before,
             )

@@ -8,7 +8,8 @@ parallel **payload column** of Python objects.  All cuckoo structures (hash
 tables, filters, conditional filters) sit on top of it and place through
 its one :meth:`SlotMatrix.place` (home bucket, then the shared kick chain);
 the hashing — fingerprints, buckets, jump and victim seeds — stays with
-the structures.
+the structures (for the fingerprint structures, in their one
+:class:`~repro.cuckoo.geometry.BucketGeometry`).
 
 Storage is **width-adaptive** (DESIGN.md §9): pass ``fp_bits`` and the
 matrix picks the minimal unsigned dtype that holds an ``fp_bits``-wide

@@ -6,8 +6,12 @@ stored fingerprint alone.  Supports insertion, membership testing and
 deletion, with no false negatives for inserted keys.
 
 Storage is a columnar :class:`~repro.cuckoo.buckets.SlotMatrix`: scalar
-kernels and batch probes operate on the same live int64 fingerprint matrix,
-so `contains_many` after a mutation pays no snapshot rebuild (DESIGN.md §6).
+kernels and batch probes operate on the same live, width-adaptive
+fingerprint matrix, so `contains_many` after a mutation pays no snapshot
+rebuild (DESIGN.md §6, §9).  Keys hash through the
+:class:`~repro.cuckoo.geometry.BucketGeometry` every fingerprint structure
+shares, so the key filter extracted from a Bloom or Mixed CCF (Algorithm 2)
+is a cuckoo filter over its source's geometry.
 
 One deliberate deviation from the textbook structure, recorded in DESIGN.md:
 on a MaxKicks failure the in-flight victim entry is retained in a small
@@ -47,8 +51,6 @@ class CuckooFilter(FingerprintBatchMixin):
     membership answers are bit-identical either way (the boundary-width
     sentinel fold applies to both).
     """
-
-    _salt_prefix = "cf"
 
     @classmethod
     def from_capacity(

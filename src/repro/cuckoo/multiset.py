@@ -30,8 +30,6 @@ class MultisetCuckooFilter(FingerprintBatchMixin):
     ``num_buckets`` is rounded up to a power of two.
     """
 
-    _salt_prefix = "mcf"
-
     def __init__(self, num_buckets: int, *args: object, **kwargs: object) -> None:
         super().__init__(next_power_of_two(num_buckets), *args, **kwargs)
 

@@ -32,11 +32,11 @@ class SemiSortedCuckooFilter(CuckooFilter):
 
     ``num_buckets`` is rounded up to a power of two.  Not a wire format of
     its own: `repro.ccf.serialize.dumps` refuses it, since a plain cuckoo
-    filter payload would reload under the wrong hash salts.
+    filter reloaded from its slots would probe for the unfolded fingerprint
+    0 and miss the stored 1.
     """
 
     BUCKET_SIZE = 4  # the semi-sorting codec is defined for b = 4
-    _salt_prefix = "sscf"
 
     def __init__(
         self,
@@ -81,8 +81,12 @@ class SemiSortedCuckooFilter(CuckooFilter):
         ]
 
     def size_in_bits(self) -> int:
-        """The semi-sorted size: one encoded code per bucket."""
-        return self.buckets.num_buckets * encoded_bucket_bits(self.fingerprint_bits)
+        """The semi-sorted size: one encoded code per bucket, plus one
+        fingerprint per stashed overflow entry."""
+        return (
+            self.buckets.num_buckets * encoded_bucket_bits(self.fingerprint_bits)
+            + len(self.stash) * self.fingerprint_bits
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

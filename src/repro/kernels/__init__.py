@@ -2,13 +2,12 @@
 
 The package splits into:
 
-* :mod:`repro.kernels.dispatch` — backend registry, selection
-  (``REPRO_KERNEL_BACKEND`` / :func:`set_backend`), fallback semantics and
-  the :func:`xp` array-namespace shim;
+* :mod:`repro.kernels.dispatch` — the backend table, selection
+  (``REPRO_KERNEL_BACKEND`` / :func:`set_backend`) and fallback semantics;
 * :mod:`repro.kernels.reference` — the vectorised numpy kernels (the
   behavioural contract every backend must match bit for bit);
-* :mod:`repro.kernels._sequential` — numba-compatible scalar twins,
-  registered as the ``"python"`` oracle backend;
+* :mod:`repro.kernels._sequential` — numba-compatible scalar twins, run
+  un-jitted as the ``"python"`` oracle backend;
 * :mod:`repro.kernels.numba_backend` — the optional JIT fast path
   (guarded import; falls back to numpy when numba is absent).
 
@@ -18,7 +17,6 @@ Call sites never pick an implementation: they fetch
 function ``SlotMatrix.place``, every scalar placement, calls directly).
 """
 
-from repro.kernels import _sequential, numba_backend, reference
 from repro.kernels.dispatch import (
     DEFAULT_BACKEND,
     ENV_VAR,
@@ -27,16 +25,9 @@ from repro.kernels.dispatch import (
     active_backend,
     available_backends,
     backend_spec,
-    register_backend,
-    registered_backends,
     set_backend,
-    xp,
 )
 from repro.kernels.reference import grouped_ranks
-
-register_backend("numpy", reference.make_backend)
-register_backend("python", _sequential.make_backend)
-register_backend("numba", numba_backend.make_backend)
 
 __all__ = [
     "BackendUnavailable",
@@ -47,8 +38,5 @@ __all__ = [
     "available_backends",
     "backend_spec",
     "grouped_ranks",
-    "register_backend",
-    "registered_backends",
     "set_backend",
-    "xp",
 ]

@@ -2,7 +2,7 @@
 
 The ``*_impl`` functions are the *exact* functions the numba backend
 JIT-compiles — written in the numba-compatible subset of Python/numpy
-(scalar loops, no fancy indexing, no Python objects), and registered
+(scalar loops, no fancy indexing, no Python objects), and served
 un-jitted as the ``"python"`` backend so their bit-identity to the
 vectorised numpy reference is property-testable on machines without numba
 installed.  The python backend is a correctness oracle, not a fast path:

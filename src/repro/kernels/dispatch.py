@@ -5,12 +5,12 @@ helper, the bulk-placement planner, the rank-deduped delete plan and the
 wave-eviction kick loop — is a *pure function over columns* collected into a
 :class:`KernelBackend`.  Callers never import a kernel module directly; they
 ask :func:`active_backend` and call through it, so `SlotMatrix`, the five CCF
-variants, the FilterStore shards and the serve workers all share one seam
-behind which alternative implementations (numba JIT today, CuPy tomorrow)
-can slot in without touching any call site.  The one direct import is the
-wave kick's shared pure-Python tail (``_sequential.kick_one``), which every
-backend runs unchanged and ``SlotMatrix.place`` — every cuckoo structure's
-scalar placement — calls without dispatch.
+variants, the FilterStore shards and the serve workers all share one seam,
+behind which the three backends (numpy reference, pure-Python oracle,
+numba JIT) slot in without touching any call site.  The one direct import
+is the wave kick's shared pure-Python tail (``_sequential.kick_one``), which
+every backend runs unchanged and ``SlotMatrix.place`` — every cuckoo
+structure's scalar placement — calls without dispatch.
 
 Selection, in precedence order:
 
@@ -19,27 +19,22 @@ Selection, in precedence order:
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
 3. the default, ``"numpy"``.
 
-A requested backend that is not registered or whose factory raises
+A requested backend that is unknown or whose factory raises
 :class:`BackendUnavailable` (e.g. ``numba`` without numba installed) falls
 back to numpy with a warning — an accelerator going missing must degrade to
 the reference path, never crash the store.  ``set_backend(..., strict=True)``
 turns that fallback into an error for callers that need the real thing
 (benchmarks, the CI numba leg).
 
-Backends are *contractually bit-identical*: every registered backend must
-produce the same placements, stash contents and query answers as the numpy
-reference on identical inputs (property-tested in
-``tests/test_kernel_backends.py``).  Speed may differ; behaviour may not.
-
-The module also hosts the array-namespace shim :func:`xp`: kernels that can
-be expressed in the array-API subset resolve their array module from the
-operand (``arr.__array_namespace__()``), so a CuPy array would transparently
-bring its own namespace.  Kernels that need numpy-only primitives
-(``lexsort``, ``ufunc.at``) document the dependency instead.
+Backends are *contractually bit-identical*: every backend must produce the
+same placements, stash contents and query answers as the numpy reference on
+identical inputs (property-tested in ``tests/test_kernel_backends.py``).
+Speed may differ; behaviour may not.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -59,20 +54,6 @@ DEFAULT_BACKEND = "numpy"
 
 class BackendUnavailable(RuntimeError):
     """A backend factory's dependencies are missing or broken."""
-
-
-def xp(arr: Any):
-    """Resolve the array namespace of ``arr`` (array-API style).
-
-    Returns ``arr.__array_namespace__()`` when the operand publishes one
-    (numpy >= 2 ndarrays do, as would CuPy arrays), else the numpy module.
-    Kernels use this so array-API-expressible steps follow their operand's
-    backing library instead of hard-wiring ``np``.
-    """
-    ns = getattr(arr, "__array_namespace__", None)
-    if ns is not None:
-        return ns()
-    return np
 
 
 @dataclass(frozen=True)
@@ -97,9 +78,14 @@ class KernelBackend:
         return f"KernelBackend(name={self.name!r})"
 
 
-#: Registered backend factories.  Factories run lazily (on first resolve) so
-#: optional dependencies are only imported when the backend is requested.
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
+#: Every backend, by name: the module whose ``make_backend()`` returns its
+#: kernel suite or raises :class:`BackendUnavailable`.  Modules are imported
+#: on first resolve, so optional dependencies load only when requested.
+_BACKENDS: dict[str, str] = {
+    "numpy": "repro.kernels.reference",
+    "python": "repro.kernels._sequential",
+    "numba": "repro.kernels.numba_backend",
+}
 
 #: Instantiated backends, by name (a factory runs at most once per process).
 _INSTANCES: dict[str, KernelBackend] = {}
@@ -111,26 +97,10 @@ _REQUESTED: str | None = None
 _ACTIVE: KernelBackend | None = None
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name``.
-
-    The factory must return a fully-populated :class:`KernelBackend` or
-    raise :class:`BackendUnavailable`.  Registering is how a future CuPy
-    backend plugs in: implement the five kernels over ``cupy`` arrays and
-    call ``register_backend("cupy", make_backend)`` at import time.
-    """
-    _FACTORIES[name] = factory
-
-
-def registered_backends() -> tuple[str, ...]:
-    """Names of all registered backends (available or not)."""
-    return tuple(_FACTORIES)
-
-
 def available_backends() -> dict[str, bool]:
-    """Map each registered backend to whether its factory currently works."""
+    """Map each backend to whether its factory currently works."""
     out: dict[str, bool] = {}
-    for name in _FACTORIES:
+    for name in _BACKENDS:
         try:
             _instantiate(name)
         except BackendUnavailable:
@@ -209,12 +179,13 @@ def _instrument(backend: KernelBackend) -> KernelBackend:
 def _instantiate(name: str) -> KernelBackend:
     backend = _INSTANCES.get(name)
     if backend is None:
-        factory = _FACTORIES.get(name)
-        if factory is None:
+        module = _BACKENDS.get(name)
+        if module is None:
             raise BackendUnavailable(
-                f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
+                f"unknown kernel backend {name!r}; known: {sorted(_BACKENDS)}"
             )
-        backend = _instrument(factory())  # factory may raise BackendUnavailable
+        # The factory may raise BackendUnavailable.
+        backend = _instrument(importlib.import_module(module).make_backend())
         _INSTANCES[name] = backend
     return backend
 

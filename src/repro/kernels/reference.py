@@ -9,12 +9,6 @@ these signatures over its own array library and must reproduce the reference
 bit for bit — same placements, same stash contents (and order), same
 answers.
 
-Array-namespace note: :func:`pair_eq` is expressible in the array-API subset
-and resolves its namespace from the operand via :func:`~repro.kernels.dispatch.xp`.
-The planner/delete/wave kernels lean on numpy-only primitives (``lexsort``,
-``ufunc.at``, boolean fancy indexing); a non-numpy backend supplies its own
-equivalents rather than inheriting these.
-
 Randomness: the wave-eviction kernel draws victim slots from a *stateless
 counter-based SplitMix64 stream* (``mix64(counter ^ victim_seed) %
 bucket_size``) instead of a stateful ``np.random.Generator``.  The stream is
@@ -30,7 +24,7 @@ import numpy as np
 
 from repro.hashing.mixers import mix64_many
 from repro.kernels._sequential import TAIL_ITEMS, kick_tail
-from repro.kernels.dispatch import KernelBackend, xp as _xp
+from repro.kernels.dispatch import KernelBackend
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -48,17 +42,14 @@ def pair_eq(
     stored values (non-negative, never the sentinel), so the unsigned cast
     is exact.
     """
-    ns = _xp(table)
     n = len(qfps)
     bucket_size = table.shape[1]
-    idx = ns.empty((n, 2), dtype=np.intp)
+    idx = np.empty((n, 2), dtype=np.intp)
     idx[:, 0] = homes
     idx[:, 1] = alts
-    gathered = ns.take(table, ns.reshape(idx, (-1,)), axis=0)
-    eq = ns.reshape(gathered, (n, 2 * bucket_size)) == ns.astype(
-        qfps, table.dtype, copy=False
-    )[:, None]
-    return ns.reshape(eq, (n, 2, bucket_size))
+    gathered = np.take(table, idx.reshape(-1), axis=0)
+    eq = gathered.reshape(n, 2 * bucket_size) == qfps.astype(table.dtype, copy=False)[:, None]
+    return eq.reshape(n, 2, bucket_size)
 
 
 def grouped_ranks(

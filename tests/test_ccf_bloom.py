@@ -129,4 +129,4 @@ class TestPredicateFilterExtraction:
         ccf = build(rows)
         extracted = ccf.predicate_filter(Eq("color", "red"))
         assert extracted.size_in_bits() < ccf.size_in_bits()
-        assert extracted.num_entries <= ccf.num_entries
+        assert len(extracted) <= ccf.num_entries

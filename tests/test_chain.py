@@ -143,9 +143,8 @@ class TestWalkMany:
             fps,
             homes,
             geometry.alt_indices_many(homes, fps),
-            max_dupes=1,
+            max_dupes=0,  # the empty matrix holds 0 copies: every walk goes on
             limit=limit,
-            sticky=np.ones(len(keys), dtype=bool),
             pair_hit=spy,
         )
         assert answers.all()  # a hit, the limit or cycle exhaustion
@@ -169,7 +168,7 @@ class TestWalkMany:
 
     @pytest.mark.parametrize("num_buckets", [2, 4, 8, 16, 32])
     def test_pairs_and_cycle_exhaustion_match_scalar(self, num_buckets):
-        """Sticky walks run until no fresh pair is left within
+        """Full walks run until no fresh pair is left within
         CYCLE_BUMP_LIMIT bumps, so every bump count up to the limit occurs."""
         geometry = make_geometry(num_buckets=num_buckets, key_bits=6)
         for key in range(60):

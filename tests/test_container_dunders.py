@@ -65,11 +65,12 @@ def test_multiset_len_tracks_copies():
 
 def test_jump_cache_stays_bounded():
     cuckoo = CuckooFilter(64, 4, 32, seed=0)  # 32-bit fingerprints: huge fp space
+    geometry = cuckoo.geometry
     for key in range(3 * JUMP_CACHE_LIMIT // 2):
-        cuckoo._fp_jump(key)
-    assert len(cuckoo._jump_cache) <= JUMP_CACHE_LIMIT
+        geometry.fp_jump(key)
+    assert len(geometry._jump_cache) <= JUMP_CACHE_LIMIT
     # Evicted entries recompute to the same value.
-    assert cuckoo._fp_jump(1) == cuckoo._fp_jump(1)
+    assert geometry.fp_jump(1) == geometry.fp_jump(1)
 
 
 def test_geometry_jump_cache_stays_bounded():

@@ -98,6 +98,14 @@ class TestLoadAndFailure:
         # Stash preserves no-false-negatives even past overload.
         assert all(key in cuckoo for key in keys)
 
+    def test_size_counts_the_stash(self):
+        """Like every CCF, the filter's size counts its stashed fingerprints,
+        which `dumps` ships beside the slots."""
+        cuckoo = make_filter(num_buckets=2, bucket_size=2, max_kicks=8)
+        cuckoo.insert_many(range(50))
+        assert cuckoo.stash
+        assert cuckoo.size_in_bits() == (cuckoo.buckets.capacity + len(cuckoo.stash)) * 12
+
     def test_expected_fpr_close_to_observed(self):
         cuckoo = make_filter(num_buckets=256, bucket_size=4, fingerprint_bits=8)
         for key in range(800):

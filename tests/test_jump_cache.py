@@ -1,9 +1,9 @@
 """The unified bounded-LRU fingerprint→jump memo (`JumpCache`).
 
-Every cuckoo structure's scalar XOR-jump memo — `CuckooFilter`,
-`MultisetCuckooFilter`, and `PairGeometry` (hence all CCFs and views) —
-goes through this one helper, so a single bound governs them all; batch
-paths compute jumps vectorised and bypass it entirely.
+Every fingerprint structure's scalar XOR-jump memo lives in its one
+`BucketGeometry` — the cuckoo filters' own, and the `PairGeometry` of every
+CCF and view — so a single bound governs them all; batch paths compute
+jumps vectorised and bypass it entirely.
 """
 
 import pytest
@@ -47,18 +47,12 @@ def test_scalar_structures_share_the_bounded_memo():
         MultisetCuckooFilter(16, 4, 20, seed=0),
         SemiSortedCuckooFilter(16, 20, seed=0),
     ]
-    geometries = [PairGeometry(16, 20, seed=0)]
-    for structure in structures:
-        assert isinstance(structure._jump_cache, JumpCache)
-        assert structure._jump_cache.limit == JUMP_CACHE_LIMIT
-        structure._jump_cache.limit = 64  # exercise the bound cheaply
-        for fp in range(500):
-            structure._fp_jump(fp)
-        assert len(structure._jump_cache) <= 64
+    geometries = [structure.geometry for structure in structures]
+    geometries.append(PairGeometry(16, 20, seed=0))
     for geometry in geometries:
         assert isinstance(geometry._jump_cache, JumpCache)
         assert geometry._jump_cache.limit == JUMP_CACHE_LIMIT
-        geometry._jump_cache.limit = 64
+        geometry._jump_cache.limit = 64  # exercise the bound cheaply
         for fp in range(500):
             geometry.fp_jump(fp)
         assert len(geometry._jump_cache) <= 64

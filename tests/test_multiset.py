@@ -96,6 +96,13 @@ class TestBasics:
             multiset.insert(key)
         assert multiset.count(key) >= 4
 
+    def test_size_counts_the_stash(self):
+        multiset = make_filter(bucket_size=2, num_buckets=256, max_kicks=10)
+        for _ in range(6):  # 2b = 4 copies fit in the pair; 2 stash
+            multiset.insert("dup")
+        assert len(multiset.stash) == 2
+        assert multiset.size_in_bits() == (256 * 2 + 2) * 12
+
 
 class TestConstruction:
     @pytest.mark.parametrize("bits", [0, 63, 64])

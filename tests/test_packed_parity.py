@@ -19,7 +19,7 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Eq, In, Range
 from repro.ccf.range_ccf import DyadicRangeCCF
 from repro.ccf.serialize import dumps, loads
-from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
+from repro.ccf.views import MarkedKeyFilter
 from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits, fingerprint_fold
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.multiset import MultisetCuckooFilter
@@ -236,7 +236,7 @@ def test_range_ccf_packed_matches_int64(rows, kind):
         )
 
 
-@pytest.mark.parametrize("kind,view_cls", [("mixed", ExtractedKeyFilter), ("chained", MarkedKeyFilter)])
+@pytest.mark.parametrize("kind,view_cls", [("mixed", CuckooFilter), ("chained", MarkedKeyFilter)])
 def test_views_packed_matches_int64(kind, view_cls):
     packed_params, legacy_params = _twin_params(8, 5, max_chain=4 if kind == "chained" else None)
     rows = [(k % 40, COLORS[k % 3], k % 9) for k in range(160)]
@@ -246,8 +246,9 @@ def test_views_packed_matches_int64(kind, view_cls):
         packed.insert(key, (color, size))
         legacy.insert(key, (color, size))
     predicate = Eq("color", "red")
-    packed_view = view_cls.from_ccf(packed, predicate)
-    legacy_view = view_cls.from_ccf(legacy, predicate)
+    packed_view = packed.predicate_filter(predicate)
+    legacy_view = legacy.predicate_filter(predicate)
+    assert type(packed_view) is view_cls and type(legacy_view) is view_cls
     assert packed_view.buckets.fps.dtype == np.uint8
     assert legacy_view.buckets.fps.dtype == np.int64
     probes = np.arange(120)

@@ -92,6 +92,15 @@ class TestCompression:
         plain = CuckooFilter(256, 4, 12, seed=3)
         assert semisorted.size_in_bits() == plain.size_in_bits() - 256 * 4
 
+    def test_size_counts_the_stash(self):
+        """Stashed fingerprints sit outside the coded buckets: f bits each."""
+        filter_ = make_filter(num_buckets=2, fingerprint_bits=12, max_kicks=8)
+        for key in range(50):
+            filter_.insert(key)
+        assert filter_.stash
+        codes = 2 * encoded_bucket_bits(12)
+        assert filter_.size_in_bits() == codes + len(filter_.stash) * 12
+
     def test_kicks_preserve_membership(self):
         """Re-encoding on every kick must not lose fingerprints."""
         filter_ = make_filter(num_buckets=32, max_kicks=100)

@@ -1,6 +1,7 @@
 """Round-trip tests for filter serialisation (the §2 'precompute and store'
 deployment model)."""
 
+import numpy as np
 import pytest
 
 from repro.ccf.attributes import AttributeSchema
@@ -9,6 +10,7 @@ from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq
 from repro.ccf.serialize import SerializeError, dumps, loads
 from repro.cuckoo.filter import CuckooFilter
+from repro.sketches.bitpack import BitWriter
 
 from tests.conftest import ccf_state, random_rows
 
@@ -279,13 +281,13 @@ class TestCuckooFilterRoundTrip:
         assert dumps(restored) == payload
 
     def test_reloaded_filter_kicks_like_the_original(self):
-        """CKF4 carries the victim stream's position, so a reloaded filter
+        """CKF5 carries the victim stream's position, so a reloaded filter
         fed the original's next keys ends bit-identical."""
         cuckoo = CuckooFilter(256, 4, 12, seed=3)
         cuckoo.insert_many(range(900))
         assert cuckoo._wave_victim_counter > 0
         restored = loads(dumps(cuckoo))
-        more = range(900, 990)
+        more = range(900, 1010)
         assert restored.insert_many(more).tolist() == cuckoo.insert_many(more).tolist()
         assert cuckoo.stash, "the filter did not overload as intended"
         assert restored.buckets.state() == cuckoo.buckets.state()
@@ -293,8 +295,9 @@ class TestCuckooFilterRoundTrip:
         assert restored._wave_victim_counter == cuckoo._wave_victim_counter
 
     def test_semisorted_filter_is_refused(self):
-        """A subclass hashes under other salts: shipped as a plain CKF4
-        payload it would reload with false negatives."""
+        """The semi-sorted filter folds fingerprint 0 to 1: shipped as a
+        plain CKF5 payload it would reload probing for 0 and miss the
+        stored 1, a false negative."""
         from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
         with pytest.raises(TypeError):
@@ -319,13 +322,32 @@ class TestErrors:
     def _payload(self):
         return dumps(build_ccf("plain", SCHEMA, random_rows(60, 4, seed=4), PARAMS))
 
-    # The pre-dtype-tag wire formats (CCF2/CKF2/CCV2/CRF1) and CKF3, which
-    # dropped the cuckoo filter's victim-stream position, are retired and
-    # refused like any other unknown magic.
-    @pytest.mark.parametrize("magic", ["XXXX", "CCF2", "CKF2", "CKF3", "CCV2", "CRF1"])
+    # The pre-dtype-tag wire formats (CCF2/CKF2/CCV2/CRF1), CKF3, which
+    # dropped the cuckoo filter's victim-stream position, and CKF4, which
+    # hashed under salts of its own, are retired and refused like any other
+    # unknown magic.
+    @pytest.mark.parametrize(
+        "magic", ["XXXX", "CCF2", "CKF2", "CKF3", "CKF4", "CCV2", "CRF1"]
+    )
     def test_unknown_magic(self, magic):
         with pytest.raises(SerializeError, match="magic"):
             loads(magic.encode() + b"\x00\x00")
+
+    def test_extracted_view_payload_is_refused(self):
+        """An extracted key filter ships as a CKF5 cuckoo filter; the CCV3
+        extracted-view type is retired."""
+        writer = BitWriter()
+        writer.write_bytes(b"CCV3")
+        writer.write(0, 8)  # the extracted-view type
+        writer.write(2, 8)  # uint16 storage for 12-bit fingerprints
+        writer.write(4, 32)  # buckets
+        writer.write(12, 8)  # key bits
+        writer.write(0, 64)  # seed
+        writer.write(4, 8)  # bucket size
+        writer.write_bool_array(np.zeros(16, dtype=bool))
+        writer.write(0, 16)  # empty stash
+        with pytest.raises(SerializeError, match="CKF5"):
+            loads(writer.getvalue(), source="view.bin")
 
     def test_unknown_magic_is_still_a_value_error(self):
         # Backward compatibility: SerializeError subclasses ValueError.

@@ -1,12 +1,16 @@
 """Tests for predicate-only filter extraction (Algorithm 2 and §6.2)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro import obs
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.factory import build_ccf
+from repro.ccf.factory import build_ccf, make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq
-from repro.ccf.views import ExtractedKeyFilter, MarkedKeyFilter
+from repro.ccf.serialize import dumps, loads
+from repro.cuckoo.filter import CuckooFilter
 
 from tests.conftest import TINY_PREDICATES, random_rows, tiny_chained_ccfs
 
@@ -75,6 +79,8 @@ class TestMarkedKeyFilter:
 
 
 class TestExtractedKeyFilter:
+    """Bloom and Mixed extraction (Algorithm 2) yields a plain cuckoo filter."""
+
     def test_matches_source_for_bloom(self):
         rows = random_rows(300, 4, seed=7)
         ccf = build_ccf("bloom", SCHEMA, rows, PARAMS.replace(bloom_bits=24))
@@ -95,21 +101,47 @@ class TestExtractedKeyFilter:
         rows = [(key, ("red" if key % 2 else "blue", 1)) for key in range(200)]
         ccf = build_ccf("bloom", SCHEMA, rows, PARAMS.replace(bloom_bits=24))
         extracted = ccf.predicate_filter(Eq("color", "red"))
-        assert extracted.num_entries < ccf.num_entries
+        assert len(extracted) < ccf.num_entries
 
     def test_snapshot_isolated_from_source(self):
         rows = random_rows(100, 3, seed=9)
         ccf = build_ccf("bloom", SCHEMA, rows, PARAMS)
         extracted = ccf.predicate_filter(Eq("color", "red"))
-        before = extracted.num_entries
+        before = len(extracted)
         ccf.insert(99_999, ("red", 1))
-        assert extracted.num_entries == before
+        assert len(extracted) == before
+
+    @pytest.mark.parametrize("kind", ["bloom", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_is_a_cuckoo_filter_answering_like_its_stashed_source(self, kind, seed):
+        """The extracted filter is a CuckooFilter over the source's geometry:
+        it answers `query_many` key by key, stash included, before and after
+        a CKF5 round trip."""
+        params = CCFParams(
+            bucket_size=2, max_dupes=2, key_bits=8, attr_bits=5, bloom_bits=16,
+            max_kicks=5, seed=seed,
+        )
+        ccf = make_ccf(kind, SCHEMA, 8, params)
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 40, 60)
+        colors = np.array(["red", "green", "blue"], dtype=object)[rng.integers(0, 3, 60)]
+        ccf.insert_many(keys, [colors, rng.integers(0, 8, 60)])
+        assert ccf.stash, "expected the overloaded build to stash entries"
+        probes = np.arange(300, dtype=np.int64)
+        for predicate in TINY_PREDICATES:
+            view = ccf.predicate_filter(predicate)
+            assert type(view) is CuckooFilter
+            assert view.geometry.jump_seed == ccf.geometry.jump_seed
+            assert len(view) == view.buckets.filled + len(view.stash)
+            want = ccf.query_many(probes, predicate).tolist()
+            assert view.contains_many(probes).tolist() == want
+            assert loads(dumps(view)).contains_many(probes).tolist() == want
 
     def test_size_accounting(self):
         rows = random_rows(100, 3, seed=10)
         ccf = build_ccf("bloom", SCHEMA, rows, PARAMS)
         extracted = ccf.predicate_filter(Eq("color", "red"))
-        expected = (extracted.buckets.capacity + len(extracted.stash_fingerprints)) * PARAMS.key_bits
+        expected = (extracted.buckets.capacity + len(extracted.stash)) * PARAMS.key_bits
         assert extracted.size_in_bits() == expected
 
 
@@ -155,3 +187,46 @@ class TestViewBatchProbes:
             view = ccf.predicate_filter(predicate)
             batch = view.contains_many(probes)
             assert batch.tolist() == [view.contains(key) for key in probes]
+
+
+class TestStashedFingerprints:
+    """A chained walk for a fingerprint with a stashed copy can only end
+    True, so it is answered before walking: no probe round is spent."""
+
+    @staticmethod
+    def _pair_eq_calls() -> float:
+        return sum(
+            sample["value"]
+            for sample in obs.snapshot()["repro_kernel_calls_total"]["samples"]
+            if sample["labels"]["kernel"] == "pair_eq"
+        )
+
+    def test_stashed_probes_do_not_walk(self):
+        params = CCFParams(
+            bucket_size=2, max_dupes=2, key_bits=8, attr_bits=5, max_kicks=5, seed=1
+        )
+        ccf = make_ccf("chained", SCHEMA, 64, params)
+        rng = np.random.default_rng(1)
+        keys = rng.integers(0, 10**6, 400)
+        colors = np.array(["red", "green", "blue"], dtype=object)[rng.integers(0, 3, 400)]
+        ccf.insert_many(keys, [colors, rng.integers(0, 8, 400)])
+        stashed = {entry.fp for entry in ccf.stash}
+        assert stashed, "expected the overloaded build to stash entries"
+        probes = np.array(
+            [key for key in range(10**7, 10**7 + 100_000) if ccf.fingerprint_of(key) in stashed][:20]
+        )
+        assert len(probes) == 20
+        predicate = Eq("color", "red")
+        view = ccf.predicate_filter(predicate)
+        was = obs.enabled()
+        obs.set_enabled(True)
+        try:
+            for probe in (lambda: ccf.query_many(probes, predicate), lambda: view.contains_many(probes)):
+                obs._reset_for_tests()
+                assert probe().all()
+                assert self._pair_eq_calls() <= 1
+        finally:
+            obs.set_enabled(was)
+            obs._reset_for_tests()
+        assert all(ccf.query(key, predicate) for key in probes.tolist())
+        assert all(view.contains(key) for key in probes.tolist())
