@@ -121,13 +121,24 @@ def test_ccf_query_many_speedup(probe_keys, kind, rows):
     assert speedup >= MIN_QUERY_SPEEDUP
 
 
+@pytest.mark.parametrize("rows", ["uniform", "repeat20"])
 @pytest.mark.parametrize("kind", ["chained", "bloom", "mixed"])
-def test_ccf_insert_many_not_slower(kind):
+def test_ccf_insert_many_not_slower(kind, rows):
     """Builds keep a sequential placement loop, so the win is smaller; the
-    batch path must at least not regress."""
+    batch path must at least not regress.
+
+    ``uniform`` draws 80k rows over 40k keys and 256 attribute values, so
+    exact repeats are rare; ``repeat20`` shuffles 20 rows for each of 4k
+    keys over 8 values, so about 60% of rows repeat an earlier row and the
+    batch credits them instead of inserting them.
+    """
     rng = np.random.default_rng(13)
-    keys = rng.integers(0, CCF_KEYS, size=2 * CCF_KEYS)
-    attrs = rng.integers(0, 256, size=2 * CCF_KEYS)
+    if rows == "uniform":
+        keys = rng.integers(0, CCF_KEYS, size=2 * CCF_KEYS)
+        attrs = rng.integers(0, 256, size=2 * CCF_KEYS)
+    else:
+        keys = rng.permutation(np.repeat(np.arange(DUP_KEYS), DUP_ROWS_PER_KEY))
+        attrs = rng.integers(0, 8, size=len(keys))
     scalar_ccf = build_ccf(kind, SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), PARAMS)
     num_buckets = scalar_ccf.buckets.num_buckets
 
@@ -149,12 +160,13 @@ def test_ccf_insert_many_not_slower(kind):
     # batched, placement is not), which a shared CI runner's scheduling
     # noise could flip spuriously.
     assert dumps(batch_ccf) == dumps(scalar_ccf)
+    name = f"ccf_{kind}_insert" if rows == "uniform" else f"ccf_{kind}_{rows}_insert"
     save_json(
-        f"batch_throughput_ccf_{kind}_insert",
+        f"batch_throughput_{name}",
         {
-            "rows": int(2 * CCF_KEYS),
-            "scalar_ops_per_second": 2 * CCF_KEYS / scalar_seconds,
-            "batch_ops_per_second": 2 * CCF_KEYS / batch_seconds,
+            "rows": len(keys),
+            "scalar_ops_per_second": len(keys) / scalar_seconds,
+            "batch_ops_per_second": len(keys) / batch_seconds,
             "speedup": scalar_seconds / batch_seconds,
         },
     )

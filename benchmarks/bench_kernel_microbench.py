@@ -85,6 +85,24 @@ def _best_of(runs: int, fn, *args) -> float:
     return best
 
 
+def _best_interleaved(runs: int, *calls: tuple) -> list[float]:
+    """Best wall time of each ``(fn, *args)`` call over ``runs`` rounds.
+
+    Each call runs once untimed first, so none is timed cold, and the timed
+    runs go round-robin, so drift in caches or clock speed reaches every
+    call alike instead of whichever ran first.
+    """
+    for fn, *args in calls:
+        fn(*args)
+    best = [float("inf")] * len(calls)
+    for _ in range(runs):
+        for index, (fn, *args) in enumerate(calls):
+            start = time.perf_counter()
+            fn(*args)
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
 def _pre_pr_contains_many(cuckoo: CuckooFilter, keys: np.ndarray) -> np.ndarray:
     """The pre-PR probe kernel, verbatim: two int64 fancy-gathers."""
     fps = cuckoo.fingerprints_of_many(keys)
@@ -234,10 +252,14 @@ def test_kernel_microbench():
     )
     assert fingerprint_byte_ratio <= 0.25  # f=12 packs into uint16
 
-    # Probes (non-mutating): best of 3 each, answers asserted equal.
-    packed_contains = _best_of(3, packed.contains_many, probes)
-    legacy_contains = _best_of(3, legacy.contains_many, probes)
-    pre_pr_contains = _best_of(3, _pre_pr_contains_many, legacy, probes)
+    # Probes (non-mutating): warmed, then best of 9 interleaved runs each;
+    # answers asserted equal.
+    packed_contains, legacy_contains, pre_pr_contains = _best_interleaved(
+        9,
+        (packed.contains_many, probes),
+        (legacy.contains_many, probes),
+        (_pre_pr_contains_many, legacy, probes),
+    )
     assert (
         packed.contains_many(probes).tolist()
         == _pre_pr_contains_many(legacy, probes).tolist()

@@ -37,7 +37,8 @@ reloaded with its counters kicks exactly as the one it was saved from.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,8 @@ from repro.ccf.entries import BloomEntry, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
-from repro.hashing.mixers import as_native_list, canonical_bytes, derive_seed
+from repro.hashing.mixers import as_native_list, canonical_bytes, coerce_int_column, derive_seed
+from repro.sketches.bloom import BloomFilter
 
 #: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
@@ -88,6 +90,51 @@ def validate_attr_columns(
     for column in columns:
         if len(column) != num_rows:
             raise ValueError("attribute columns must be as long as keys")
+
+
+def _codes(keys: Iterable[Hashable]) -> np.ndarray:
+    """Dense first-seen codes: equal keys share one code."""
+    index: dict[Hashable, int] = {}
+    return np.fromiter((index.setdefault(key, len(index)) for key in keys), dtype=np.int64)
+
+
+def _raw_value_codes(column: Sequence[Any] | np.ndarray) -> np.ndarray:
+    """Per value of a raw attribute column, a code shared exactly by values
+    that a Bloom sketch hashes alike.
+
+    Integer columns compare as integers.  Elsewhere an exact ``int`` or
+    ``str`` is its own key and anything else its canonical hash encoding, so
+    ``1``, ``True``, ``1.0`` and ``"1"`` (equal or not under Python's ``==``)
+    get four codes.  No numpy string array is built: it would drop trailing
+    NULs and merge ``"a"`` with ``"a\\0"``.
+    """
+    ints = coerce_int_column(column)
+    if ints is not None:
+        return np.unique(ints, return_inverse=True)[1].reshape(-1)
+    return _codes(
+        value if type(value) is int or type(value) is str else canonical_bytes(value)
+        for value in as_native_list(column)
+    )
+
+
+def first_copies(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Per row, the index of the first row equal to it in every column.
+
+    ``columns`` are equally long non-negative int64 arrays.  They are packed
+    into one int64 per row when their bits fit, and compared row-wise
+    otherwise.
+    """
+    widths = [int(column.max()).bit_length() if len(column) else 0 for column in columns]
+    if sum(widths) <= 63:
+        ids = np.zeros(len(columns[0]), dtype=np.int64)
+        for column, width in zip(columns, widths):
+            ids = (ids << width) | column
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(
+            np.stack(columns, axis=1), return_index=True, return_inverse=True, axis=0
+        )
+    return first[inverse.reshape(-1)]
 
 
 class CompiledQuery:
@@ -569,6 +616,12 @@ class ConditionalCuckooFilterBase:
     #: vectors (False for the Bloom CCF, which sketches raw values instead).
     _needs_avec: bool = True
 
+    #: The Bloom sketch that took the attributes of the row `_insert_hashed`
+    #: last handled (a Bloom entry's, or a Mixed group's when the row was
+    #: absorbed or converted), else None.  Read by the batch row loop to
+    #: credit that row's later copies.
+    _row_sketch: BloomFilter | None = None
+
     def insert(self, key: object, attrs: Mapping[str, Any] | Sequence[Any]) -> bool:
         """Insert a (key, attribute row) under the variant's policy."""
         values = self.schema.row_values(attrs)
@@ -600,43 +653,85 @@ class ConditionalCuckooFilterBase:
         """Insert a batch of rows given column-major attributes.
 
         ``attr_columns`` holds one column per schema attribute, each as long
-        as ``keys``.  Key and attribute hashing run in vectorised passes;
-        the residual placement loop is sequential (placements displace
-        earlier entries).  Filter state, stash contents, statistics counters
-        and the returned per-row results are bit-identical to calling
-        `insert` row by row.
+        as ``keys``.  Key and attribute hashing run in vectorised passes, and
+        the batch is grouped once by row identity: key fingerprint, home
+        bucket, and the attribute vector (the Bloom variant: the raw values,
+        compared type-exactly).  The sequential row loop runs the insert
+        policy on the first copy of each distinct row and credits later
+        copies (`_insert_hashed_rows`).  Filter state, stash contents,
+        statistics counters and the returned per-row results are
+        bit-identical to calling `insert` row by row.
         """
         columns = list(attr_columns)
-        num_rows = len(keys)
-        validate_attr_columns(columns, self.schema.num_attributes, num_rows)
+        validate_attr_columns(columns, self.schema.num_attributes, len(keys))
         fps = self.geometry.fingerprints_of_many(keys)
         homes = self.geometry.home_indices_of_many(keys)
         if self._needs_avec:
-            return self._insert_hashed_rows(fps, homes, self.fingerprinter.vectors_many(columns))
-        out = np.empty(num_rows, dtype=bool)
-        native = [as_native_list(column) for column in columns]
-        for i, (fp, home) in enumerate(zip(fps.tolist(), homes.tolist())):
-            values = tuple(column[i] for column in native)
-            out[i] = self._insert_hashed(fp, home, values, None)
-        return out
+            rows = self.fingerprinter.vectors_many(columns)
+            identity = [_codes(rows)]
+        else:
+            rows = list(zip(*(as_native_list(column) for column in columns)))
+            identity = [_raw_value_codes(column) for column in columns]
+        return self._insert_hashed_rows(fps, homes, rows, first_copies([fps, homes, *identity]))
 
     def _insert_hashed_rows(
         self,
         fps: np.ndarray,
         homes: np.ndarray,
-        avecs: Sequence[tuple[int, ...]],
+        rows: Sequence[tuple[Any, ...]],
+        first: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Row loop over `_insert_hashed` on fully precomputed hashes.
+        """The one row loop over `_insert_hashed`, on precomputed hashes.
 
-        The entry point for callers that hash and fingerprint once for many
-        structures (the sharded FilterStore scatters one vectorised pass
-        across shard levels through this kernel).  Bit-identical to scalar
-        `insert` per row.
+        ``rows`` holds each row's attribute fingerprint vector, or its raw
+        values when the variant sketches raw values (``_needs_avec`` False).
+        ``first`` (from `first_copies`) gives each row the index of the
+        first row of the batch with the same identity.  While the filter has
+        not failed, a later copy is credited (`_credit_copy`) instead of
+        walked; once a placement fails, every row runs the policy (DESIGN.md
+        §7).  The FilterStore, which hashes once for many shard levels,
+        passes no ``first``.  Bit-identical to scalar `insert` per row.
         """
-        out = np.empty(len(fps), dtype=bool)
-        for i, (fp, home) in enumerate(zip(fps.tolist(), homes.tolist())):
-            out[i] = self._insert_hashed(fp, home, None, avecs[i])
+        num_rows = len(fps)
+        out = np.ones(num_rows, dtype=bool)
+        nones = repeat(None)
+        values, avecs = (nones, rows) if self._needs_avec else (rows, nones)
+        if first is None:
+            firsts, pairs = range(num_rows), nones
+        else:
+            firsts = first.tolist()
+            pairs = np.minimum(homes, self.geometry.alt_indices_many(homes, fps)).tolist()
+        # Per (fingerprint, pair id): the sketch a row of that pair fed last;
+        # the first copies that chain placement discarded.
+        sketches: dict[tuple[int, int], BloomFilter] = {}
+        discarded: set[int] = set()
+        rows_iter = zip(fps.tolist(), homes.tolist(), pairs, values, avecs, firsts)
+        for i, (fp, home, pair, value, avec, original) in enumerate(rows_iter):
+            if original != i and not self.failed:
+                self._credit_copy(sketches.get((fp, pair)), original in discarded)
+                continue
+            self._row_sketch = None
+            before = self.num_rows_discarded
+            out[i] = self._insert_hashed(fp, home, value, avec)
+            if self._row_sketch is not None:
+                sketches[fp, pair] = self._row_sketch
+            if self.num_rows_discarded != before:
+                discarded.add(i)
         return out
+
+    def _credit_copy(self, sketch: BloomFilter | None, discarded: bool) -> None:
+        """Count a repeated row as its full insert would.
+
+        The row is already represented (by its first copy's entry, or past a
+        chain of ``d``-full pairs by the fallback that discarded the first
+        copy too), so its insert would change only counters (DESIGN.md §7).
+        ``sketch`` is the Bloom sketch its pair keeps for the key
+        fingerprint, if any: re-adding the row's values sets no new bit.
+        """
+        self.num_rows_inserted += 1
+        self.num_rows_discarded += discarded
+        if sketch is not None:
+            sketch.num_inserted += self.schema.num_attributes
 
     def query(self, key: object, predicate: Predicate | CompiledQuery | None = None) -> bool:
         """Membership test for ``key`` under an optional predicate."""

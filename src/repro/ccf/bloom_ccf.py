@@ -53,18 +53,18 @@ class BloomCCF(ConditionalCuckooFilterBase):
         right = self.geometry.alt_index(left, fingerprint)
         slots = self._fp_entries_in_pair(left, right, fingerprint)
         if slots:
-            slots[0].add_attributes(values)
-            return True
-        for stashed in self.stash:
-            if stashed.fp == fingerprint:
-                stashed.add_attributes(values)
-                return True
-        entry = BloomEntry(
-            fingerprint,
-            BloomFilter(self.params.bloom_bits, self.params.bloom_hashes, seed=self._bloom_salt),
-        )
+            entry = slots[0]
+        else:
+            entry = next((stashed for stashed in self.stash if stashed.fp == fingerprint), None)
+        fresh = entry is None
+        if fresh:
+            entry = BloomEntry(
+                fingerprint,
+                BloomFilter(self.params.bloom_bits, self.params.bloom_hashes, seed=self._bloom_salt),
+            )
         entry.add_attributes(values)
-        return self._place_in_pair(left, right, entry)
+        self._row_sketch = entry.bloom
+        return self._place_in_pair(left, right, entry) if fresh else True
 
     def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash the predicate once, test bits in bulk.

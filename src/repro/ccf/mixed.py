@@ -100,15 +100,26 @@ class MixedCCF(ConditionalCuckooFilterBase):
             if isinstance(entry, GroupSlot):
                 entry.group.add_vector(avec)
                 self.num_absorbed += 1
+                self._row_sketch = entry.group.bloom
                 return True
         if any(entry.same_row(fingerprint, avec) for entry in slots):
             return True
         if len(slots) < self.params.max_dupes:
             return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
-        self._convert(left, right, fingerprint, avec)
+        self._row_sketch = self._convert(left, right, fingerprint, avec).bloom
         return True
 
-    def _convert(self, left: int, right: int, fingerprint: int, new_avec: tuple[int, ...]) -> None:
+    def _credit_copy(self, sketch: BloomFilter | None, discarded: bool) -> None:
+        """A repeated row is absorbed again where its pair holds a converted
+        group for the fingerprint (vectors and groups never coexist for one
+        pair and fingerprint), and deduplicated otherwise."""
+        super()._credit_copy(sketch, discarded)
+        if sketch is not None:
+            self.num_absorbed += 1
+
+    def _convert(
+        self, left: int, right: int, fingerprint: int, new_avec: tuple[int, ...]
+    ) -> ConvertedGroup:
         """Algorithm 3: fold the pair's d vectors plus ``new_avec`` into a Bloom group."""
         bloom = BloomFilter(self._conversion_bits(), self._conversion_hashes(), seed=self._bloom_salt)
         group = ConvertedGroup(fingerprint, bloom, self.params.max_dupes)
@@ -131,6 +142,7 @@ class MixedCCF(ConditionalCuckooFilterBase):
             )
         group.add_vector(new_avec)
         self.num_conversions += 1
+        return group
 
     def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash converted-group probes once per predicate.

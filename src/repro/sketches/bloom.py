@@ -49,13 +49,16 @@ class SketchHashing:
     """The hashing state shared by every Bloom filter with one parameter set.
 
     Holds the :class:`HashFamily` for ``(num_hashes, seed)`` and a memo from
-    value to its ``num_hashes`` bit positions.  The memo is keyed by
-    ``canonical_bytes(value)``, not by the value: Python's
-    ``1 == True == 1.0`` and ``0.0 == -0.0`` would merge values the hash
-    keeps apart.  Positions are a pure function of the key, so memoised
-    bits are bit-identical to hashing afresh, and eviction only costs a
-    re-derivation.  Hits are one dict read; misses take a lock, because
-    filters used from different threads share the memo.
+    value to its ``num_hashes`` bit positions.  A flat tuple of exact
+    ``int`` and ``str`` elements — every ``(attribute index, value)`` pair
+    the CCFs add — is its own memo key: such tuples are equal exactly when
+    the hash sees the same input.  Any other value is keyed by
+    ``canonical_bytes(value)``, because Python's ``1 == True == 1.0`` and
+    ``0.0 == -0.0`` would merge values the hash keeps apart; a bytes key
+    never equals a tuple key.  Positions are a pure function of the value,
+    so memoised bits are bit-identical to hashing afresh, and eviction only
+    costs a re-derivation.  Hits are one dict read; misses take a lock,
+    because filters used from different threads share the memo.
     """
 
     __slots__ = ("num_bits", "family", "limit", "_memo", "_lock")
@@ -66,12 +69,19 @@ class SketchHashing:
         self.limit = POSITION_MEMO_LIMIT
         # An OrderedDict evicts its oldest key in O(1); a plain dict's first
         # key sits behind every slot deleted before it.
-        self._memo: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
+        self._memo: OrderedDict[tuple | bytes, tuple[int, ...]] = OrderedDict()
         self._lock = threading.Lock()
 
     def positions(self, value: object) -> tuple[int, ...]:
         """The bit positions of ``value``, hashed on its first request."""
-        key = canonical_bytes(value)
+        key = value
+        if type(value) is tuple:
+            for item in value:
+                if type(item) is not int and type(item) is not str:
+                    key = canonical_bytes(value)
+                    break
+        else:
+            key = canonical_bytes(value)
         positions = self._memo.get(key)
         if positions is None:
             positions = tuple(self.family.indexes(value, self.num_bits))

@@ -17,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
+from repro.ccf.base import first_copies
 from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import CCF_KINDS, make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In
 from repro.ccf.range_ccf import DyadicRangeCCF
+from repro.ccf.serialize import dumps
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.hashtable import CuckooHashTable
 from repro.cuckoo.multiset import MultisetCuckooFilter
@@ -82,6 +84,9 @@ def _assert_ccf_twins_equal(scalar, batch):
     assert scalar.num_kicks == batch.num_kicks
     assert scalar.num_entries == batch.num_entries
     assert scalar.failed == batch.failed
+    # The wire bytes also carry what the checks above do not read: the Mixed
+    # counters and every sketch's insert count.
+    assert dumps(scalar) == dumps(batch)
 
 
 @pytest.mark.parametrize("kind", sorted(CCF_KINDS))
@@ -118,6 +123,76 @@ def test_ccf_insert_and_query_parity(kind, rows, seed, attr_bits):
     assert batch.contains_key_many(probes).tolist() == [
         scalar.contains_key(int(key)) for key in probes.tolist()
     ]
+
+
+#: Values Python's ``==`` merges in part but a Bloom sketch hashes apart.
+REPEAT_VALUES = (1, True, 1.0, "1", "a", "a\0", 0.0, -0.0)
+
+REPEATED_ROW = st.tuples(
+    st.integers(min_value=0, max_value=5),  # key
+    st.integers(min_value=0, max_value=3),  # index into the first column's domain
+    st.integers(min_value=0, max_value=1),  # second attribute
+)
+
+
+@pytest.mark.parametrize("kind", sorted(CCF_KINDS))
+@settings(max_examples=100, deadline=None)
+@given(
+    pre_rows=st.lists(REPEATED_ROW, max_size=12),
+    rows=st.lists(REPEATED_ROW, min_size=20, max_size=120),
+    domain=st.sampled_from((REPEAT_VALUES[:2], REPEAT_VALUES[:4], REPEAT_VALUES[2:6], (3, 5))),
+    num_buckets=st.sampled_from((4, 8, 16, 32)),
+    max_dupes=st.sampled_from((1, 2)),
+    # 60-bit fingerprints do not pack with the home and values into an int64.
+    key_bits=st.sampled_from((6, 60)),
+    seed=st.integers(min_value=0, max_value=3),
+)
+def test_ccf_insert_many_parity_on_repeated_rows(
+    kind, pre_rows, rows, domain, num_buckets, max_dupes, key_bits, seed
+):
+    """Heavily repeated rows: `insert_many` credits later copies of a row
+    instead of inserting them, and must still equal the scalar loop byte for
+    byte.  Few keys over 2-4 attribute values on 4-32 buckets with
+    ``max_kicks`` 5 let a placement fail mid-batch (later rows then run in
+    full); ``max_chain`` 2 discards chained rows; ``d`` of 1-2 converts Mixed
+    pairs between a row and its copy; the Bloom column mixes ``1``,
+    ``True``, ``1.0``, ``"1"``, ``"a"`` and ``"a\\0"``."""
+    params = CCFParams(
+        bucket_size=2,
+        max_dupes=max_dupes,
+        key_bits=key_bits,
+        attr_bits=3,
+        bloom_bits=16,
+        max_kicks=5,
+        seed=seed,
+        max_chain=2 if kind == "chained" else None,
+    )
+    scalar = make_ccf(kind, SCHEMA, num_buckets, params)
+    batch = make_ccf(kind, SCHEMA, num_buckets, params)
+    for key, value, size in pre_rows:
+        for ccf in (scalar, batch):
+            ccf.insert(key, (domain[value % len(domain)], size))
+
+    firsts = [domain[value % len(domain)] for _k, value, _s in rows]
+    scalar_results = [
+        scalar.insert(key, (first, size)) for (key, _v, size), first in zip(rows, firsts)
+    ]
+    keys = np.array([key for key, _v, _s in rows], dtype=np.int64)
+    sizes = np.array([size for _k, _v, size in rows], dtype=np.int64)
+    batch_results = batch.insert_many(keys, [firsts, sizes])
+
+    assert batch_results.tolist() == scalar_results
+    assert dumps(batch) == dumps(scalar)
+
+
+def test_first_copies_packs_or_compares_rows():
+    """Identities that fit 63 bits pack into one int64, wider ones are
+    compared row by row; both give each row its first equal row."""
+    narrow = [np.array([3, 1, 3, 3]), np.array([0, 0, 0, 1])]
+    wide = [np.array([2**62, 1, 2**62, 2**62]), np.array([0, 0, 0, 1])]
+    for columns in (narrow, wide):
+        assert first_copies(columns).tolist() == [0, 1, 0, 3]
+    assert first_copies([np.array([], dtype=np.int64)]).tolist() == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -212,6 +212,28 @@ class TestSharedHashing:
             second.add(value)
             assert second._bits == fresh_bits(num_bits, num_hashes, seed, [value])
 
+    def test_memo_keys_exact_tuples_by_value(self):
+        """Flat tuples of exact ints and strs key the memo by value; every
+        other value by its encoding.  Positions equal a fresh family's for
+        both kinds of key, and values Python merges keep their own entries."""
+        num_bits, num_hashes, seed = 97, 3, 0x5EED07
+        state = shared_hashing(num_bits, num_hashes, seed)
+        family = HashFamily(num_hashes, seed)
+        merged = [(0, 1), (0, True), (0, 1.0), (0, "1")]
+        for value in merged:
+            assert list(state.positions(value)) == family.indexes(value, num_bits)
+        assert len(state) == 4
+        values = [
+            (0, -5), (1, -(2**63)), (2, 2**63), (3, 2**70), 2**64, -1,
+            (0, ""), (0, "é"), (0, "a"), (0, "a\0"), "a\0", "",
+            (0, False), True, (1, 0.0), (1, -0.0), -0.0,
+            (0, (1, "x")), ((0, 1), 2), (), ((),), (0, None), (0, b"a"),
+        ]
+        for _round in range(2):  # the second round reads the memo
+            for value in values:
+                assert list(state.positions(value)) == family.indexes(value, num_bits)
+        assert len(state) == 4 + len(values)
+
     def test_bloom_ccf_entries_equal_fresh_hashing(self):
         """20 rows per key: every entry's bits are the OR of fresh-family
         positions over the rows of its (fingerprint, bucket pair)."""
