@@ -104,7 +104,8 @@ def _best_interleaved(runs: int, *calls: tuple) -> list[float]:
 
 
 def _pre_pr_contains_many(cuckoo: CuckooFilter, keys: np.ndarray) -> np.ndarray:
-    """The pre-PR probe kernel, verbatim: two int64 fancy-gathers."""
+    """The pre-PR probe kernel, verbatim: two int64 fancy-gathers (the
+    stash read through its fingerprint column; the filter stashes nothing)."""
     fps = cuckoo.fingerprints_of_many(keys)
     homes = cuckoo.home_indices_of_many(keys)
     alts = homes ^ cuckoo.geometry.fp_jump_many(fps)
@@ -113,8 +114,7 @@ def _pre_pr_contains_many(cuckoo: CuckooFilter, keys: np.ndarray) -> np.ndarray:
     found = (table[homes] == fp_col).any(axis=1)
     found |= (table[alts] == fp_col).any(axis=1)
     if cuckoo.stash:
-        stash = np.fromiter(cuckoo.stash, dtype=np.int64, count=len(cuckoo.stash))
-        found |= np.isin(fps, stash)
+        found |= np.isin(fps, cuckoo.stash.fps)
     return found
 
 

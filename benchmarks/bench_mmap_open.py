@@ -1,10 +1,10 @@
-"""Cold-open latency and resident memory: SEG1 segments vs CCF3 decoding.
+"""Cold-open latency and resident memory: SEG1 segments vs CCF4 decoding.
 
 The acceptance bar for the mapped-segment engine (DESIGN.md §10), measured
 on a store holding ``REPRO_MMAP_KEYS`` keys (default 1M):
 
 * ``FilterStore.open`` on a segment snapshot is **>= 10x** faster than
-  reading and ``loads()``-decoding every level's CCF3 ``dumps()`` payload
+  reading and ``loads()``-decoding every level's CCF4 ``dumps()`` payload
   at the 1M scale (>= 3x at CI smoke scale, where constant costs blunt the
   ratio) — segments open O(manifest), the bit-packed wire format decodes
   every slot up front;
@@ -72,7 +72,7 @@ def _build_store() -> FilterStore:
 
 
 def _write_payloads(store: FilterStore, directory) -> list:
-    """Every level's CCF3 wire payload, one file each (the decode baseline)."""
+    """Every level's CCF4 wire payload, one file each (the decode baseline)."""
     directory.mkdir()
     paths = []
     for shard in store.shards:
@@ -179,5 +179,5 @@ def test_mmap_open(tmp_path):
     )
     assert open_speedup >= min_speedup, (
         f"segment cold open is only {open_speedup:.1f}x faster than decoding "
-        f"the CCF3 payloads (required {min_speedup:.0f}x at {NUM_KEYS} keys)"
+        f"the CCF4 payloads (required {min_speedup:.0f}x at {NUM_KEYS} keys)"
     )

@@ -32,6 +32,7 @@ ever relocates an entry between the two buckets of its own pair — the
 structural property from which Lemma 1 follows.  Victim slots come from
 the counter-based victim stream at position `num_kicks`, so a filter
 reloaded with its counters kicks exactly as the one it was saved from.
+An entry it cannot seat is stashed as one more slot of its pair (§1).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.ccf.entries import BloomEntry, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
+from repro.cuckoo.stash import Stash
 from repro.hashing.mixers import as_native_list, canonical_bytes, coerce_int_column, derive_seed
 from repro.sketches.bloom import BloomFilter
 
@@ -304,7 +306,7 @@ class ConditionalCuckooFilterBase:
         self.num_rows_discarded = 0
         self.num_kicks = 0
         self.failed = False
-        self.stash: list[Any] = []
+        self.stash = Stash()
 
     # ------------------------------------------------------------------
     # Geometry delegation (kept on the filter for API convenience)
@@ -453,15 +455,9 @@ class ConditionalCuckooFilterBase:
     # Pair-level storage helpers
     # ------------------------------------------------------------------
 
-    def _fp_count_in_pair(self, left: int, right: int, fingerprint: int) -> int:
-        """Number of slots in the pair holding ``fingerprint``."""
-        count = self.buckets.count_in_bucket(left, fingerprint)
-        if right != left:
-            count += self.buckets.count_in_bucket(right, fingerprint)
-        return count
-
     def _fp_entries_in_pair(self, left: int, right: int, fingerprint: int) -> list[Any]:
-        """Entries in the pair whose fingerprint matches (one per slot).
+        """Entries of the pair whose fingerprint matches: its slots', then
+        its stashed ones, in stash order.
 
         Reads the live fingerprint column directly — this is the innermost
         loop of every scalar query.
@@ -472,9 +468,11 @@ class ConditionalCuckooFilterBase:
             for slot, fp in enumerate(row):
                 if fp == fingerprint:
                     matches.append(self.entry_at(bucket, slot))
+        if self.stash.items:
+            matches.extend(self.stash.items[at] for at in self.stash.find(fingerprint, left, right))
         return matches
 
-    def _place_in_pair(self, left: int, right: int, entry: Any) -> bool:
+    def _place_in_pair(self, left: int, right: int, entry: Any, copies: int = 0) -> bool:
         """Algorithm 4's placement: prefer ``left``, then kick from ``right``.
 
         The kicks are the fingerprint filters' sequential chain
@@ -484,16 +482,25 @@ class ConditionalCuckooFilterBase:
         always the other bucket of the victim's own pair, so per-pair
         fingerprint counts are invariant under kicking (the structural core
         of Lemma 1).  On MaxKicks exhaustion the in-flight victim is stashed
-        (queries consult the stash) and the structure is flagged failed.
+        under its own pair and the structure is flagged failed.  A pair whose
+        ``copies`` of the fingerprint fill every slot stashes the entry at
+        once (Lemma 1 fast-fail): kicks could only reshuffle those copies.
         """
-        _fp, placed, self.num_kicks, path = self.buckets.place(
-            entry.fp, left, right, self.params.max_kicks, self.geometry.jump_seed,
-            self._victim_seed, self.num_kicks,
-        )
-        pushed = self._write_columns(path, entry)
-        if placed:
-            return True
-        self.stash.append(pushed)
+        buckets, bucket = self.buckets, left
+        if copies >= buckets.bucket_size * (1 if left == right else 2) and (
+            buckets.fps[[left, right]] == entry.fp
+        ).all():
+            pushed = entry
+        else:
+            _fp, placed, self.num_kicks, path = self.buckets.place(
+                entry.fp, left, right, self.params.max_kicks, self.geometry.jump_seed,
+                self._victim_seed, self.num_kicks,
+            )
+            pushed = self._write_columns(path, entry)
+            if placed:
+                return True
+            bucket = path[-1][0] if path else left
+        self.stash.append(pushed.fp, self.geometry.pair_id(bucket, pushed.fp), pushed)
         self.failed = True
         return False
 
@@ -686,11 +693,10 @@ class ConditionalCuckooFilterBase:
         ``rows`` holds each row's attribute fingerprint vector, or its raw
         values when the variant sketches raw values (``_needs_avec`` False).
         ``first`` (from `first_copies`) gives each row the index of the
-        first row of the batch with the same identity.  While the filter has
-        not failed, a later copy is credited (`_credit_copy`) instead of
-        walked; once a placement fails, every row runs the policy (DESIGN.md
-        §7).  The FilterStore, which hashes once for many shard levels,
-        passes no ``first``.  Bit-identical to scalar `insert` per row.
+        first row of the batch with the same identity.  A later copy is
+        credited (`_credit_copy`) instead of walked (DESIGN.md §7).  The
+        FilterStore, which hashes once for many shard levels, passes no
+        ``first``.  Bit-identical to scalar `insert` per row.
         """
         num_rows = len(fps)
         out = np.ones(num_rows, dtype=bool)
@@ -707,7 +713,7 @@ class ConditionalCuckooFilterBase:
         discarded: set[int] = set()
         rows_iter = zip(fps.tolist(), homes.tolist(), pairs, values, avecs, firsts)
         for i, (fp, home, pair, value, avec, original) in enumerate(rows_iter):
-            if original != i and not self.failed:
+            if original != i:
                 self._credit_copy(sketches.get((fp, pair)), original in discarded)
                 continue
             self._row_sketch = None
@@ -743,10 +749,9 @@ class ConditionalCuckooFilterBase:
     def _query_hashed(
         self, fingerprint: int, home: int, compiled: CompiledQuery | None
     ) -> bool:
-        """Query policy on precomputed hashes: the stash, then the key's one
-        bucket pair (the chained variant walks its chain instead)."""
-        if self.stash and self._stash_matches(fingerprint, compiled):
-            return True
+        """Query policy on precomputed hashes: the key's one bucket pair,
+        stashed entries included (the chained variant walks its chain
+        instead)."""
         left = home
         right = self.geometry.alt_index(left, fingerprint)
         return any(
@@ -847,12 +852,6 @@ class ConditionalCuckooFilterBase:
             f"{self.kind} CCFs cannot delete entries (sketched rows cannot be unlearned)"
         )
 
-    def _stash_matches(self, fingerprint: int, compiled: CompiledQuery | None) -> bool:
-        return any(
-            entry.fp == fingerprint and self._entry_matches(entry, compiled)
-            for entry in self.stash
-        )
-
     # ------------------------------------------------------------------
     # Vectorised probe machinery shared by the batch query kernels
     # ------------------------------------------------------------------
@@ -886,21 +885,22 @@ class ConditionalCuckooFilterBase:
         hit[rows[admissible]] = True
         return hit
 
-    def _matching_stash_fps(self, compiled: CompiledQuery | None) -> np.ndarray | None:
-        """Fingerprints of stashed entries admitting ``compiled``, or None."""
-        if not self.stash:
-            return None
-        fps = [e.fp for e in self.stash if self._entry_matches(e, compiled)]
-        if not fps:
-            return None
-        return np.array(fps, dtype=np.int64)
-
-    def _count_stash_rescues(self, rescued: np.ndarray) -> None:
-        """Record keys that only a stash entry answered positively."""
-        if obs.state.enabled:
-            count = int(np.count_nonzero(rescued))
-            if count:
-                _STASH_HITS.labels(kind=self.kind).inc(count)
+    def _pair_hits(self, lefts, rights, eq, rows, at, compiled) -> np.ndarray:
+        """Per key: does its pair hold a copy admitting ``compiled``, in a
+        slot (``eq``) or stashed (`Stash.match`'s ``rows``/``at``)?  Keys
+        only a stashed entry admits count as stash hits."""
+        if compiled is None:
+            hit = eq.any(axis=(1, 2))
+        else:
+            hit = self._pair_admits(lefts, rights, eq, compiled)
+        if rows.size:
+            items = self.stash.items
+            admitted = np.unique(rows[[self._entry_matches(items[i], compiled) for i in at]])
+            rescued = np.count_nonzero(~hit[admitted])
+            if rescued and obs.state.enabled:
+                _STASH_HITS.labels(kind=self.kind).inc(int(rescued))
+            hit[admitted] = True
+        return hit
 
     def _single_pair_query_many(
         self,
@@ -914,23 +914,16 @@ class ConditionalCuckooFilterBase:
         Home and alternate rows are gathered in one fused `SlotMatrix.pair_eq`
         over the live (width-adaptive) fingerprint column, dispatched to the
         active kernel backend (`repro.kernels`); no snapshot is built.  A key
-        hits on an admissible table copy or a matching stash entry.  Callers
-        that already computed the partner indices (the FilterStore fans one
-        hashing pass across many levels) pass ``alts`` to skip the re-hash.
+        hits on an admissible copy in its pair, stashed copies of the pair
+        included.  Callers that already computed the partner indices (the
+        FilterStore fans one hashing pass across many levels) pass ``alts``
+        to skip the re-hash.
         """
         if alts is None:
             alts = self.geometry.alt_indices_many(homes, fps)
         eq = self.buckets.pair_eq(fps, homes, alts)
-        if compiled is None:
-            hit = eq.any(axis=(1, 2))
-        else:
-            hit = self._pair_admits(homes, alts, eq, compiled)
-        stash_fps = self._matching_stash_fps(compiled)
-        if stash_fps is not None:
-            stash_hit = np.isin(fps, stash_fps)
-            self._count_stash_rescues(stash_hit & ~hit)
-            hit |= stash_hit
-        return hit
+        rows, at = self.stash.match(fps, homes, alts)
+        return self._pair_hits(homes, alts, eq, rows, at, compiled)
 
     # ------------------------------------------------------------------
     # Introspection for tests and experiments
@@ -940,9 +933,7 @@ class ConditionalCuckooFilterBase:
         """Map (pair id, fingerprint) -> slot count, for invariant checking."""
         counts: dict[tuple[int, int], int] = {}
         for bucket, _slot, fp, _payload in self.buckets.iter_entries():
-            alt = self.alt_index(bucket, fp)
-            pair_id = bucket if bucket < alt else alt
-            counter_key = (pair_id, fp)
+            counter_key = (self.geometry.pair_id(bucket, fp), fp)
             counts[counter_key] = counts.get(counter_key, 0) + 1
         return counts
 

@@ -41,21 +41,18 @@ class BloomCCF(ConditionalCuckooFilterBase):
     ) -> bool:
         """Insert one (key, attribute row); Algorithm 1's build counterpart.
 
-        A row whose key fingerprint already owns an entry in the bucket pair
-        merges its attributes into that entry's Bloom sketch — the entry is
-        the live payload object, so batch probes see the merge immediately.
-        Otherwise a new entry is created and placed with cuckoo kicks.
-        Returns False only on a MaxKicks failure (victim stashed, ``failed``
-        latched).
+        A row whose key fingerprint already owns an entry in the bucket pair,
+        in a slot or stashed, merges its attributes into that entry's Bloom
+        sketch — the entry is the live payload object, so batch probes see
+        the merge immediately.  Otherwise a new entry is created and placed
+        with cuckoo kicks.  Returns False only on a MaxKicks failure (victim
+        stashed, ``failed`` latched).
         """
         self.num_rows_inserted += 1
         left = home
         right = self.geometry.alt_index(left, fingerprint)
         slots = self._fp_entries_in_pair(left, right, fingerprint)
-        if slots:
-            entry = slots[0]
-        else:
-            entry = next((stashed for stashed in self.stash if stashed.fp == fingerprint), None)
+        entry = slots[0] if slots else None
         fresh = entry is None
         if fresh:
             entry = BloomEntry(

@@ -18,9 +18,8 @@ is the property Lemma 2's correctness argument needs.
 :meth:`PairGeometry.walk_many` is the batch form of the query-side walk
 (Algorithm 5): every unresolved key of a batch moves one bucket pair forward
 per round, under the same cycle and walk-limit rules as the scalar walk,
-with the caller supplying what counts as a hit in a pair.  Callers answer
-keys whose fingerprint sits in the stash before walking: such a walk could
-only end True.
+with the caller supplying what counts as a hit in a pair.  A pair's stashed
+entries count as its slots (DESIGN.md §1).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 
 from repro.cuckoo.buckets import SlotMatrix
 from repro.cuckoo.geometry import BucketGeometry
+from repro.cuckoo.stash import Stash
 from repro.hashing.mixers import derive_seed, mix64, mix64_many
 
 #: How many deterministic re-hashes the walk tries when the next pair is
@@ -120,28 +120,50 @@ class PairGeometry(BucketGeometry):
             left, right, pair_id = nxt, nxt_right, nxt_id
             yield left, right
 
+    def walk_one(
+        self,
+        home: int,
+        fingerprint: int,
+        max_dupes: int,
+        limit: int,
+        pair_hit: Callable[[int, int], tuple[int, bool]],
+    ) -> bool:
+        """`walk_many` for one key: ``pair_hit(left, right)`` returns the
+        pair's copies of the fingerprint and whether one qualifies."""
+        for walked, (left, right) in enumerate(self.pair_walk(home, fingerprint)):
+            if walked >= limit:
+                break
+            copies, hit = pair_hit(left, right)
+            if hit or copies != max_dupes:
+                return hit
+        # Lmax pairs exhausted (or the walk could not be extended) with every
+        # pair d-full: answer True to preserve no-false-negatives.
+        return True
+
     def walk_many(
         self,
         buckets: SlotMatrix,
+        stash: Stash,
         fps: np.ndarray,
         homes: np.ndarray,
         alts: np.ndarray,
         *,
         max_dupes: int,
         limit: int,
-        pair_hit: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        pair_hit: Callable[..., np.ndarray],
     ) -> np.ndarray:
         """Batch query walk (Algorithm 5), one bucket pair per round.
 
         Every key starts at its first pair ``(home, alt)``.  Each round
         probes the current pair of every walking key with one `pair_eq`
-        over ``buckets`` and asks ``pair_hit(lefts, rights, eq)`` whether
-        the pair holds a qualifying copy (``eq`` is the ``(k, 2, b)``
-        fingerprint-equality mask).  A hit answers True.  Otherwise a key
-        walks on while its pair holds exactly ``max_dupes`` copies, and
-        answers False if not.  Walks that reach ``limit`` pairs, or whose
-        next pair cannot be found within :data:`CYCLE_BUMP_LIMIT` bumps,
-        answer True (Theorem 3).
+        over ``buckets`` and one `Stash.match` over ``stash`` and asks
+        ``pair_hit(lefts, rights, eq, rows, at)`` whether the pair holds a
+        qualifying copy (``eq`` is the ``(k, 2, b)`` fingerprint-equality
+        mask, ``rows``/``at`` the pair's stashed copies).  A hit answers
+        True.  Otherwise a key walks on while its pair holds exactly
+        ``max_dupes`` copies, and answers False if not.  Walks that reach
+        ``limit`` pairs, or whose next pair cannot be found within
+        :data:`CYCLE_BUMP_LIMIT` bumps, answer True (Theorem 3).
         The pair sequence is :meth:`pair_walk`'s, so answers equal the
         scalar walk's key by key.
 
@@ -162,7 +184,10 @@ class PairGeometry(BucketGeometry):
             eq = buckets.pair_eq(fps, lefts, rights)
             copies = eq[:, 0].sum(axis=1)
             copies += np.where(lefts == rights, 0, eq[:, 1].sum(axis=1))
-            hit = pair_hit(lefts, rights, eq)
+            rows, at = stash.match(fps, lefts, rights)
+            if rows.size:
+                copies += np.bincount(rows, minlength=len(copies))
+            hit = pair_hit(lefts, rights, eq, rows, at)
             walk_on = ~hit & (copies == max_dupes)
             out[index[~hit & ~walk_on]] = False
             walked += 1

@@ -7,7 +7,8 @@ holding fewer than ``d`` copies of the key fingerprint (Lemma 2 ensures no
 entry can live beyond that point).  If ``Lmax`` pairs are exhausted with
 every pair ``d``-full, the query answers True unconditionally — the
 no-false-negative fallback of Theorem 3, which covers rows that insertion
-had to discard for exceeding the chain cap.
+had to discard for exceeding the chain cap.  Walks count a pair's stashed
+entries as its slots (DESIGN.md §1), so the ``d``-count stays exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from repro import obs
 from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import VectorEntry
 from repro.ccf.predicates import Predicate
@@ -40,8 +40,8 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         with a finite ``Lmax`` — discarded past the chain cap, in which case
         queries still answer True via the Theorem 3 fallback).  Returns False
         only on a MaxKicks placement failure, which also latches
-        :attr:`failed`; the displaced victim is stashed so membership
-        answers remain superset-correct even then.
+        :attr:`failed`; the displaced victim is stashed in its own pair, so
+        membership answers remain superset-correct even then.
         """
         if avec is None:
             avec = self.fingerprinter.vector(values)
@@ -68,35 +68,19 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         self, fingerprint: int, home: int, compiled: CompiledQuery | None
     ) -> bool:
         """Membership test under an optional predicate; Algorithm 5."""
-        if self.stash and any(entry.fp == fingerprint for entry in self.stash):
-            # A matching stashed entry answers True.  Any other stashed copy
-            # of this fingerprint means some pair on its chain lost a copy
-            # (violating Lemma 1's never-decrease property), so the d-count
-            # early stop below is no longer trustworthy: the walk could only
-            # end in the conservative True, which is answered here.
-            return True
         if compiled is None:
             # §7.1: for key-only queries the chain is irrelevant — an
             # inserted key always leaves at least one copy in its first pair.
-            left = home
-            right = self.geometry.alt_index(left, fingerprint)
-            return self._fp_count_in_pair(left, right, fingerprint) > 0
-        limit = self._walk_limit()
-        walked = 0
-        for left, right in self._pair_walk(home, fingerprint):
-            if walked >= limit:
-                break
-            walked += 1
+            right = self.alt_index(home, fingerprint)
+            return bool(self._fp_entries_in_pair(home, right, fingerprint))
+
+        def pair_hit(left: int, right: int) -> tuple[int, bool]:
             slots = self._fp_entries_in_pair(left, right, fingerprint)
-            for entry in slots:
-                if self._entry_matches(entry, compiled):
-                    return True
-            if len(slots) == self.params.max_dupes:
-                continue
-            return False
-        # Lmax pairs exhausted (or the walk could not be extended) with every
-        # pair d-full: answer True to preserve no-false-negatives.
-        return True
+            return len(slots), any(self._entry_matches(entry, compiled) for entry in slots)
+
+        return self.geometry.walk_one(
+            home, fingerprint, self.params.max_dupes, self._walk_limit(), pair_hit
+        )
 
     def _query_hashed_many(
         self,
@@ -108,41 +92,27 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         """Batch Algorithm 5: one probe for key-only queries, else one walk.
 
         §7.1: key-only queries never look past the first pair, so they are
-        one vectorised probe.  Predicate queries answer True where the stash
-        holds the key's fingerprint, as the scalar walk does first; every
-        other key walks its chain in `PairGeometry.walk_many`, where a pair
-        hits when it holds an admissible copy.
+        one vectorised probe (the shared single-pair kernel).  Predicate
+        queries walk their chains in `PairGeometry.walk_many`, where a pair
+        hits when it holds an admissible copy, stashed copies of the pair
+        included.
         """
         if compiled is None:
-            # Key-only: one pair probe, any stashed fingerprint copy is True —
-            # exactly the shared single-pair kernel with no predicate.
             return self._single_pair_query_many(fps, homes, None, alts)
         if alts is None:
             alts = self.geometry.alt_indices_many(homes, fps)
-        out = np.zeros(len(fps), dtype=bool)
-        if self.stash:
-            if obs.state.enabled:
-                stash_fps = self._matching_stash_fps(compiled)
-                if stash_fps is not None:
-                    # Rescued: a matching stash entry admits the key and its
-                    # first pair holds no admissible copy.
-                    at = np.nonzero(np.isin(fps, stash_fps))[0]
-                    eq = self.buckets.pair_eq(fps[at], homes[at], alts[at])
-                    self._count_stash_rescues(
-                        ~self._pair_admits(homes[at], alts[at], eq, compiled)
-                    )
-            out = np.isin(fps, np.array([entry.fp for entry in self.stash], dtype=np.int64))
-        walk = np.nonzero(~out)[0]
-        out[walk] = self.geometry.walk_many(
+        return self.geometry.walk_many(
             self.buckets,
-            fps[walk],
-            homes[walk],
-            alts[walk],
+            self.stash,
+            fps,
+            homes,
+            alts,
             max_dupes=self.params.max_dupes,
             limit=self._walk_limit(),
-            pair_hit=lambda lefts, rights, eq: self._pair_admits(lefts, rights, eq, compiled),
+            pair_hit=lambda lefts, rights, eq, rows, at: self._pair_hits(
+                lefts, rights, eq, rows, at, compiled
+            ),
         )
-        return out
 
     def chain_length(self, key: object) -> int:
         """Number of bucket pairs currently used by ``key``'s fingerprint.
@@ -159,7 +129,7 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             if length >= limit:
                 break
             length += 1
-            if self._fp_count_in_pair(left, right, fingerprint) < d:
+            if len(self._fp_entries_in_pair(left, right, fingerprint)) < d:
                 break
         return length
 

@@ -88,7 +88,8 @@ class MixedCCF(ConditionalCuckooFilterBase):
 
         Returns False only on a MaxKicks placement failure for a *new*
         (pre-conversion) entry; merges into an existing converted group and
-        conversions themselves always succeed.
+        conversions themselves always succeed.  The pair's stashed entries
+        count as its slots throughout (DESIGN.md §1).
         """
         if avec is None:
             avec = self.fingerprinter.vector(values)
@@ -120,7 +121,8 @@ class MixedCCF(ConditionalCuckooFilterBase):
     def _convert(
         self, left: int, right: int, fingerprint: int, new_avec: tuple[int, ...]
     ) -> ConvertedGroup:
-        """Algorithm 3: fold the pair's d vectors plus ``new_avec`` into a Bloom group."""
+        """Algorithm 3: fold the pair's d vectors (a stashed one becomes a
+        stashed group slot) plus ``new_avec`` into a Bloom group."""
         bloom = BloomFilter(self._conversion_bits(), self._conversion_hashes(), seed=self._bloom_salt)
         group = ConvertedGroup(fingerprint, bloom, self.params.max_dupes)
         converted = 0
@@ -135,6 +137,11 @@ class MixedCCF(ConditionalCuckooFilterBase):
                 group.add_vector(tuple(self._avecs[bucket, slot].tolist()))
                 self._write_columns([(bucket, slot, fingerprint)], GroupSlot(group))
                 converted += 1
+        items = self.stash.items
+        for at in self.stash.find(fingerprint, left, right):
+            group.add_vector(items[at].avec)
+            items[at] = GroupSlot(group)
+            converted += 1
         if converted != self.params.max_dupes:
             raise AssertionError(
                 f"conversion expected d={self.params.max_dupes} vector entries, "
@@ -177,11 +184,9 @@ class MixedCCF(ConditionalCuckooFilterBase):
         """Base d-cap plus: vectors and groups never coexist for one (pair, κ)."""
         super().check_invariants()
         shapes: dict[tuple[int, int], set[str]] = {}
-        for _bucket, _slot, entry in self.iter_entries():
-            alt = self.geometry.alt_index(_bucket, entry.fp)
-            pair_id = _bucket if _bucket < alt else alt
+        for bucket, _slot, entry in self.iter_entries():
             shape = "group" if isinstance(entry, GroupSlot) else "vector"
-            shapes.setdefault((pair_id, entry.fp), set()).add(shape)
+            shapes.setdefault((self.geometry.pair_id(bucket, entry.fp), entry.fp), set()).add(shape)
         for (pair_id, fingerprint), kinds in shapes.items():
             if len(kinds) > 1:
                 raise AssertionError(

@@ -21,6 +21,9 @@ Layout of a ``.seg`` file (DESIGN.md §10)::
     [column "flags"]     npy header                  | raw (m, b) bools
     [meta: JSON]         params, schema, counters, stash, column table
 
+Version 2 records each stash entry as ``[fp, pair, avec, matching]``
+(DESIGN.md §1); version 1 recorded no pair and is refused by name.
+
 Every column block is a *valid standalone .npy stream*: the standard numpy
 magic and dict header, padded with spaces so the raw data starts on a
 ``PAGE_SIZE`` boundary.  External tools can decode a column with nothing but
@@ -64,7 +67,7 @@ from repro.ccf.serialize import SerializeError
 from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 
 MAGIC = b"SEG1"
-VERSION = 1
+VERSION = 2
 
 #: Column data is aligned to this many bytes (a typical OS page), so mapped
 #: columns start on page boundaries and direct-IO readers stay happy.
@@ -151,7 +154,7 @@ def write_segment(
             f"cannot segment a {ccf.kind} CCF holding {ccf._num_payload_slots} "
             "payload (Bloom/group) slots; use repro.ccf.serialize for those"
         )
-    for entry in ccf.stash:
+    for entry in ccf.stash.items:
         if not isinstance(entry, VectorEntry):
             raise TypeError(
                 f"cannot segment a stash holding {type(entry).__name__} entries"
@@ -171,7 +174,8 @@ def write_segment(
             "failed": bool(ccf.failed),
         },
         "stash": [
-            [entry.fp, list(entry.avec), bool(entry.matching)] for entry in ccf.stash
+            [fp, pair, list(entry.avec), bool(entry.matching)]
+            for fp, pair, entry in ccf.stash
         ],
     }
     columns = _segment_columns(ccf)
@@ -244,8 +248,9 @@ def read_segment_meta(path: str | Path) -> dict:
                 offset_unit="bytes",
             )
         if version != VERSION:
+            retired = " (v1 stash entries record no bucket pair)" if version == 1 else ""
             raise SerializeError(
-                f"unsupported SEG1 version {version}",
+                f"unsupported SEG1 version {version}{retired}",
                 source=source,
                 offset=4,
                 offset_unit="bytes",
@@ -461,10 +466,8 @@ def open_segment(
     ccf.num_rows_discarded = int(counters["num_rows_discarded"])
     ccf.num_kicks = int(counters["num_kicks"])
     ccf.failed = bool(counters["failed"])
-    ccf.stash = [
-        VectorEntry(int(fp), tuple(int(a) for a in avec), bool(matching))
-        for fp, avec, matching in meta["stash"]
-    ]
+    for fp, pair, avec, matching in meta["stash"]:
+        ccf.stash.append(int(fp), int(pair), VectorEntry(int(fp), tuple(avec), bool(matching)))
     return ccf
 
 

@@ -37,8 +37,9 @@ class PlainCCF(ConditionalCuckooFilterBase):
         """Insert one row into the key's single bucket pair.
 
         Returns False on a MaxKicks placement failure (the structure is then
-        flagged failed; the displaced victim is stashed so queries stay
-        superset-correct).  Exact duplicate (fingerprint, vector) rows are
+        flagged failed; the displaced victim is stashed in its own pair so
+        queries stay superset-correct).  Exact duplicate (fingerprint,
+        vector) rows of the pair, in its slots or its stash, are
         deduplicated, matching the failure criterion of the multiset
         experiments: a failure is a *unique* pair that cannot generate a new
         entry.
@@ -51,33 +52,28 @@ class PlainCCF(ConditionalCuckooFilterBase):
         slots = self._fp_entries_in_pair(left, right, fingerprint)
         if any(entry.same_row(fingerprint, avec) for entry in slots):
             return True
-        # A stashed copy counts too: without this, re-inserting a stashed row
-        # would create a second entry that `delete` cannot fully remove.
-        if self.stash and any(entry.same_row(fingerprint, avec) for entry in self.stash):
-            return True
-        return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
+        return self._place_in_pair(left, right, VectorEntry(fingerprint, avec), len(slots))
 
     def _row_present(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
-        """Is this exact (fingerprint, vector) row stored (table or stash)?
+        """Is this exact (fingerprint, vector) row stored in its pair, in a
+        slot or stashed?
 
         The read-before-write primitive of the FilterStore's cross-level
         dedup: inserts skip rows an older level already represents, so the
         whole stack keeps the monolith's one-entry-per-row semantics and a
         single delete removes the row everywhere.
         """
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        if any(
+        return any(
             entry.same_row(fingerprint, avec)
-            for entry in self._fp_entries_in_pair(left, right, fingerprint)
-        ):
-            return True
-        return any(entry.same_row(fingerprint, avec) for entry in self.stash)
+            for entry in self._fp_entries_in_pair(
+                home, self.geometry.alt_index(home, fingerprint), fingerprint
+            )
+        )
 
     def _delete_hashed(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
         """Remove the entry storing exactly this (fingerprint, vector) row.
 
-        Probes the key's single bucket pair (then the stash) for a
+        Probes the key's single bucket pair (then its stashed entries) for a
         `same_row` match and frees that one slot.  Exact-duplicate rows were
         deduplicated at insert time, so one removal forgets the row entirely.
         """
@@ -92,9 +88,9 @@ class PlainCCF(ConditionalCuckooFilterBase):
                     self._clear_entry(bucket, slot)
                     self.num_rows_inserted -= 1
                     return True
-        for index, entry in enumerate(self.stash):
-            if entry.same_row(fingerprint, avec):
-                del self.stash[index]
+        for at in self.stash.find(fingerprint, left, right):
+            if self.stash.items[at].same_row(fingerprint, avec):
+                self.stash.pop(at)
                 self.num_rows_inserted -= 1
                 return True
         return False

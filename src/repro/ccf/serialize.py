@@ -5,9 +5,11 @@ stored*, then shipped to scans — so round-trippable wire formats are part of
 the system, not an afterthought.  Everything a structure needs is its
 parameters (all hash salts derive from the seed), its schema, and its slot
 contents.  Kick victims come from a counter-based stream whose position
-each format carries — a CCF's `num_kicks` in CCF3, a cuckoo filter's
-`_wave_victim_counter` in CKF5 — so a loaded filter places later keys
-bit-identically to the one it was saved from.
+each format carries — a CCF's `num_kicks` in CCF4, a cuckoo filter's
+`_wave_victim_counter` in CKF6 — so a loaded filter places later keys
+bit-identically to the one it was saved from.  Every stash entry ships
+with its pair id: a stashed entry is an off-table slot of its own bucket
+pair (DESIGN.md §1), and without the pair it could answer for no key.
 
 The wire format is **columnar**, mirroring the in-memory SlotMatrix layout
 (DESIGN.md §6): a 2-bit tag column over all slots, then the vector slots'
@@ -17,17 +19,18 @@ of slot-at-a-time Python loops.  Only variable-length Bloom payloads remain
 sequential.  Loading scatters the columns straight back into the typed
 storage arrays.
 
-:func:`dumps` / :func:`loads` handle every CCF variant, the
-:class:`~repro.ccf.range_ccf.DyadicRangeCCF` wrapper, the chained CCF's
-marked predicate view (CCV3), and the plain cuckoo filter (CKF5), which is
-also what a Bloom or Mixed CCF's extracted key filter is.  CKF5 is exactly
-:class:`~repro.cuckoo.filter.CuckooFilter`: the semi-sorted subclass folds
-fingerprint 0 to 1, so a plain filter reloaded from its slots would probe
-for 0 and miss the stored 1; it is refused.  CKF4 payloads hashed under
-salts of their own and are refused like any unknown magic, and so are
-CCV3 payloads of the retired extracted-view type.  Slot payloads are
-bit-packed at their declared widths (12-bit fingerprints cost 12 bits), so
-the on-wire size tracks ``size_in_bits()`` up to small headers.
+:func:`dumps` / :func:`loads` handle every CCF variant (CCF4), the
+:class:`~repro.ccf.range_ccf.DyadicRangeCCF` wrapper (CRF2, around a CCF4
+payload), the chained CCF's marked predicate view (CCV4), and the plain
+cuckoo filter (CKF6), which is also what a Bloom or Mixed CCF's extracted
+key filter is.  CKF6 is exactly :class:`~repro.cuckoo.filter.CuckooFilter`:
+the semi-sorted subclass folds fingerprint 0 to 1, so a plain filter
+reloaded from its slots would probe for 0 and miss the stored 1; it is
+refused.  CCF3, CCV3 and CKF5 recorded no stash pairs and are refused by
+name; CKF4 payloads hashed under salts of their own and are refused like
+any unknown magic.  Slot payloads are bit-packed at their declared widths
+(12-bit fingerprints cost 12 bits), so the on-wire size tracks
+``size_in_bits()`` up to small headers.
 
 :class:`SerializeError` is the one typed decode error of every on-disk
 format, these wire formats and the store's SEG1 segments and WAL alike.
@@ -51,15 +54,19 @@ from repro.ccf.range_ccf import DyadicRangeCCF
 from repro.ccf.views import MarkedKeyFilter
 from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 from repro.cuckoo.filter import CuckooFilter
+from repro.cuckoo.stash import Stash
 from repro.sketches.bitpack import BitReader, BitWriter
 from repro.sketches.bloom import BloomFilter
 
 # Wire formats: one tag byte records the slot storage dtype of the
 # width-adaptive SlotMatrix (DESIGN.md §9).
-_MAGIC_CCF = b"CCF3"
-_MAGIC_VIEW = b"CCV3"
-_MAGIC_CUCKOO = b"CKF5"
+_MAGIC_CCF = b"CCF4"
+_MAGIC_VIEW = b"CCV4"
+_MAGIC_CUCKOO = b"CKF6"
 _MAGIC_RANGE = b"CRF2"
+
+#: The formats before stash entries carried their pair, refused by name.
+_NO_STASH_PAIRS = {b"CCF3": "CCF4", b"CCV3": "CCV4", b"CKF5": "CKF6"}
 
 _KIND_CODES = {"plain": 0, "chained": 1, "bloom": 2, "mixed": 3}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
@@ -146,6 +153,13 @@ def loads(data: bytes, *, source: str | None = None) -> Any:
             source=source,
             offset=0,
         )
+    if magic in _NO_STASH_PAIRS:
+        raise SerializeError(
+            f"{magic.decode()} payloads are retired: their stash entries record no "
+            f"bucket pair; re-serialise as {_NO_STASH_PAIRS[magic]}",
+            source=source,
+            offset=0,
+        )
     reader = BitReader(data[4:])
     try:
         if magic == _MAGIC_CCF:
@@ -153,7 +167,7 @@ def loads(data: bytes, *, source: str | None = None) -> Any:
         if magic == _MAGIC_RANGE:
             return _load_range(reader)
         if magic == _MAGIC_VIEW:
-            return _load_view(reader, source)
+            return _load_view(reader)
         if magic == _MAGIC_CUCKOO:
             return _load_cuckoo(reader)
     except SerializeError:
@@ -278,20 +292,68 @@ def _read_bloom_payload(
 # ---------------------------------------------------------------------------
 
 
+def _tag_of(entry: Any) -> int:
+    if isinstance(entry, VectorEntry):
+        return _VECTOR
+    return _BLOOM if isinstance(entry, BloomEntry) else _GROUP
+
+
 def _slot_tags(ccf: ConditionalCuckooFilterBase) -> np.ndarray:
     """The 2-bit tag column (flat, bucket-major) of a CCF's slot matrix."""
     flat_fps = ccf.buckets.fps.ravel()
     occupied = flat_fps != ccf.buckets.empty
-    tags = np.zeros(flat_fps.shape, dtype=np.int64)
-    tags[occupied] = _VECTOR
+    tags = np.where(occupied, _VECTOR, _EMPTY)
     if ccf._num_payload_slots:
         payloads = ccf.buckets.payloads
         for index in np.nonzero(occupied)[0].tolist():
-            payload = payloads[index]
-            if payload is None:
-                continue
-            tags[index] = _BLOOM if isinstance(payload, BloomEntry) else _GROUP
+            if payloads[index] is not None:
+                tags[index] = _tag_of(payloads[index])
     return tags
+
+
+def _write_slots(writer, params, tags, fps, avecs, flags, payloads, group_index) -> None:
+    """One columnar slot section (the table's, or the stash's): the tag
+    column, then each slot class's columns packed array-at-a-time."""
+    vector = tags == _VECTOR
+    writer.write_array(tags, 2)
+    writer.write_array(fps[vector], params.key_bits)
+    writer.write_array(avecs[vector], params.attr_bits)
+    writer.write_bool_array(flags[vector])
+    for index in np.flatnonzero(tags == _BLOOM).tolist():
+        entry = payloads[index]
+        writer.write(entry.fp, params.key_bits)
+        writer.write_bool(entry.matching)
+        _write_bloom_payload(writer, entry.bloom)
+    groups = [group_index[id(payloads[i].group)] for i in np.flatnonzero(tags == _GROUP).tolist()]
+    writer.write_array(np.array(groups, dtype=np.int64), 32)
+
+
+def _read_slots(reader, ccf, count, groups) -> tuple:
+    """Inverse of `_write_slots`: the section's ``(tags, fps, avecs,
+    flags, payloads)``, ``payloads`` mapping slot index to entry."""
+    params, num_attrs = ccf.params, ccf.schema.num_attributes
+    tags = reader.read_array(count, 2)
+    vector = tags == _VECTOR
+    num_vectors = int(vector.sum())
+    fps = np.zeros(count, dtype=np.int64)
+    avecs = np.zeros((count, num_attrs), dtype=np.int64)
+    flags = np.ones(count, dtype=bool)
+    fps[vector] = reader.read_array(num_vectors, params.key_bits)
+    avecs[vector] = reader.read_array(num_vectors * num_attrs, params.attr_bits).reshape(
+        num_vectors, num_attrs
+    )
+    flags[vector] = reader.read_bool_array(num_vectors)
+    payloads: dict[int, Any] = {}
+    for index in np.flatnonzero(tags == _BLOOM).tolist():
+        fp, matching = reader.read(params.key_bits), reader.read_bool()
+        bloom = _read_bloom_payload(reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt)
+        payloads[index] = BloomEntry(fp, bloom, matching)
+    group_slots = np.flatnonzero(tags == _GROUP).tolist()
+    for index, group_id in zip(group_slots, reader.read_array(len(group_slots), 32).tolist()):
+        payloads[index] = GroupSlot(groups[group_id])
+    for index, entry in payloads.items():
+        fps[index], flags[index] = entry.fp, entry.matching
+    return tags, fps, avecs, flags, payloads
 
 
 def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
@@ -313,15 +375,15 @@ def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
 
     tags = _slot_tags(ccf)
     payloads = ccf.buckets.payloads
+    stash = ccf.stash
 
     # Converted groups are shared across slots: emit them once, indexed by
     # first occurrence in flat slot order, then in the stash (kicks can
     # stash every slot of a group).
     groups: list[ConvertedGroup] = []
     group_index: dict[int, int] = {}
-    group_slots = np.nonzero(tags == _GROUP)[0]
-    for group in [payloads[index].group for index in group_slots.tolist()] + [
-        entry.group for entry in ccf.stash if isinstance(entry, GroupSlot)
+    for group in [payloads[index].group for index in np.flatnonzero(tags == _GROUP).tolist()] + [
+        entry.group for entry in stash.items if isinstance(entry, GroupSlot)
     ]:
         if id(group) not in group_index:
             group_index[id(group)] = len(groups)
@@ -333,51 +395,21 @@ def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
         writer.write_bool(group.matching)
         _write_bloom_payload(writer, group.bloom)
 
-    # Columnar slot section: the tag column, then each slot class's columns
-    # packed array-at-a-time in flat slot order.
     num_attrs = ccf.schema.num_attributes
-    flat_fps = ccf.buckets.fps.ravel()
-    vector_mask = tags == _VECTOR
-    writer.write_array(tags, 2)
-    writer.write_array(flat_fps[vector_mask], ccf.params.key_bits)
-    writer.write_array(
-        ccf._avecs.reshape(-1, num_attrs)[vector_mask], ccf.params.attr_bits
+    _write_slots(
+        writer, ccf.params, tags, ccf.buckets.fps.ravel(), ccf._avecs.reshape(-1, num_attrs),
+        ccf._flags.ravel(), payloads, group_index,
     )
-    writer.write_bool_array(ccf._flags.ravel()[vector_mask])
-    for index in np.nonzero(tags == _BLOOM)[0].tolist():
-        entry = payloads[index]
-        writer.write(entry.fp, ccf.params.key_bits)
-        writer.write_bool(entry.matching)
-        _write_bloom_payload(writer, entry.bloom)
-    if group_slots.size:
-        indices = np.fromiter(
-            (group_index[id(payloads[i].group)] for i in group_slots.tolist()),
-            dtype=np.int64,
-            count=group_slots.size,
-        )
-        writer.write_array(indices, 32)
-
-    def write_entry(entry: Any) -> None:
-        if isinstance(entry, VectorEntry):
-            writer.write(_VECTOR, 2)
-            writer.write(entry.fp, ccf.params.key_bits)
-            for component in entry.avec:
-                writer.write(component, ccf.params.attr_bits)
-            writer.write_bool(entry.matching)
-        elif isinstance(entry, BloomEntry):
-            writer.write(_BLOOM, 2)
-            writer.write(entry.fp, ccf.params.key_bits)
-            writer.write_bool(entry.matching)
-            _write_bloom_payload(writer, entry.bloom)
-        elif isinstance(entry, GroupSlot):
-            writer.write(_GROUP, 2)
-            writer.write(group_index[id(entry.group)], 32)
-        else:
-            raise TypeError(f"unknown entry type {type(entry).__name__}")
-
-    writer.write(len(ccf.stash), 16)
-    for entry in ccf.stash:
-        write_entry(entry)
+    # The stash: pair ids, then its entries as one more slot section.
+    blank = (0,) * num_attrs
+    writer.write(len(stash), 32)
+    writer.write_array(stash.pairs, 32)
+    _write_slots(
+        writer, ccf.params, np.array([_tag_of(entry) for entry in stash.items], dtype=np.int64),
+        stash.fps,
+        np.array([getattr(entry, "avec", blank) for entry in stash.items], dtype=np.int64),
+        np.array([entry.matching for entry in stash.items], dtype=bool), stash.items, group_index,
+    )
     return writer.getvalue()
 
 
@@ -411,64 +443,26 @@ def _load_ccf(reader: BitReader) -> ConditionalCuckooFilterBase:
         group.matching = matching
         groups.append(group)
 
-    num_attrs = schema.num_attributes
-    capacity = ccf.buckets.capacity
-
-    # Columnar slot section: scatter each column straight into the typed
-    # storage arrays, then rebuild the occupancy column once.
-    tags = reader.read_array(capacity, 2)
-    vector_mask = tags == _VECTOR
-    num_vectors = int(vector_mask.sum())
-    flat_fps = ccf.buckets.fps.ravel()
-    flat_fps[vector_mask] = reader.read_array(num_vectors, params.key_bits)
-    ccf._avecs.reshape(-1, num_attrs)[vector_mask] = reader.read_array(
-        num_vectors * num_attrs, params.attr_bits
-    ).reshape(num_vectors, num_attrs)
-    ccf._flags.ravel()[vector_mask] = reader.read_bool_array(num_vectors)
-    payloads = ccf.buckets.payloads
-    flags = ccf._flags.ravel()
-    bloom_slots = np.nonzero(tags == _BLOOM)[0]
-    for index in bloom_slots.tolist():
-        fp = reader.read(params.key_bits)
-        matching = reader.read_bool()
-        bloom = _read_bloom_payload(
-            reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt
-        )
-        flat_fps[index] = fp
-        payloads[index] = BloomEntry(fp, bloom, matching)
-        flags[index] = matching
-    group_slots = np.nonzero(tags == _GROUP)[0]
-    if group_slots.size:
-        indices = reader.read_array(int(group_slots.size), 32)
-        for index, group_id in zip(group_slots.tolist(), indices.tolist()):
-            group = groups[group_id]
-            flat_fps[index] = group.fp
-            payloads[index] = GroupSlot(group)
-            flags[index] = group.matching
+    # Scatter the table's columns straight into the typed storage arrays,
+    # then rebuild the occupancy column once.
+    tags, fps, avecs, flags, payloads = _read_slots(reader, ccf, ccf.buckets.capacity, groups)
+    occupied, vector = tags != _EMPTY, tags == _VECTOR
+    ccf.buckets.fps.ravel()[occupied] = fps[occupied]
+    ccf._avecs.reshape(-1, schema.num_attributes)[vector] = avecs[vector]
+    ccf._flags.ravel()[occupied] = flags[occupied]
+    for index, entry in payloads.items():
+        ccf.buckets.payloads[index] = entry
     ccf.buckets.recount()
-    ccf._num_payload_slots = int(bloom_slots.size) + int(group_slots.size)
+    ccf._num_payload_slots = len(payloads)
 
-    def read_entry() -> Any:
-        tag = reader.read(2)
-        if tag == _VECTOR:
-            fp = reader.read(params.key_bits)
-            avec = tuple(reader.read(params.attr_bits) for _ in range(num_attrs))
-            matching = reader.read_bool()
-            return VectorEntry(fp, avec, matching)
-        if tag == _BLOOM:
-            fp = reader.read(params.key_bits)
-            matching = reader.read_bool()
-            bloom = _read_bloom_payload(
-                reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt
-            )
-            return BloomEntry(fp, bloom, matching)
-        if tag == _GROUP:
-            return GroupSlot(groups[reader.read(32)])
-        raise ValueError("unexpected empty tag inside entry")
-
-    stash_count = reader.read(16)
-    for _ in range(stash_count):
-        ccf.stash.append(read_entry())
+    pairs = reader.read_array(reader.read(32), 32)
+    _tags, fps, avecs, flags, payloads = _read_slots(reader, ccf, len(pairs), groups)
+    columns = zip(fps.tolist(), avecs.tolist(), flags.tolist())
+    entries = [
+        payloads.get(index) or VectorEntry(fp, tuple(avec), matching)
+        for index, (fp, avec, matching) in enumerate(columns)
+    ]
+    ccf.stash.extend(fps, pairs, entries)
     return ccf
 
 
@@ -524,72 +518,30 @@ def _load_range(reader: BitReader) -> DyadicRangeCCF:
 # Views
 # ---------------------------------------------------------------------------
 
-#: View type codes.  Type 0 is retired: an extracted key filter is a
-#: `CuckooFilter` and ships as CKF5, so only the marked view is written.
-_VIEW_EXTRACTED, _VIEW_MARKED = 0, 1
-
 
 def _dump_view(view: MarkedKeyFilter) -> bytes:
     writer = BitWriter()
     writer.write_bytes(_MAGIC_VIEW)
-    writer.write(_VIEW_MARKED, 8)
-    writer.write(_dtype_tag(view.buckets), 8)
-    geometry = view.geometry
-    writer.write(geometry.num_buckets, 32)
-    writer.write(geometry.key_bits, 8)
-    writer.write(geometry.seed & _MASK64, 64)
-    writer.write(view.buckets.bucket_size, 8)
     writer.write(view.max_dupes, 8)
     writer.write(0 if view.max_chain is None else view.max_chain + 1, 32)
-    flat_fps = view.buckets.fps.ravel()
-    occupied = flat_fps != view.buckets.empty
-    writer.write_bool_array(occupied)
-    writer.write_array(flat_fps[occupied], geometry.key_bits)
+    geometry = view.geometry
+    occupied = _write_table(writer, view.buckets, geometry.key_bits, geometry.seed, view.stash)
     writer.write_bool_array(view.marks.ravel()[occupied])
-    writer.write(len(view.stash_entries), 16)
-    for fp, matching in view.stash_entries:
-        writer.write(fp, geometry.key_bits)
-        writer.write_bool(matching)
+    writer.write_bool_array(np.array(view.stash.items, dtype=bool))
     return writer.getvalue()
 
 
-def _load_view(reader: BitReader, source: str | None) -> MarkedKeyFilter:
-    view_type = reader.read(8)
-    if view_type == _VIEW_EXTRACTED:
-        raise SerializeError(
-            "CCV3 extracted-view payloads are retired: an extracted key filter "
-            "is a cuckoo filter and ships as CKF5",
-            source=source,
-            offset=32,
-        )
-    if view_type != _VIEW_MARKED:
-        raise ValueError(f"unknown view type {view_type}")
-    tag = reader.read(8)
-    num_buckets = reader.read(32)
-    key_bits = reader.read(8)
-    seed = reader.read(64)
-    bucket_size = reader.read(8)
-    packed = tag != 0
-    _check_dtype_tag(tag, key_bits, packed)
-    max_dupes = reader.read(8)
-    max_chain_raw = reader.read(32)
-    view = MarkedKeyFilter(
-        PairGeometry(num_buckets, key_bits, seed),
-        bucket_size,
-        max_dupes,
-        None if max_chain_raw == 0 else max_chain_raw - 1,
-        packed=packed,
+def _load_view(reader: BitReader) -> MarkedKeyFilter:
+    max_dupes, max_chain = reader.read(8), reader.read(32) - 1
+    view, occupied = _read_table(
+        reader,
+        lambda num_buckets, bucket_size, key_bits, seed, packed: MarkedKeyFilter(
+            PairGeometry(num_buckets, key_bits, seed), bucket_size, max_dupes,
+            None if max_chain < 0 else max_chain, packed,
+        ),
     )
-    capacity = num_buckets * bucket_size
-    occupied = reader.read_bool_array(capacity)
-    count = int(occupied.sum())
-    view.buckets.fps.ravel()[occupied] = reader.read_array(count, key_bits)
-    view.buckets.recount()
-    view.marks.ravel()[occupied] = reader.read_bool_array(count)
-    stash_count = reader.read(16)
-    for _ in range(stash_count):
-        fp = reader.read(key_bits)
-        view.stash_entries.append((fp, reader.read_bool()))
+    view.marks.ravel()[occupied] = reader.read_bool_array(int(occupied.sum()))
+    view.stash.items = reader.read_bool_array(len(view.stash)).tolist()
     return view
 
 
@@ -601,45 +553,65 @@ def _load_view(reader: BitReader, source: str | None) -> MarkedKeyFilter:
 def _dump_cuckoo(cuckoo: CuckooFilter) -> bytes:
     writer = BitWriter()
     writer.write_bytes(_MAGIC_CUCKOO)
-    writer.write(_dtype_tag(cuckoo.buckets), 8)
-    writer.write(cuckoo.buckets.num_buckets, 32)
-    writer.write(cuckoo.buckets.bucket_size, 8)
-    writer.write(cuckoo.fingerprint_bits, 8)
     writer.write(cuckoo.max_kicks, 32)
-    writer.write(cuckoo.seed & _MASK64, 64)
+    _write_table(writer, cuckoo.buckets, cuckoo.fingerprint_bits, cuckoo.seed, cuckoo.stash)
     writer.write(cuckoo.num_items, 64)
     writer.write(cuckoo._wave_victim_counter, 64)
     writer.write_bool(cuckoo.failed)
-    flat_fps = cuckoo.buckets.fps.ravel()
-    occupied = flat_fps != cuckoo.buckets.empty
-    writer.write_bool_array(occupied)
-    writer.write_array(flat_fps[occupied], cuckoo.fingerprint_bits)
-    writer.write(len(cuckoo.stash), 16)
-    for fp in cuckoo.stash:
-        writer.write(fp, cuckoo.fingerprint_bits)
     return writer.getvalue()
 
 
 def _load_cuckoo(reader: BitReader) -> CuckooFilter:
-    tag = reader.read(8)
-    num_buckets = reader.read(32)
-    bucket_size = reader.read(8)
-    fingerprint_bits = reader.read(8)
     max_kicks = reader.read(32)
-    seed = reader.read(64)
-    packed = tag != 0
-    _check_dtype_tag(tag, fingerprint_bits, packed)
-    cuckoo = CuckooFilter(
-        num_buckets, bucket_size, fingerprint_bits, max_kicks, seed, packed=packed
+    cuckoo, _occupied = _read_table(
+        reader,
+        lambda num_buckets, bucket_size, key_bits, seed, packed: CuckooFilter(
+            num_buckets, bucket_size, key_bits, max_kicks, seed, packed
+        ),
     )
     cuckoo.num_items = reader.read(64)
     cuckoo._wave_victim_counter = reader.read(64)
     cuckoo.failed = reader.read_bool()
-    occupied = reader.read_bool_array(num_buckets * bucket_size)
-    count = int(occupied.sum())
-    cuckoo.buckets.fps.ravel()[occupied] = reader.read_array(count, fingerprint_bits)
-    cuckoo.buckets.recount()
-    stash_count = reader.read(16)
-    for _ in range(stash_count):
-        cuckoo.stash.append(reader.read(fingerprint_bits))
     return cuckoo
+
+
+# ---------------------------------------------------------------------------
+# The fingerprint table section CCV4 and CKF6 share
+# ---------------------------------------------------------------------------
+
+
+def _write_table(
+    writer: BitWriter, buckets: SlotMatrix, key_bits: int, seed: int, stash: Stash
+) -> np.ndarray:
+    """Storage tag, geometry, the occupied slots' fingerprints, and the
+    stash's fingerprints and pair ids; returns the occupancy mask."""
+    for value, bits in (
+        (_dtype_tag(buckets), 8),
+        (buckets.num_buckets, 32),
+        (buckets.bucket_size, 8),
+        (key_bits, 8),
+        (seed & _MASK64, 64),
+    ):
+        writer.write(value, bits)
+    flat_fps = buckets.fps.ravel()
+    occupied = flat_fps != buckets.empty
+    writer.write_bool_array(occupied)
+    writer.write_array(flat_fps[occupied], key_bits)
+    writer.write(len(stash), 32)
+    writer.write_array(stash.fps, key_bits)
+    writer.write_array(stash.pairs, 32)
+    return occupied
+
+
+def _read_table(reader: BitReader, build: Any) -> tuple[Any, np.ndarray]:
+    """Inverse of `_write_table` into ``build(num_buckets, bucket_size,
+    key_bits, seed, packed)``'s structure; returns it and the occupancy."""
+    tag, num_buckets, bucket_size, key_bits, seed = (reader.read(n) for n in (8, 32, 8, 8, 64))
+    _check_dtype_tag(tag, key_bits, tag != 0)
+    structure = build(num_buckets, bucket_size, key_bits, seed, tag != 0)
+    occupied = reader.read_bool_array(num_buckets * bucket_size)
+    structure.buckets.fps.ravel()[occupied] = reader.read_array(int(occupied.sum()), key_bits)
+    structure.buckets.recount()
+    count = reader.read(32)
+    structure.stash.extend(reader.read_array(count, key_bits), reader.read_array(count, 32))
+    return structure, occupied

@@ -32,6 +32,7 @@ from repro.ccf.chain import PairGeometry
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import SlotMatrix
 from repro.cuckoo.filter import CuckooFilter
+from repro.cuckoo.stash import Stash
 
 
 def extract_key_filter(source: ConditionalCuckooFilterBase, predicate: Predicate) -> CuckooFilter:
@@ -55,7 +56,8 @@ def extract_key_filter(source: ConditionalCuckooFilterBase, predicate: Predicate
     for bucket, slot, entry in source.iter_entries():
         if source._entry_matches(entry, compiled):
             view.buckets.set_slot(bucket, slot, entry.fp)
-    view.stash = [entry.fp for entry in source.stash if source._entry_matches(entry, compiled)]
+    keep = [source._entry_matches(entry, compiled) for entry in source.stash.items]
+    view.stash.extend(source.stash.fps[keep], source.stash.pairs[keep])
     view.num_items = view.buckets.filled + len(view.stash)
     view.failed = bool(view.stash)
     return view
@@ -65,9 +67,10 @@ class MarkedKeyFilter:
     """Chain-preserving predicate view of a chained CCF (§6.2).
 
     The fingerprint matrix keeps every copy; a parallel bool matrix holds
-    the per-slot matching mark.  The lookup replays Algorithm 5's walk,
-    counting every fingerprint copy toward the ``d`` continue-condition but
-    reporting a hit only on marked copies.
+    the per-slot matching mark (the stash, its entries' marks as items).
+    The lookup replays Algorithm 5's walk, counting every fingerprint copy
+    toward the ``d`` continue-condition but reporting a hit only on marked
+    copies.
     """
 
     def __init__(
@@ -85,7 +88,7 @@ class MarkedKeyFilter:
         self.marks = np.zeros((geometry.num_buckets, bucket_size), dtype=bool)
         self.max_dupes = max_dupes
         self.max_chain = max_chain
-        self.stash_entries: list[tuple[int, bool]] = []
+        self.stash = Stash()
 
     def set_slot(self, bucket: int, slot: int, fp: int, matching: bool) -> None:
         """Store one (fingerprint, mark) pair."""
@@ -105,8 +108,8 @@ class MarkedKeyFilter:
         )
         for bucket, slot, entry in source.iter_entries():
             view.set_slot(bucket, slot, entry.fp, source._entry_matches(entry, compiled))
-        for entry in source.stash:
-            view.stash_entries.append((entry.fp, source._entry_matches(entry, compiled)))
+        marks = [source._entry_matches(entry, compiled) for entry in source.stash.items]
+        view.stash.extend(source.stash.fps, source.stash.pairs, marks)
         return view
 
     def _walk_limit(self) -> int:
@@ -121,42 +124,23 @@ class MarkedKeyFilter:
         )
 
     def _contains_hashed(self, fingerprint: int, home: int) -> bool:
-        """Scalar lookup on precomputed hashes; `contains_many` equals it.
+        """Scalar lookup on precomputed hashes; `contains_many` equals it."""
 
-        A stashed copy of the fingerprint answers True: a marked one
-        matches, and any other means a pair on the chain may have lost a
-        copy, so the walk could not stop early and could only end True.
-        """
-        if any(stash_fp == fingerprint for stash_fp, _matches in self.stash_entries):
-            return True
-        limit = self._walk_limit()
-        walked = 0
-        for left, right in self.geometry.pair_walk(home, fingerprint):
-            if walked >= limit:
-                break
-            walked += 1
-            copies = 0
-            hit = False
-            buckets = (left,) if left == right else (left, right)
-            for bucket in buckets:
-                row = self.buckets.fps[bucket].tolist()
-                for slot, stored_fp in enumerate(row):
-                    if stored_fp == fingerprint:
-                        copies += 1
-                        hit = hit or bool(self.marks[bucket, slot])
-            if hit:
-                return True
-            if copies == self.max_dupes:
-                continue
-            return False
-        # Lmax exhausted with every pair d-full: conservative True (Theorem 3).
-        return True
+        def pair_hit(left: int, right: int) -> tuple[int, bool]:
+            marks = [self.stash.items[at] for at in self.stash.find(fingerprint, left, right)]
+            for bucket in (left,) if left == right else (left, right):
+                slots = np.flatnonzero(self.buckets.fps[bucket] == fingerprint)
+                marks += self.marks[bucket, slots].tolist()
+            return len(marks), any(marks)
+
+        return self.geometry.walk_one(
+            home, fingerprint, self.max_dupes, self._walk_limit(), pair_hit
+        )
 
     def contains_many(self, keys) -> np.ndarray:
         """Batch `contains`: the chained CCF's vectorised chain walk.
 
-        A stashed fingerprint answers True, as in the scalar lookup; every
-        other key walks its chain in `PairGeometry.walk_many`, where a pair
+        Every key walks its chain in `PairGeometry.walk_many`, where a pair
         hits when it holds a *marked* copy and every copy, marked or not,
         counts toward the ``d`` continue-condition.  Answers are identical
         to scalar `contains` per key.
@@ -164,23 +148,24 @@ class MarkedKeyFilter:
         fps = self.geometry.fingerprints_of_many(keys)
         homes = self.geometry.home_indices_of_many(keys)
         alts = self.geometry.alt_indices_many(homes, fps)
-        out = np.zeros(len(fps), dtype=bool)
-        if self.stash_entries:
-            out = np.isin(fps, np.array([fp for fp, _m in self.stash_entries], dtype=np.int64))
-        walk = np.nonzero(~out)[0]
         marks = self.marks
-        out[walk] = self.geometry.walk_many(
+        stash_marks = np.array(self.stash.items, dtype=bool)
+
+        def pair_hit(lefts, rights, eq, rows, at):
+            hit = (eq[:, 0] & marks[lefts]).any(axis=1) | (eq[:, 1] & marks[rights]).any(axis=1)
+            hit[rows[stash_marks[at]]] = True
+            return hit
+
+        return self.geometry.walk_many(
             self.buckets,
-            fps[walk],
-            homes[walk],
-            alts[walk],
+            self.stash,
+            fps,
+            homes,
+            alts,
             max_dupes=self.max_dupes,
             limit=self._walk_limit(),
-            pair_hit=lambda lefts, rights, eq: (
-                (eq[:, 0] & marks[lefts]).any(axis=1) | (eq[:, 1] & marks[rights]).any(axis=1)
-            ),
+            pair_hit=pair_hit,
         )
-        return out
 
     def __contains__(self, key: object) -> bool:
         return self.contains(key)
@@ -188,7 +173,7 @@ class MarkedKeyFilter:
     @property
     def num_entries(self) -> int:
         """Number of retained fingerprint slots (marked or not)."""
-        return self.buckets.filled + len(self.stash_entries)
+        return self.buckets.filled + len(self.stash)
 
     def load_factor(self) -> float:
         """Fraction of table slots occupied (stash excluded)."""
@@ -197,11 +182,11 @@ class MarkedKeyFilter:
     def num_matching(self) -> int:
         """Number of slots still marked as matching the predicate."""
         table = int((self.marks & self.buckets.occupied_mask()).sum())
-        return table + sum(1 for _fp, m in self.stash_entries if m)
+        return table + sum(self.stash.items)
 
     def size_in_bits(self) -> int:
         """Size as a shipped artifact: fingerprint plus one marking bit."""
-        return (self.buckets.capacity + len(self.stash_entries)) * (self.geometry.key_bits + 1)
+        return (self.buckets.capacity + len(self.stash)) * (self.geometry.key_bits + 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

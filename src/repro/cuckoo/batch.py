@@ -42,6 +42,7 @@ import numpy as np
 from repro import obs
 from repro.cuckoo.buckets import SlotMatrix
 from repro.cuckoo.geometry import BucketGeometry
+from repro.cuckoo.stash import Stash
 from repro.hashing.mixers import _mixed_seed, derive_seed
 from repro.kernels import active_backend
 
@@ -95,7 +96,7 @@ class FingerprintBatchMixin:
         self.geometry = BucketGeometry(num_buckets, fingerprint_bits, seed)
         self.num_items = 0
         self.failed = False
-        self.stash: list[int] = []
+        self.stash = Stash()
         # The victim-slot stream of the kick loop: seed + position; each
         # draw is one eviction.
         self._wave_victim_seed = _mixed_seed(derive_seed(seed, "wave-kick"))
@@ -160,16 +161,17 @@ class FingerprintBatchMixin:
         wave kernel's sequential tail (`kick_one`) from the alternate
         bucket on the shared victim stream, so the two calls leave
         bit-identical state.  A chain that exhausts ``max_kicks`` evictions
-        stashes its in-flight fingerprint (DESIGN.md §1) and returns False.
+        stashes its in-flight fingerprint in its pair (DESIGN.md §1) and
+        returns False.
         """
         self.num_items += 1
-        fp, placed, self._wave_victim_counter, _path = self.buckets.place(
+        fp, placed, self._wave_victim_counter, path = self.buckets.place(
             fp, home, self.geometry.alt_index(home, fp), self.max_kicks,
             self.geometry.jump_seed, self._wave_victim_seed, self._wave_victim_counter,
         )
         if placed:
             return True
-        self.stash.append(fp)
+        self.stash.append(fp, self.geometry.pair_id(path[-1][0] if path else home, fp))
         self.failed = True
         return False
 
@@ -183,17 +185,17 @@ class FingerprintBatchMixin:
         its alternate buckets in the backend ``wave_kick`` kernel, which
         runs the eviction rounds and the sequential tail directly on the
         fingerprint and occupancy columns (`repro.kernels.reference`); this
-        method owns everything object-shaped: the stash list, the
-        ``failed`` latch, occupancy reconciliation and the victim-stream
-        counter.  An item whose chain exhausts ``max_kicks`` evictions is
-        stashed (DESIGN.md §1) and its originating key reports False.
+        method owns everything object-shaped: the stash, the ``failed``
+        latch, occupancy reconciliation and the victim-stream counter.  An
+        item whose chain exhausts ``max_kicks`` evictions is stashed in its
+        pair (DESIGN.md §1) and its originating key reports False.
 
         A single key takes exactly the path of `insert`.  In larger batches
         *placement* depends on the batching (first-wave keys never probe
-        their alternate bucket), but membership does not: evictions stay
-        within the victim's own bucket pair, so while nothing is stashed
-        `contains`/`count` answer exactly as after a per-key `insert` loop.
-        See DESIGN.md §5 and §7.
+        their alternate bucket), but membership does not: evictions and the
+        stash keep every copy in its own bucket pair, so `contains`/`count`
+        answer exactly as after a per-key `insert` loop.  See DESIGN.md §5
+        and §7.
         """
         fps = self.fingerprints_of_many(keys)
         homes = self.home_indices_of_many(keys)
@@ -212,7 +214,7 @@ class FingerprintBatchMixin:
             return out
         item_fps = fps[residue]
         counter_before = self._wave_victim_counter
-        stash_fps, _stash_origins, placed, self._wave_victim_counter = (
+        stash_fps, stash_buckets, placed, self._wave_victim_counter = (
             active_backend().wave_kick(
                 buckets.fps,
                 buckets.counts,
@@ -238,7 +240,8 @@ class FingerprintBatchMixin:
             _WAVE_STASH_SPILLS.inc(int(stash_fps.size))
             _WAVE_RELOCATION_HIST.observe(relocations)
         if stash_fps.size:
-            self.stash.extend(stash_fps.tolist())
+            alts = self.geometry.alt_indices_many(stash_buckets, stash_fps)
+            self.stash.extend(stash_fps, np.minimum(stash_buckets, alts))
             self.failed = True
         return out
 
@@ -247,15 +250,17 @@ class FingerprintBatchMixin:
     # ------------------------------------------------------------------
 
     def _delete_hashed(self, fp: int, home: int) -> bool:
-        """Removal kernel shared by `delete` and `delete_many`."""
-        if self.buckets.remove_fp(home, fp):
-            self.num_items -= 1
-            return True
+        """Removal kernel shared by `delete` and `delete_many`: the home
+        bucket, the alternate, then the pair's stashed copies."""
         alt = self.alt_index(home, fp)
-        if alt != home and self.buckets.remove_fp(alt, fp):
-            self.num_items -= 1
-            return True
-        return self._stash_delete(fp)
+        buckets = self.buckets
+        if not (buckets.remove_fp(home, fp) or (alt != home and buckets.remove_fp(alt, fp))):
+            at = self.stash.find(fp, home, alt)
+            if not at:
+                return False
+            self.stash.pop(at[0])
+        self.num_items -= 1
+        return True
 
     def delete_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Delete a batch of keys; returns the per-key `delete` results.
@@ -282,7 +287,7 @@ class FingerprintBatchMixin:
         residues run the scalar kernel, in batch order: groups whose
         members disagree on home orientation (two keys sharing a pair from
         opposite ends — their interleaved scans don't rank-decompose), and
-        occurrences that overflow the table matches into the stash scan.
+        occurrences that overflow the table matches into the stash.
         The slot-claim plan is computed by the backend ``delete_plan``
         kernel (`repro.kernels`); this wrapper owns the mutation, the item
         counter and the scalar residue.
@@ -301,21 +306,7 @@ class FingerprintBatchMixin:
         self.num_items -= int(out.sum())
         # Sequential residue, in batch order so stash copies are consumed
         # exactly as a scalar loop would consume them.
-        if self.stash:
-            residual = scalar_rows | overflow
-        else:
-            residual = scalar_rows
+        residual = scalar_rows | overflow if self.stash else scalar_rows
         for i in np.nonzero(residual)[0].tolist():
-            if scalar_rows[i]:
-                out[i] = self._delete_hashed(int(fps[i]), int(homes[i]))
-            else:
-                out[i] = self._stash_delete(int(fps[i]))
+            out[i] = self._delete_hashed(int(fps[i]), int(homes[i]))
         return out
-
-    def _stash_delete(self, fp: int) -> bool:
-        """Remove one stashed copy of ``fp``; the tail of the scalar kernel."""
-        if fp in self.stash:
-            self.stash.remove(fp)
-            self.num_items -= 1
-            return True
-        return False

@@ -14,10 +14,10 @@ shares, so the key filter extracted from a Bloom or Mixed CCF (Algorithm 2)
 is a cuckoo filter over its source's geometry.
 
 One deliberate deviation from the textbook structure, recorded in DESIGN.md:
-on a MaxKicks failure the in-flight victim entry is retained in a small
-overflow stash (consulted by queries) instead of being dropped, so the
-no-false-negative guarantee survives overload.  ``insert`` still reports the
-failure by returning False and setting :attr:`failed`.
+on a MaxKicks failure the in-flight victim entry is stashed as an off-table
+slot of its own pair instead of being dropped, so the no-false-negative
+guarantee survives overload.  ``insert`` still reports the failure by
+returning False and setting :attr:`failed`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class CuckooFilter(FingerprintBatchMixin):
         i2 = self.alt_index(i1, fp)
         if self.buckets.bucket_contains(i1, fp) or self.buckets.bucket_contains(i2, fp):
             return True
-        return fp in self.stash
+        return bool(self.stash.find(fp, i1, i2))
 
     def contains_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Batch `contains`: one fused gather over both buckets per key.
@@ -98,11 +98,10 @@ class CuckooFilter(FingerprintBatchMixin):
         """
         fps = self.fingerprints_of_many(keys)
         homes = self.home_indices_of_many(keys)
-        eq, _alts = self._pair_eq_many(fps, homes)
+        eq, alts = self._pair_eq_many(fps, homes)
         found = eq.any(axis=(1, 2))
         if self.stash:
-            stash = np.fromiter(self.stash, dtype=np.int64, count=len(self.stash))
-            found |= np.isin(fps, stash)
+            found[self.stash.match(fps, homes, alts)[0]] = True
         return found
 
     def delete(self, key: object) -> bool:

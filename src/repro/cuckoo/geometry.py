@@ -87,6 +87,10 @@ class BucketGeometry:
         home = self.home_index(key)
         return home, self.alt_index(home, self.fingerprint_of(key))
 
+    def pair_id(self, bucket: int, fingerprint: int) -> int:
+        """Return ``min(bucket, partner)``, the id of ``bucket``'s pair."""
+        return min(bucket, self.alt_index(bucket, fingerprint))
+
     # -- batch geometry ----------------------------------------------------
 
     def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:

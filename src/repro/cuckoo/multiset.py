@@ -55,11 +55,11 @@ class MultisetCuckooFilter(FingerprintBatchMixin):
         total = self.buckets.count_in_bucket(i1, fp)
         if i2 != i1:
             total += self.buckets.count_in_bucket(i2, fp)
-        total += sum(1 for e in self.stash if e == fp)
-        return total
+        return total + len(self.stash.find(fp, i1, i2))
 
     def count_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
-        """Batch `count`: fused copy counts over both buckets + stash.
+        """Batch `count`: fused copy counts over both buckets + the pair's
+        stashed copies.
 
         One `SlotMatrix.pair_eq` gather probes the live fingerprint matrix;
         answers are identical to scalar `count` per key with no snapshot
@@ -70,9 +70,9 @@ class MultisetCuckooFilter(FingerprintBatchMixin):
         eq, alts = self._pair_eq_many(fps, homes)
         totals = eq[:, 0].sum(axis=1)
         totals += np.where(alts == homes, 0, eq[:, 1].sum(axis=1))
-        if self.stash:
-            stash = np.fromiter(self.stash, dtype=np.int64, count=len(self.stash))
-            totals += (fps[:, None] == stash[None, :]).sum(axis=1)
+        rows, _at = self.stash.match(fps, homes, alts)
+        if rows.size:
+            totals += np.bincount(rows, minlength=len(fps))
         return totals
 
     def contains_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:

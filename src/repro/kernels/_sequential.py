@@ -108,7 +108,7 @@ def wave_kick_impl(
     ``jump_seed`` / ``victim_seed`` uint64 scalars (host wrapper casts).
     Mutates ``table``, ``counts``, ``out`` and the item arrays in place and
     stops once at most `TAIL_ITEMS` items are in flight, compacted at the
-    front of the item arrays.  Returns ``(stash_fps, stash_origins, n_live,
+    front of the item arrays.  Returns ``(stash_fps, stash_buckets, n_live,
     placed, counter)``; the host wrapper runs `kick_tail` on the survivors.
     """
     num_buckets = table.shape[0]
@@ -116,7 +116,7 @@ def wave_kick_impl(
     bucket_size_u = np.uint64(bucket_size)
     n = item_fps.shape[0]
     stash_fps = np.empty(n, dtype=np.int64)
-    stash_origins = np.empty(n, dtype=np.int64)
+    stash_buckets = np.empty(n, dtype=np.int64)
     n_stash = 0
     placed = 0
     n_live = n
@@ -147,7 +147,7 @@ def wave_kick_impl(
         for r in range(n_live):
             if kicks[r] >= max_kicks:
                 stash_fps[n_stash] = item_fps[r]
-                stash_origins[n_stash] = origins[r]
+                stash_buckets[n_stash] = cur[r]
                 out[origins[r]] = False
                 n_stash += 1
             else:
@@ -179,7 +179,7 @@ def wave_kick_impl(
             kicks[r] += 1
     return (
         stash_fps[:n_stash].copy(),
-        stash_origins[:n_stash].copy(),
+        stash_buckets[:n_stash].copy(),
         n_live,
         placed,
         counter,
@@ -235,13 +235,14 @@ def kick_tail(
     Every backend finishes its rounds here (arguments as for `kick_one`,
     plus the survivors' item arrays and the ``out`` column, whose stashed
     origins it clears).  Returns the tail's share of the `wave_kick` result:
-    ``(stash_fps, stash_origins, placed, counter)``.
+    ``(stash_fps, stash_buckets, placed, counter)``; a stashed item's bucket
+    is one of its own pair.
     """
-    stash_fps, stash_origins, placed = [], [], 0
+    stash_fps, stash_buckets, placed = [], [], 0
     for fp, bucket, origin, used in zip(
         item_fps.tolist(), cur.tolist(), origins.tolist(), kicks.tolist()
     ):
-        fp, ok, counter, _path = kick_one(
+        fp, ok, counter, path = kick_one(
             table, counts, empty, fp, bucket, used, max_kicks, jump_seed, victim_seed, counter
         )
         if ok:
@@ -249,10 +250,10 @@ def kick_tail(
         else:
             out[origin] = False
             stash_fps.append(fp)
-            stash_origins.append(origin)
+            stash_buckets.append(path[-1][0] if path else bucket)
     return (
         np.array(stash_fps, dtype=np.int64),
-        np.array(stash_origins, dtype=np.int64),
+        np.array(stash_buckets, dtype=np.int64),
         placed,
         counter,
     )
@@ -293,11 +294,11 @@ def host_wrappers(
         victim_seed,
         victim_counter,
     ):
-        stash_fps = stash_origins = _EMPTY_I64
+        stash_fps = stash_buckets = _EMPTY_I64
         n_live, placed = item_fps.shape[0], 0
         if n_live > TAIL_ITEMS:
             with np.errstate(over="ignore"):
-                stash_fps, stash_origins, n_live, placed, victim_counter = wave_kick_fn(
+                stash_fps, stash_buckets, n_live, placed, victim_counter = wave_kick_fn(
                     table,
                     counts,
                     table.dtype.type(empty),
@@ -312,13 +313,13 @@ def host_wrappers(
                     np.uint64(victim_seed),
                     int(victim_counter),
                 )
-        tail_fps, tail_origins, tail_placed, victim_counter = kick_tail(
+        tail_fps, tail_buckets, tail_placed, victim_counter = kick_tail(
             table, counts, int(empty), item_fps[:n_live], cur[:n_live], origins[:n_live],
             kicks[:n_live], out, max_kicks, jump_seed, victim_seed, int(victim_counter),
         )
         return (
             np.concatenate((stash_fps, tail_fps)),
-            np.concatenate((stash_origins, tail_origins)),
+            np.concatenate((stash_buckets, tail_buckets)),
             int(placed) + tail_placed,
             victim_counter,
         )

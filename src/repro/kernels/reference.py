@@ -229,14 +229,15 @@ def wave_kick(
     at a time — the same tail every backend runs.
 
     Mutates ``table``, ``counts`` and ``out`` in place; the item arrays are
-    consumed.  Returns ``(stash_fps, stash_origins, placed,
-    victim_counter)``: the stashed fingerprints/origin rows in stash order,
-    the number of slots filled (the host reconciles its occupancy total)
-    and the advanced stream counter.
+    consumed.  Returns ``(stash_fps, stash_buckets, placed,
+    victim_counter)``: the stashed fingerprints in stash order with the
+    buckets they were bound for (one of each item's own pair), the number
+    of slots filled (the host reconciles its occupancy total) and the
+    advanced stream counter.
     """
     bucket_size = table.shape[1]
     stash_fps_parts: list[np.ndarray] = []
-    stash_origins_parts: list[np.ndarray] = []
+    stash_buckets_parts: list[np.ndarray] = []
     placed_total = 0
     while item_fps.size > TAIL_ITEMS:
         rows, placed_buckets, slots, rem = plan_bulk_placement(table, counts, empty, cur)
@@ -251,7 +252,7 @@ def wave_kick(
         exhausted = kicks >= max_kicks
         if exhausted.any():
             stash_fps_parts.append(item_fps[exhausted])
-            stash_origins_parts.append(origins[exhausted])
+            stash_buckets_parts.append(cur[exhausted])
             out[origins[exhausted]] = False
             keep = ~exhausted
             item_fps = item_fps[keep]
@@ -275,15 +276,15 @@ def wave_kick(
         ).astype(np.int64)
         cur[winners] = victim_buckets ^ jumps
         kicks[winners] += 1
-    tail_fps, tail_origins, tail_placed, victim_counter = kick_tail(
+    tail_fps, tail_buckets, tail_placed, victim_counter = kick_tail(
         table, counts, empty, item_fps, cur, origins, kicks, out, max_kicks, jump_seed,
         victim_seed, victim_counter,
     )
     stash_fps_parts.append(tail_fps)
-    stash_origins_parts.append(tail_origins)
+    stash_buckets_parts.append(tail_buckets)
     return (
         np.concatenate(stash_fps_parts),
-        np.concatenate(stash_origins_parts),
+        np.concatenate(stash_buckets_parts),
         placed_total + tail_placed,
         victim_counter,
     )

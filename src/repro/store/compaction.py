@@ -3,11 +3,13 @@
 Because every level of a shard shares one pair geometry (same bucket count,
 same seeds — enforced by :class:`~repro.store.config.StoreConfig`), an entry
 observed at bucket ``b`` of any level belongs to the bucket pair
-``{b, b XOR h(κ)}`` in *every* level.  Compaction exploits this: it walks
-``iter_entries`` over all levels, deduplicates rows per (pair, fingerprint,
-attribute vector), right-sizes a single merged filter — same bucket count,
-**taller buckets** (bucket size never changes pair identity) — and places
-each entry back into its own pair.
+``{b, b XOR h(κ)}`` in *every* level, and so does a stashed entry, which
+records its pair id (DESIGN.md §1).  Compaction exploits this: it gathers
+every level's slots and stash entries, deduplicates rows per (pair,
+fingerprint, attribute vector), right-sizes a single merged filter — same
+bucket count, **taller buckets** (bucket size never changes pair identity)
+— and places each row back into its own pair: the table rows first, then
+the stashed rows wherever their pair has room.
 
 Right-sizing follows the rebuild-time sizing argument of *Smaller and More
 Flexible Cuckoo Filters* (arXiv:2505.05847): instead of overprovisioning the
@@ -41,54 +43,41 @@ MERGE_RETRIES = 4
 
 def collect_live_rows(
     levels: list[PlainCCF],
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], list[VectorEntry], dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, int]]:
     """Gather every live row across ``levels``, deduplicated per pair.
 
-    Returns ``(buckets, fps, avecs, stash_entries, pair_counts)``: the
-    resident bucket / fingerprint / attribute vector of each distinct
-    (pair, fingerprint, vector) row, the surviving stash entries (their
-    buckets are unknowable — stashed victims lost their position), and the
-    per-pair row counts that drive hot-pair sizing.
+    Stashed entries are slots of their pairs (DESIGN.md §1): table rows,
+    then stash rows, share one (pair, fingerprint, vector) dedup.  Returns
+    ``(buckets, fps, avecs, stashed, pair_counts)``: each distinct row's
+    bucket (a stash row's is its pair id), fingerprint and attribute vector,
+    which rows came from a stash, and the per-pair table-row counts.
     """
-    seen: set[tuple[int, int, tuple[int, ...]]] = set()
-    buckets: list[int] = []
-    fps: list[int] = []
-    avecs: list[tuple[int, ...]] = []
-    pair_counts: dict[int, int] = {}
-    stash_entries: list[VectorEntry] = []
-    stash_seen: set[tuple[int, tuple[int, ...]]] = set()
+    num_attrs = levels[0].schema.num_attributes
+    parts = []
     for level in levels:
-        # Gather each level's occupied slots straight out of the packed
-        # columns: one fancy-index per column and one vectorised jump pass
-        # (shared geometry) instead of a per-entry Python walk.
+        # Each level's occupied slots straight out of the packed columns:
+        # one fancy-index per column and one vectorised jump pass (shared
+        # geometry) instead of a per-entry Python walk.
         bucket_idx, slot_idx = np.nonzero(level.buckets.occupied_mask())
-        if bucket_idx.size:
-            level_fps = level.buckets.fps[bucket_idx, slot_idx].astype(np.int64)
-            level_avecs = level._avecs[bucket_idx, slot_idx].astype(np.int64)
-            alts = level.geometry.alt_indices_many(bucket_idx, level_fps)
-            pairs = np.minimum(bucket_idx, alts)
-            for bucket, fp, pair, avec_row in zip(
-                bucket_idx.tolist(), level_fps.tolist(), pairs.tolist(), level_avecs.tolist()
-            ):
-                signature = (pair, fp, tuple(avec_row))
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                buckets.append(bucket)
-                fps.append(fp)
-                avecs.append(signature[2])
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        for entry in level.stash:
-            stash_signature = (entry.fp, entry.avec)
-            if stash_signature not in stash_seen:
-                stash_seen.add(stash_signature)
-                stash_entries.append(VectorEntry(entry.fp, entry.avec, entry.matching))
+        fps = level.buckets.fps[bucket_idx, slot_idx].astype(np.int64)
+        pairs = np.minimum(bucket_idx, level.geometry.alt_indices_many(bucket_idx, fps))
+        parts.append((bucket_idx, fps, pairs, level._avecs[bucket_idx, slot_idx].astype(np.int64)))
+    num_table_rows = sum(len(part[1]) for part in parts)
+    for level in levels:
+        stash = level.stash
+        avecs = np.array([entry.avec for entry in stash.items], dtype=np.int64)
+        parts.append((stash.pairs, stash.fps, stash.pairs, avecs.reshape(-1, num_attrs)))
+    buckets, fps, pairs, avecs = (np.concatenate(column) for column in zip(*parts))
+    _, first = np.unique(np.column_stack((pairs, fps, avecs)), axis=0, return_index=True)
+    first.sort()
+    stashed = first >= num_table_rows
+    hot, counts = np.unique(pairs[first[~stashed]], return_counts=True)
     return (
-        np.array(buckets, dtype=np.int64),
-        np.array(fps, dtype=np.int64),
-        avecs,
-        stash_entries,
-        pair_counts,
+        buckets[first],
+        fps[first],
+        avecs[first],
+        stashed,
+        dict(zip(hot.tolist(), counts.tolist())),
     )
 
 
@@ -113,33 +102,18 @@ def right_sized_bucket_size(
     return max(min_bucket_size, by_load, by_pair, by_dupes, 1)
 
 
-def bulk_load_rows(
-    merged: PlainCCF, buckets: np.ndarray, fps: np.ndarray, avecs: list[tuple[int, ...]]
-) -> None:
-    """Place pre-deduplicated rows into ``merged`` at their resident buckets.
-
-    First wave (vectorised, PR 2's ranking, planned by the active kernel
-    backend's placement planner — `repro.kernels`): rows are stably grouped
-    by bucket and the first ``bucket_size - counts[bucket]`` of each group
-    are scattered straight into that bucket's free slots — fingerprints into
-    the SlotMatrix, vectors into the attribute column.  The residue replays the
-    sequential pair-placement kernel (`_insert_hashed`), which may kick but
-    never leaves the row's own pair.
-    """
-    n = len(fps)
-    if n == 0:
-        return
-    avec_matrix = np.array(avecs, dtype=np.int64).reshape(n, -1)
-    rows, placed_buckets, slots, residue = merged.buckets.plan_bulk_placement(buckets)
-    if placed_buckets.size:
-        merged.buckets.fps[placed_buckets, slots] = fps[rows]
-        merged._avecs[placed_buckets, slots] = avec_matrix[rows]
-        merged.buckets.note_bulk_placement(placed_buckets)
-        merged.num_rows_inserted += int(placed_buckets.size)
-
-    if residue.size:
-        for i in residue.tolist():
-            merged._insert_hashed(int(fps[i]), int(buckets[i]), None, avecs[i])
+def _scatter(
+    merged: PlainCCF, targets: np.ndarray, fps: np.ndarray, avecs: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """One vectorised first wave: ``rows`` take free slots of their
+    ``targets`` buckets (DESIGN.md §7's ranking, planned by the active
+    kernel backend — `repro.kernels`); returns the rows left over."""
+    planned, placed, slots, residue = merged.buckets.plan_bulk_placement(targets[rows])
+    if placed.size:
+        merged.buckets.fps[placed, slots] = fps[rows[planned]]
+        merged._avecs[placed, slots] = avecs[rows[planned]]
+        merged.buckets.note_bulk_placement(placed)
+    return rows[residue]
 
 
 def merge_levels(
@@ -153,13 +127,17 @@ def merge_levels(
     The merged filter keeps the stack's bucket count and seeds (so it stays
     interchangeable with any future level) and answers exactly the union of
     the levels' memberships: every live row lands back in its own bucket
-    pair, stash entries carry over, and the row/discard counters sum.
+    pair, and the row/discard counters sum.  Table rows go first: the
+    first wave, then the residue through the sequential pair placement,
+    which may kick but never leaves the pair.  Stashed rows then take a free
+    slot of their pair without kicks, where there is one, and stay stashed
+    otherwise.  Right-sizing counts the table rows only.
     """
     num_buckets = levels[0].buckets.num_buckets
-    buckets, fps, avecs, stash_entries, pair_counts = collect_live_rows(levels)
-    num_rows = len(fps)
+    buckets, fps, avecs, stashed, pair_counts = collect_live_rows(levels)
+    table = np.flatnonzero(~stashed)
     bucket_size = right_sized_bucket_size(
-        num_rows,
+        len(table),
         num_buckets,
         pair_counts,
         target_load,
@@ -169,15 +147,21 @@ def merge_levels(
     last_error: PlainCCF | None = None
     for _attempt in range(MERGE_RETRIES):
         merged = PlainCCF(schema, num_buckets, params.replace(bucket_size=bucket_size))
-        bulk_load_rows(merged, buckets, fps, avecs)
+        for i in _scatter(merged, buckets, fps, avecs, table).tolist():
+            merged._insert_hashed(int(fps[i]), int(buckets[i]), None, tuple(avecs[i].tolist()))
         if not merged.failed:
+            if stashed.any():  # a stash row's bucket is its pair id
+                rest = _scatter(merged, buckets, fps, avecs, np.flatnonzero(stashed))
+                alts = merged.geometry.alt_indices_many(buckets, fps)
+                rest = _scatter(merged, alts, fps, avecs, rest).tolist()
+                entries = [VectorEntry(int(fps[i]), tuple(avecs[i].tolist())) for i in rest]
+                merged.stash.extend(fps[rest], buckets[rest], entries)
             merged.num_rows_inserted = sum(level.num_rows_inserted for level in levels)
             merged.num_rows_discarded = sum(level.num_rows_discarded for level in levels)
-            merged.stash.extend(stash_entries)
             return merged
         last_error = merged
         bucket_size += 1
     raise RuntimeError(
-        f"compaction could not place {num_rows} rows in {num_buckets} buckets "
+        f"compaction could not place {len(table)} rows in {num_buckets} buckets "
         f"even at bucket_size={bucket_size - 1} (stash={len(last_error.stash)})"
     )

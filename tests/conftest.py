@@ -57,7 +57,8 @@ def _entry_state(entry: Any) -> tuple:
 
 def ccf_state(ccf) -> dict:
     """Everything placement decides in a CCF: the slot columns, the payload
-    sketch bits, the stash (in order), the kick count and the failure latch."""
+    sketch bits, the stash with its pairs (in order), the kick count and the
+    failure latch."""
     payloads = ccf.buckets.payloads or [None] * ccf.buckets.capacity
     return {
         "fps": ccf.buckets.fps.tolist(),
@@ -65,7 +66,7 @@ def ccf_state(ccf) -> dict:
         "avecs": ccf._avecs.tolist(),
         "flags": ccf._flags.tolist(),
         "payloads": [None if p is None else _entry_state(p) for p in payloads],
-        "stash": [_entry_state(entry) for entry in ccf.stash],
+        "stash": [(fp, pair, _entry_state(entry)) for fp, pair, entry in ccf.stash],
         "num_kicks": ccf.num_kicks,
         "failed": ccf.failed,
     }

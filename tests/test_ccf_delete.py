@@ -87,7 +87,7 @@ class TestPlainDelete:
         for size in range(12):
             ccf.insert(key, ("red", size))
         assert ccf.stash, "expected pair overflow to stash a victim"
-        stashed = ccf.stash[0]
+        stashed = ccf.stash.items[0]
         target = next(
             s for s in range(12) if ccf.fingerprinter.vector(("red", s)) == stashed.avec
         )
@@ -107,13 +107,13 @@ class TestPlainDelete:
         for size in sizes:
             ccf.insert(key, ("red", size))
         assert ccf.stash, "expected pair overflow to stash a victim"
-        stashed = ccf.stash[0]
+        stashed = ccf.stash.items[0]
         # Find the raw size whose fingerprint vector matches the stashed entry.
         target = next(
             s for s in sizes if ccf.fingerprinter.vector(("red", s)) == stashed.avec
         )
         assert ccf.delete(key, ("red", target))
-        assert not any(entry.same_row(stashed.fp, stashed.avec) for entry in ccf.stash)
+        assert not any(entry.same_row(stashed.fp, stashed.avec) for entry in ccf.stash.items)
 
 
 class TestDeleteUnsupportedVariants:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.ccf.chain import CYCLE_BUMP_LIMIT, SCAN_PAIRS, PairGeometry
 from repro.cuckoo.buckets import SlotMatrix
+from repro.cuckoo.stash import Stash
 
 
 def make_geometry(num_buckets=256, key_bits=12, seed=5) -> PairGeometry:
@@ -134,12 +135,13 @@ class TestWalkMany:
         homes = np.array([geometry.home_index(k) for k in keys])
         rounds = []
 
-        def spy(lefts, rights, eq):
+        def spy(lefts, rights, eq, rows, at):
             rounds.append(list(zip(lefts.tolist(), rights.tolist())))
             return hit(lefts, rights)
 
         answers = geometry.walk_many(
             SlotMatrix(geometry.num_buckets, 2),
+            Stash(),
             fps,
             homes,
             geometry.alt_indices_many(homes, fps),

@@ -146,12 +146,13 @@ class TestDelete:
         for key in range(40):
             cuckoo.insert(key)
         assert cuckoo.stash
-        stashed_fp = cuckoo.stash[0]
-        # Find a key whose fingerprint matches the stashed one and delete it
-        # until the stash drains.
+        stashed_fp, stashed_pair, _item = next(iter(cuckoo.stash))
+        # Find a key of the stashed entry's fingerprint and pair and delete
+        # it until the stash drains.
         before = len(cuckoo.stash)
         for key in range(40):
-            if cuckoo.fingerprint_of(key) == stashed_fp:
+            fp, home = cuckoo.fingerprint_of(key), cuckoo.home_index(key)
+            if (fp, min(home, cuckoo.alt_index(home, fp))) == (stashed_fp, stashed_pair):
                 while cuckoo.delete(key):
                     pass
                 break

@@ -215,6 +215,47 @@ class TestDeleteRouting:
         assert not store.query(key)
         assert not store.delete(key, ("green", 9))
 
+    @staticmethod
+    def _stash_false_negatives(seed: int, compact: bool) -> list[int]:
+        """Live keys answering False while one-at-a-time deletes drain a
+        tiny single-shard store whose levels stash; keys that share a
+        (fingerprint, pair) with a deleted key are exempt (they shared its
+        entry)."""
+        params = CCFParams(key_bits=8, attr_bits=4, bucket_size=2, max_kicks=20, seed=seed)
+        config = StoreConfig(num_shards=1, level_buckets=16, target_load=0.95)
+        store = FilterStore(AttributeSchema(["a"]), params, config)
+        keys = np.arange(60, dtype=np.int64)
+        zeros = np.zeros(len(keys), dtype=np.int64)
+        store.insert_many(keys, [zeros])
+        if compact:
+            store.compact()
+        fps = store.geometry.fingerprints_of_many(keys)
+        homes = store.geometry.home_indices_of_many(keys)
+        pairs = np.minimum(homes, store.geometry.alt_indices_many(homes, fps))
+        lost: set[int] = set()
+        for deleted in range(len(keys)):
+            store.delete_many(keys[deleted : deleted + 1], [zeros[:1]])
+            gone = {(int(fps[k]), int(pairs[k])) for k in range(deleted + 1)}
+            live = [
+                k for k in range(deleted + 1, len(keys)) if (int(fps[k]), int(pairs[k])) not in gone
+            ]
+            answers = store.contains_key_many(keys[live])
+            lost.update(k for k, answer in zip(live, answers.tolist()) if not answer)
+        return sorted(lost)
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["levels", "compacted"])
+    def test_deletes_keep_rows_that_depend_on_the_stash(self, compact):
+        """A stashed entry is a slot of its own pair: a delete removes the
+        stashed copy of its own (fingerprint, pair, vector) row only, and
+        compaction dedups stash rows by pair, so no live row loses the one
+        entry it depends on."""
+        failing = {}
+        for seed in range(60):
+            lost = self._stash_false_negatives(seed, compact)
+            if lost:
+                failing[seed] = lost
+        assert not failing, f"live keys answered False (seed: keys): {failing}"
+
     def test_chained_kind_is_rejected(self, tmp_path):
         """Stores hold plain levels only: a manifest of another kind neither
         opens nor refreshes (building one is refused earlier, by

@@ -98,7 +98,8 @@ class TestRoundTrip:
 
     def test_counters_stash_and_geometry_round_trip(self, tmp_path):
         ccf = _filled("plain", PARAMS)
-        ccf.stash.append(VectorEntry(7, (1, 2), True))
+        pair = ccf.geometry.pair_id(3, 7)
+        ccf.stash.append(7, pair, VectorEntry(7, (1, 2), True))
         ccf.num_rows_discarded = 5
         ccf.num_kicks = 42
         mapped = open_segment(write_segment(ccf, tmp_path / "level.seg"))
@@ -106,14 +107,16 @@ class TestRoundTrip:
         assert mapped.num_rows_discarded == 5
         assert mapped.num_kicks == 42
         assert mapped.failed == ccf.failed
-        assert len(mapped.stash) == 1
-        entry = mapped.stash[0]
+        [(fp, stashed_pair, entry)] = list(mapped.stash)
+        assert (fp, stashed_pair) == (7, pair)
         assert (entry.fp, entry.avec, entry.matching) == (7, (1, 2), True)
         assert mapped.buckets.num_buckets == ccf.buckets.num_buckets
         assert mapped.num_entries == ccf.num_entries
         assert mapped.load_factor() == ccf.load_factor()
-        # A stashed fingerprint still answers True through the mapped filter.
-        assert mapped._stash_matches(7, None)
+        # A stashed entry still answers for its own pair through the mapped
+        # filter, scalar and batch alike.
+        assert mapped._query_hashed(7, pair, None)
+        assert mapped._single_pair_query_many(np.array([7]), np.array([pair]), None).all()
 
     @pytest.mark.parametrize("kind", ["plain", "chained"])
     def test_reopened_level_kicks_like_the_original(self, tmp_path, kind):

@@ -131,24 +131,31 @@ def test_ccf_query_many_counts_probe_outcomes():
 
 @pytest.mark.parametrize("kind", ["plain", "chained"])
 def test_stash_hits_count_keys_only_the_stash_admits(kind):
-    """A stash hit counts when the key's first pair holds no admissible copy."""
+    """A stash hit counts when the pair that answers a key admits it through
+    a stashed entry and through none of its slots."""
     from repro.ccf.factory import make_ccf
     from repro.ccf.predicates import Eq
 
     params = CCFParams(key_bits=4, attr_bits=4, bucket_size=2, max_dupes=2, max_kicks=5, seed=0)
     ccf = make_ccf(kind, SCHEMA, 8, params)
-    keys = np.arange(40, dtype=np.int64)
+    keys = np.arange(60, dtype=np.int64)
     ccf.insert_many(keys, row_columns(keys))
     compiled = ccf.compile(Eq("color", "red"))
     rescued = both = 0
     for key in range(200):
         fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
-        first = ccf._fp_entries_in_pair(home, ccf.alt_index(home, fp), fp)
-        if ccf._stash_matches(fp, compiled):
-            if any(ccf._entry_matches(entry, compiled) for entry in first):
-                both += 1
-            else:
-                rescued += 1
+        walk = ccf._pair_walk(home, fp) if kind == "chained" else [(home, ccf.alt_index(home, fp))]
+        for left, right in walk:
+            entries = ccf._fp_entries_in_pair(left, right, fp)
+            stashed = len(ccf.stash.find(fp, left, right))
+            in_table = any(ccf._entry_matches(e, compiled) for e in entries[: len(entries) - stashed])
+            in_stash = any(ccf._entry_matches(e, compiled) for e in entries[len(entries) - stashed :])
+            if in_table or in_stash:
+                rescued += not in_table
+                both += in_table and in_stash
+                break
+            if kind != "chained" or len(entries) != params.max_dupes:
+                break
     assert rescued and both  # both cases occur
     obs._reset_for_tests()
     ccf.query_many(np.arange(200, dtype=np.int64), compiled)

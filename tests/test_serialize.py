@@ -127,7 +127,7 @@ class TestCCFRoundTrips:
         "kind, num_keys", [("plain", 65), ("chained", 65), ("bloom", 135), ("mixed", 80)]
     )
     def test_reloaded_filter_kicks_like_the_original(self, kind, num_keys):
-        """CCF3 carries `num_kicks`, the victim stream's position, so a
+        """CCF4 carries `num_kicks`, the victim stream's position, so a
         reloaded filter fed the original's next rows ends bit-identical."""
         from repro.ccf.factory import make_ccf
 
@@ -153,7 +153,7 @@ class TestCCFRoundTrips:
         for bucket, slot, entry in list(ccf.iter_entries()):
             if isinstance(entry, GroupSlot):
                 ccf._clear_entry(bucket, slot)
-                ccf.stash.append(entry)
+                ccf.stash.append(entry.fp, ccf.geometry.pair_id(bucket, entry.fp), entry)
         assert ccf.stash
         restored = loads(dumps(ccf))
         assert ccf_state(restored) == ccf_state(ccf)
@@ -281,7 +281,7 @@ class TestCuckooFilterRoundTrip:
         assert dumps(restored) == payload
 
     def test_reloaded_filter_kicks_like_the_original(self):
-        """CKF5 carries the victim stream's position, so a reloaded filter
+        """CKF6 carries the victim stream's position, so a reloaded filter
         fed the original's next keys ends bit-identical."""
         cuckoo = CuckooFilter(256, 4, 12, seed=3)
         cuckoo.insert_many(range(900))
@@ -296,7 +296,7 @@ class TestCuckooFilterRoundTrip:
 
     def test_semisorted_filter_is_refused(self):
         """The semi-sorted filter folds fingerprint 0 to 1: shipped as a
-        plain CKF5 payload it would reload probing for 0 and miss the
+        plain CKF6 payload it would reload probing for 0 and miss the
         stored 1, a false negative."""
         from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
@@ -334,8 +334,8 @@ class TestErrors:
             loads(magic.encode() + b"\x00\x00")
 
     def test_extracted_view_payload_is_refused(self):
-        """An extracted key filter ships as a CKF5 cuckoo filter; the CCV3
-        extracted-view type is retired."""
+        """An extracted key filter ships as a CKF6 cuckoo filter; CCV3,
+        whose extracted-view type is retired too, is refused by name."""
         writer = BitWriter()
         writer.write_bytes(b"CCV3")
         writer.write(0, 8)  # the extracted-view type
@@ -346,8 +346,17 @@ class TestErrors:
         writer.write(4, 8)  # bucket size
         writer.write_bool_array(np.zeros(16, dtype=bool))
         writer.write(0, 16)  # empty stash
-        with pytest.raises(SerializeError, match="CKF5"):
+        with pytest.raises(SerializeError, match="CCV3"):
             loads(writer.getvalue(), source="view.bin")
+
+    @pytest.mark.parametrize(
+        "magic, successor", [("CCF3", "CCF4"), ("CCV3", "CCV4"), ("CKF5", "CKF6")]
+    )
+    def test_formats_without_stash_pairs_are_refused_by_name(self, magic, successor):
+        """A stash entry without its bucket pair can answer for no key, so
+        the formats that recorded none are refused with their names."""
+        with pytest.raises(SerializeError, match=f"{magic}.*no bucket pair.*{successor}"):
+            loads(magic.encode() + b"\x00" * 64, source="old.bin")
 
     def test_unknown_magic_is_still_a_value_error(self):
         # Backward compatibility: SerializeError subclasses ValueError.

@@ -2,20 +2,25 @@
 
 Hypothesis drives interleaved insert/query sequences against exact models;
 after every step the no-false-negative guarantee and the structural
-invariants (Lemma 1's pair cap, Mixed's no-shape-mixing) must hold.
+invariants (Lemma 1's pair cap, Mixed's no-shape-mixing) must hold.  The
+deletable structures (plain CCF, cuckoo filter) run on tables so small
+that short runs stash, so deletes exercise the stash's pair rule.
 """
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.bloom_ccf import BloomCCF
 from repro.ccf.chained import ChainedCCF
 from repro.ccf.mixed import MixedCCF
 from repro.ccf.params import CCFParams
+from repro.ccf.plain import PlainCCF
 from repro.ccf.predicates import And, Eq
 from repro.cuckoo.chained_table import ChainedCuckooHashTable
+from repro.cuckoo.filter import CuckooFilter
 
 SCHEMA = AttributeSchema(["color", "size"])
 PARAMS = CCFParams(bucket_size=4, max_dupes=2, key_bits=10, attr_bits=6, seed=91)
@@ -113,3 +118,114 @@ class MultimapMachine(RuleBasedStateMachine):
 
 TestMultimapStateful = MultimapMachine.TestCase
 TestMultimapStateful.settings = settings(max_examples=20, stateful_step_count=50, deadline=None)
+
+
+# Deletable structures on a tiny table: 8-bit keys, 16 buckets of 2 slots,
+# 20 kicks.  Sixty keys overfill its 32 slots, so a short run stashes.
+TINY = CCFParams(key_bits=8, attr_bits=4, bucket_size=2, max_kicks=20, seed=3)
+TINY_KEYS = st.integers(min_value=0, max_value=59)
+TINY_ATTRS = st.integers(min_value=0, max_value=2)
+PICKS = st.integers(min_value=0, max_value=10**6)
+
+
+class PlainCCFMachine(RuleBasedStateMachine):
+    """PlainCCF vs the exact multiset of live rows, under inserts and
+    deletes of live rows.
+
+    Plain placement stores one entry per (fingerprint, pair, vector), so
+    deleting one row forgets every row sharing that signature until one of
+    them is inserted again; only those rows are exempt from the check.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.ccf = PlainCCF(AttributeSchema(["a"]), 16, TINY)
+        self.live: list[tuple[int, int]] = []
+        self.exempt: set[tuple] = set()
+        self.signatures: dict[tuple[int, int], tuple] = {}
+
+    def _signature(self, key, attr):
+        if (key, attr) not in self.signatures:
+            fp, home = self.ccf.fingerprint_of(key), self.ccf.home_index(key)
+            pair = min(home, self.ccf.alt_index(home, fp))
+            self.signatures[key, attr] = (fp, pair, self.ccf.fingerprinter.vector((attr,)))
+        return self.signatures[key, attr]
+
+    @rule(key=TINY_KEYS, attr=TINY_ATTRS)
+    def insert(self, key, attr):
+        self.ccf.insert(key, (attr,))
+        self.live.append((key, attr))
+        self.exempt.discard(self._signature(key, attr))
+
+    @rule(rows=st.lists(st.tuples(TINY_KEYS, TINY_ATTRS), max_size=8))
+    def insert_many(self, rows):
+        keys = np.array([key for key, _attr in rows], dtype=np.int64)
+        self.ccf.insert_many(keys, [[attr for _key, attr in rows]])
+        self.live.extend(rows)
+        self.exempt.difference_update(self._signature(key, attr) for key, attr in rows)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICKS)
+    def delete(self, pick):
+        key, attr = self.live.pop(pick % len(self.live))
+        signature = self._signature(key, attr)
+        assert self.ccf.delete(key, (attr,)) or signature in self.exempt
+        self.exempt.add(signature)
+
+    @invariant()
+    def live_rows_are_members(self):
+        rows = [row for row in self.live if self._signature(*row) not in self.exempt]
+        for attr in range(3):
+            keys = np.array([key for key, a in rows if a == attr], dtype=np.int64)
+            assert self.ccf.query_many(keys, Eq("a", attr)).all()
+
+
+class CuckooFilterMachine(RuleBasedStateMachine):
+    """CuckooFilter vs the exact multiset of live keys.  Every inserted copy
+    keeps its own fingerprint copy in its pair, table or stash, so every
+    live key answers True after any sequence of deletes of live keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.filter = CuckooFilter(16, 2, 8, max_kicks=20, seed=3)
+        self.live: list[int] = []
+
+    @rule(key=TINY_KEYS)
+    def insert(self, key):
+        self.filter.insert(key)
+        self.live.append(key)
+
+    @rule(keys=st.lists(TINY_KEYS, max_size=8))
+    def insert_many(self, keys):
+        self.filter.insert_many(np.array(keys, dtype=np.int64))
+        self.live.extend(keys)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICKS)
+    def delete(self, pick):
+        assert self.filter.delete(self.live.pop(pick % len(self.live)))
+
+    @precondition(lambda self: self.live)
+    @rule(picks=st.lists(PICKS, min_size=1, max_size=4))
+    def delete_many(self, picks):
+        keys = [self.live.pop(pick % len(self.live)) for pick in picks if self.live]
+        assert self.filter.delete_many(np.array(keys, dtype=np.int64)).all()
+
+    @invariant()
+    def live_keys_are_members(self):
+        assert self.filter.contains_many(np.array(self.live, dtype=np.int64)).all()
+        assert all(self.filter.contains(key) for key in set(self.live))
+
+
+# Derandomized so the runs are reproducible: at this budget the plain
+# machine finds the false negative a stash that matched rows of any pair
+# used to cause (a delete removing another pair's stashed copy).
+TestPlainCCFStateful = PlainCCFMachine.TestCase
+TestPlainCCFStateful.settings = settings(
+    max_examples=25, stateful_step_count=120, deadline=None, derandomize=True
+)
+
+TestCuckooFilterStateful = CuckooFilterMachine.TestCase
+TestCuckooFilterStateful.settings = settings(
+    max_examples=30, stateful_step_count=120, deadline=None, derandomize=True
+)

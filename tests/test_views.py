@@ -56,7 +56,7 @@ class TestMarkedKeyFilter:
         rows = random_rows(100, 3, seed=5)
         ccf = build_ccf("chained", SCHEMA, rows, PARAMS)
         view = ccf.predicate_filter(Eq("color", "red"))
-        assert view.size_in_bits() == (view.buckets.capacity + len(view.stash_entries)) * (
+        assert view.size_in_bits() == (view.buckets.capacity + len(view.stash)) * (
             PARAMS.key_bits + 1
         )
         assert view.size_in_bits() < ccf.size_in_bits()
@@ -116,7 +116,7 @@ class TestExtractedKeyFilter:
     def test_is_a_cuckoo_filter_answering_like_its_stashed_source(self, kind, seed):
         """The extracted filter is a CuckooFilter over the source's geometry:
         it answers `query_many` key by key, stash included, before and after
-        a CKF5 round trip."""
+        a CKF6 round trip."""
         params = CCFParams(
             bucket_size=2, max_dupes=2, key_bits=8, attr_bits=5, bloom_bits=16,
             max_kicks=5, seed=seed,
@@ -165,7 +165,8 @@ class TestViewBatchProbes:
         assert batch.tolist() == [view.contains(key) for key in probes]
 
     def test_marked_batch_with_stash(self):
-        """Overloaded source: stashed entries disable the d-count early stop."""
+        """Overloaded source: stashed copies count toward their own pairs'
+        d-count and hit there when marked."""
         from repro.ccf.chained import ChainedCCF
 
         tight = PARAMS.replace(bucket_size=1, max_dupes=2, max_chain=2)
@@ -190,8 +191,9 @@ class TestViewBatchProbes:
 
 
 class TestStashedFingerprints:
-    """A chained walk for a fingerprint with a stashed copy can only end
-    True, so it is answered before walking: no probe round is spent."""
+    """A stashed entry is a slot of its own pair only: a fingerprint
+    stashed for another pair neither answers for a key nor keeps its walk
+    going."""
 
     @staticmethod
     def _pair_eq_calls() -> float:
@@ -201,7 +203,7 @@ class TestStashedFingerprints:
             if sample["labels"]["kernel"] == "pair_eq"
         )
 
-    def test_stashed_probes_do_not_walk(self):
+    def test_fingerprint_stashed_for_another_pair_does_not_answer(self):
         params = CCFParams(
             bucket_size=2, max_dupes=2, key_bits=8, attr_bits=5, max_kicks=5, seed=1
         )
@@ -210,23 +212,37 @@ class TestStashedFingerprints:
         keys = rng.integers(0, 10**6, 400)
         colors = np.array(["red", "green", "blue"], dtype=object)[rng.integers(0, 3, 400)]
         ccf.insert_many(keys, [colors, rng.integers(0, 8, 400)])
-        stashed = {entry.fp for entry in ccf.stash}
+        stashed = {(fp, pair) for fp, pair, _entry in ccf.stash}
         assert stashed, "expected the overloaded build to stash entries"
-        probes = np.array(
-            [key for key in range(10**7, 10**7 + 100_000) if ccf.fingerprint_of(key) in stashed][:20]
-        )
+        stashed_fps = {fp for fp, _pair in stashed}
+
+        def foreign(key):
+            # Stashed fingerprint, but no stashed or table copy in its pair.
+            fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
+            alt = ccf.alt_index(home, fp)
+            return (
+                fp in stashed_fps
+                and (fp, min(home, alt)) not in stashed
+                and not ccf._fp_entries_in_pair(home, alt, fp)
+            )
+
+        probes = np.array([key for key in range(10**7, 10**7 + 100_000) if foreign(key)][:20])
         assert len(probes) == 20
         predicate = Eq("color", "red")
         view = ccf.predicate_filter(predicate)
         was = obs.enabled()
         obs.set_enabled(True)
         try:
-            for probe in (lambda: ccf.query_many(probes, predicate), lambda: view.contains_many(probes)):
+            for probe in (
+                lambda: ccf.query_many(probes, predicate),
+                lambda: ccf.contains_key_many(probes),
+                lambda: view.contains_many(probes),
+            ):
                 obs._reset_for_tests()
-                assert probe().all()
-                assert self._pair_eq_calls() <= 1
+                assert not probe().any()
+                assert self._pair_eq_calls() <= 1  # every walk ends at its first pair
         finally:
             obs.set_enabled(was)
             obs._reset_for_tests()
-        assert all(ccf.query(key, predicate) for key in probes.tolist())
-        assert all(view.contains(key) for key in probes.tolist())
+        assert not any(ccf.query(key, predicate) for key in probes.tolist())
+        assert not any(view.contains(key) for key in probes.tolist())
