@@ -32,6 +32,13 @@ DUP_KEYS = 4_000
 DUP_ROWS_PER_KEY = 20
 DUP_PROBES = 80_000
 
+#: Chain-heavy CCF insert case: dozens of distinct rows for each of a few
+#: hundred keys under a 4-bit key fingerprint, so chained rows walk chains
+#: of 10+ pairs that cross other keys' chains.
+CHAIN_KEYS = 300
+CHAIN_ROWS_PER_KEY = 40
+CHAIN_KEY_BITS = 4
+
 #: Queries must beat the scalar loop by at least this factor (ISSUE 1).
 MIN_QUERY_SPEEDUP = 5.0
 
@@ -121,44 +128,53 @@ def test_ccf_query_many_speedup(probe_keys, kind, rows):
     assert speedup >= MIN_QUERY_SPEEDUP
 
 
-@pytest.mark.parametrize("rows", ["uniform", "repeat20"])
+@pytest.mark.parametrize("rows", ["uniform", "repeat20", "chain40"])
 @pytest.mark.parametrize("kind", ["chained", "bloom", "mixed"])
 def test_ccf_insert_many_not_slower(kind, rows):
-    """Builds keep a sequential placement loop, so the win is smaller; the
-    batch path must at least not regress.
+    """Bulk builds place row by row in input order, as the scalar loop
+    does, and must leave the same bytes; the timing is reported only.
 
     ``uniform`` draws 80k rows over 40k keys and 256 attribute values, so
     exact repeats are rare; ``repeat20`` shuffles 20 rows for each of 4k
     keys over 8 values, so about 60% of rows repeat an earlier row and the
-    batch credits them instead of inserting them.
+    batch credits them instead of inserting them; ``chain40`` shuffles 40
+    rows over 256 values for each of 300 keys under 4-bit key fingerprints,
+    so the batch's cell index serves many keys per cell and chained rows
+    walk long, crossing chains.
     """
     rng = np.random.default_rng(13)
+    params = PARAMS
     if rows == "uniform":
         keys = rng.integers(0, CCF_KEYS, size=2 * CCF_KEYS)
         attrs = rng.integers(0, 256, size=2 * CCF_KEYS)
-    else:
+    elif rows == "repeat20":
         keys = rng.permutation(np.repeat(np.arange(DUP_KEYS), DUP_ROWS_PER_KEY))
         attrs = rng.integers(0, 8, size=len(keys))
-    scalar_ccf = build_ccf(kind, SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), PARAMS)
+    else:
+        keys = rng.permutation(np.repeat(np.arange(CHAIN_KEYS), CHAIN_ROWS_PER_KEY))
+        attrs = rng.integers(0, 256, size=len(keys))
+        params = PARAMS.replace(key_bits=CHAIN_KEY_BITS)
+    scalar_ccf = build_ccf(kind, SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), params)
     num_buckets = scalar_ccf.buckets.num_buckets
+    if rows == "chain40" and kind == "chained":
+        assert max(scalar_ccf.chain_length(key) for key in range(CHAIN_KEYS)) >= 10
 
     def scalar_build():
-        ccf = make_ccf(kind, SCHEMA, num_buckets, PARAMS)
+        ccf = make_ccf(kind, SCHEMA, num_buckets, params)
         for key, attr in zip(keys.tolist(), attrs.tolist()):
             ccf.insert(key, (attr,))
         return ccf
 
     def batch_build():
-        ccf = make_ccf(kind, SCHEMA, num_buckets, PARAMS)
+        ccf = make_ccf(kind, SCHEMA, num_buckets, params)
         ccf.insert_many(keys, [attrs])
         return ccf
 
     scalar_ccf, scalar_seconds = _timed(scalar_build)
     batch_ccf, batch_seconds = _timed(batch_build)
     # The gate is state parity, down to every serialised bit; the timing is
-    # reported but not asserted — the true ratio sits near 1.0 (hashing is
-    # batched, placement is not), which a shared CI runner's scheduling
-    # noise could flip spuriously.
+    # reported but not asserted: placement stays sequential, and a shared
+    # CI runner's scheduling noise could flip a ratio near 1.
     assert dumps(batch_ccf) == dumps(scalar_ccf)
     name = f"ccf_{kind}_insert" if rows == "uniform" else f"ccf_{kind}_{rows}_insert"
     save_json(

@@ -38,6 +38,7 @@ An entry it cannot seat is stashed as one more slot of its pair (§1).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from itertools import repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -137,6 +138,28 @@ def first_copies(columns: Sequence[np.ndarray]) -> np.ndarray:
             np.stack(columns, axis=1), return_index=True, return_inverse=True, axis=0
         )
     return first[inverse.reshape(-1)]
+
+
+class CellIndex:
+    """What one insert batch knows of the cells it touched (DESIGN.md §7).
+
+    A *cell* is what one bucket pair holds for one key fingerprint, in its
+    slots and its stash.  ``cells`` maps ``(fingerprint, pair id)`` to the
+    insert policy's view of the cell (`_seed_cell`), read from the live
+    columns when the batch first touches it and kept current by the policy.
+    ``walks`` maps a chained row's first cell to the later pairs of its
+    chain with their cells, computed once per batch.  ``jumps`` maps each
+    fingerprint of the batch to its XOR jump, computed with the batch's
+    hashes.  Only the batch's own rows change a cell: kicks and stashing
+    keep every entry in its pair, and no insert deletes.
+    """
+
+    __slots__ = ("cells", "walks", "jumps")
+
+    def __init__(self, jumps: dict[int, int]) -> None:
+        self.cells: dict[tuple[int, int], Any] = {}
+        self.walks: dict[tuple[int, int], tuple[list, Iterator]] = {}
+        self.jumps = jumps
 
 
 class CompiledQuery:
@@ -472,6 +495,21 @@ class ConditionalCuckooFilterBase:
             matches.extend(self.stash.items[at] for at in self.stash.find(fingerprint, left, right))
         return matches
 
+    def _cell(self, index: CellIndex, left: int, right: int, fingerprint: int) -> Any:
+        """The batch's view of the pair's cell for ``fingerprint``, seeded
+        from its slots and stash (`_fp_entries_in_pair`) on first touch."""
+        key = (fingerprint, left if left < right else right)
+        cell = index.cells.get(key)
+        if cell is None:
+            cell = self._seed_cell(self._fp_entries_in_pair(left, right, fingerprint))
+            index.cells[key] = cell
+        return cell
+
+    def _seed_cell(self, entries: list[Any]) -> Any:
+        """A cell's live entries as the insert policy reads them: here the
+        attribute vectors of its copies."""
+        return [entry.avec for entry in entries]
+
     def _place_in_pair(self, left: int, right: int, entry: Any, copies: int = 0) -> bool:
         """Algorithm 4's placement: prefer ``left``, then kick from ``right``.
 
@@ -614,8 +652,8 @@ class ConditionalCuckooFilterBase:
     # Insert / query interface
     # ------------------------------------------------------------------
     # Scalar `insert`/`query` and batch `insert_many` are thin wrappers over
-    # per-variant kernels on precomputed hashes (`_insert_hashed`,
-    # `_query_hashed`).  Batch `query_many` runs the vectorised
+    # per-variant kernels on precomputed hashes (`_insert_hashed` or
+    # `_insert_cells`, `_query_hashed`).  Batch `query_many` runs the vectorised
     # `_query_hashed_many`, which must answer exactly as `_query_hashed`
     # does key by key (DESIGN.md §5).
 
@@ -623,7 +661,7 @@ class ConditionalCuckooFilterBase:
     #: vectors (False for the Bloom CCF, which sketches raw values instead).
     _needs_avec: bool = True
 
-    #: The Bloom sketch that took the attributes of the row `_insert_hashed`
+    #: The Bloom sketch that took the attributes of the row the insert policy
     #: last handled (a Bloom entry's, or a Mixed group's when the row was
     #: absorbed or converted), else None.  Read by the batch row loop to
     #: credit that row's later copies.
@@ -643,14 +681,33 @@ class ConditionalCuckooFilterBase:
         values: tuple[Any, ...] | None,
         avec: tuple[int, ...] | None,
     ) -> bool:
-        """Insertion policy on precomputed hashes; subclasses implement.
+        """Insertion policy on precomputed hashes.
 
         Exactly one of ``values`` (raw attribute row) / ``avec`` (its
         fingerprint vector) may be None: vector-storing variants derive
         ``avec`` from ``values`` when not supplied, the Bloom variant only
-        reads ``values``.
+        reads ``values``.  A variant implements this or `_insert_cells`:
+        here the latter runs on a one-row index.
         """
-        raise NotImplementedError
+        index = CellIndex({fingerprint: self.geometry.fp_jump(fingerprint)})
+        return self._insert_cells(index, fingerprint, home, values, avec)
+
+    def _insert_cells(
+        self,
+        index: CellIndex,
+        fingerprint: int,
+        home: int,
+        values: tuple[Any, ...] | None,
+        avec: tuple[int, ...] | None,
+    ) -> bool:
+        """Insertion policy against a batch's cell index (`CellIndex`).
+
+        The chained, Bloom and Mixed variants implement it, reading and
+        updating the cells through `_cell` instead of rescanning the
+        table.  A variant that implements `_insert_hashed` instead (plain)
+        reads no index.
+        """
+        return self._insert_hashed(fingerprint, home, values, avec)
 
     def insert_many(
         self,
@@ -688,25 +745,29 @@ class ConditionalCuckooFilterBase:
         rows: Sequence[tuple[Any, ...]],
         first: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The one row loop over `_insert_hashed`, on precomputed hashes.
+        """The one row loop over the insert policy, on precomputed hashes.
 
         ``rows`` holds each row's attribute fingerprint vector, or its raw
         values when the variant sketches raw values (``_needs_avec`` False).
         ``first`` (from `first_copies`) gives each row the index of the
         first row of the batch with the same identity.  A later copy is
-        credited (`_credit_copy`) instead of walked (DESIGN.md §7).  The
-        FilterStore, which hashes once for many shard levels, passes no
-        ``first``.  Bit-identical to scalar `insert` per row.
+        credited (`_credit_copy`) instead of walked, and the first copies
+        share one `CellIndex` (DESIGN.md §7).  The FilterStore, which
+        hashes once for many shard levels, passes no ``first``: each row
+        runs `_insert_hashed`.  Bit-identical to scalar `insert` per row.
         """
         num_rows = len(fps)
         out = np.ones(num_rows, dtype=bool)
         nones = repeat(None)
         values, avecs = (nones, rows) if self._needs_avec else (rows, nones)
         if first is None:
-            firsts, pairs = range(num_rows), nones
+            firsts, pairs, insert = range(num_rows), nones, self._insert_hashed
         else:
             firsts = first.tolist()
-            pairs = np.minimum(homes, self.geometry.alt_indices_many(homes, fps)).tolist()
+            alts = self.geometry.alt_indices_many(homes, fps)
+            pairs = np.minimum(homes, alts).tolist()
+            jumps = dict(zip(fps.tolist(), (homes ^ alts).tolist()))
+            insert = partial(self._insert_cells, CellIndex(jumps))
         # Per (fingerprint, pair id): the sketch a row of that pair fed last;
         # the first copies that chain placement discarded.
         sketches: dict[tuple[int, int], BloomFilter] = {}
@@ -718,7 +779,7 @@ class ConditionalCuckooFilterBase:
                 continue
             self._row_sketch = None
             before = self.num_rows_discarded
-            out[i] = self._insert_hashed(fp, home, value, avec)
+            out[i] = insert(fp, home, value, avec)
             if self._row_sketch is not None:
                 sketches[fp, pair] = self._row_sketch
             if self.num_rows_discarded != before:

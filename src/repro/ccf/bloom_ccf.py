@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import BloomEntry
 from repro.ccf.predicates import Predicate
 from repro.sketches.bloom import BatchProbe, BloomFilter
@@ -32,8 +32,9 @@ class BloomCCF(ConditionalCuckooFilterBase):
     #: Bloom entries sketch raw (index, value) pairs, not fingerprint vectors.
     _needs_avec = False
 
-    def _insert_hashed(
+    def _insert_cells(
         self,
+        index: CellIndex,
         fingerprint: int,
         home: int,
         values: tuple[Any, ...] | None,
@@ -46,22 +47,26 @@ class BloomCCF(ConditionalCuckooFilterBase):
         sketch — the entry is the live payload object, so batch probes see
         the merge immediately.  Otherwise a new entry is created and placed
         with cuckoo kicks.  Returns False only on a MaxKicks failure (victim
-        stashed, ``failed`` latched).
+        stashed, ``failed`` latched).  The pair's entry is read from
+        ``index``.
         """
         self.num_rows_inserted += 1
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        slots = self._fp_entries_in_pair(left, right, fingerprint)
-        entry = slots[0] if slots else None
-        fresh = entry is None
+        left, right = home, home ^ index.jumps[fingerprint]
+        entries = self._cell(index, left, right, fingerprint)
+        fresh = not entries
         if fresh:
-            entry = BloomEntry(
-                fingerprint,
-                BloomFilter(self.params.bloom_bits, self.params.bloom_hashes, seed=self._bloom_salt),
-            )
+            params = self.params
+            bloom = BloomFilter(params.bloom_bits, params.bloom_hashes, seed=self._bloom_salt)
+            entries.append(BloomEntry(fingerprint, bloom))
+        entry = entries[0]
         entry.add_attributes(values)
         self._row_sketch = entry.bloom
         return self._place_in_pair(left, right, entry) if fresh else True
+
+    def _seed_cell(self, entries: list[Any]) -> list[BloomEntry]:
+        """Rows merge by fingerprint, so a cell holds at most one entry: the
+        live object, which kicks and stashing carry along."""
+        return entries
 
     def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
         """Batch specialisation: hash the predicate once, test bits in bulk.

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import VectorEntry
 from repro.ccf.predicates import Predicate
 
@@ -27,8 +27,9 @@ class ChainedCCF(ConditionalCuckooFilterBase):
 
     kind = "chained"
 
-    def _insert_hashed(
+    def _insert_cells(
         self,
+        index: CellIndex,
         fingerprint: int,
         home: int,
         values: tuple[Any, ...] | None,
@@ -41,28 +42,53 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         queries still answer True via the Theorem 3 fallback).  Returns False
         only on a MaxKicks placement failure, which also latches
         :attr:`failed`; the displaced victim is stashed in its own pair, so
-        membership answers remain superset-correct even then.
+        membership answers remain superset-correct even then.  Each pair's
+        copies of the fingerprint are read from ``index``.
         """
         if avec is None:
             avec = self.fingerprinter.vector(values)
         self.num_rows_inserted += 1
-        d = self.params.max_dupes
-        limit = self._walk_limit()
+        d, limit = self.params.max_dupes, self._walk_limit()
+        left, right = home, home ^ index.jumps[fingerprint]
+        first = (fingerprint, left if left < right else right)
+        copies = self._cell(index, left, right, fingerprint)
         walked = 0
-        for left, right in self._pair_walk(home, fingerprint):
-            if walked >= limit:
-                break
-            walked += 1
-            slots = self._fp_entries_in_pair(left, right, fingerprint)
-            if any(entry.same_row(fingerprint, avec) for entry in slots):
+        while True:
+            if avec in copies:
                 return True
-            if len(slots) >= d:
-                continue
-            return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
-        # Chain cap reached with every pair d-full: the row is discarded,
-        # Theorem 3's query fallback keeps it a (true) positive.
-        self.num_rows_discarded += 1
-        return True
+            if len(copies) < d:
+                copies.append(avec)
+                return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
+            walked += 1
+            step = self._chain_step(index, first, home, walked) if walked < limit else None
+            if step is None:
+                # Chain cap reached (or no fresh pair) with every pair d-full:
+                # the row is discarded, Theorem 3's query fallback keeps it a
+                # (true) positive.
+                self.num_rows_discarded += 1
+                return True
+            left, right, copies = step
+
+    def _chain_step(
+        self, index: CellIndex, first: tuple[int, int], home: int, step: int
+    ) -> tuple[int, int, list[tuple[int, ...]]] | None:
+        """Pair ``step`` of `pair_walk(home, fingerprint)` with its cell, for
+        a chain whose first cell is ``first``; None past the walk's end.
+        Past its first pair the walk depends only on that pair and the
+        fingerprint, so a batch computes those pairs once per first cell, as
+        far as its rows walk."""
+        walk = index.walks.get(first)
+        if walk is None:
+            rest = self.geometry.pair_walk(home, first[0])
+            next(rest)
+            walk = index.walks[first] = ([], rest)
+        steps, rest = walk
+        if step > len(steps):
+            pair = next(rest, None)
+            if pair is None:
+                return None
+            steps.append((*pair, self._cell(index, *pair, first[0])))
+        return steps[step - 1]
 
     def _query_hashed(
         self, fingerprint: int, home: int, compiled: CompiledQuery | None

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
 from repro.ccf.entries import ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
@@ -77,8 +77,9 @@ class MixedCCF(ConditionalCuckooFilterBase):
 
     # -- operations ----------------------------------------------------------
 
-    def _insert_hashed(
+    def _insert_cells(
         self,
+        index: CellIndex,
         fingerprint: int,
         home: int,
         values: tuple[Any, ...] | None,
@@ -89,26 +90,36 @@ class MixedCCF(ConditionalCuckooFilterBase):
         Returns False only on a MaxKicks placement failure for a *new*
         (pre-conversion) entry; merges into an existing converted group and
         conversions themselves always succeed.  The pair's stashed entries
-        count as its slots throughout (DESIGN.md §1).
+        count as its slots throughout (DESIGN.md §1).  The pair's copies or
+        group are read from ``index``.
         """
         if avec is None:
             avec = self.fingerprinter.vector(values)
         self.num_rows_inserted += 1
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        slots = self._fp_entries_in_pair(left, right, fingerprint)
-        for entry in slots:
-            if isinstance(entry, GroupSlot):
-                entry.group.add_vector(avec)
-                self.num_absorbed += 1
-                self._row_sketch = entry.group.bloom
-                return True
-        if any(entry.same_row(fingerprint, avec) for entry in slots):
+        left, right = home, home ^ index.jumps[fingerprint]
+        cell = self._cell(index, left, right, fingerprint)
+        if isinstance(cell, ConvertedGroup):
+            cell.add_vector(avec)
+            self.num_absorbed += 1
+            self._row_sketch = cell.bloom
             return True
-        if len(slots) < self.params.max_dupes:
+        if avec in cell:
+            return True
+        if len(cell) < self.params.max_dupes:
+            cell.append(avec)
             return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
-        self._row_sketch = self._convert(left, right, fingerprint, avec).bloom
+        group = self._convert(left, right, fingerprint, avec)
+        index.cells[fingerprint, min(left, right)] = group
+        self._row_sketch = group.bloom
         return True
+
+    def _seed_cell(self, entries: list[Any]) -> ConvertedGroup | list[tuple[int, ...]]:
+        """A cell's converted group, else its copies' attribute vectors
+        (vectors and groups never coexist in a cell, `check_invariants`)."""
+        for entry in entries:
+            if isinstance(entry, GroupSlot):
+                return entry.group
+        return super()._seed_cell(entries)
 
     def _credit_copy(self, sketch: BloomFilter | None, discarded: bool) -> None:
         """A repeated row is absorbed again where its pair holds a converted

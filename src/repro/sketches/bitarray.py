@@ -1,12 +1,14 @@
 """A compact fixed-size bit array backed by a ``bytearray``.
 
 This is the storage primitive under every Bloom filter in the repository.  It
-deliberately exposes only what the sketches need: bit get/set/clear, popcount,
-bitwise union/intersection with an equally-sized array, and byte-level
-(de)serialisation.
+deliberately exposes only what the sketches need: bit get/set/clear, a bulk
+set, popcount, bitwise union/intersection with an equally-sized array, and
+byte-level (de)serialisation.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 
 class BitArray:
@@ -36,6 +38,18 @@ class BitArray:
         """Set the bit at ``index`` to one."""
         index = self._check_index(index)
         self._buf[index >> 3] |= 1 << (index & 7)
+
+    def set_many(self, indices: Sequence[int]) -> None:
+        """Set the bit at every index in ``indices`` to one.
+
+        The range is checked once for the whole sequence, before any bit is
+        set; unlike `set`, indices count from zero only.
+        """
+        if indices and (min(indices) < 0 or max(indices) >= self.num_bits):
+            raise IndexError(f"bit indices {list(indices)} out of range for {self.num_bits} bits")
+        buf = self._buf
+        for index in indices:
+            buf[index >> 3] |= 1 << (index & 7)
 
     def clear(self, index: int) -> None:
         """Set the bit at ``index`` to zero."""

@@ -145,8 +145,7 @@ class BloomFilter:
 
     def add(self, value: object) -> None:
         """Insert ``value`` into the filter."""
-        for index in self._hashing.positions(value):
-            self._bits.set(index)
+        self._bits.set_many(self._hashing.positions(value))
         self.num_inserted += 1
 
     def __contains__(self, value: object) -> bool:

@@ -186,6 +186,60 @@ def test_ccf_insert_many_parity_on_repeated_rows(
     assert dumps(batch) == dumps(scalar)
 
 
+#: Rows whose cells interact: a dozen keys under 3-4-bit key fingerprints
+#: share (pair, fingerprint) cells, and their chains cross.
+CELL_ROW = st.tuples(
+    st.integers(min_value=0, max_value=11),  # key
+    st.integers(min_value=0, max_value=5),  # first attribute
+    st.integers(min_value=0, max_value=1),  # second attribute
+)
+
+
+@pytest.mark.parametrize("kind", ("chained", "bloom", "mixed"))
+@settings(max_examples=60, deadline=None)
+@given(
+    pre_rows=st.lists(CELL_ROW, max_size=30),
+    rows=st.lists(CELL_ROW, min_size=10, max_size=80),
+    num_buckets=st.sampled_from((4, 8, 16)),
+    max_dupes=st.sampled_from((1, 2, 3)),
+    key_bits=st.sampled_from((3, 4)),
+    max_chain=st.sampled_from((None, 3)),
+    seed=st.integers(min_value=0, max_value=7),
+)
+def test_ccf_insert_many_parity_on_shared_cells(
+    kind, pre_rows, rows, num_buckets, max_dupes, key_bits, max_chain, seed
+):
+    """`insert_many` decides each row against a batch-local index of cells
+    (DESIGN.md §7) and must still equal the scalar loop byte for byte.
+    Scalar pre-population of 4-16 buckets with ``max_kicks`` 5 stashes
+    entries, so cells are seeded from slots and stash, and failures in the
+    batch stash victims of other cells; 3-4-bit fingerprints let different
+    keys share cells and cross chains; ``d`` of 1-3 converts Mixed pairs
+    with stashed vectors and merges Bloom rows into stashed entries."""
+    params = CCFParams(
+        bucket_size=2,
+        max_dupes=max_dupes,
+        key_bits=key_bits,
+        attr_bits=3,
+        bloom_bits=16,
+        max_kicks=5,
+        seed=seed,
+        max_chain=max_chain,
+    )
+    scalar = make_ccf(kind, SCHEMA, num_buckets, params)
+    batch = make_ccf(kind, SCHEMA, num_buckets, params)
+    for key, first, second in pre_rows:
+        for ccf in (scalar, batch):
+            ccf.insert(key, (first, second))
+
+    scalar_results = [scalar.insert(key, (first, second)) for key, first, second in rows]
+    keys, firsts, seconds = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    batch_results = batch.insert_many(keys, [firsts, seconds])
+
+    assert batch_results.tolist() == scalar_results
+    assert dumps(batch) == dumps(scalar)
+
+
 def test_first_copies_packs_or_compares_rows():
     """Identities that fit 63 bits pack into one int64, wider ones are
     compared row by row; both give each row its first equal row."""

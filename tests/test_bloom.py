@@ -78,6 +78,31 @@ class TestBasics:
         assert all(value in bloom for value in values)
 
 
+class TestBulkSet:
+    """`BitArray.set_many`, which `BloomFilter.add` writes its positions
+    through."""
+
+    @given(
+        num_bits=st.integers(min_value=1, max_value=70),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_bit_sets(self, num_bits, picks):
+        indices = [pick % num_bits for pick in picks]
+        bulk, single = BitArray(num_bits), BitArray(num_bits)
+        bulk.set_many(indices)
+        for index in indices:
+            single.set(index)
+        assert bulk == single
+
+    @pytest.mark.parametrize("indices", [[3, 16], [-1, 2], (16,)])
+    def test_out_of_range_raises_and_sets_nothing(self, indices):
+        bits = BitArray(16)
+        with pytest.raises(IndexError):
+            bits.set_many(indices)
+        assert not bits.any()
+
+
 class TestFalsePositiveRate:
     def test_fpr_close_to_prediction(self):
         num_items, num_bits, num_hashes = 400, 4096, 4

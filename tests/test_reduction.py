@@ -1,9 +1,14 @@
 """Tests for the reduction-factor evaluation harness (§10.3-§10.6)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.ccf.params import CCFParams, SMALL_PARAMS
+from repro.ccf.attributes import AttributeSchema
+from repro.ccf.factory import make_ccf
+from repro.ccf.params import CCFParams, LARGE_PARAMS, SMALL_PARAMS
+from repro.ccf.serialize import dumps
 from repro.ccf.predicates import Eq, Range
 from repro.data.imdb import generate_imdb
 from repro.join.job_light import make_job_light_workload
@@ -193,3 +198,53 @@ class TestStoreBundle:
                 SMALL_PARAMS,
                 store_config=StoreConfig(num_shards=2, level_buckets=256),
             )
+
+
+PINNED_SCHEMA = AttributeSchema(["a", "b"])
+
+#: Tables of ``(key, a, b)`` rows from integer arithmetic alone, so no RNG
+#: or library upgrade can move them: per table, its bucket count, number of
+#: keys, rows of key ``k`` and the row ``r`` of key ``k``.  The first table's
+#: keys hold 20-60 rows over 55 attribute pairs (chains of 11-17 pairs, Mixed
+#: conversions, Bloom merges); the others are wide and mid-weight.
+PINNED_TABLES = (
+    (128, 24, lambda k: 20 + k * 17 % 41, lambda k, r: ((k * 7 + r * r) % 11, (r * 3 + k) % 5)),
+    (256, 400, lambda k: 1 + k % 4, lambda k, r: ((k + r) % 97, r % 3)),
+    (128, 100, lambda k: 1 + k * k % 12, lambda k, r: ((k * 5 + r) % 4, r // 2 % 2)),
+)
+
+#: sha256 over the `dumps` of the chained, Bloom and Mixed CCFs that
+#: `insert_many` builds from `PINNED_TABLES`, under LARGE_PARAMS then
+#: SMALL_PARAMS.  A change that moves placement on purpose updates it and
+#: says why.
+PINNED_BUILD_SHA256 = "19008632cfc95d7dca022ae4f1143fcaaabe9d3c50c743917aa1542bd68f330e"
+
+
+def test_bulk_builds_keep_their_bytes():
+    """Bulk CCF builds serialise to pinned bytes: placement, stash,
+    counters and sketches cannot drift unnoticed."""
+    digest = hashlib.sha256()
+    chains, conversions, merges = [], [], []
+    for params in (LARGE_PARAMS, SMALL_PARAMS):
+        for kind in ("chained", "bloom", "mixed"):
+            for table, (num_buckets, num_keys, count, row) in enumerate(PINNED_TABLES):
+                # Key-major rounds: row r of every key that has one, so the
+                # keys' chains grow side by side.
+                rows = [
+                    (table * 100_000 + k * 31, *row(k, r))
+                    for r in range(max(count(k) for k in range(num_keys)))
+                    for k in range(num_keys)
+                    if r < count(k)
+                ]
+                keys, firsts, seconds = (np.array(c, dtype=np.int64) for c in zip(*rows))
+                ccf = make_ccf(kind, PINNED_SCHEMA, num_buckets, params)
+                ccf.insert_many(keys, [firsts, seconds])
+                digest.update(dumps(ccf))
+                if kind == "chained" and table == 0:
+                    chains.append(max(ccf.chain_length(int(k)) for k in np.unique(keys)))
+                elif kind == "mixed":
+                    conversions.append(ccf.num_conversions)
+                elif kind == "bloom":
+                    merges.append(ccf.num_rows_inserted - ccf.num_entries)
+    assert min(chains) >= 5 and min(conversions) > 0 and min(merges) > 0
+    assert digest.hexdigest() == PINNED_BUILD_SHA256
