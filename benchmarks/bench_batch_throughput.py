@@ -17,8 +17,8 @@ from repro.bench.reporting import save_json
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.factory import build_ccf, make_ccf
 from repro.ccf.params import CCFParams
-from repro.ccf.predicates import Eq
-from repro.ccf.serialize import dumps
+from repro.ccf.predicates import Eq, In
+from repro.ccf.serialize import dumps, loads
 from repro.cuckoo.filter import CuckooFilter
 
 NUM_PROBES = 1_000_000
@@ -38,6 +38,18 @@ DUP_PROBES = 80_000
 CHAIN_KEYS = 300
 CHAIN_ROWS_PER_KEY = 40
 CHAIN_KEY_BITS = 4
+
+#: Hot-key case: one key of an uncapped chained CCF holds this many
+#: distinct rows, a chain of HOT_ROWS / d + 1 pairs that a predicate its
+#: rows do not match walks to the end, probed beside HOT_ABSENT absent keys.
+HOT_ROWS = 3_000
+HOT_ABSENT = 1_000
+HOT_BUCKETS = 1 << 16
+
+#: Join-shaped case: many calls of about JOIN_CALL_KEYS keys, each under its
+#: own predicate, as the JOB-light semijoin probes its bundles.
+JOIN_CALLS = 300
+JOIN_CALL_KEYS = 150
 
 #: Queries must beat the scalar loop by at least this factor (ISSUE 1).
 MIN_QUERY_SPEEDUP = 5.0
@@ -126,6 +138,88 @@ def test_ccf_query_many_speedup(probe_keys, kind, rows):
     name = f"ccf_{kind}_query" if rows == "uniform" else f"ccf_{kind}_{rows}_query"
     speedup = _report(name, scalar_seconds, batch_seconds, len(probes))
     assert speedup >= MIN_QUERY_SPEEDUP
+
+
+def test_chained_hot_key_not_slower():
+    """One key walks a 1,001-pair chain of d-full pairs while 1,000 absent
+    keys stop at once: the batch walk must answer as the scalar loop does,
+    and take no longer, both with the chain directory the build left and
+    with an empty one (a fresh load of the same bytes)."""
+    schema = AttributeSchema(["attr"])
+    params = PARAMS.replace(attr_bits=16)
+    ccf = make_ccf("chained", schema, HOT_BUCKETS, params)
+    ccf.insert_many(np.zeros(HOT_ROWS, dtype=np.int64), [np.arange(HOT_ROWS)])
+    assert ccf.chain_length(0) == HOT_ROWS // params.max_dupes + 1
+    probes = np.arange(HOT_ABSENT + 1)
+    compiled = ccf.compile(Eq("attr", HOT_ROWS + 7))
+    keys_list = probes.tolist()
+    scalar_answers, scalar_seconds = _timed(lambda: [ccf.query(k, compiled) for k in keys_list])
+    cold_seconds = float("inf")
+    for _ in range(3):
+        cold = loads(dumps(ccf))
+        start = time.perf_counter()
+        cold_answers = cold.query_many(probes, compiled)
+        cold_seconds = min(cold_seconds, time.perf_counter() - start)
+    warm_answers, warm_seconds = _timed(lambda: cold.query_many(probes, compiled), repeats=3)
+    assert cold_answers.tolist() == scalar_answers
+    assert warm_answers.tolist() == scalar_answers
+    save_json(
+        "batch_throughput_ccf_chained_hotkey_query",
+        {
+            "chain_pairs": HOT_ROWS // params.max_dupes + 1,
+            "probes": len(probes),
+            "scalar_seconds": scalar_seconds,
+            "batch_cold_seconds": cold_seconds,
+            "batch_warm_seconds": warm_seconds,
+        },
+    )
+    assert cold_seconds <= scalar_seconds
+    assert warm_seconds <= scalar_seconds
+
+
+@pytest.mark.parametrize("kind", ["chained", "bloom", "mixed"])
+def test_ccf_join_shaped_queries(kind):
+    """Many small calls, each compiling its own predicate, against a
+    duplicate-heavy CCF (20 rows per key): the shape of the JOB-light
+    probe loop, where per-call costs dominate.  Answers must equal the
+    scalar loop; the timing is reported only."""
+    rng = np.random.default_rng(17)
+    keys = np.repeat(np.arange(DUP_KEYS), DUP_ROWS_PER_KEY)
+    attrs = rng.integers(0, 256, size=len(keys))
+    ccf = build_ccf(kind, SCHEMA, zip(keys.tolist(), zip(attrs.tolist())), PARAMS)
+    calls = [
+        (
+            rng.choice(2 * DUP_KEYS, size=JOIN_CALL_KEYS, replace=False),
+            In("attr", tuple(rng.choice(256, size=1 + call % 4, replace=False).tolist())),
+        )
+        for call in range(JOIN_CALLS)
+    ]
+
+    def scalar():
+        out = []
+        for probes, predicate in calls:
+            compiled = ccf.compile(predicate)
+            out.append([ccf.query(key, compiled) for key in probes.tolist()])
+        return out
+
+    def batch():
+        return [ccf.query_many(probes, ccf.compile(predicate)).tolist() for probes, predicate in calls]
+
+    scalar_answers, scalar_seconds = _timed(scalar)
+    batch_answers, batch_seconds = _timed(batch)
+    assert batch_answers == scalar_answers
+    probes = JOIN_CALLS * JOIN_CALL_KEYS
+    save_json(
+        f"batch_throughput_ccf_{kind}_join_query",
+        {
+            "calls": JOIN_CALLS,
+            "probes": probes,
+            "scalar_ops_per_second": probes / scalar_seconds,
+            "batch_ops_per_second": probes / batch_seconds,
+            "batch_us_per_call": batch_seconds / JOIN_CALLS * 1e6,
+            "speedup": scalar_seconds / batch_seconds,
+        },
+    )
 
 
 @pytest.mark.parametrize("rows", ["uniform", "repeat20", "chain40"])

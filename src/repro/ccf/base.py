@@ -19,12 +19,13 @@ Storage is **structure-of-arrays** over a columnar
 fingerprint, the attribute fingerprint vector and the matching flag of every
 slot live in typed numpy columns that both the scalar kernels and the batch
 kernels read and write directly, while rich payloads (Bloom entries,
-converted-group slots) occupy a parallel object column.  Batch queries probe
-the live columns — there is no snapshot to rebuild after a mutation — and
-evaluate predicate admissibility only on the slots whose fingerprint
-actually matched: per-attribute lookup tables for vector slots, one batched
-test over the live sketch bits for payload slots, both precomputed once per
-predicate (LRU-cached).
+converted-group slots) occupy a parallel object column; their sketch bits
+live as rows of one growable bit matrix, addressed by a row-id column.
+Batch queries probe the live columns — there is no snapshot to rebuild after
+a mutation — and evaluate predicate admissibility only on the slots whose
+fingerprint actually matched: per-attribute lookup tables for vector slots,
+one gather of sketch rows against the predicate's bit masks for payload
+slots, both precomputed once per predicate (LRU-cached).
 
 Placement goes through `SlotMatrix.place`, shared by every cuckoo
 structure, whose kick chain (`repro.kernels._sequential.kick_one`) only
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +54,8 @@ from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
 from repro.cuckoo.stash import Stash
 from repro.hashing.mixers import as_native_list, canonical_bytes, coerce_int_column, derive_seed
-from repro.sketches.bloom import BloomFilter
+from repro.sketches.bitarray import BitRows
+from repro.sketches.bloom import BatchProbe, BloomFilter
 
 #: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
@@ -148,7 +150,8 @@ class CellIndex:
     insert policy's view of the cell (`_seed_cell`), read from the live
     columns when the batch first touches it and kept current by the policy.
     ``walks`` maps a chained row's first cell to the later pairs of its
-    chain with their cells, computed once per batch.  ``jumps`` maps each
+    chain, as ``(left, right, cell)``, as far as the batch's rows walk; the
+    pairs come from the geometry's chain directory.  ``jumps`` maps each
     fingerprint of the batch to its XOR jump, computed with the batch's
     hashes.  Only the batch's own rows change a cell: kicks and stashing
     keep every entry in its pair, and no insert deletes.
@@ -158,7 +161,7 @@ class CellIndex:
 
     def __init__(self, jumps: dict[int, int]) -> None:
         self.cells: dict[tuple[int, int], Any] = {}
-        self.walks: dict[tuple[int, int], tuple[list, Iterator]] = {}
+        self.walks: dict[tuple[int, int], list[tuple[int, int, Any]]] = {}
         self.jumps = jumps
 
 
@@ -192,17 +195,17 @@ class PredicateMatcher:
 
     Vector slots test each constrained attribute column through a lookup
     table over the ``attr_bits`` domain (``np.isin`` beyond
-    :data:`LUT_MAX_BITS`); payload slots go to the variant's batch sketch
-    test (`_build_payload_matcher`).
+    :data:`LUT_MAX_BITS`); payload slots test their sketch rows against
+    ``sketches``, the predicate's bit masks (`_sketch_probe`).
     """
 
-    __slots__ = ("columns", "payloads")
+    __slots__ = ("columns", "sketches")
 
     def __init__(
         self,
         compiled: CompiledQuery,
         attr_bits: int,
-        payloads: Callable[[list[Any]], np.ndarray],
+        sketches: BatchProbe | None,
     ) -> None:
         self.columns: list[tuple[int, np.ndarray, int | None]] = []
         for attr_index, _values, fps in compiled.constraints:
@@ -214,7 +217,7 @@ class PredicateMatcher:
             else:
                 admissible = np.fromiter(fps, dtype=np.int64, count=len(fps))
                 self.columns.append((attr_index, admissible, None))
-        self.payloads = payloads
+        self.sketches = sketches
 
     def vectors(self, avecs: np.ndarray) -> np.ndarray:
         """Per ``(n, #attrs)`` attribute-fingerprint row: admissible?"""
@@ -316,6 +319,11 @@ class ConditionalCuckooFilterBase:
         )
         self._flags = np.ones((num_buckets, params.bucket_size), dtype=bool)
         self._num_payload_slots = 0
+        #: Payload sketches (`_init_sketches`): their bit rows, the rows'
+        #: hash count, and each slot's row id (-1 where no payload).
+        self._sketch_rows: BitRows | None = None
+        self._sketch_hashes = 0
+        self._payload_rows: np.ndarray | None = None
         #: True while the slot columns are adopted read-only (e.g. memmapped
         #: out of a SEG1 segment); the first mutation flips it via
         #: `_ensure_writable` (DESIGN.md §10).
@@ -407,6 +415,8 @@ class ConditionalCuckooFilterBase:
         self.buckets.promote()
         if self.buckets.payloads is None:
             self.buckets.payloads = [None] * self.buckets.capacity
+            if self._sketch_rows is not None:
+                self._payload_rows = np.full(self._flags.shape, -1, dtype=np.int64)
         if not self._avecs.flags.writeable:
             self._avecs = np.array(self._avecs)
         if not self._flags.flags.writeable:
@@ -429,6 +439,24 @@ class ConditionalCuckooFilterBase:
                 resident += int(column.nbytes)
         return mapped, resident
 
+    def _init_sketches(self, num_bits: int, num_hashes: int) -> None:
+        """Keep payload sketches as rows of one bit matrix (DESIGN.md §6).
+
+        Every Bloom entry or converted group gets a row of ``num_bits``
+        bits, padded to whole uint64 words, and its :class:`BloomFilter`
+        reads and writes that row in place; `_write_columns` records each
+        payload slot's row id, so a batch probe gathers the matched slots'
+        bits with one index.
+        """
+        self._sketch_rows = BitRows(num_bits, stride=8 * ((num_bits + 63) // 64))
+        self._sketch_hashes = num_hashes
+        self._payload_rows = np.full(self._flags.shape, -1, dtype=np.int64)
+
+    def _new_sketch(self) -> BloomFilter:
+        """An empty payload sketch in a new row of the sketch rows."""
+        rows = self._sketch_rows
+        return BloomFilter(rows.num_bits, self._sketch_hashes, self._bloom_salt, rows)
+
     def _write_columns(self, path: Sequence[tuple[int, int, int]], entry: Any) -> Any:
         """Write ``entry``'s attribute vector, matching flag and payload at
         the first slot of ``path``; each displaced entry moves on to the next.
@@ -437,8 +465,9 @@ class ConditionalCuckooFilterBase:
         slot, displaced fingerprint)`` as `SlotMatrix.place` reports it: the
         key fingerprints there are already written (by the placement, or
         unchanged for an in-place conversion), so the companion columns
-        follow the same chain.  Returns the entry pushed out of the last
-        slot, or None if that slot was free.
+        follow the same chain, a payload's sketch row id included (a sketch
+        built elsewhere moves into the sketch rows).  Returns the entry
+        pushed out of the last slot, or None if that slot was free.
         """
         self._ensure_writable()
         avecs, flags, payloads = self._avecs, self._flags, self.buckets.payloads
@@ -454,6 +483,7 @@ class ConditionalCuckooFilterBase:
                     )
                 else:
                     self._num_payload_slots -= 1
+                    self._payload_rows[bucket, slot] = -1
             if isinstance(entry, VectorEntry):
                 avecs[bucket, slot] = entry.avec
                 payloads[at] = None
@@ -461,6 +491,7 @@ class ConditionalCuckooFilterBase:
                 avecs[bucket, slot] = self._avec_empty
                 payloads[at] = entry
                 self._num_payload_slots += 1
+                self._payload_rows[bucket, slot] = entry.bloom.row_in(self._sketch_rows)
             flags[bucket, slot] = entry.matching
             entry = pushed
         return entry
@@ -470,6 +501,7 @@ class ConditionalCuckooFilterBase:
         self._ensure_writable()
         if self.buckets.payloads[bucket * self.buckets.bucket_size + slot] is not None:
             self._num_payload_slots -= 1
+            self._payload_rows[bucket, slot] = -1
         self.buckets.clear_slot(bucket, slot)
         self._avecs[bucket, slot] = self._avec_empty
         self._flags[bucket, slot] = True
@@ -601,7 +633,7 @@ class ConditionalCuckooFilterBase:
         matcher = cache.get(compiled.key)
         if matcher is None:
             matcher = PredicateMatcher(
-                compiled, self.params.attr_bits, self._build_payload_matcher(compiled)
+                compiled, self.params.attr_bits, self._sketch_probe(compiled)
             )
             cache[compiled.key] = matcher
             if len(cache) > MATCHER_CACHE_SIZE:
@@ -610,18 +642,29 @@ class ConditionalCuckooFilterBase:
             cache.move_to_end(compiled.key)
         return matcher
 
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
-        """Batch admissibility of payload entries; variants with sketches
-        specialise it to one vectorised test over their live bits."""
+    def _sketch_probe(self, compiled: CompiledQuery) -> BatchProbe | None:
+        """The predicate as bit masks over the payload sketch rows, or None
+        without sketches.
 
-        def matches(entries: list[Any]) -> np.ndarray:
-            return np.fromiter(
-                (self._entry_matches(entry, compiled) for entry in entries),
-                dtype=bool,
-                count=len(entries),
-            )
-
-        return matches
+        Every sketch of a CCF shares (bits, hashes, salt), so each
+        admissible value probes the same positions in all of them.  A
+        Bloom entry sketches raw ``(attribute index, value)`` pairs; a
+        Mixed group, whose variant stores fingerprint vectors
+        (``_needs_avec``), sketches ``(attribute index, fingerprint)``.
+        Answers equal `_entry_matches` per payload entry.
+        """
+        rows = self._sketch_rows
+        if rows is None:
+            return None
+        return BatchProbe(
+            rows.num_bits,
+            self._sketch_hashes,
+            self._bloom_salt,
+            [
+                [(attr_index, value) for value in (fps if self._needs_avec else values)]
+                for attr_index, values, fps in compiled.constraints
+            ],
+        )
 
     # ------------------------------------------------------------------
     # Shared statistics
@@ -925,9 +968,11 @@ class ConditionalCuckooFilterBase:
         ``eq`` is the pairs' ``(n, 2, b)`` fingerprint-equality mask
         (`SlotMatrix.pair_eq`).  Admissibility is evaluated *only on the
         slots whose fingerprint matched* — O(batch + hits), never O(table):
-        vector slots through the predicate's lookup tables, payload slots in
-        one batched test over their live sketch bits, so in-place payload
-        mutations (Bloom merges, group absorption) are always visible.
+        vector slots through the predicate's lookup tables, payload slots
+        by gathering their sketch rows and row flags (`_payload_rows`)
+        against the predicate's bit masks, so in-place payload mutations
+        (Bloom merges, group absorption, matching flags) are always
+        visible.
         """
         hit = np.zeros(len(eq), dtype=bool)
         rows, sides, slots = np.nonzero(eq)
@@ -937,12 +982,13 @@ class ConditionalCuckooFilterBase:
         matcher = self._matcher(compiled)
         admissible = self._flags[buckets, slots] & matcher.vectors(self._avecs[buckets, slots])
         if self._num_payload_slots:
-            payloads = self.buckets.payloads
-            flat = (buckets * self.buckets.bucket_size + slots).tolist()
-            entries = [payloads[i] for i in flat]
-            at = [i for i, entry in enumerate(entries) if entry is not None]
-            if at:
-                admissible[at] = matcher.payloads([entries[i] for i in at])
+            sketches = self._payload_rows[buckets, slots]
+            payload = np.flatnonzero(sketches >= 0)
+            if payload.size:
+                store, sketch = self._sketch_rows, sketches[payload]
+                admissible[payload] = store.flags[sketch] & matcher.sketches.matches(
+                    store.words()[sketch]
+                )
         hit[rows[admissible]] = True
         return hit
 
@@ -955,13 +1001,37 @@ class ConditionalCuckooFilterBase:
         else:
             hit = self._pair_admits(lefts, rights, eq, compiled)
         if rows.size:
-            items = self.stash.items
-            admitted = np.unique(rows[[self._entry_matches(items[i], compiled) for i in at]])
+            admitted = self._stash_admitted(rows, at, compiled)
             rescued = np.count_nonzero(~hit[admitted])
             if rescued and obs.state.enabled:
                 _STASH_HITS.labels(kind=self.kind).inc(int(rescued))
             hit[admitted] = True
         return hit
+
+    def _pair_codes(self, lefts, rights, eq, rows, at, compiled) -> np.ndarray:
+        """`_pair_hits` for chain walks, which probe pairs past a key's
+        deciding pair: per pair 1 if a slot admits ``compiled``, 2 if only
+        stashed copies do, else 0 (uint8); `_answers` counts the stash
+        hits at the deciding pairs."""
+        codes = self._pair_admits(lefts, rights, eq, compiled).astype(np.uint8)
+        if rows.size:
+            admitted = self._stash_admitted(rows, at, compiled)
+            codes[admitted[codes[admitted] == 0]] = 2
+        return codes
+
+    def _stash_admitted(self, rows: np.ndarray, at: np.ndarray, compiled) -> np.ndarray:
+        """The probe rows whose pair has a stashed copy admitting
+        ``compiled`` (distinct, ascending)."""
+        items = self.stash.items
+        return np.unique(rows[[self._entry_matches(items[i], compiled) for i in at]])
+
+    def _answers(self, codes: np.ndarray) -> np.ndarray:
+        """Answers from `_pair_codes` at each key's deciding pair; keys
+        answered only by a stash entry count as stash hits."""
+        rescued = np.count_nonzero(codes == 2)
+        if rescued and obs.state.enabled:
+            _STASH_HITS.labels(kind=self.kind).inc(int(rescued))
+        return codes != 0
 
     def _single_pair_query_many(
         self,

@@ -14,14 +14,13 @@ predicate ``A1 = a1 AND A2 = a2'`` is a guaranteed false positive.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-import numpy as np
-
-from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.attributes import AttributeSchema
+from repro.ccf.base import CellIndex, ConditionalCuckooFilterBase
 from repro.ccf.entries import BloomEntry
+from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
-from repro.sketches.bloom import BatchProbe, BloomFilter
 
 
 class BloomCCF(ConditionalCuckooFilterBase):
@@ -31,6 +30,10 @@ class BloomCCF(ConditionalCuckooFilterBase):
 
     #: Bloom entries sketch raw (index, value) pairs, not fingerprint vectors.
     _needs_avec = False
+
+    def __init__(self, schema: AttributeSchema, num_buckets: int, params: CCFParams) -> None:
+        super().__init__(schema, num_buckets, params)
+        self._init_sketches(params.bloom_bits, params.bloom_hashes)
 
     def _insert_cells(
         self,
@@ -55,9 +58,7 @@ class BloomCCF(ConditionalCuckooFilterBase):
         entries = self._cell(index, left, right, fingerprint)
         fresh = not entries
         if fresh:
-            params = self.params
-            bloom = BloomFilter(params.bloom_bits, params.bloom_hashes, seed=self._bloom_salt)
-            entries.append(BloomEntry(fingerprint, bloom))
+            entries.append(BloomEntry(fingerprint, self._new_sketch()))
         entry = entries[0]
         entry.add_attributes(values)
         self._row_sketch = entry.bloom
@@ -67,31 +68,6 @@ class BloomCCF(ConditionalCuckooFilterBase):
         """Rows merge by fingerprint, so a cell holds at most one entry: the
         live object, which kicks and stashing carry along."""
         return entries
-
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
-        """Batch specialisation: hash the predicate once, test bits in bulk.
-
-        Every per-entry Bloom sketch shares (bloom_bits, bloom_hashes, salt),
-        so each admissible (attribute, value) pair probes the same bit
-        positions in every entry; a :class:`BatchProbe` turns them into bit
-        masks once and tests all entries' live bits in one pass.  Answers
-        equal `_entry_matches` per entry.
-        """
-        probe = BatchProbe(
-            self.params.bloom_bits,
-            self.params.bloom_hashes,
-            self._bloom_salt,
-            [
-                [(attr_index, value) for value in values]
-                for attr_index, values, _fps in compiled.constraints
-            ],
-        )
-
-        def matches(entries: list[Any]) -> np.ndarray:
-            matching = np.fromiter((e.matching for e in entries), dtype=bool, count=len(entries))
-            return matching & probe.matches([e.bloom for e in entries])
-
-        return matches
 
     def slot_bits(self) -> int:
         """|κ| + per-entry Bloom payload."""

@@ -1,4 +1,4 @@
-"""Pair geometry and the chained pair walk (§4.2, §6.2).
+"""Pair geometry, the chained pair walk and its directory (§4.2, §6.2).
 
 :class:`PairGeometry` is the cuckoo layer's
 :class:`~repro.cuckoo.geometry.BucketGeometry` — the home-bucket hash, the
@@ -15,16 +15,20 @@ reproduce that with a deterministic retry counter mixed into the chain hash —
 the same resolution is replayed identically at insert and query time, which
 is the property Lemma 2's correctness argument needs.
 
-:meth:`PairGeometry.walk_many` is the batch form of the query-side walk
-(Algorithm 5): every unresolved key of a batch moves one bucket pair forward
-per round, under the same cycle and walk-limit rules as the scalar walk,
-with the caller supplying what counts as a hit in a pair.  A pair's stashed
-entries count as its slots (DESIGN.md §1).
+A walk depends only on its first pair and the fingerprint, so the geometry
+keeps a *chain directory*: per (first pair id, fingerprint), the pairs of
+the walk found so far (:class:`Chain`).  Bulk inserts and
+:meth:`PairGeometry.walk_many`, the batch form of the query-side walk
+(Algorithm 5), read and extend it; the batch walk probes every known pair
+of each walking key in one pass, with the caller supplying what counts as
+a hit in a pair.  A pair's stashed entries count as its slots (DESIGN.md
+§1).  The scalar `pair_walk` and `walk_one` stay as the reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import threading
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,29 +41,35 @@ from repro.hashing.mixers import derive_seed, mix64, mix64_many
 #: already visited, before giving up on extending the chain.
 CYCLE_BUMP_LIMIT = 16
 
-#: Walk length at which `PairGeometry.walk_many` stops scanning each key's
-#: visited pairs and moves them to a hash set.  Up to here a scan takes less
-#: time per hop than the set for 4 to 500 walking keys (DESIGN.md §5), and
-#: join probes walk at most 21 pairs; a scan's cost grows with the walk.
-SCAN_PAIRS = 64
-
 # Odd 64-bit multipliers decorrelating the chain-step inputs (SplitMix64 /
 # Murmur finalizer constants).
 _CHAIN_FP_MULT = 0x9E3779B97F4A7C15
 _CHAIN_BUMP_MULT = 0xBF58476D1CE4E5B9
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# The golden-ratio multiplier as a wrapping int64.
-_FIB_MULT = np.int64(_CHAIN_FP_MULT - (1 << 64))
+
+# Extending a chain appends to it; walks of one geometry in several threads
+# (a filter and its marked view, say) must not interleave their appends.
+# One lock for every geometry keeps geometries picklable; extensions are
+# rare once a directory is warm.
+_EXTEND_LOCK = threading.Lock()
 
 
 class PairGeometry(BucketGeometry):
-    """Bucket geometry plus the one-way chain step of chained CCFs."""
+    """Bucket geometry plus the one-way chain step of chained CCFs, and the
+    directory of the chains walked so far (DESIGN.md §5).
 
-    __slots__ = ("_chain_salt",)
+    A directory entry is a pure function of the geometry, and entries are
+    made only for first cells that hold ``d`` copies (a walk or an insert
+    went past them), so the directory holds at most one entry per such
+    cell of the filters sharing the geometry and evicts nothing.
+    """
+
+    __slots__ = ("_chain_salt", "_chains")
 
     def __init__(self, num_buckets: int, key_bits: int, seed: int = 0) -> None:
         super().__init__(num_buckets, key_bits, seed)
         self._chain_salt = derive_seed(seed, "geom-chain")
+        self._chains: dict[tuple[int, int], Chain] = {}
 
     def chain_step(self, pair_id: int, fingerprint: int, bump: int = 0) -> int:
         """One-way chain hash ``h(min(l, l'), κ)`` with a cycle-retry bump.
@@ -152,148 +162,193 @@ class PairGeometry(BucketGeometry):
         limit: int,
         pair_hit: Callable[..., np.ndarray],
     ) -> np.ndarray:
-        """Batch query walk (Algorithm 5), one bucket pair per round.
+        """Batch query walk (Algorithm 5) over the chain directory.
 
-        Every key starts at its first pair ``(home, alt)``.  Each round
-        probes the current pair of every walking key with one `pair_eq`
-        over ``buckets`` and one `Stash.match` over ``stash`` and asks
-        ``pair_hit(lefts, rights, eq, rows, at)`` whether the pair holds a
-        qualifying copy (``eq`` is the ``(k, 2, b)`` fingerprint-equality
-        mask, ``rows``/``at`` the pair's stashed copies).  A hit answers
-        True.  Otherwise a key walks on while its pair holds exactly
-        ``max_dupes`` copies, and answers False if not.  Walks that reach
-        ``limit`` pairs, or whose next pair cannot be found within
-        :data:`CYCLE_BUMP_LIMIT` bumps, answer True (Theorem 3).
-        The pair sequence is :meth:`pair_walk`'s, so answers equal the
-        scalar walk's key by key.
+        A *probe pass* is one `pair_eq` over ``buckets``, one `Stash.match`
+        over ``stash`` and one ``pair_hit(lefts, rights, eq, rows, at)``
+        call, which returns per pair a value that is nonzero where the pair
+        holds a qualifying copy (``eq`` is the ``(k, 2, b)``
+        fingerprint-equality mask, ``rows``/``at`` the pair's stashed
+        copies).  The first pass probes every key's first pair ``(home,
+        alt)``.  A key whose first pair does not hit but holds exactly
+        ``max_dupes`` copies walks on along its chain, the directory entry
+        of its first cell (`chain`): one more pass probes every known pair
+        of every walking chain, and a chain is decided at the first of
+        them that hits or holds another number of copies.  A chain whose
+        known pairs are all ``d``-full is extended (`extend`) by 1, 2, 4,
+        ... pairs and probed again, until it is decided, reaches ``limit``
+        pairs or ends.
 
-        Each key's visited pair ids sit in one row of a matrix that every
-        hop scans, until the walks reach :data:`SCAN_PAIRS` pairs; from
-        then on they sit in a hash set of (batch position, pair id) codes,
-        so a hop costs O(1) however long the walk.
+        Each key gets ``pair_hit``'s value at its deciding pair, 0 at a
+        pair below ``max_dupes`` copies, and 1 where its walk reaches
+        ``limit`` pairs or cannot be extended (Theorem 3).  The pairs are
+        `pair_walk`'s, so answers equal the scalar walk's key by key; pairs
+        past a deciding pair may be probed but never decide.
         """
-        out = np.ones(len(fps), dtype=bool)
-        index = np.arange(len(fps))
-        lefts, rights = homes, alts
-        jumps = lefts ^ rights
-        pair_ids = np.minimum(lefts, rights)
-        visited = pair_ids[:, None]
-        far = None  # the _CodeSet, once walks are long
-        walked = 0
-        while index.size:
-            eq = buckets.pair_eq(fps, lefts, rights)
-            copies = eq[:, 0].sum(axis=1)
-            copies += np.where(lefts == rights, 0, eq[:, 1].sum(axis=1))
-            rows, at = stash.match(fps, lefts, rights)
-            if rows.size:
-                copies += np.bincount(rows, minlength=len(copies))
-            hit = pair_hit(lefts, rights, eq, rows, at)
-            walk_on = ~hit & (copies == max_dupes)
-            out[index[~hit & ~walk_on]] = False
-            walked += 1
-            if walked >= limit:
-                break
-            keep = np.nonzero(walk_on)[0]
-            if far is None:
-                rows = visited[keep]
-
-                def revisits(at, ids):
-                    return (rows[at] == ids[:, None]).any(axis=1)
-
-            else:
-                codes = index[keep] * self.num_buckets
-
-                def revisits(at, ids):
-                    return ~far.add_new(codes[at] + ids)
-
-            lefts, pair_ids, fresh = self._next_pairs(
-                pair_ids[keep], fps[keep], jumps[keep], revisits
+        value, walk_on = _probe(buckets, stash, fps, homes, alts, max_dupes, pair_hit)
+        out = value.copy()
+        out[walk_on] = 1
+        index = np.flatnonzero(walk_on)
+        if not index.size or limit <= 1:
+            return out
+        cells: dict[tuple[int, int], int] = {}  # first cell -> its chain's position
+        firsts = zip(np.minimum(homes[index], alts[index]).tolist(), fps[index].tolist())
+        owner = np.fromiter(
+            (cells.setdefault(cell, len(cells)) for cell in firsts), dtype=np.int64, count=len(index)
+        )
+        chains = [self.chain(pair_id, fp) for pair_id, fp in cells]
+        answers = np.ones(len(chains), dtype=out.dtype)
+        start = [1] * len(chains)  # each chain's first pair not yet probed
+        grow = [1] * len(chains)  # pairs its next extension adds, doubling
+        pending = list(range(len(chains)))
+        while pending:
+            short = [i for i in pending if start[i] == len(chains[i].lefts)]
+            if short:
+                self.extend(
+                    [chains[i] for i in short],
+                    [min(limit, start[i] + grow[i]) for i in short],
+                )
+            for i in short:
+                grow[i] *= 2
+            spans = [(i, start[i], min(len(chains[i].lefts), limit)) for i in pending]
+            spans = [(i, begin, end) for i, begin, end in spans if begin < end]
+            if not spans:
+                break  # every pending walk reached the limit or its end
+            lefts = np.array(
+                [left for i, begin, end in spans for left in chains[i].lefts[begin:end]],
+                dtype=np.int64,
             )
-            keep = keep[fresh]
-            lefts, pair_ids = lefts[fresh], pair_ids[fresh]
-            index, fps, jumps = index[keep], fps[keep], jumps[keep]
-            rights = lefts ^ jumps
-            if far is None:
-                visited = np.concatenate([rows[fresh], pair_ids[:, None]], axis=1)
-                if visited.shape[1] == SCAN_PAIRS:
-                    far = _CodeSet()
-                    far.add_new((index[:, None] * self.num_buckets + visited).ravel())
+            span = np.repeat(np.arange(len(spans)), [end - begin for _, begin, end in spans])
+            chain_fps = np.array([chains[i].fp for i, _, _ in spans], dtype=np.int64)[span]
+            jumps = np.array([chains[i].jump for i, _, _ in spans], dtype=np.int64)[span]
+            value, walk_on = _probe(
+                buckets, stash, chain_fps, lefts, lefts ^ jumps, max_dupes, pair_hit
+            )
+            stops = np.flatnonzero(~walk_on)
+            decided, first = np.unique(span[stops], return_index=True)
+            positions = np.array([i for i, _, _ in spans], dtype=np.int64)
+            answers[positions[decided]] = value[stops[first]]
+            done = set(decided.tolist())
+            pending = []
+            for at, (i, _begin, end) in enumerate(spans):
+                if at not in done and end < limit:
+                    start[i] = end
+                    pending.append(i)
+        out[index] = answers[owner]
         return out
 
-    def _next_pairs(
-        self,
-        pair_ids: np.ndarray,
-        fps: np.ndarray,
-        jumps: np.ndarray,
-        revisits: Callable[[np.ndarray | slice, np.ndarray], np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One batch step of :meth:`pair_walk` past each key's visited pairs.
+    # ------------------------------------------------------------------
+    # The chain directory
+    # ------------------------------------------------------------------
 
-        Returns ``(lefts, pair ids, fresh)`` of the next pairs.  The chain
-        step is bumped while ``revisits(keys, pair ids)`` says it landed on
-        a pair that key has visited; ``fresh`` is False where no unvisited
-        pair turned up within :data:`CYCLE_BUMP_LIMIT` bumps, which ends
-        that walk.
+    def chain(self, pair_id: int, fingerprint: int) -> "Chain":
+        """The directory entry of the chain whose first pair is ``pair_id``
+        for ``fingerprint``, created with that pair alone."""
+        key = (pair_id, fingerprint)
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = Chain(pair_id, fingerprint, self.fp_jump(fingerprint))
+        return chain
+
+    def chain_pair(self, pair_id: int, fingerprint: int, step: int) -> tuple[int, int] | None:
+        """Pair ``step`` (0 is the first) of the chain whose first pair is
+        ``pair_id``, as `pair_walk` yields it; None past the walk's end."""
+        chain = self.chain(pair_id, fingerprint)
+        if step >= len(chain.lefts):
+            self.extend([chain], [step + 1])
+            if step >= len(chain.lefts):
+                return None
+        left = chain.lefts[step]
+        return left, left ^ chain.jump
+
+    def extend(self, chains: Sequence["Chain"], sizes: Sequence[int]) -> None:
+        """Extend each chain to ``sizes`` pairs, or to the end of its walk.
+
+        `pair_walk`'s step for every chain at once: the chain hash of the
+        chain's last pair id, bumped while it lands on a pair the chain
+        holds, up to :data:`CYCLE_BUMP_LIMIT` bumps, after which the chain
+        has ended.  Several chains hash in one `chain_step_many` call per
+        step and bump; a single chain hashes through `chain_step`.
         """
-        lefts = self.chain_step_many(pair_ids, fps)
-        next_ids = np.minimum(lefts, lefts ^ jumps)
-        cycling = np.nonzero(revisits(slice(None), next_ids))[0]
-        bump = 0
-        while cycling.size and bump < CYCLE_BUMP_LIMIT:
-            bump += 1
-            step = self.chain_step_many(pair_ids[cycling], fps[cycling], bump)
-            step_ids = np.minimum(step, step ^ jumps[cycling])
-            lefts[cycling] = step
-            next_ids[cycling] = step_ids
-            cycling = cycling[revisits(cycling, step_ids)]
-        fresh = np.ones(len(lefts), dtype=bool)
-        fresh[cycling] = False
-        return lefts, next_ids, fresh
+        with _EXTEND_LOCK:
+            self._extend(chains, sizes)
+
+    def _extend(self, chains: Sequence["Chain"], sizes: Sequence[int]) -> None:
+        todo: dict[Chain, int] = {}  # each chain once, at its largest size
+        for chain, size in zip(chains, sizes):
+            todo[chain] = max(size, todo.get(chain, 0))
+        while todo := {c: s for c, s in todo.items() if len(c.lefts) < s and not c.ended}:
+            stepping = list(todo)
+            bump = 0
+            while stepping:
+                lefts = self._chain_steps(stepping, bump)
+                cycling = []
+                for chain, left in zip(stepping, lefts):
+                    pair_id = min(left, left ^ chain.jump)
+                    if pair_id in chain.seen:
+                        cycling.append(chain)
+                    else:
+                        chain.lefts.append(left)
+                        chain.seen.add(pair_id)
+                        chain.last = pair_id
+                bump += 1
+                if bump > CYCLE_BUMP_LIMIT:
+                    for chain in cycling:
+                        chain.ended = True
+                    break
+                stepping = cycling
+
+    def _chain_steps(self, chains: list["Chain"], bump: int) -> list[int]:
+        """`chain_step` from each chain's last pair id, with one ``bump``."""
+        if len(chains) == 1:
+            return [self.chain_step(chains[0].last, chains[0].fp, bump)]
+        pair_ids = np.array([chain.last for chain in chains], dtype=np.int64)
+        fps = np.array([chain.fp for chain in chains], dtype=np.int64)
+        return self.chain_step_many(pair_ids, fps, bump).tolist()
 
 
-class _CodeSet:
-    """Insert-only hash set of non-negative int64 codes, batch at a time.
+class Chain:
+    """One entry of a `PairGeometry`'s chain directory (DESIGN.md §5).
 
-    Open addressing with linear probing, Fibonacci hashing and a load of at
-    most one half, so `add_new` costs O(1) expected numpy work per code.
+    The pairs `pair_walk` yields for one (first pair id, fingerprint), as
+    far as they have been found: ``lefts`` holds each pair's first bucket
+    (the first pair's is its id, the smaller bucket), the partner being
+    ``left ^ jump``; ``seen`` holds their pair ids and ``last`` the newest
+    one; ``ended`` says that no further pair exists.
     """
 
-    __slots__ = ("_table", "_bits", "_bound")
+    __slots__ = ("fp", "jump", "lefts", "seen", "last", "ended")
 
-    def __init__(self) -> None:
-        self._table = np.empty(0, dtype=np.int64)
-        self._bits = 0
-        self._bound = 0  # codes held, at most
+    def __init__(self, pair_id: int, fingerprint: int, jump: int) -> None:
+        self.fp = fingerprint
+        self.jump = jump
+        self.lefts = [pair_id]
+        self.seen = {pair_id}
+        self.last = pair_id
+        self.ended = False
 
-    def add_new(self, codes: np.ndarray) -> np.ndarray:
-        """Insert distinct ``codes``; True where a code was not yet present."""
-        self._bound += len(codes)
-        if 2 * self._bound > len(self._table):
-            held = self._table[self._table >= 0]
-            self._bound = len(held) + len(codes)
-            self._bits = max(6, (2 * self._bound).bit_length())
-            self._table = np.full(1 << self._bits, -1, dtype=np.int64)
-            if held.size:
-                self._insert(held, self._slots(held))
-        return self._insert(codes, self._slots(codes))
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        end = ", ended" if self.ended else ""
+        return f"Chain(fp={self.fp:#x}, pairs={len(self.lefts)}{end})"
 
-    def _slots(self, codes: np.ndarray) -> np.ndarray:
-        # Fibonacci hashing: the top bits of code * 2**64 / golden ratio, in
-        # int64 (wrapping multiply; the mask drops the shift's sign bits).
-        return ((codes * _FIB_MULT) >> (64 - self._bits)) & ((1 << self._bits) - 1)
 
-    def _insert(self, codes: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Insert-if-absent, probing from ``slots`` on; True where inserted."""
-        table = self._table
-        held = table[slots]
-        fresh = held < 0
-        table[slots[fresh]] = codes[fresh]  # of several claimants of a slot, one wins
-        fresh &= table[slots] == codes
-        if fresh.all():
-            return fresh
-        # Lost claims and slots holding other codes probe the next slot; at
-        # load <= 1/2 the recursion is as deep as the longest probe run.
-        clash = np.nonzero(~fresh & (held != codes))[0]
-        if clash.size:
-            fresh[clash] = self._insert(codes[clash], (slots[clash] + 1) & (len(table) - 1))
-        return fresh
+def _probe(
+    buckets: SlotMatrix,
+    stash: Stash,
+    fps: np.ndarray,
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    max_dupes: int,
+    pair_hit: Callable[..., np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One probe pass over pairs ``(lefts, rights)``: ``pair_hit``'s value
+    per pair, and where the walk goes on (no hit, exactly ``max_dupes``
+    copies, stashed copies included)."""
+    eq = buckets.pair_eq(fps, lefts, rights)
+    copies = eq[:, 0].sum(axis=1)
+    copies += np.where(lefts == rights, 0, eq[:, 1].sum(axis=1))
+    rows, at = stash.match(fps, lefts, rights)
+    if rows.size:
+        copies += np.bincount(rows, minlength=len(copies))
+    value = pair_hit(lefts, rights, eq, rows, at)
+    return value, (value == 0) & (copies == max_dupes)

@@ -60,7 +60,7 @@ class ChainedCCF(ConditionalCuckooFilterBase):
                 copies.append(avec)
                 return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
             walked += 1
-            step = self._chain_step(index, first, home, walked) if walked < limit else None
+            step = self._chain_step(index, first, walked) if walked < limit else None
             if step is None:
                 # Chain cap reached (or no fresh pair) with every pair d-full:
                 # the row is discarded, Theorem 3's query fallback keeps it a
@@ -70,25 +70,22 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             left, right, copies = step
 
     def _chain_step(
-        self, index: CellIndex, first: tuple[int, int], home: int, step: int
+        self, index: CellIndex, first: tuple[int, int], step: int
     ) -> tuple[int, int, list[tuple[int, ...]]] | None:
-        """Pair ``step`` of `pair_walk(home, fingerprint)` with its cell, for
-        a chain whose first cell is ``first``; None past the walk's end.
-        Past its first pair the walk depends only on that pair and the
-        fingerprint, so a batch computes those pairs once per first cell, as
-        far as its rows walk."""
-        walk = index.walks.get(first)
-        if walk is None:
-            rest = self.geometry.pair_walk(home, first[0])
-            next(rest)
-            walk = index.walks[first] = ([], rest)
-        steps, rest = walk
-        if step > len(steps):
-            pair = next(rest, None)
+        """Pair ``step`` of the chain whose first cell is ``first``, with
+        its cell; None past the walk's end.  The pairs come from the
+        geometry's chain directory (`PairGeometry.chain_pair`), their cells
+        from ``index.walks``, filled as far as the batch's rows walk."""
+        cells = index.walks.get(first)
+        if cells is None:
+            cells = index.walks[first] = []
+        if step > len(cells):
+            fingerprint, pair_id = first
+            pair = self.geometry.chain_pair(pair_id, fingerprint, step)
             if pair is None:
                 return None
-            steps.append((*pair, self._cell(index, *pair, first[0])))
-        return steps[step - 1]
+            cells.append((*pair, self._cell(index, *pair, fingerprint)))
+        return cells[step - 1]
 
     def _query_hashed(
         self, fingerprint: int, home: int, compiled: CompiledQuery | None
@@ -121,23 +118,25 @@ class ChainedCCF(ConditionalCuckooFilterBase):
         one vectorised probe (the shared single-pair kernel).  Predicate
         queries walk their chains in `PairGeometry.walk_many`, where a pair
         hits when it holds an admissible copy, stashed copies of the pair
-        included.
+        included; a key counts as a stash hit only at its deciding pair.
         """
         if compiled is None:
             return self._single_pair_query_many(fps, homes, None, alts)
         if alts is None:
             alts = self.geometry.alt_indices_many(homes, fps)
-        return self.geometry.walk_many(
-            self.buckets,
-            self.stash,
-            fps,
-            homes,
-            alts,
-            max_dupes=self.params.max_dupes,
-            limit=self._walk_limit(),
-            pair_hit=lambda lefts, rights, eq, rows, at: self._pair_hits(
-                lefts, rights, eq, rows, at, compiled
-            ),
+        return self._answers(
+            self.geometry.walk_many(
+                self.buckets,
+                self.stash,
+                fps,
+                homes,
+                alts,
+                max_dupes=self.params.max_dupes,
+                limit=self._walk_limit(),
+                pair_hit=lambda lefts, rights, eq, rows, at: self._pair_codes(
+                    lefts, rights, eq, rows, at, compiled
+                ),
+            )
         )
 
     def chain_length(self, key: object) -> int:

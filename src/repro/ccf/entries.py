@@ -18,6 +18,12 @@ Three entry shapes exist across the CCF variants:
 Every entry carries a ``matching`` flag, normally True.  Predicate-only
 extraction from a chained CCF (§6.2) cannot erase non-matching entries —
 that would break chain-walk termination counts — so it marks them instead.
+
+A Bloom entry's or converted group's sketch, ``bloom``, keeps its bits as
+one row of its CCF's sketch rows (DESIGN.md §6), which batch probes test
+by row index; a :class:`GroupSlot` exposes its group's.  Such an entry's
+``matching`` flag is its sketch's row flag, so batch probes read it with
+the bits.
 """
 
 from __future__ import annotations
@@ -49,12 +55,21 @@ class VectorEntry:
 class BloomEntry:
     """A key fingerprint with a per-entry Bloom attribute sketch."""
 
-    __slots__ = ("fp", "bloom", "matching")
+    __slots__ = ("fp", "bloom")
 
     def __init__(self, fp: int, bloom: BloomFilter, matching: bool = True) -> None:
         self.fp = fp
         self.bloom = bloom
         self.matching = matching
+
+    @property
+    def matching(self) -> bool:
+        """Kept as the sketch's row flag."""
+        return self.bloom.flag
+
+    @matching.setter
+    def matching(self, value: bool) -> None:
+        self.bloom.flag = value
 
     def add_attributes(self, values: tuple[Any, ...]) -> None:
         """Insert each (attribute index, raw value) pair into the sketch."""
@@ -74,13 +89,22 @@ class ConvertedGroup:
     -> Bloom bits.
     """
 
-    __slots__ = ("fp", "bloom", "num_slots", "matching")
+    __slots__ = ("fp", "bloom", "num_slots")
 
     def __init__(self, fp: int, bloom: BloomFilter, num_slots: int) -> None:
         self.fp = fp
         self.bloom = bloom
         self.num_slots = num_slots
         self.matching = True
+
+    @property
+    def matching(self) -> bool:
+        """Kept as the sketch's row flag; the group's slots share it."""
+        return self.bloom.flag
+
+    @matching.setter
+    def matching(self, value: bool) -> None:
+        self.bloom.flag = value
 
     def add_vector(self, avec: tuple[int, ...]) -> None:
         """Absorb one attribute fingerprint vector into the group sketch."""
@@ -111,6 +135,11 @@ class GroupSlot:
     def matching(self) -> bool:
         """Groups share one matching flag."""
         return self.group.matching
+
+    @property
+    def bloom(self) -> BloomFilter:
+        """The group's sketch, shared by its slots."""
+        return self.group.bloom
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupSlot({self.group!r})"

@@ -18,15 +18,13 @@ entry size; the Bloom hash count follows Eq. (2)/(3),
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
-import numpy as np
-
-from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
+from repro.ccf.base import CellIndex, ConditionalCuckooFilterBase
 from repro.ccf.entries import ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
-from repro.sketches.bloom import BatchProbe, BloomFilter
+from repro.sketches.bloom import BloomFilter
 
 
 def conversion_num_hashes(attr_bits: int, num_attributes: int, max_dupes: int) -> int:
@@ -60,6 +58,7 @@ class MixedCCF(ConditionalCuckooFilterBase):
         super().__init__(schema, num_buckets, params)
         self.num_conversions = 0
         self.num_absorbed = 0
+        self._init_sketches(self._conversion_bits(), self._conversion_hashes())
 
     # -- conversion sizing -------------------------------------------------
 
@@ -134,8 +133,7 @@ class MixedCCF(ConditionalCuckooFilterBase):
     ) -> ConvertedGroup:
         """Algorithm 3: fold the pair's d vectors (a stashed one becomes a
         stashed group slot) plus ``new_avec`` into a Bloom group."""
-        bloom = BloomFilter(self._conversion_bits(), self._conversion_hashes(), seed=self._bloom_salt)
-        group = ConvertedGroup(fingerprint, bloom, self.params.max_dupes)
+        group = ConvertedGroup(fingerprint, self._new_sketch(), self.params.max_dupes)
         converted = 0
         size = self.buckets.bucket_size
         for bucket in (left, right) if left != right else (left,):
@@ -161,27 +159,6 @@ class MixedCCF(ConditionalCuckooFilterBase):
         group.add_vector(new_avec)
         self.num_conversions += 1
         return group
-
-    def _build_payload_matcher(self, compiled: CompiledQuery) -> Callable[[list[Any]], np.ndarray]:
-        """Batch specialisation: hash converted-group probes once per predicate.
-
-        All conversion Blooms share (bits, hashes, salt), so each admissible
-        (attribute, fingerprint) component probes the same positions in every
-        group; a :class:`BatchProbe` tests all group slots' live bits in one
-        pass.  Answers equal `_entry_matches` per entry.
-        """
-        probe = BatchProbe(
-            self._conversion_bits(),
-            self._conversion_hashes(),
-            self._bloom_salt,
-            [[(attr_index, fp) for fp in fps] for attr_index, _values, fps in compiled.constraints],
-        )
-
-        def matches(entries: list[Any]) -> np.ndarray:
-            matching = np.fromiter((e.matching for e in entries), dtype=bool, count=len(entries))
-            return matching & probe.matches([e.group.bloom for e in entries])
-
-        return matches
 
     def slot_bits(self) -> int:
         """|κ| + |α| + 1 bit flagging vector vs converted-Bloom content."""

@@ -279,12 +279,14 @@ def _write_bloom_payload(writer: BitWriter, bloom: BloomFilter) -> None:
     writer.write_bytes(bloom.payload_bytes())
 
 
-def _read_bloom_payload(
-    reader: BitReader, num_bits: int, num_hashes: int, seed: int
-) -> BloomFilter:
+def _read_bloom_payload(reader: BitReader, ccf: ConditionalCuckooFilterBase) -> BloomFilter:
+    """One payload sketch, read into a new row of ``ccf``'s sketch rows."""
+    rows = ccf._sketch_rows
     num_inserted = _read_varint(reader)
-    payload = reader.read_bytes((num_bits + 7) // 8)
-    return BloomFilter.from_payload(num_bits, num_hashes, seed, payload, num_inserted)
+    payload = reader.read_bytes((rows.num_bits + 7) // 8)
+    return BloomFilter.from_payload(
+        rows.num_bits, ccf._sketch_hashes, ccf._bloom_salt, payload, num_inserted, rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +348,7 @@ def _read_slots(reader, ccf, count, groups) -> tuple:
     payloads: dict[int, Any] = {}
     for index in np.flatnonzero(tags == _BLOOM).tolist():
         fp, matching = reader.read(params.key_bits), reader.read_bool()
-        bloom = _read_bloom_payload(reader, params.bloom_bits, params.bloom_hashes, ccf._bloom_salt)
-        payloads[index] = BloomEntry(fp, bloom, matching)
+        payloads[index] = BloomEntry(fp, _read_bloom_payload(reader, ccf), matching)
     group_slots = np.flatnonzero(tags == _GROUP).tolist()
     for index, group_id in zip(group_slots, reader.read_array(len(group_slots), 32).tolist()):
         payloads[index] = GroupSlot(groups[group_id])
@@ -436,10 +437,7 @@ def _load_ccf(reader: BitReader) -> ConditionalCuckooFilterBase:
         fp = reader.read(params.key_bits)
         num_slots = reader.read(8)
         matching = reader.read_bool()
-        bloom = _read_bloom_payload(
-            reader, ccf._conversion_bits(), ccf._conversion_hashes(), ccf._bloom_salt
-        )
-        group = ConvertedGroup(fp, bloom, num_slots)
+        group = ConvertedGroup(fp, _read_bloom_payload(reader, ccf), num_slots)
         group.matching = matching
         groups.append(group)
 
@@ -452,6 +450,7 @@ def _load_ccf(reader: BitReader) -> ConditionalCuckooFilterBase:
     ccf._flags.ravel()[occupied] = flags[occupied]
     for index, entry in payloads.items():
         ccf.buckets.payloads[index] = entry
+        ccf._payload_rows.ravel()[index] = entry.bloom.row_in(ccf._sketch_rows)
     ccf.buckets.recount()
     ccf._num_payload_slots = len(payloads)
 

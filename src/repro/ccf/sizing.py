@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from repro.ccf.base import first_copies
 from repro.cuckoo.buckets import next_power_of_two
 
 #: Empirical attainable load factors by bucket size for duplicate-heavy data
@@ -54,6 +57,19 @@ def distinct_vector_counts(rows: Iterable[tuple[object, tuple]]) -> Counter:
     for key, attrs in rows:
         per_key.setdefault(key, set()).add(tuple(attrs))
     return Counter({key: len(vectors) for key, vectors in per_key.items()})
+
+
+def distinct_row_counts(keys: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """`distinct_vector_counts`' counts for column-major rows, in key order.
+
+    ``vectors`` holds one attribute fingerprint column per attribute.  The
+    keys are coded densely, and the rows are deduplicated by one
+    `np.unique` over their (key code, vector) identity (`first_copies`),
+    instead of a Python set per key.
+    """
+    codes = np.unique(np.asarray(keys), return_inverse=True)[1].reshape(-1)
+    first = first_copies([codes, *vectors])
+    return np.bincount(codes[first == np.arange(len(codes))])
 
 
 def predicted_entries(

@@ -30,7 +30,7 @@ from repro.ccf.binning import EquiSizeBinner
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In, Predicate, Range, TruePredicate
-from repro.ccf.sizing import distinct_vector_counts, predicted_entries, recommended_num_buckets
+from repro.ccf.sizing import distinct_row_counts, predicted_entries, recommended_num_buckets
 from repro.cuckoo.filter import CuckooFilter
 from repro.data.imdb import IMDBDataset
 from repro.data.relation import Relation
@@ -160,8 +160,8 @@ def build_filter_bundle(
             bundle.ccfs[table] = store
             continue
         fingerprinter = ConditionalCuckooFilterBase.make_fingerprinter(schema, params)
-        counts = distinct_vector_counts(
-            zip(keys.tolist(), fingerprinter.vectors_many(attr_arrays))
+        counts = distinct_row_counts(
+            keys, [fingerprinter.fingerprint_column(i, c) for i, c in enumerate(attr_arrays)]
         )
         predicted = predicted_entries(
             kind, counts, params.max_dupes, params.max_chain, params.bucket_size

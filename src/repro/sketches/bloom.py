@@ -12,8 +12,9 @@ paper sizes the per-entry sketches that way (4-24 bits, 2-4 hashes);
 that start from an (n, target FPR) pair instead.
 
 :class:`BatchProbe` tests one predicate against many same-parameter filters
-at once: the live bits of every filter are gathered into one uint64 matrix
-and compared with per-value bit masks computed once.
+at once: filters made as rows of one :class:`~repro.sketches.bitarray.BitRows`
+(as a CCF's payload sketches are) are gathered as one uint64 matrix by row
+index and compared with per-value bit masks computed once.
 
 Every filter with the same (num_bits, num_hashes, seed) shares one
 :class:`SketchHashing`, so a CCF's thousands of per-entry sketches, which
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.hashing.families import HashFamily
 from repro.hashing.mixers import canonical_bytes
-from repro.sketches.bitarray import BitArray
+from repro.sketches.bitarray import BitArray, BitRows
 
 #: Distinct values one :class:`SketchHashing` memoises; older ones are
 #: evicted first.  A small tuple value and its positions take about 0.2 KiB,
@@ -108,9 +109,17 @@ def shared_hashing(num_bits: int, num_hashes: int, seed: int) -> SketchHashing:
 
 
 class BloomFilter:
-    """A fixed-size Bloom filter for arbitrary hashable values."""
+    """A fixed-size Bloom filter for arbitrary hashable values.
 
-    def __init__(self, num_bits: int, num_hashes: int, seed: int = 0) -> None:
+    Its bits are one row of ``rows`` when given (the one copy, read and
+    written in place), else of a buffer of its own.  The row's ``flag``
+    travels with the bits; the CCFs keep their entries' matching flags
+    there.
+    """
+
+    def __init__(
+        self, num_bits: int, num_hashes: int, seed: int = 0, rows: BitRows | None = None
+    ) -> None:
         if num_bits < 1:
             raise ValueError("a Bloom filter needs at least one bit")
         if num_hashes < 1:
@@ -119,7 +128,7 @@ class BloomFilter:
         self.num_hashes = num_hashes
         self.seed = seed
         self.num_inserted = 0
-        self._bits = BitArray(num_bits)
+        self._bits = BitArray(num_bits, rows)
         self._hashing = shared_hashing(num_bits, num_hashes, seed)
 
     @staticmethod
@@ -163,6 +172,20 @@ class BloomFilter:
     def contains(self, value: object) -> bool:
         """Return True if ``value`` may have been inserted (no false negatives)."""
         return value in self
+
+    @property
+    def flag(self) -> bool:
+        """The flag kept beside the filter's bits (`BitArray.flag`)."""
+        return self._bits.flag
+
+    @flag.setter
+    def flag(self, value: bool) -> None:
+        self._bits.flag = value
+
+    def row_in(self, rows: BitRows) -> int:
+        """The row of ``rows`` holding this filter's bits, moved there first
+        if they live elsewhere (`BitArray.row_in`)."""
+        return self._bits.row_in(rows)
 
     def fill_ratio(self) -> float:
         """Return the fraction of bits set."""
@@ -218,11 +241,18 @@ class BloomFilter:
 
     @classmethod
     def from_payload(
-        cls, num_bits: int, num_hashes: int, seed: int, payload: bytes, num_inserted: int
+        cls,
+        num_bits: int,
+        num_hashes: int,
+        seed: int,
+        payload: bytes,
+        num_inserted: int,
+        rows: BitRows | None = None,
     ) -> "BloomFilter":
-        """Reconstruct a filter from :meth:`payload_bytes` output."""
+        """Reconstruct a filter from :meth:`payload_bytes` output, as a new
+        row of ``rows`` if given."""
         bloom = cls(num_bits, num_hashes, seed)
-        bloom._bits = BitArray.from_bytes(payload, num_bits)
+        bloom._bits = BitArray.from_bytes(payload, num_bits, rows)
         bloom.num_inserted = num_inserted
         return bloom
 
@@ -240,20 +270,19 @@ class BatchProbe:
     admits the probe when, for every conjunct, it contains at least one of
     its values.  Probe positions depend only on (num_bits, num_hashes,
     seed), so each value's positions become one little-endian uint64 bit
-    mask up front; :meth:`matches` then reads the filters' live bits, so
-    in-place inserts are always visible.  Answers equal
-    ``all(any(value in f for value in values) for values in alternatives)``
-    per filter.
+    mask up front; :meth:`matches` then tests filters' live bits, read as
+    rows of a :class:`~repro.sketches.bitarray.BitRows` word matrix.
+    Answers equal ``all(any(value in f for value in values) for values in
+    alternatives)`` per filter.
     """
 
-    __slots__ = ("num_bits", "masks")
+    __slots__ = ("masks",)
 
     def __init__(
         self, num_bits: int, num_hashes: int, seed: int, alternatives: Sequence[Sequence[object]]
     ) -> None:
         hashing = shared_hashing(num_bits, num_hashes, seed)
         words = (num_bits + 63) // 64
-        self.num_bits = num_bits
         self.masks = []
         for values in alternatives:
             rows = []
@@ -264,15 +293,12 @@ class BatchProbe:
                 rows.append(row)
             self.masks.append(np.array(rows, dtype=np.uint64).reshape(len(rows), words))
 
-    def matches(self, filters: Sequence[BloomFilter]) -> np.ndarray:
-        """Per filter: does it admit every conjunct?  (bool array)"""
-        nbytes = (self.num_bits + 7) // 8
-        words = (self.num_bits + 63) // 64
-        raw = np.frombuffer(b"".join([f._bits._buf for f in filters]), dtype=np.uint8)
-        padded = np.zeros((len(filters), 8 * words), dtype=np.uint8)
-        padded[:, :nbytes] = raw.reshape(len(filters), nbytes)
-        bits = padded.view("<u8")[:, None, :]
-        ok = np.ones(len(filters), dtype=bool)
+    def matches(self, words: np.ndarray) -> np.ndarray:
+        """Per row of an ``(n, words)`` uint64 matrix of filter bits (rows
+        of `BitRows.words` whose stride is the masks' words): does it admit
+        every conjunct?  (bool array)"""
+        bits = words[:, None, :]
+        ok = np.ones(len(words), dtype=bool)
         for masks in self.masks:
             ok &= ((bits & masks) == masks).all(axis=2).any(axis=1)
         return ok

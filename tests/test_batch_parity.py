@@ -30,6 +30,7 @@ from repro.cuckoo.multiset import MultisetCuckooFilter
 from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
 from tests.conftest import TINY_PREDICATES, tiny_chained_ccfs
+from tests.test_bloom import fresh_bits
 
 SCHEMA = AttributeSchema(["color", "size"])
 COLORS = ("red", "green", "blue")
@@ -557,3 +558,95 @@ def test_insert_many_validates_columns():
         ccf.insert_many([1, 2], [["red", "blue"]])  # missing a column
     with pytest.raises(ValueError):
         ccf.insert_many([1, 2], [["red"], [3, 4]])  # ragged column
+
+
+def _payload_rows_agree(ccf):
+    """Every payload slot's row id names its sketch's row, and every other
+    slot's is -1."""
+    rows = ccf._payload_rows.ravel()
+    for index, entry in enumerate(ccf.buckets.payloads):
+        if entry is None:
+            assert rows[index] == -1
+        else:
+            assert rows[index] == entry.bloom.row_in(ccf._sketch_rows)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["bloom", "mixed"])
+def test_payload_rows_survive_the_wire_and_stashing(kind):
+    """Overloaded tables stash Bloom entries and group slots; their
+    sketches keep their bits, a reload rebuilds every row id, the bytes
+    round-trip unchanged, and batch probes equal the scalar loop on the
+    original and the reloaded filter."""
+    from repro.ccf.serialize import loads
+
+    params = _params(4).replace(bloom_bits=40, bloom_hashes=2, max_kicks=8)
+    ccf = make_ccf(kind, SCHEMA, 8, params)
+    rng = random.Random(5)
+    rows = [(rng.randrange(90), rng.choice(COLORS), rng.randrange(30)) for _ in range(300)]
+    ccf.insert_many(
+        [k for k, _c, _s in rows], [[c for _k, c, _s in rows], [s for _k, _c, s in rows]]
+    )
+    assert any(not isinstance(entry, VectorEntry) for entry in ccf.stash.items)
+    if kind == "bloom":
+        # Each stashed entry's bits are its (fingerprint, pair)'s rows, hashed
+        # afresh.
+        values: dict[tuple[int, int], list] = {}
+        for key, color, size in rows:
+            fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
+            pair = ccf.geometry.pair_id(home, fp)
+            values.setdefault((fp, pair), []).extend([(0, color), (1, size)])
+        for fp, pair, entry in ccf.stash:
+            want = fresh_bits(params.bloom_bits, params.bloom_hashes, ccf._bloom_salt, values[fp, pair])
+            assert entry.bloom.payload_bytes() == want.to_bytes()
+    reloaded = loads(dumps(ccf))
+    assert dumps(reloaded) == dumps(ccf)
+    probes = np.arange(100)
+    for twin in (ccf, reloaded):
+        _payload_rows_agree(twin)
+        for predicate in SKETCH_PREDICATES:
+            compiled = twin.compile(predicate)
+            want = [twin.query(int(key), compiled) for key in probes.tolist()]
+            assert twin.query_many(probes, compiled).tolist() == want
+
+
+def test_a_bloom_entry_built_elsewhere_keeps_its_bits():
+    """An entry whose sketch was filled outside the CCF moves its bits into
+    the CCF's sketch rows when placed, and is matched from there."""
+    from repro.ccf.entries import BloomEntry
+    from repro.sketches.bloom import BloomFilter
+
+    params = _params(1).replace(bloom_bits=24, bloom_hashes=3)
+    ccf = make_ccf("bloom", SCHEMA, 16, params)
+    ccf.insert(1, ("blue", 2))
+    bloom = BloomFilter(params.bloom_bits, params.bloom_hashes, ccf._bloom_salt)
+    entry = BloomEntry(ccf.fingerprint_of(9), bloom)
+    entry.add_attributes(("red", 4))
+    before = bloom.payload_bytes()
+    home = ccf.home_index(9)
+    assert ccf._place_in_pair(home, ccf.alt_index(home, entry.fp), entry)
+    assert entry.bloom.payload_bytes() == before
+    _payload_rows_agree(ccf)
+    assert ccf.query_many([9], ccf.compile(Eq("color", "red"))).tolist() == [True]
+    assert ccf.query_many([9], ccf.compile(Eq("color", "green"))).tolist() == [False]
+
+
+@pytest.mark.parametrize("kind", ["bloom", "mixed"])
+def test_sketch_rows_grow_between_batch_probes(kind):
+    """Rows are added one insert at a time between batch probes, so the
+    sketch rows grow while earlier entries hold rows and after the probe
+    has gathered from them; answers follow the scalar loop throughout."""
+    params = _params(3).replace(max_dupes=1)
+    ccf = make_ccf(kind, SCHEMA, 128, params)
+    rng = random.Random(11)
+    probes = np.arange(80)
+    compiled = ccf.compile(In("size", (2, 3, 5, 7)))
+    sizes = []
+    for step in range(240):
+        ccf.insert(rng.randrange(80), (rng.choice(COLORS), rng.randrange(12)))
+        if step % 20 == 19:
+            sizes.append(len(ccf._sketch_rows.buf))
+            want = [ccf.query(int(key), compiled) for key in probes.tolist()]
+            assert ccf.query_many(probes, compiled).tolist() == want
+    assert len(set(sizes)) > 2  # the buffer grew several times
+    _payload_rows_agree(ccf)

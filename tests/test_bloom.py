@@ -12,7 +12,7 @@ from repro.ccf.attributes import AttributeSchema
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.hashing.families import HashFamily
-from repro.sketches.bitarray import BitArray
+from repro.sketches.bitarray import BitArray, BitRows
 from repro.sketches.bloom import (
     HASHING_STATES_LIMIT,
     BatchProbe,
@@ -80,7 +80,7 @@ class TestBasics:
 
 class TestBulkSet:
     """`BitArray.set_many`, which `BloomFilter.add` writes its positions
-    through."""
+    through, into the filter's row."""
 
     @given(
         num_bits=st.integers(min_value=1, max_value=70),
@@ -202,23 +202,74 @@ class TestBatchProbe:
     )
     def test_matches_scalar_membership(self, num_bits, num_hashes, stored, alternatives):
         """Live bits against precomputed masks, over one- and two-word
-        filters: equal to testing each value with ``in``."""
+        filters kept as rows of one buffer: equal to testing each value
+        with ``in``."""
+        rows = BitRows(num_bits, stride=8 * ((num_bits + 63) // 64))
         filters = []
         for values in stored:
-            bloom = BloomFilter(num_bits, num_hashes, seed=5)
+            bloom = BloomFilter(num_bits, num_hashes, seed=5, rows=rows)
             for value in values:
                 bloom.add(value)
             filters.append(bloom)
         probe = BatchProbe(num_bits, num_hashes, 5, alternatives)
         want = [all(any(v in f for v in values) for values in alternatives) for f in filters]
-        assert probe.matches(filters).tolist() == want
+        words = rows.words()[[f.row_in(rows) for f in filters]]
+        assert probe.matches(words).tolist() == want
 
     def test_sees_inserts_after_construction(self):
-        bloom = BloomFilter(40, 3, seed=2)
+        rows = BitRows(40, stride=8)
+        bloom = BloomFilter(40, 3, seed=2, rows=rows)
         probe = BatchProbe(40, 3, 2, [["late"]])
-        assert not probe.matches([bloom])[0]
+        assert not probe.matches(rows.words()[[0]])[0]
         bloom.add("late")
-        assert probe.matches([bloom])[0]
+        assert probe.matches(rows.words()[[0]])[0]
+
+
+class TestSharedRows:
+    """Bloom filters whose bits are rows of one growing buffer."""
+
+    def test_rows_grow_under_live_filters(self):
+        """Every append past the buffer's room moves all rows to a larger
+        buffer; filters made before keep reading and writing their row."""
+        rows = BitRows(70, stride=16)
+        filters = []
+        for i in range(300):
+            bloom = BloomFilter(70, 3, seed=9, rows=rows)
+            bloom.add(("row", i))
+            filters.append(bloom)
+            filters[i // 2].add(("late", i))
+        for i, bloom in enumerate(filters):
+            assert bloom.row_in(rows) == i
+            assert ("row", i) in bloom
+            assert all(("late", j) in bloom for j in (2 * i, 2 * i + 1) if j < 300)
+            fresh = BloomFilter(70, 3, seed=9)
+            for value in [("row", i)] + [("late", j) for j in (2 * i, 2 * i + 1) if j < 300]:
+                fresh.add(value)
+            assert bloom.payload_bytes() == fresh.payload_bytes()
+            assert rows.words()[i].tobytes()[:9] == fresh.payload_bytes()
+
+    def test_a_filter_made_alone_moves_in_with_its_bits(self):
+        bloom = BloomFilter(24, 2, seed=3)
+        bloom.add("x")
+        rows = BitRows(24, stride=8)
+        BloomFilter(24, 2, seed=3, rows=rows)
+        assert bloom.row_in(rows) == 1 and bloom.row_in(rows) == 1
+        bloom.add("y")
+        assert "x" in bloom and "y" in bloom
+        assert rows.words()[1].tobytes()[:3] == bloom.payload_bytes()
+        with pytest.raises(ValueError):
+            bloom.row_in(BitRows(32, stride=8))
+
+    def test_pickle_keeps_rows_live(self):
+        rows = BitRows(40, stride=8)
+        blooms = [BloomFilter(40, 2, seed=1, rows=rows) for _ in range(3)]
+        blooms[1].add("z")
+        rows.words()  # a cached view must not travel
+        clone_rows, clone = pickle.loads(pickle.dumps((rows, blooms[1])))
+        clone.add("w")
+        assert clone.row_in(clone_rows) == 1
+        assert clone_rows.words()[1].tobytes()[:5] == clone.payload_bytes()
+        assert "w" not in blooms[1]
 
 
 class TestSharedHashing:

@@ -162,6 +162,37 @@ def test_stash_hits_count_keys_only_the_stash_admits(kind):
     assert counters_total(obs.snapshot(), "repro_probe_stash_hits_total") == rescued
 
 
+def test_stash_hits_count_only_at_the_deciding_pair():
+    """A chain walk probes every pair its directory knows in one pass, so
+    it also sees pairs past the one that decides a key.  A stashed copy
+    there that admits the predicate must not count; once the walk reaches
+    its pair, it does."""
+    from repro.ccf.entries import VectorEntry
+    from repro.ccf.factory import make_ccf
+    from repro.ccf.predicates import Eq
+
+    params = CCFParams(key_bits=12, attr_bits=16, bucket_size=4, max_dupes=2, seed=5)
+    ccf = make_ccf("chained", SCHEMA, 256, params)
+    key, fp = 7, ccf.fingerprint_of(7)
+    first = min(ccf.home_index(key), ccf.alt_index(ccf.home_index(key), fp))
+    for size in (1, 2, 3):  # two copies fill the first pair, one goes on
+        ccf.insert(key, ("green", size))
+    third = ccf.geometry.chain_pair(first, fp, 2)
+    # The same fingerprint stashed in the third pair, say by a key whose
+    # chain meets this one there.
+    avec = ccf.fingerprinter.vector(("red", 0))
+    ccf.stash.append(fp, min(third), VectorEntry(fp, avec))
+    compiled = ccf.compile(Eq("color", "red"))
+    obs._reset_for_tests()
+    assert not ccf.query(key, compiled)
+    assert ccf.query_many(np.array([key]), compiled).tolist() == [False]
+    assert counters_total(obs.snapshot(), "repro_probe_stash_hits_total") == 0
+    ccf.insert(key, ("green", 4))  # the second pair is d-full now
+    assert ccf.query(key, compiled)
+    assert ccf.query_many(np.array([key]), compiled).tolist() == [True]
+    assert counters_total(obs.snapshot(), "repro_probe_stash_hits_total") == 1
+
+
 def test_bulk_build_populates_wave_metrics():
     from repro.cuckoo.filter import CuckooFilter
 
