@@ -11,16 +11,17 @@ and the chained variant extends a key to further pairs via the one-way step
 :class:`~repro.cuckoo.geometry.BucketGeometry` plus the chain step — so a
 CCF hashes keys exactly as a cuckoo filter of the same bucket count,
 fingerprint width and seed does; this base class adds storage,
-Algorithm 4's placement, predicate compilation, and entry matching for the
-three entry shapes.
+Algorithm 4's placement, predicate compilation, and slot matching.
 
-Storage is **structure-of-arrays** over a columnar
-:class:`~repro.cuckoo.buckets.SlotMatrix` (DESIGN.md §6): the key
-fingerprint, the attribute fingerprint vector and the matching flag of every
-slot live in typed numpy columns that both the scalar kernels and the batch
-kernels read and write directly, while rich payloads (Bloom entries,
-converted-group slots) occupy a parallel object column; their sketch bits
-live as rows of one growable bit matrix, addressed by a row-id column.
+A slot is nothing but its columns (DESIGN.md §6).  The key fingerprint
+lives in a :class:`~repro.cuckoo.buckets.SlotMatrix`, and the attribute
+fingerprint vector (§5.1) and matching flag of every slot in parallel typed
+numpy columns that both the scalar paths and the batch kernels read and
+write directly.  The Bloom and Mixed variants add a *payload* slot: a
+per-entry Bloom sketch (§5.2) or one of the ``d`` slots a converted group
+owns (§6.1).  Its sketch is a row of one growable bit matrix, which also
+holds the sketch's flag and insert count, and the slot holds its row id in
+one more column.  A stashed entry keeps the same columns in the stash.
 Batch queries probe the live columns — there is no snapshot to rebuild after
 a mutation — and evaluate predicate admissibility only on the slots whose
 fingerprint actually matched: per-attribute lookup tables for vector slots,
@@ -33,7 +34,8 @@ ever relocates an entry between the two buckets of its own pair — the
 structural property from which Lemma 1 follows.  Victim slots come from
 the counter-based victim stream at position `num_kicks`, so a filter
 reloaded with its counters kicks exactly as the one it was saved from.
-An entry it cannot seat is stashed as one more slot of its pair (§1).
+The companion columns follow the kicks along the reported path, and an
+entry it cannot seat is stashed as one more slot of its pair (§1).
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ import numpy as np
 from repro import obs
 from repro.ccf.attributes import AttributeFingerprinter, AttributeSchema
 from repro.ccf.chain import PairGeometry
-from repro.ccf.entries import BloomEntry, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 from repro.cuckoo.buckets import EMPTY, SlotMatrix, dtype_for_bits
 from repro.cuckoo.stash import Stash
 from repro.hashing.mixers import as_native_list, canonical_bytes, coerce_int_column, derive_seed
 from repro.sketches.bitarray import BitRows
-from repro.sketches.bloom import BatchProbe, BloomFilter
+from repro.sketches.bloom import BatchProbe, shared_hashing
 
 #: How many compiled predicates keep a precomputed matcher alive.
 MATCHER_CACHE_SIZE = 8
@@ -292,16 +293,13 @@ class ConditionalCuckooFilterBase:
         self.schema = schema
         self.params = params
         self.geometry = PairGeometry(num_buckets, params.key_bits, seed=params.seed)
-        # Structure-of-arrays slot storage: key fingerprints + payload
-        # objects in the SlotMatrix, attribute fingerprint vectors and
-        # matching flags in parallel typed columns.  Widths adapt to the
-        # declared fingerprint bits (DESIGN.md §9) unless ``params.packed``
-        # asks for the legacy int64 reference layout.
+        # Structure-of-arrays slot storage: key fingerprints in the
+        # SlotMatrix, attribute fingerprint vectors and matching flags in
+        # parallel typed columns.  Widths adapt to the declared fingerprint
+        # bits (DESIGN.md §9) unless ``params.packed`` asks for the legacy
+        # int64 reference layout.
         self.buckets = SlotMatrix(
-            num_buckets,
-            params.bucket_size,
-            with_payloads=True,
-            fp_bits=params.key_bits if params.packed else None,
+            num_buckets, params.bucket_size, fp_bits=params.key_bits if params.packed else None
         )
         if params.packed:
             avec_dtype = dtype_for_bits(params.attr_bits)
@@ -318,11 +316,14 @@ class ConditionalCuckooFilterBase:
             dtype=avec_dtype,
         )
         self._flags = np.ones((num_buckets, params.bucket_size), dtype=bool)
-        self._num_payload_slots = 0
+        #: The attribute vector of a slot that holds none (a payload slot).
+        self._avec_fill = np.full(schema.num_attributes, self._avec_empty, dtype=avec_dtype)
         #: Payload sketches (`_init_sketches`): their bit rows, the rows'
-        #: hash count, and each slot's row id (-1 where no payload).
+        #: hash count and hashing, and each slot's row id (-1 for a vector
+        #: slot); None in the variants without sketches.
         self._sketch_rows: BitRows | None = None
         self._sketch_hashes = 0
+        self._sketch_hashing = None
         self._payload_rows: np.ndarray | None = None
         #: True while the slot columns are adopted read-only (e.g. memmapped
         #: out of a SEG1 segment); the first mutation flips it via
@@ -337,7 +338,8 @@ class ConditionalCuckooFilterBase:
         self.num_rows_discarded = 0
         self.num_kicks = 0
         self.failed = False
-        self.stash = Stash()
+        # A stashed entry keeps its slot's columns (DESIGN.md §1).
+        self.stash = Stash(avecs=self._avec_fill, flags=np.True_, rows=np.int64(-1))
 
     # ------------------------------------------------------------------
     # Geometry delegation (kept on the filter for API convenience)
@@ -373,50 +375,18 @@ class ConditionalCuckooFilterBase:
     # Columnar slot access
     # ------------------------------------------------------------------
 
-    def entry_at(self, bucket: int, slot: int) -> Any:
-        """Materialise the entry stored at (bucket, slot), or None.
-
-        Payload slots return their live object (mutations through it are
-        visible to all probes); vector slots synthesise a
-        :class:`VectorEntry` from the typed columns.
-        """
-        fp = self.buckets.fps[bucket, slot]
-        if fp == self.buckets.empty:
-            return None
-        payloads = self.buckets.payloads
-        # Mapped (segment-backed) filters carry no payload column until a
-        # mutation promotes them; every slot is then a vector slot.
-        payload = None if payloads is None else payloads[bucket * self.buckets.bucket_size + slot]
-        if payload is not None:
-            return payload
-        return VectorEntry(
-            int(fp),
-            tuple(self._avecs[bucket, slot].tolist()),
-            bool(self._flags[bucket, slot]),
-        )
-
-    def iter_entries(self) -> Iterator[tuple[int, int, Any]]:
-        """Yield (bucket, slot, entry) for every occupied slot."""
-        for bucket, slot, _fp, _payload in self.buckets.iter_entries():
-            yield bucket, slot, self.entry_at(bucket, slot)
-
     def _ensure_writable(self) -> None:
         """Copy-on-write promotion of read-only (mapped) slot columns.
 
         A filter opened over memmapped SEG1 columns serves queries zero-copy;
         its first mutation lands here and copies every parallel column — the
         fingerprint matrix and occupancy counts (via ``SlotMatrix.promote``),
-        the attribute-vector and matching-flag columns, and a fresh payload
-        column — to private writable heap arrays.  The segment file is never
-        written through.
+        the attribute-vector and matching-flag columns — to private writable
+        heap arrays.  The segment file is never written through.
         """
         if not self._readonly:
             return
         self.buckets.promote()
-        if self.buckets.payloads is None:
-            self.buckets.payloads = [None] * self.buckets.capacity
-            if self._sketch_rows is not None:
-                self._payload_rows = np.full(self._flags.shape, -1, dtype=np.int64)
         if not self._avecs.flags.writeable:
             self._avecs = np.array(self._avecs)
         if not self._flags.flags.writeable:
@@ -428,8 +398,8 @@ class ConditionalCuckooFilterBase:
 
         Mapped bytes are file-backed ``np.memmap`` columns (paged in on
         demand, evictable by the OS); resident bytes are private heap
-        arrays.  The Python payload column is excluded — it holds live
-        objects, not columnar storage.
+        arrays.  Payload sketches are excluded: the variants that keep them
+        are never mapped.
         """
         mapped = resident = 0
         for column in (self.buckets.fps, self.buckets.counts, self._avecs, self._flags):
@@ -443,89 +413,121 @@ class ConditionalCuckooFilterBase:
         """Keep payload sketches as rows of one bit matrix (DESIGN.md §6).
 
         Every Bloom entry or converted group gets a row of ``num_bits``
-        bits, padded to whole uint64 words, and its :class:`BloomFilter`
-        reads and writes that row in place; `_write_columns` records each
-        payload slot's row id, so a batch probe gathers the matched slots'
-        bits with one index.
+        bits, padded to whole uint64 words, which the matrix's parallel
+        columns give a matching flag and an insert count; each payload slot
+        holds the row id in ``_payload_rows``, so a batch probe gathers the
+        matched slots' bits with one index.  Every sketch hashes through the
+        one :class:`~repro.sketches.bloom.SketchHashing` of (bits, hashes,
+        salt), as a :class:`~repro.sketches.bloom.BloomFilter` of those
+        parameters would.
         """
         self._sketch_rows = BitRows(num_bits, stride=8 * ((num_bits + 63) // 64))
         self._sketch_hashes = num_hashes
+        self._sketch_hashing = shared_hashing(num_bits, num_hashes, self._bloom_salt)
         self._payload_rows = np.full(self._flags.shape, -1, dtype=np.int64)
 
-    def _new_sketch(self) -> BloomFilter:
-        """An empty payload sketch in a new row of the sketch rows."""
-        rows = self._sketch_rows
-        return BloomFilter(rows.num_bits, self._sketch_hashes, self._bloom_salt, rows)
+    def _new_sketch(self) -> int:
+        """An empty payload sketch: a new row of the sketch rows."""
+        return self._sketch_rows.append()
 
-    def _write_columns(self, path: Sequence[tuple[int, int, int]], entry: Any) -> Any:
-        """Write ``entry``'s attribute vector, matching flag and payload at
-        the first slot of ``path``; each displaced entry moves on to the next.
+    def _sketch_add(self, row: int, values: Iterable[Any]) -> None:
+        """Set the bits of each value in sketch ``row`` and count them."""
+        rows = self._sketch_rows
+        buf, at, positions = rows.buf, row * rows.stride, self._sketch_hashing.positions
+        count = 0
+        for value in values:
+            for position in positions(value):
+                buf[at + (position >> 3)] |= 1 << (position & 7)
+            count += 1
+        rows.counts[row] += count
+
+    def _sketch_has(self, row: int, value: Any) -> bool:
+        """Are all of ``value``'s bits set in sketch ``row``?"""
+        rows = self._sketch_rows
+        buf, at = rows.buf, row * rows.stride
+        return all(
+            buf[at + (position >> 3)] >> (position & 7) & 1
+            for position in self._sketch_hashing.positions(value)
+        )
+
+    def _write_columns(
+        self, path: Sequence[tuple[int, int, int]], avec: Sequence[int], row: int = -1
+    ) -> tuple[Any, bool, int] | None:
+        """Write a new entry's attribute vector, matching flag (True) and
+        sketch row id at the first slot of ``path``; each displaced entry's
+        columns move on to the next slot.
 
         The one column write of every placement.  ``path`` lists ``(bucket,
         slot, displaced fingerprint)`` as `SlotMatrix.place` reports it: the
-        key fingerprints there are already written (by the placement, or
-        unchanged for an in-place conversion), so the companion columns
-        follow the same chain, a payload's sketch row id included (a sketch
-        built elsewhere moves into the sketch rows).  Returns the entry
-        pushed out of the last slot, or None if that slot was free.
+        key fingerprints there are already written, so the companion columns
+        follow the same chain.  Returns the ``(avec, flag, row)`` columns of
+        the entry pushed out of the last slot (the new entry's own for an
+        empty path); None if that slot was free.
         """
         self._ensure_writable()
-        avecs, flags, payloads = self._avecs, self._flags, self.buckets.payloads
-        size, empty = self.buckets.bucket_size, self.buckets.empty
+        avecs, flags, rows, empty = self._avecs, self._flags, self._payload_rows, self.buckets.empty
+        flag, pushed = True, (avec, True, row)
         for bucket, slot, displaced in path:
-            at = bucket * size + slot
             pushed = None
             if displaced != empty:
-                pushed = payloads[at]
-                if pushed is None:
-                    pushed = VectorEntry(
-                        displaced, tuple(avecs[bucket, slot].tolist()), bool(flags[bucket, slot])
-                    )
-                else:
-                    self._num_payload_slots -= 1
-                    self._payload_rows[bucket, slot] = -1
-            if isinstance(entry, VectorEntry):
-                avecs[bucket, slot] = entry.avec
-                payloads[at] = None
-            else:
-                avecs[bucket, slot] = self._avec_empty
-                payloads[at] = entry
-                self._num_payload_slots += 1
-                self._payload_rows[bucket, slot] = entry.bloom.row_in(self._sketch_rows)
-            flags[bucket, slot] = entry.matching
-            entry = pushed
-        return entry
+                pushed = (
+                    avecs[bucket, slot].copy(),
+                    flags[bucket, slot],
+                    -1 if rows is None else rows[bucket, slot],
+                )
+            avecs[bucket, slot] = avec
+            flags[bucket, slot] = flag
+            if rows is not None:
+                rows[bucket, slot] = row
+            if pushed is not None:
+                avec, flag, row = pushed
+        return pushed
 
     def _clear_entry(self, bucket: int, slot: int) -> None:
         """Free (bucket, slot), resetting every parallel column."""
         self._ensure_writable()
-        if self.buckets.payloads[bucket * self.buckets.bucket_size + slot] is not None:
-            self._num_payload_slots -= 1
-            self._payload_rows[bucket, slot] = -1
         self.buckets.clear_slot(bucket, slot)
         self._avecs[bucket, slot] = self._avec_empty
         self._flags[bucket, slot] = True
+        if self._payload_rows is not None:
+            self._payload_rows[bucket, slot] = -1
 
     # ------------------------------------------------------------------
     # Pair-level storage helpers
     # ------------------------------------------------------------------
 
-    def _fp_entries_in_pair(self, left: int, right: int, fingerprint: int) -> list[Any]:
-        """Entries of the pair whose fingerprint matches: its slots', then
-        its stashed ones, in stash order.
+    def _fp_entries_in_pair(
+        self, left: int, right: int, fingerprint: int
+    ) -> tuple[list[tuple[int, int]], list[int]]:
+        """The copies of ``fingerprint`` in pair ``(left, right)``: the
+        ``(bucket, slot)`` of each slot holding it, then the positions of
+        its stashed copies, in stash order.
 
         Reads the live fingerprint column directly — this is the innermost
         loop of every scalar query.
         """
-        matches: list[Any] = []
+        slots: list[tuple[int, int]] = []
+        fps = self.buckets.fps
         for bucket in (left,) if right == left else (left, right):
-            row = self.buckets.fps[bucket].tolist()
-            for slot, fp in enumerate(row):
-                if fp == fingerprint:
-                    matches.append(self.entry_at(bucket, slot))
-        if self.stash.items:
-            matches.extend(self.stash.items[at] for at in self.stash.find(fingerprint, left, right))
-        return matches
+            row = fps[bucket].tolist()
+            if fingerprint in row:
+                slots += [(bucket, slot) for slot, fp in enumerate(row) if fp == fingerprint]
+        return slots, self.stash.find(fingerprint, left, right)
+
+    def _copy_avecs(self, slots: list[tuple[int, int]], stashed: list[int]) -> list[tuple]:
+        """The attribute vectors of these copies (`_fp_entries_in_pair`)."""
+        avecs = [tuple(self._avecs[bucket, slot].tolist()) for bucket, slot in slots]
+        if stashed:
+            avecs += map(tuple, self.stash.avecs[stashed].tolist())
+        return avecs
+
+    def _copy_rows(self, slots: list[tuple[int, int]], stashed: list[int]) -> list[int]:
+        """The sketch row ids of these copies (-1 for a vector copy)."""
+        rows = self._payload_rows
+        ids = [-1] * len(slots) if rows is None else [int(rows[b, s]) for b, s in slots]
+        if stashed:
+            ids += self.stash.rows[stashed].tolist()
+        return ids
 
     def _cell(self, index: CellIndex, left: int, right: int, fingerprint: int) -> Any:
         """The batch's view of the pair's cell for ``fingerprint``, seeded
@@ -533,49 +535,60 @@ class ConditionalCuckooFilterBase:
         key = (fingerprint, left if left < right else right)
         cell = index.cells.get(key)
         if cell is None:
-            cell = self._seed_cell(self._fp_entries_in_pair(left, right, fingerprint))
+            cell = self._seed_cell(*self._fp_entries_in_pair(left, right, fingerprint))
             index.cells[key] = cell
         return cell
 
-    def _seed_cell(self, entries: list[Any]) -> Any:
-        """A cell's live entries as the insert policy reads them: here the
-        attribute vectors of its copies."""
-        return [entry.avec for entry in entries]
+    def _seed_cell(self, slots: list[tuple[int, int]], stashed: list[int]) -> Any:
+        """A cell's copies as the insert policy reads them: here their
+        attribute vectors."""
+        return self._copy_avecs(slots, stashed)
 
-    def _place_in_pair(self, left: int, right: int, entry: Any, copies: int = 0) -> bool:
+    def _place_in_pair(
+        self,
+        left: int,
+        right: int,
+        fingerprint: int,
+        avec: Sequence[int],
+        row: int = -1,
+        copies: int = 0,
+    ) -> bool:
         """Algorithm 4's placement: prefer ``left``, then kick from ``right``.
 
-        The kicks are the fingerprint filters' sequential chain
-        (`SlotMatrix.place`): the in-flight item swaps into a victim slot
-        drawn from the victim stream at position `num_kicks` (one draw per
-        eviction) and goes on as the victim toward *its* alternate bucket —
-        always the other bucket of the victim's own pair, so per-pair
-        fingerprint counts are invariant under kicking (the structural core
-        of Lemma 1).  On MaxKicks exhaustion the in-flight victim is stashed
-        under its own pair and the structure is flagged failed.  A pair whose
+        The new entry is ``fingerprint`` with the attribute vector ``avec``
+        and, for a payload slot, the sketch row id ``row``.  The kicks are
+        the fingerprint filters' sequential chain (`SlotMatrix.place`): the
+        in-flight item swaps into a victim slot drawn from the victim stream
+        at position `num_kicks` (one draw per eviction) and goes on as the
+        victim toward *its* alternate bucket — always the other bucket of
+        the victim's own pair, so per-pair fingerprint counts are invariant
+        under kicking (the structural core of Lemma 1).  On MaxKicks
+        exhaustion the in-flight victim is stashed under its own pair, its
+        columns with it, and the structure is flagged failed.  A pair whose
         ``copies`` of the fingerprint fill every slot stashes the entry at
         once (Lemma 1 fast-fail): kicks could only reshuffle those copies.
         """
-        buckets, bucket = self.buckets, left
+        buckets, bucket, fp = self.buckets, left, fingerprint
         if copies >= buckets.bucket_size * (1 if left == right else 2) and (
-            buckets.fps[[left, right]] == entry.fp
+            buckets.fps[[left, right]] == fingerprint
         ).all():
-            pushed = entry
+            pushed = (avec, True, row)
         else:
-            _fp, placed, self.num_kicks, path = self.buckets.place(
-                entry.fp, left, right, self.params.max_kicks, self.geometry.jump_seed,
+            fp, placed, self.num_kicks, path = buckets.place(
+                fingerprint, left, right, self.params.max_kicks, self.geometry.jump_seed,
                 self._victim_seed, self.num_kicks,
             )
-            pushed = self._write_columns(path, entry)
+            pushed = self._write_columns(path, avec, row)
             if placed:
                 return True
             bucket = path[-1][0] if path else left
-        self.stash.append(pushed.fp, self.geometry.pair_id(bucket, pushed.fp), pushed)
+        avec, flag, row = pushed
+        self.stash.append(fp, self.geometry.pair_id(bucket, fp), avecs=avec, flags=flag, rows=row)
         self.failed = True
         return False
 
     # ------------------------------------------------------------------
-    # Predicate compilation and entry matching
+    # Predicate compilation and slot matching
     # ------------------------------------------------------------------
 
     def compile(self, predicate: Predicate | None) -> CompiledQuery | None:
@@ -589,31 +602,51 @@ class ConditionalCuckooFilterBase:
         """
         return compile_predicate(self.schema, self.fingerprinter, predicate)
 
-    def _entry_matches(self, entry: Any, compiled: CompiledQuery | None) -> bool:
-        """Does this entry's attribute sketch admit the compiled predicate?"""
-        if compiled is None:
-            return True
-        if not entry.matching:
+    def _admits(self, avec: np.ndarray, flag: bool, row: int, compiled: CompiledQuery) -> bool:
+        """Does one copy, given its attribute vector, matching flag and
+        sketch row id, admit ``compiled``?
+
+        The scalar reference test, in plain Python over the columns: a
+        payload copy (``row >= 0``) tests its sketch's flag and bits, a
+        vector copy its flag and vector.  The batch test,
+        `_copies_admit`, must answer as this does per copy.
+        """
+        if row >= 0:
+            if not self._sketch_rows.flags[row]:
+                return False
+            # A Bloom entry sketches raw values, a Mixed group fingerprints.
+            return all(
+                any(
+                    self._sketch_has(row, (attr_index, value))
+                    for value in (fps if self._needs_avec else values)
+                )
+                for attr_index, values, fps in compiled.constraints
+            )
+        if not flag:
             return False
-        if isinstance(entry, VectorEntry):
-            avec = entry.avec
-            for attr_index, _values, fps in compiled.constraints:
-                if avec[attr_index] not in fps:
-                    return False
-            return True
-        if isinstance(entry, BloomEntry):
-            bloom = entry.bloom
-            for attr_index, values, _fps in compiled.constraints:
-                if not any((attr_index, value) in bloom for value in values):
-                    return False
-            return True
-        if isinstance(entry, GroupSlot):
-            bloom = entry.group.bloom
-            for attr_index, _values, fps in compiled.constraints:
-                if not any((attr_index, fp) in bloom for fp in fps):
-                    return False
-            return True
-        raise TypeError(f"unknown entry type {type(entry).__name__}")
+        avec = avec.tolist()
+        return all(avec[attr_index] in fps for attr_index, _values, fps in compiled.constraints)
+
+    def _any_admits(
+        self, slots: list[tuple[int, int]], stashed: list[int], compiled: CompiledQuery | None
+    ) -> bool:
+        """Does one of these copies (`_fp_entries_in_pair`) admit
+        ``compiled``?  Any copy does a key-only query."""
+        if compiled is None:
+            return bool(slots or stashed)
+        avecs, flags, rows, stash = self._avecs, self._flags, self._payload_rows, self.stash
+        return any(
+            self._admits(
+                avecs[bucket, slot],
+                flags[bucket, slot],
+                -1 if rows is None else rows[bucket, slot],
+                compiled,
+            )
+            for bucket, slot in slots
+        ) or any(
+            self._admits(stash.avecs[at], stash.flags[at], stash.rows[at], compiled)
+            for at in stashed
+        )
 
     def _resolve_compiled(
         self, predicate: Predicate | CompiledQuery | None
@@ -651,7 +684,7 @@ class ConditionalCuckooFilterBase:
         Bloom entry sketches raw ``(attribute index, value)`` pairs; a
         Mixed group, whose variant stores fingerprint vectors
         (``_needs_avec``), sketches ``(attribute index, fingerprint)``.
-        Answers equal `_entry_matches` per payload entry.
+        Answers equal `_admits` per payload copy.
         """
         rows = self._sketch_rows
         if rows is None:
@@ -704,11 +737,11 @@ class ConditionalCuckooFilterBase:
     #: vectors (False for the Bloom CCF, which sketches raw values instead).
     _needs_avec: bool = True
 
-    #: The Bloom sketch that took the attributes of the row the insert policy
-    #: last handled (a Bloom entry's, or a Mixed group's when the row was
-    #: absorbed or converted), else None.  Read by the batch row loop to
-    #: credit that row's later copies.
-    _row_sketch: BloomFilter | None = None
+    #: The row id of the sketch that took the attributes of the row the
+    #: insert policy last handled (a Bloom entry's, or a Mixed group's when
+    #: the row was absorbed or converted), else None.  Read by the batch row
+    #: loop to credit that row's later copies.
+    _row_sketch: int | None = None
 
     def insert(self, key: object, attrs: Mapping[str, Any] | Sequence[Any]) -> bool:
         """Insert a (key, attribute row) under the variant's policy."""
@@ -813,7 +846,7 @@ class ConditionalCuckooFilterBase:
             insert = partial(self._insert_cells, CellIndex(jumps))
         # Per (fingerprint, pair id): the sketch a row of that pair fed last;
         # the first copies that chain placement discarded.
-        sketches: dict[tuple[int, int], BloomFilter] = {}
+        sketches: dict[tuple[int, int], int] = {}
         discarded: set[int] = set()
         rows_iter = zip(fps.tolist(), homes.tolist(), pairs, values, avecs, firsts)
         for i, (fp, home, pair, value, avec, original) in enumerate(rows_iter):
@@ -829,19 +862,20 @@ class ConditionalCuckooFilterBase:
                 discarded.add(i)
         return out
 
-    def _credit_copy(self, sketch: BloomFilter | None, discarded: bool) -> None:
+    def _credit_copy(self, sketch: int | None, discarded: bool) -> None:
         """Count a repeated row as its full insert would.
 
         The row is already represented (by its first copy's entry, or past a
         chain of ``d``-full pairs by the fallback that discarded the first
         copy too), so its insert would change only counters (DESIGN.md §7).
-        ``sketch`` is the Bloom sketch its pair keeps for the key
-        fingerprint, if any: re-adding the row's values sets no new bit.
+        ``sketch`` is the row id of the Bloom sketch its pair keeps for the
+        key fingerprint, if any: re-adding the row's values sets no new bit
+        but counts them.
         """
         self.num_rows_inserted += 1
         self.num_rows_discarded += discarded
         if sketch is not None:
-            sketch.num_inserted += self.schema.num_attributes
+            self._sketch_rows.counts[sketch] += self.schema.num_attributes
 
     def query(self, key: object, predicate: Predicate | CompiledQuery | None = None) -> bool:
         """Membership test for ``key`` under an optional predicate."""
@@ -856,12 +890,8 @@ class ConditionalCuckooFilterBase:
         """Query policy on precomputed hashes: the key's one bucket pair,
         stashed entries included (the chained variant walks its chain
         instead)."""
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        return any(
-            self._entry_matches(entry, compiled)
-            for entry in self._fp_entries_in_pair(left, right, fingerprint)
-        )
+        right = self.geometry.alt_index(home, fingerprint)
+        return self._any_admits(*self._fp_entries_in_pair(home, right, fingerprint), compiled)
 
     def query_many(
         self,
@@ -960,6 +990,36 @@ class ConditionalCuckooFilterBase:
     # Vectorised probe machinery shared by the batch query kernels
     # ------------------------------------------------------------------
 
+    def _copies_admit(
+        self,
+        avecs: np.ndarray,
+        flags: np.ndarray,
+        rows: np.ndarray | None,
+        compiled: CompiledQuery | None,
+    ) -> np.ndarray:
+        """Per copy, given its attribute vector, matching flag and sketch
+        row id (``rows`` None where the variant keeps no sketches): does it
+        admit ``compiled``?
+
+        The batch test of slot probes, stash probes and both predicate
+        views, equal to `_admits` per copy: vector copies through the
+        predicate's lookup tables, payload copies by gathering their sketch
+        rows and row flags against the predicate's bit masks, so in-place
+        sketch writes (Bloom merges, group absorption) are always visible.
+        """
+        if compiled is None:
+            return np.ones(len(flags), dtype=bool)
+        matcher = self._matcher(compiled)
+        admissible = flags & matcher.vectors(avecs)
+        if rows is not None:
+            payload = np.flatnonzero(rows >= 0)
+            if payload.size:
+                sketches, sketch = self._sketch_rows, rows[payload]
+                admissible[payload] = sketches.flags[sketch] & matcher.sketches.matches(
+                    sketches.words()[sketch]
+                )
+        return admissible
+
     def _pair_admits(
         self, lefts: np.ndarray, rights: np.ndarray, eq: np.ndarray, compiled: CompiledQuery
     ) -> np.ndarray:
@@ -967,30 +1027,26 @@ class ConditionalCuckooFilterBase:
 
         ``eq`` is the pairs' ``(n, 2, b)`` fingerprint-equality mask
         (`SlotMatrix.pair_eq`).  Admissibility is evaluated *only on the
-        slots whose fingerprint matched* — O(batch + hits), never O(table):
-        vector slots through the predicate's lookup tables, payload slots
-        by gathering their sketch rows and row flags (`_payload_rows`)
-        against the predicate's bit masks, so in-place payload mutations
-        (Bloom merges, group absorption, matching flags) are always
-        visible.
+        slots whose fingerprint matched* — O(batch + hits), never O(table) —
+        by `_copies_admit` over their gathered columns.
         """
         hit = np.zeros(len(eq), dtype=bool)
-        rows, sides, slots = np.nonzero(eq)
-        if rows.size == 0:
+        keys, sides, slots = np.nonzero(eq)
+        if keys.size == 0:
             return hit
-        buckets = np.where(sides == 0, lefts[rows], rights[rows])
-        matcher = self._matcher(compiled)
-        admissible = self._flags[buckets, slots] & matcher.vectors(self._avecs[buckets, slots])
-        if self._num_payload_slots:
-            sketches = self._payload_rows[buckets, slots]
-            payload = np.flatnonzero(sketches >= 0)
-            if payload.size:
-                store, sketch = self._sketch_rows, sketches[payload]
-                admissible[payload] = store.flags[sketch] & matcher.sketches.matches(
-                    store.words()[sketch]
-                )
-        hit[rows[admissible]] = True
+        buckets = np.where(sides == 0, lefts[keys], rights[keys])
+        hit[keys[self._slots_admit(buckets, slots, compiled)]] = True
         return hit
+
+    def _slots_admit(
+        self, buckets: np.ndarray, slots: np.ndarray, compiled: CompiledQuery | None
+    ) -> np.ndarray:
+        """Per occupied slot ``(buckets, slots)``: does it admit
+        ``compiled``?  `_copies_admit` over the slots' gathered columns."""
+        rows = None if self._payload_rows is None else self._payload_rows[buckets, slots]
+        return self._copies_admit(
+            self._avecs[buckets, slots], self._flags[buckets, slots], rows, compiled
+        )
 
     def _pair_hits(self, lefts, rights, eq, rows, at, compiled) -> np.ndarray:
         """Per key: does its pair hold a copy admitting ``compiled``, in a
@@ -1022,8 +1078,10 @@ class ConditionalCuckooFilterBase:
     def _stash_admitted(self, rows: np.ndarray, at: np.ndarray, compiled) -> np.ndarray:
         """The probe rows whose pair has a stashed copy admitting
         ``compiled`` (distinct, ascending)."""
-        items = self.stash.items
-        return np.unique(rows[[self._entry_matches(items[i], compiled) for i in at]])
+        stash = self.stash
+        return np.unique(
+            rows[self._copies_admit(stash.avecs[at], stash.flags[at], stash.rows[at], compiled)]
+        )
 
     def _answers(self, codes: np.ndarray) -> np.ndarray:
         """Answers from `_pair_codes` at each key's deciding pair; keys

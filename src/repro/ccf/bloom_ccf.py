@@ -1,11 +1,12 @@
 """Bloom-attribute conditional cuckoo filter (§5.2; Algorithms 1 and 2).
 
 Each stored entry is a key fingerprint plus a small per-entry Bloom filter
-holding the key's (attribute name, value) pairs — raw values, hashed once by
-the Bloom filter itself.  Duplicate rows for a key merge into the key's
-single entry, so the occupied slots are exactly those of a regular cuckoo
-filter over the distinct keys (the property behind Table 1's ``n_k`` sizing
-and the theoretically guaranteed load factor).
+holding the key's (attribute index, value) pairs — raw values, hashed once
+by the sketch itself; the sketch is a row of the filter's sketch rows, and
+the entry's slot holds its row id (DESIGN.md §6).  Duplicate rows for a key
+merge into the key's single entry, so the occupied slots are exactly those
+of a regular cuckoo filter over the distinct keys (the property behind
+Table 1's ``n_k`` sizing and the theoretically guaranteed load factor).
 
 The price (§5.2): a Bloom sketch does not preserve attribute co-occurrence.
 If one row has attributes (a1, a2) and another (a1', a2'), the conjunctive
@@ -18,7 +19,6 @@ from typing import Any
 
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.base import CellIndex, ConditionalCuckooFilterBase
-from repro.ccf.entries import BloomEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
 
@@ -46,28 +46,29 @@ class BloomCCF(ConditionalCuckooFilterBase):
         """Insert one (key, attribute row); Algorithm 1's build counterpart.
 
         A row whose key fingerprint already owns an entry in the bucket pair,
-        in a slot or stashed, merges its attributes into that entry's Bloom
-        sketch — the entry is the live payload object, so batch probes see
-        the merge immediately.  Otherwise a new entry is created and placed
-        with cuckoo kicks.  Returns False only on a MaxKicks failure (victim
-        stashed, ``failed`` latched).  The pair's entry is read from
-        ``index``.
+        in a slot or stashed, sets its ``(attribute index, value)`` bits in
+        that entry's sketch row, where batch probes see them at once.
+        Otherwise a new entry with a new sketch row is placed with cuckoo
+        kicks.  Returns False only on a MaxKicks failure (victim stashed,
+        ``failed`` latched).  The pair's entry is read from ``index``.
         """
         self.num_rows_inserted += 1
         left, right = home, home ^ index.jumps[fingerprint]
-        entries = self._cell(index, left, right, fingerprint)
-        fresh = not entries
+        sketches = self._cell(index, left, right, fingerprint)
+        fresh = not sketches
         if fresh:
-            entries.append(BloomEntry(fingerprint, self._new_sketch()))
-        entry = entries[0]
-        entry.add_attributes(values)
-        self._row_sketch = entry.bloom
-        return self._place_in_pair(left, right, entry) if fresh else True
+            sketches.append(self._new_sketch())
+        row = sketches[0]
+        self._sketch_add(row, enumerate(values))
+        self._row_sketch = row
+        if not fresh:
+            return True
+        return self._place_in_pair(left, right, fingerprint, self._avec_fill, row)
 
-    def _seed_cell(self, entries: list[Any]) -> list[BloomEntry]:
-        """Rows merge by fingerprint, so a cell holds at most one entry: the
-        live object, which kicks and stashing carry along."""
-        return entries
+    def _seed_cell(self, slots: list[tuple[int, int]], stashed: list[int]) -> list[int]:
+        """Rows merge by fingerprint, so a cell holds at most one entry: its
+        sketch row id, which kicks and stashing carry along."""
+        return self._copy_rows(slots, stashed)
 
     def slot_bits(self) -> int:
         """|κ| + per-entry Bloom payload."""

@@ -18,7 +18,6 @@ from typing import Any
 import numpy as np
 
 from repro.ccf.base import CellIndex, CompiledQuery, ConditionalCuckooFilterBase
-from repro.ccf.entries import VectorEntry
 from repro.ccf.predicates import Predicate
 
 
@@ -58,7 +57,7 @@ class ChainedCCF(ConditionalCuckooFilterBase):
                 return True
             if len(copies) < d:
                 copies.append(avec)
-                return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
+                return self._place_in_pair(left, right, fingerprint, avec)
             walked += 1
             step = self._chain_step(index, first, walked) if walked < limit else None
             if step is None:
@@ -95,11 +94,11 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             # §7.1: for key-only queries the chain is irrelevant — an
             # inserted key always leaves at least one copy in its first pair.
             right = self.alt_index(home, fingerprint)
-            return bool(self._fp_entries_in_pair(home, right, fingerprint))
+            return self._any_admits(*self._fp_entries_in_pair(home, right, fingerprint), None)
 
         def pair_hit(left: int, right: int) -> tuple[int, bool]:
-            slots = self._fp_entries_in_pair(left, right, fingerprint)
-            return len(slots), any(self._entry_matches(entry, compiled) for entry in slots)
+            slots, stashed = self._fp_entries_in_pair(left, right, fingerprint)
+            return len(slots) + len(stashed), self._any_admits(slots, stashed, compiled)
 
         return self.geometry.walk_one(
             home, fingerprint, self.params.max_dupes, self._walk_limit(), pair_hit
@@ -154,7 +153,8 @@ class ChainedCCF(ConditionalCuckooFilterBase):
             if length >= limit:
                 break
             length += 1
-            if len(self._fp_entries_in_pair(left, right, fingerprint)) < d:
+            slots, stashed = self._fp_entries_in_pair(left, right, fingerprint)
+            if len(slots) + len(stashed) < d:
                 break
         return length
 

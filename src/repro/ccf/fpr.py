@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+
+import numpy as np
 
 from repro.ccf.base import CompiledQuery, ConditionalCuckooFilterBase
-from repro.ccf.entries import BloomEntry, GroupSlot, VectorEntry
 from repro.ccf.predicates import Predicate
 
 
@@ -95,10 +95,11 @@ def estimate_query_fpr(
     """Estimate the FPR of one query against a live filter (§7.2).
 
     ``key_in_data`` selects the decomposition case: if the key is absent the
-    bound is the key-fingerprint collision rate over the probed entries
-    (times the chance the colliding entry also passes the predicate); if the
-    key is present (but no row matches), false positives can only come from
-    the attribute sketches of the key's own entries.
+    bound is the key-fingerprint collision rate over the probed entries —
+    the occupied slots of the key's pair and the pair's stashed entries,
+    which a query probes too (DESIGN.md §1); if the key is present (but no
+    row matches), false positives can only come from the attribute sketches
+    of the key's own entries.
     """
     compiled = ccf._resolve_compiled(predicate)
     fingerprint = ccf.geometry.fingerprint_of(key)
@@ -109,6 +110,7 @@ def estimate_query_fpr(
         occupied = ccf.buckets.count(home)
         if right != home:
             occupied += ccf.buckets.count(right)
+        occupied += int(np.count_nonzero(ccf.stash.pairs == min(home, right)))
         key_part = occupied * 2.0**-ccf.params.key_bits
         return FPREstimate(key_part=min(1.0, key_part), attr_part=0.0)
 
@@ -123,36 +125,42 @@ def estimate_query_fpr(
         if walked >= limit:
             break
         walked += 1
-        slots = ccf._fp_entries_in_pair(left, pair_right, fingerprint)
-        for entry in slots:
-            attr_total += _entry_match_probability(ccf, entry, compiled)
-        if ccf.kind == "chained" and len(slots) == d:
+        slots, stashed = ccf._fp_entries_in_pair(left, pair_right, fingerprint)
+        avecs = ccf._copy_avecs(slots, stashed)
+        for avec, row in zip(avecs, ccf._copy_rows(slots, stashed)):
+            attr_total += _copy_match_probability(ccf, avec, row, compiled)
+        if ccf.kind == "chained" and len(avecs) == d:
             continue
         break
     return FPREstimate(key_part=0.0, attr_part=min(1.0, attr_total))
 
 
-def _entry_match_probability(
-    ccf: ConditionalCuckooFilterBase, entry: Any, compiled: CompiledQuery | None
+def _copy_match_probability(
+    ccf: ConditionalCuckooFilterBase,
+    avec: tuple[int, ...],
+    row: int,
+    compiled: CompiledQuery | None,
 ) -> float:
-    """Probability that one entry's sketch spuriously admits the predicate."""
+    """Probability that one copy's sketch spuriously admits the predicate:
+    its attribute vector's, or for a payload copy (``row >= 0``) its sketch
+    row's."""
     if compiled is None:
         return 1.0
-    if isinstance(entry, VectorEntry):
+    if row < 0:
         probability = 1.0
         for attr_index, _values, fps in compiled.constraints:
-            if entry.avec[attr_index] in fps:
+            if avec[attr_index] in fps:
                 continue
             # One constrained attribute mismatching contributes a 2^-|α|
             # chance per admissible fingerprint (union bound over in-lists).
             probability *= min(1.0, len(fps) * 2.0**-ccf.params.attr_bits)
         return probability
-    if isinstance(entry, (BloomEntry, GroupSlot)):
-        bloom = entry.bloom if isinstance(entry, BloomEntry) else entry.group.bloom
-        per_probe = bloom.fill_ratio() ** bloom.num_hashes
-        probability = 1.0
-        for _attr_index, values, fps in compiled.constraints:
-            num_candidates = len(values) if isinstance(entry, BloomEntry) else len(fps)
-            probability *= min(1.0, num_candidates * per_probe)
-        return probability
-    raise TypeError(f"unknown entry type {type(entry).__name__}")
+    sketches = ccf._sketch_rows
+    fill = int.from_bytes(sketches.row_bytes(row), "little").bit_count() / sketches.num_bits
+    per_probe = fill**ccf._sketch_hashes
+    probability = 1.0
+    for _attr_index, values, fps in compiled.constraints:
+        # A Bloom entry sketches raw values, a Mixed group fingerprints.
+        num_candidates = len(fps) if ccf._needs_avec else len(values)
+        probability *= min(1.0, num_candidates * per_probe)
+    return probability

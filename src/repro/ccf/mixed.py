@@ -6,7 +6,9 @@ arrives, the ``d`` vectors (plus the new one) are converted into a single
 Bloom filter occupying the same ``d`` slots — Algorithm 3.  Conversion can
 never fail, so the Mixed CCF absorbs unlimited duplicates without chaining,
 at the cost of double hashing (value → fingerprint → Bloom bits) and lost
-co-occurrence information for converted keys.
+co-occurrence information for converted keys.  The group is one sketch row
+(DESIGN.md §6): each of its ``d`` slots holds the row id, so cuckoo kicks
+can relocate or stash single slots without splitting the group's payload.
 
 Bit accounting follows §6.1 exactly: the converted group stores one key
 fingerprint copy and a slot count per bucket, leaving
@@ -21,10 +23,8 @@ import math
 from typing import Any
 
 from repro.ccf.base import CellIndex, ConditionalCuckooFilterBase
-from repro.ccf.entries import ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import Predicate
-from repro.sketches.bloom import BloomFilter
 
 
 def conversion_num_hashes(attr_bits: int, num_attributes: int, max_dupes: int) -> int:
@@ -97,30 +97,31 @@ class MixedCCF(ConditionalCuckooFilterBase):
         self.num_rows_inserted += 1
         left, right = home, home ^ index.jumps[fingerprint]
         cell = self._cell(index, left, right, fingerprint)
-        if isinstance(cell, ConvertedGroup):
-            cell.add_vector(avec)
+        if isinstance(cell, int):  # a converted group's sketch row
+            self._sketch_add(cell, enumerate(avec))
             self.num_absorbed += 1
-            self._row_sketch = cell.bloom
+            self._row_sketch = cell
             return True
         if avec in cell:
             return True
         if len(cell) < self.params.max_dupes:
             cell.append(avec)
-            return self._place_in_pair(left, right, VectorEntry(fingerprint, avec))
-        group = self._convert(left, right, fingerprint, avec)
-        index.cells[fingerprint, min(left, right)] = group
-        self._row_sketch = group.bloom
+            return self._place_in_pair(left, right, fingerprint, avec)
+        row = self._convert(left, right, fingerprint, avec)
+        index.cells[fingerprint, min(left, right)] = row
+        self._row_sketch = row
         return True
 
-    def _seed_cell(self, entries: list[Any]) -> ConvertedGroup | list[tuple[int, ...]]:
-        """A cell's converted group, else its copies' attribute vectors
-        (vectors and groups never coexist in a cell, `check_invariants`)."""
-        for entry in entries:
-            if isinstance(entry, GroupSlot):
-                return entry.group
-        return super()._seed_cell(entries)
+    def _seed_cell(
+        self, slots: list[tuple[int, int]], stashed: list[int]
+    ) -> int | list[tuple[int, ...]]:
+        """A cell's converted group as its sketch row id, else its copies'
+        attribute vectors (vectors and groups never coexist in a cell,
+        `check_invariants`)."""
+        group = max(self._copy_rows(slots, stashed), default=-1)
+        return group if group >= 0 else super()._seed_cell(slots, stashed)
 
-    def _credit_copy(self, sketch: BloomFilter | None, discarded: bool) -> None:
+    def _credit_copy(self, sketch: int | None, discarded: bool) -> None:
         """A repeated row is absorbed again where its pair holds a converted
         group for the fingerprint (vectors and groups never coexist for one
         pair and fingerprint), and deduplicated otherwise."""
@@ -130,35 +131,29 @@ class MixedCCF(ConditionalCuckooFilterBase):
 
     def _convert(
         self, left: int, right: int, fingerprint: int, new_avec: tuple[int, ...]
-    ) -> ConvertedGroup:
-        """Algorithm 3: fold the pair's d vectors (a stashed one becomes a
-        stashed group slot) plus ``new_avec`` into a Bloom group."""
-        group = ConvertedGroup(fingerprint, self._new_sketch(), self.params.max_dupes)
-        converted = 0
-        size = self.buckets.bucket_size
-        for bucket in (left, right) if left != right else (left,):
-            row = self.buckets.fps[bucket].tolist()
-            for slot, fp in enumerate(row):
-                if fp != fingerprint:
-                    continue
-                if self.buckets.payloads[bucket * size + slot] is not None:
-                    continue
-                group.add_vector(tuple(self._avecs[bucket, slot].tolist()))
-                self._write_columns([(bucket, slot, fingerprint)], GroupSlot(group))
-                converted += 1
-        items = self.stash.items
-        for at in self.stash.find(fingerprint, left, right):
-            group.add_vector(items[at].avec)
-            items[at] = GroupSlot(group)
-            converted += 1
-        if converted != self.params.max_dupes:
+    ) -> int:
+        """Algorithm 3: fold the pair's d vectors, stashed ones included,
+        plus ``new_avec`` into a new sketch row; each of their slots then
+        holds the row id.  Returns the row id."""
+        slots, stashed = self._fp_entries_in_pair(left, right, fingerprint)
+        vectors = self._copy_avecs(slots, stashed)
+        if len(vectors) != self.params.max_dupes:
             raise AssertionError(
                 f"conversion expected d={self.params.max_dupes} vector entries, "
-                f"found {converted}"
+                f"found {len(vectors)}"
             )
-        group.add_vector(new_avec)
+        row = self._new_sketch()
+        for avec in vectors + [new_avec]:
+            self._sketch_add(row, enumerate(avec))
+        self._ensure_writable()
+        for bucket, slot in slots:
+            self._avecs[bucket, slot] = self._avec_fill
+            self._flags[bucket, slot] = True
+            self._payload_rows[bucket, slot] = row
+        stash = self.stash
+        stash.avecs[stashed], stash.flags[stashed], stash.rows[stashed] = self._avec_fill, True, row
         self.num_conversions += 1
-        return group
+        return row
 
     def slot_bits(self) -> int:
         """|κ| + |α| + 1 bit flagging vector vs converted-Bloom content."""
@@ -172,9 +167,9 @@ class MixedCCF(ConditionalCuckooFilterBase):
         """Base d-cap plus: vectors and groups never coexist for one (pair, κ)."""
         super().check_invariants()
         shapes: dict[tuple[int, int], set[str]] = {}
-        for bucket, _slot, entry in self.iter_entries():
-            shape = "group" if isinstance(entry, GroupSlot) else "vector"
-            shapes.setdefault((self.geometry.pair_id(bucket, entry.fp), entry.fp), set()).add(shape)
+        for bucket, slot, fp, _payload in self.buckets.iter_entries():
+            shape = "group" if self._payload_rows[bucket, slot] >= 0 else "vector"
+            shapes.setdefault((self.geometry.pair_id(bucket, fp), fp), set()).add(shape)
         for (pair_id, fingerprint), kinds in shapes.items():
             if len(kinds) > 1:
                 raise AssertionError(

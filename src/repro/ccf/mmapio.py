@@ -37,8 +37,8 @@ it.  It is the only checksum key this module reads, so a segment from an
 older writer that recorded another opens as unchecksummed.
 
 Only vector-slot filters can be segmented — plain and chained CCFs, and in
-particular every FilterStore level.  Bloom/mixed variants carry live Python
-payload objects that have no columnar form; they keep the bit-packed wire
+particular every FilterStore level.  SEG1 has no columns for payload slots'
+sketch rows, so a Bloom or Mixed CCF holding any keeps the bit-packed wire
 format.  Decode failures raise the same typed
 :class:`~repro.ccf.serialize.SerializeError` as the wire formats, with file
 and byte-offset context.
@@ -60,7 +60,6 @@ import numpy as np
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.base import ConditionalCuckooFilterBase
 from repro.ccf.chain import PairGeometry
-from repro.ccf.entries import VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.serialize import SerializeError
@@ -138,8 +137,8 @@ def write_segment(
     """Write ``ccf`` to a SEG1 segment file at ``path``.
 
     The filter must hold only vector slots (plain/chained CCFs; every
-    FilterStore level qualifies) — payload slots carry live Python objects
-    with no columnar representation and raise ``TypeError``.  Writing a
+    FilterStore level qualifies) — SEG1 has no sketch-row columns, so
+    payload slots, in the table or stashed, raise ``TypeError``.  Writing a
     *mapped* filter works and simply streams the mapped columns through.
 
     ``checksums=True`` records a CRC-32 per column block in the metadata
@@ -149,16 +148,14 @@ def write_segment(
     finished file to stable storage before returning — required when the
     segment sits below a commit point, as in a checkpoint.
     """
-    if ccf._num_payload_slots:
-        raise TypeError(
-            f"cannot segment a {ccf.kind} CCF holding {ccf._num_payload_slots} "
-            "payload (Bloom/group) slots; use repro.ccf.serialize for those"
-        )
-    for entry in ccf.stash.items:
-        if not isinstance(entry, VectorEntry):
+    if ccf._payload_rows is not None:
+        payload = int((ccf._payload_rows >= 0).sum() + (ccf.stash.rows >= 0).sum())
+        if payload:
             raise TypeError(
-                f"cannot segment a stash holding {type(entry).__name__} entries"
+                f"cannot segment a {ccf.kind} CCF holding {payload} payload (Bloom/group) "
+                "slots: SEG1 has no sketch-row columns; use repro.ccf.serialize for those"
             )
+    stash = ccf.stash
     path = Path(path)
     meta: dict[str, Any] = {
         "format": MAGIC.decode("ascii"),
@@ -174,8 +171,10 @@ def write_segment(
             "failed": bool(ccf.failed),
         },
         "stash": [
-            [fp, pair, list(entry.avec), bool(entry.matching)]
-            for fp, pair, entry in ccf.stash
+            list(entry)
+            for entry in zip(
+                stash.fps.tolist(), stash.pairs.tolist(), stash.avecs.tolist(), stash.flags.tolist()
+            )
         ],
     }
     columns = _segment_columns(ccf)
@@ -414,8 +413,7 @@ def open_segment(
 
     # Build a minimal shell (2 buckets — the smallest legal table) and swap
     # in the real geometry and the mapped columns, so open never allocates
-    # table-sized heap arrays.  The payload column stays None until a
-    # mutation promotes the filter (DESIGN.md §10).
+    # table-sized heap arrays (DESIGN.md §10).
     ccf = make_ccf(meta["kind"], schema, 2, params)
     ccf.geometry = PairGeometry(num_buckets, params.key_bits, seed=params.seed)
     try:
@@ -459,15 +457,24 @@ def open_segment(
         raise SerializeError(
             f"inconsistent segment columns: {exc}", source=source
         ) from exc
-    ccf._num_payload_slots = 0
+    if ccf._payload_rows is not None:  # a Mixed CCF that converted no group
+        ccf._payload_rows = np.full(ccf._flags.shape, -1, dtype=np.int64)
     ccf._readonly = True
     counters = meta["counters"]
     ccf.num_rows_inserted = int(counters["num_rows_inserted"])
     ccf.num_rows_discarded = int(counters["num_rows_discarded"])
     ccf.num_kicks = int(counters["num_kicks"])
     ccf.failed = bool(counters["failed"])
-    for fp, pair, avec, matching in meta["stash"]:
-        ccf.stash.append(int(fp), int(pair), VectorEntry(int(fp), tuple(avec), bool(matching)))
+    stash = meta["stash"]
+    try:
+        ccf.stash.extend(
+            [entry[0] for entry in stash],
+            [entry[1] for entry in stash],
+            avecs=np.array([entry[2] for entry in stash], dtype=np.int64),
+            flags=[entry[3] for entry in stash],
+        )
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SerializeError(f"segment metadata holds an invalid stash: {exc}", source=source) from exc
     return ccf
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.ccf.base import ConditionalCuckooFilterBase
-from repro.ccf.entries import VectorEntry
 
 
 class PlainCCF(ConditionalCuckooFilterBase):
@@ -47,12 +46,34 @@ class PlainCCF(ConditionalCuckooFilterBase):
         if avec is None:
             avec = self.fingerprinter.vector(values)
         self.num_rows_inserted += 1
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        slots = self._fp_entries_in_pair(left, right, fingerprint)
-        if any(entry.same_row(fingerprint, avec) for entry in slots):
+        right = self.geometry.alt_index(home, fingerprint)
+        slots, stashed = self._fp_entries_in_pair(home, right, fingerprint)
+        if (slots or stashed) and self._row_at(home, right, fingerprint, avec) is not None:
             return True
-        return self._place_in_pair(left, right, VectorEntry(fingerprint, avec), len(slots))
+        return self._place_in_pair(
+            home, right, fingerprint, avec, copies=len(slots) + len(stashed)
+        )
+
+    def _row_at(
+        self, left: int, right: int, fingerprint: int, avec: tuple[int, ...]
+    ) -> tuple[int, int] | int | None:
+        """Where pair ``(left, right)`` stores exactly the row
+        ``(fingerprint, avec)``: its ``(bucket, slot)``, else its stash
+        position, else None.  Scans the columns slot by slot and stops at
+        the row, as the per-row store paths want."""
+        want = list(avec)
+        fps, avecs = self.buckets.fps, self._avecs
+        for bucket in (left,) if right == left else (left, right):
+            row = fps[bucket].tolist()
+            if fingerprint in row:
+                for slot, fp in enumerate(row):
+                    if fp == fingerprint and avecs[bucket, slot].tolist() == want:
+                        return bucket, slot
+        stash = self.stash
+        for at in stash.find(fingerprint, left, right):
+            if stash.avecs[at].tolist() == want:
+                return at
+        return None
 
     def _row_present(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
         """Is this exact (fingerprint, vector) row stored in its pair, in a
@@ -63,37 +84,25 @@ class PlainCCF(ConditionalCuckooFilterBase):
         whole stack keeps the monolith's one-entry-per-row semantics and a
         single delete removes the row everywhere.
         """
-        return any(
-            entry.same_row(fingerprint, avec)
-            for entry in self._fp_entries_in_pair(
-                home, self.geometry.alt_index(home, fingerprint), fingerprint
-            )
-        )
+        right = self.geometry.alt_index(home, fingerprint)
+        return self._row_at(home, right, fingerprint, avec) is not None
 
     def _delete_hashed(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
         """Remove the entry storing exactly this (fingerprint, vector) row.
 
-        Probes the key's single bucket pair (then its stashed entries) for a
-        `same_row` match and frees that one slot.  Exact-duplicate rows were
+        Probes the key's single bucket pair (then its stashed entries) for
+        the row and frees that one slot.  Exact-duplicate rows were
         deduplicated at insert time, so one removal forgets the row entirely.
         """
-        left = home
-        right = self.geometry.alt_index(left, fingerprint)
-        for bucket in (left,) if right == left else (left, right):
-            row = self.buckets.fps[bucket].tolist()
-            for slot, fp in enumerate(row):
-                if fp != fingerprint:
-                    continue
-                if tuple(self._avecs[bucket, slot].tolist()) == avec:
-                    self._clear_entry(bucket, slot)
-                    self.num_rows_inserted -= 1
-                    return True
-        for at in self.stash.find(fingerprint, left, right):
-            if self.stash.items[at].same_row(fingerprint, avec):
-                self.stash.pop(at)
-                self.num_rows_inserted -= 1
-                return True
-        return False
+        found = self._row_at(home, self.geometry.alt_index(home, fingerprint), fingerprint, avec)
+        if found is None:
+            return False
+        if isinstance(found, int):
+            self.stash.pop(found)
+        else:
+            self._clear_entry(*found)
+        self.num_rows_inserted -= 1
+        return True
 
     def slot_bits(self) -> int:
         """|κ| + |α|; no marking or conversion flag is needed."""

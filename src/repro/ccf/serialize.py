@@ -11,11 +11,12 @@ bit-identically to the one it was saved from.  Every stash entry ships
 with its pair id: a stashed entry is an off-table slot of its own bucket
 pair (DESIGN.md §1), and without the pair it could answer for no key.
 
-The wire format is **columnar**, mirroring the in-memory SlotMatrix layout
+The wire format is **columnar**, mirroring the in-memory slot columns
 (DESIGN.md §6): a 2-bit tag column over all slots, then the vector slots'
 fingerprint / attribute-vector / matching columns packed array-at-a-time
 with ``BitWriter.write_array`` (numpy ``packbits`` under the hood) instead
-of slot-at-a-time Python loops.  Only variable-length Bloom payloads remain
+of slot-at-a-time Python loops.  Only the payload sketches (a Bloom
+entry's, or a converted group's, written once for its ``d`` slots) remain
 sequential.  Loading scatters the columns straight back into the typed
 storage arrays.
 
@@ -47,7 +48,6 @@ import numpy as np
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.base import ConditionalCuckooFilterBase
 from repro.ccf.chain import PairGeometry
-from repro.ccf.entries import BloomEntry, ConvertedGroup, GroupSlot, VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.range_ccf import DyadicRangeCCF
@@ -56,7 +56,6 @@ from repro.cuckoo.buckets import SlotMatrix, dtype_for_bits
 from repro.cuckoo.filter import CuckooFilter
 from repro.cuckoo.stash import Stash
 from repro.sketches.bitpack import BitReader, BitWriter
-from repro.sketches.bloom import BloomFilter
 
 # Wire formats: one tag byte records the slot storage dtype of the
 # width-adaptive SlotMatrix (DESIGN.md §9).
@@ -274,19 +273,26 @@ def _read_varint(reader: BitReader) -> int:
         shift += 7
 
 
-def _write_bloom_payload(writer: BitWriter, bloom: BloomFilter) -> None:
-    _write_varint(writer, bloom.num_inserted)
-    writer.write_bytes(bloom.payload_bytes())
+def _write_sketch(writer: BitWriter, ccf: ConditionalCuckooFilterBase, row: int) -> None:
+    """One payload sketch: its insert count, then its bits."""
+    _write_varint(writer, int(ccf._sketch_rows.counts[row]))
+    writer.write_bytes(ccf._sketch_rows.row_bytes(row))
 
 
-def _read_bloom_payload(reader: BitReader, ccf: ConditionalCuckooFilterBase) -> BloomFilter:
-    """One payload sketch, read into a new row of ``ccf``'s sketch rows."""
+def _read_sketch(reader: BitReader, ccf: ConditionalCuckooFilterBase, matching: bool) -> int:
+    """Inverse of `_write_sketch`, into a new row of ``ccf``'s sketch rows
+    flagged ``matching``; returns the row id."""
     rows = ccf._sketch_rows
-    num_inserted = _read_varint(reader)
-    payload = reader.read_bytes((rows.num_bits + 7) // 8)
-    return BloomFilter.from_payload(
-        rows.num_bits, ccf._sketch_hashes, ccf._bloom_salt, payload, num_inserted, rows
-    )
+    count = _read_varint(reader)
+    nbytes = (rows.num_bits + 7) // 8
+    data = reader.read_bytes(nbytes)
+    spare = nbytes * 8 - rows.num_bits
+    if spare and data[-1] >> (8 - spare):
+        raise ValueError("stray bits set beyond num_bits")
+    row = ccf._new_sketch()
+    rows.buf[row * rows.stride : row * rows.stride + nbytes] = data
+    rows.flags[row], rows.counts[row] = matching, count
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -294,67 +300,61 @@ def _read_bloom_payload(reader: BitReader, ccf: ConditionalCuckooFilterBase) -> 
 # ---------------------------------------------------------------------------
 
 
-def _tag_of(entry: Any) -> int:
-    if isinstance(entry, VectorEntry):
-        return _VECTOR
-    return _BLOOM if isinstance(entry, BloomEntry) else _GROUP
-
-
-def _slot_tags(ccf: ConditionalCuckooFilterBase) -> np.ndarray:
-    """The 2-bit tag column (flat, bucket-major) of a CCF's slot matrix."""
-    flat_fps = ccf.buckets.fps.ravel()
-    occupied = flat_fps != ccf.buckets.empty
+def _tags(ccf: ConditionalCuckooFilterBase, occupied: np.ndarray, rows: np.ndarray | None):
+    """The 2-bit tag column of a slot section: empty, vector, or a payload
+    slot — a Bloom entry, or in a vector-storing variant a converted
+    group's slot."""
     tags = np.where(occupied, _VECTOR, _EMPTY)
-    if ccf._num_payload_slots:
-        payloads = ccf.buckets.payloads
-        for index in np.nonzero(occupied)[0].tolist():
-            if payloads[index] is not None:
-                tags[index] = _tag_of(payloads[index])
+    if rows is not None:
+        tags[occupied & (rows >= 0)] = _GROUP if ccf._needs_avec else _BLOOM
     return tags
 
 
-def _write_slots(writer, params, tags, fps, avecs, flags, payloads, group_index) -> None:
+def _write_slots(writer, ccf, tags, fps, avecs, flags, rows, group_ids) -> None:
     """One columnar slot section (the table's, or the stash's): the tag
-    column, then each slot class's columns packed array-at-a-time."""
+    column, then each slot class's columns packed array-at-a-time; a group
+    slot is its group's index (``group_ids`` maps a sketch row id to it)."""
+    params = ccf.params
     vector = tags == _VECTOR
     writer.write_array(tags, 2)
     writer.write_array(fps[vector], params.key_bits)
     writer.write_array(avecs[vector], params.attr_bits)
     writer.write_bool_array(flags[vector])
     for index in np.flatnonzero(tags == _BLOOM).tolist():
-        entry = payloads[index]
-        writer.write(entry.fp, params.key_bits)
-        writer.write_bool(entry.matching)
-        _write_bloom_payload(writer, entry.bloom)
-    groups = [group_index[id(payloads[i].group)] for i in np.flatnonzero(tags == _GROUP).tolist()]
-    writer.write_array(np.array(groups, dtype=np.int64), 32)
+        row = int(rows[index])
+        writer.write(int(fps[index]), params.key_bits)
+        writer.write_bool(bool(ccf._sketch_rows.flags[row]))
+        _write_sketch(writer, ccf, row)
+    groups = np.flatnonzero(tags == _GROUP)
+    writer.write_array(group_ids[rows[groups]] if groups.size else groups, 32)
 
 
 def _read_slots(reader, ccf, count, groups) -> tuple:
-    """Inverse of `_write_slots`: the section's ``(tags, fps, avecs,
-    flags, payloads)``, ``payloads`` mapping slot index to entry."""
+    """Inverse of `_write_slots`: the section's ``(tags, fps, avecs, flags,
+    rows)`` columns; a payload slot's sketch row id is in ``rows`` (-1
+    elsewhere), its attribute vector is the fill and its flag True.
+    ``groups`` lists the groups' ``(fingerprint, sketch row id)``."""
     params, num_attrs = ccf.params, ccf.schema.num_attributes
     tags = reader.read_array(count, 2)
     vector = tags == _VECTOR
     num_vectors = int(vector.sum())
     fps = np.zeros(count, dtype=np.int64)
     avecs = np.zeros((count, num_attrs), dtype=np.int64)
+    avecs[~vector] = ccf._avec_fill
     flags = np.ones(count, dtype=bool)
+    rows = np.full(count, -1, dtype=np.int64)
     fps[vector] = reader.read_array(num_vectors, params.key_bits)
     avecs[vector] = reader.read_array(num_vectors * num_attrs, params.attr_bits).reshape(
         num_vectors, num_attrs
     )
     flags[vector] = reader.read_bool_array(num_vectors)
-    payloads: dict[int, Any] = {}
     for index in np.flatnonzero(tags == _BLOOM).tolist():
-        fp, matching = reader.read(params.key_bits), reader.read_bool()
-        payloads[index] = BloomEntry(fp, _read_bloom_payload(reader, ccf), matching)
+        fps[index], matching = reader.read(params.key_bits), reader.read_bool()
+        rows[index] = _read_sketch(reader, ccf, matching)
     group_slots = np.flatnonzero(tags == _GROUP).tolist()
     for index, group_id in zip(group_slots, reader.read_array(len(group_slots), 32).tolist()):
-        payloads[index] = GroupSlot(groups[group_id])
-    for index, entry in payloads.items():
-        fps[index], flags[index] = entry.fp, entry.matching
-    return tags, fps, avecs, flags, payloads
+        fps[index], rows[index] = groups[group_id]
+    return tags, fps, avecs, flags, rows
 
 
 def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
@@ -374,42 +374,42 @@ def _dump_ccf(ccf: ConditionalCuckooFilterBase) -> bytes:
         writer.write(ccf.num_conversions, 32)
         writer.write(ccf.num_absorbed, 64)
 
-    tags = _slot_tags(ccf)
-    payloads = ccf.buckets.payloads
+    fps = ccf.buckets.fps.ravel()
+    rows = None if ccf._payload_rows is None else ccf._payload_rows.ravel()
+    tags = _tags(ccf, fps != ccf.buckets.empty, rows)
     stash = ccf.stash
+    stash_tags = _tags(ccf, np.ones(len(stash), dtype=bool), stash.rows)
 
-    # Converted groups are shared across slots: emit them once, indexed by
-    # first occurrence in flat slot order, then in the stash (kicks can
-    # stash every slot of a group).
-    groups: list[ConvertedGroup] = []
-    group_index: dict[int, int] = {}
-    for group in [payloads[index].group for index in np.flatnonzero(tags == _GROUP).tolist()] + [
-        entry.group for entry in stash.items if isinstance(entry, GroupSlot)
-    ]:
-        if id(group) not in group_index:
-            group_index[id(group)] = len(groups)
-            groups.append(group)
-    writer.write(len(groups), 32)
-    for group in groups:
-        writer.write(group.fp, ccf.params.key_bits)
-        writer.write(group.num_slots, 8)
-        writer.write_bool(group.matching)
-        _write_bloom_payload(writer, group.bloom)
+    # A converted group's sketch is shared by its slots: emit it once,
+    # indexed by first occurrence in flat slot order, then in the stash
+    # (kicks can stash every slot of a group).
+    group_fps = group_rows = group_ids = np.empty(0, dtype=np.int64)
+    if rows is not None:
+        group_rows = np.concatenate((rows[tags == _GROUP], stash.rows[stash_tags == _GROUP]))
+        group_fps = np.concatenate(
+            (fps[tags == _GROUP].astype(np.int64), stash.fps[stash_tags == _GROUP])
+        )
+        first = np.sort(np.unique(group_rows, return_index=True)[1])
+        group_fps, group_rows = group_fps[first], group_rows[first]
+        group_ids = np.zeros(ccf._sketch_rows.size, dtype=np.int64)
+        group_ids[group_rows] = np.arange(len(group_rows))
+    writer.write(len(group_rows), 32)
+    for fp, row in zip(group_fps.tolist(), group_rows.tolist()):
+        writer.write(fp, ccf.params.key_bits)
+        writer.write(ccf.params.max_dupes, 8)
+        writer.write_bool(bool(ccf._sketch_rows.flags[row]))
+        _write_sketch(writer, ccf, row)
 
     num_attrs = ccf.schema.num_attributes
     _write_slots(
-        writer, ccf.params, tags, ccf.buckets.fps.ravel(), ccf._avecs.reshape(-1, num_attrs),
-        ccf._flags.ravel(), payloads, group_index,
+        writer, ccf, tags, fps, ccf._avecs.reshape(-1, num_attrs), ccf._flags.ravel(), rows,
+        group_ids,
     )
     # The stash: pair ids, then its entries as one more slot section.
-    blank = (0,) * num_attrs
     writer.write(len(stash), 32)
     writer.write_array(stash.pairs, 32)
     _write_slots(
-        writer, ccf.params, np.array([_tag_of(entry) for entry in stash.items], dtype=np.int64),
-        stash.fps,
-        np.array([getattr(entry, "avec", blank) for entry in stash.items], dtype=np.int64),
-        np.array([entry.matching for entry in stash.items], dtype=bool), stash.items, group_index,
+        writer, ccf, stash_tags, stash.fps, stash.avecs, stash.flags, stash.rows, group_ids
     )
     return writer.getvalue()
 
@@ -431,37 +431,27 @@ def _load_ccf(reader: BitReader) -> ConditionalCuckooFilterBase:
         ccf.num_conversions = reader.read(32)
         ccf.num_absorbed = reader.read(64)
 
-    groups: list[ConvertedGroup] = []
-    num_groups = reader.read(32)
-    for _ in range(num_groups):
+    groups: list[tuple[int, int]] = []
+    for _ in range(reader.read(32)):
         fp = reader.read(params.key_bits)
-        num_slots = reader.read(8)
+        reader.read(8)  # the group's slot count: always d
         matching = reader.read_bool()
-        group = ConvertedGroup(fp, _read_bloom_payload(reader, ccf), num_slots)
-        group.matching = matching
-        groups.append(group)
+        groups.append((fp, _read_sketch(reader, ccf, matching)))
 
     # Scatter the table's columns straight into the typed storage arrays,
     # then rebuild the occupancy column once.
-    tags, fps, avecs, flags, payloads = _read_slots(reader, ccf, ccf.buckets.capacity, groups)
+    tags, fps, avecs, flags, rows = _read_slots(reader, ccf, ccf.buckets.capacity, groups)
     occupied, vector = tags != _EMPTY, tags == _VECTOR
     ccf.buckets.fps.ravel()[occupied] = fps[occupied]
     ccf._avecs.reshape(-1, schema.num_attributes)[vector] = avecs[vector]
     ccf._flags.ravel()[occupied] = flags[occupied]
-    for index, entry in payloads.items():
-        ccf.buckets.payloads[index] = entry
-        ccf._payload_rows.ravel()[index] = entry.bloom.row_in(ccf._sketch_rows)
+    if ccf._payload_rows is not None:
+        ccf._payload_rows.ravel()[:] = rows
     ccf.buckets.recount()
-    ccf._num_payload_slots = len(payloads)
 
     pairs = reader.read_array(reader.read(32), 32)
-    _tags, fps, avecs, flags, payloads = _read_slots(reader, ccf, len(pairs), groups)
-    columns = zip(fps.tolist(), avecs.tolist(), flags.tolist())
-    entries = [
-        payloads.get(index) or VectorEntry(fp, tuple(avec), matching)
-        for index, (fp, avec, matching) in enumerate(columns)
-    ]
-    ccf.stash.extend(fps, pairs, entries)
+    _tags, fps, avecs, flags, rows = _read_slots(reader, ccf, len(pairs), groups)
+    ccf.stash.extend(fps, pairs, avecs=avecs, flags=flags, rows=rows)
     return ccf
 
 
@@ -526,7 +516,7 @@ def _dump_view(view: MarkedKeyFilter) -> bytes:
     geometry = view.geometry
     occupied = _write_table(writer, view.buckets, geometry.key_bits, geometry.seed, view.stash)
     writer.write_bool_array(view.marks.ravel()[occupied])
-    writer.write_bool_array(np.array(view.stash.items, dtype=bool))
+    writer.write_bool_array(view.stash.marks)
     return writer.getvalue()
 
 
@@ -540,7 +530,7 @@ def _load_view(reader: BitReader) -> MarkedKeyFilter:
         ),
     )
     view.marks.ravel()[occupied] = reader.read_bool_array(int(occupied.sum()))
-    view.stash.items = reader.read_bool_array(len(view.stash)).tolist()
+    view.stash.marks = reader.read_bool_array(len(view.stash))
     return view
 
 

@@ -15,12 +15,14 @@ a matching attribute row:
   is kept and non-matching entries carry a one-bit mark; lookups replay the
   chain walk counting marked and unmarked copies alike.
 
-Both views copy the slot columns, so later source mutations don't leak into
-the view.  The marked view shares its source's
-:class:`~repro.ccf.chain.PairGeometry` (the salts a real system would
-serialise alongside the table) and adds a parallel bool marks matrix to
-its fingerprint :class:`~repro.cuckoo.buckets.SlotMatrix`, so it ships
-exactly the typed columns its wire format packs.
+Both views test every slot and stashed entry of the source at once, with
+the batch admissibility test of its queries (`_copies_admit`), and copy the
+slot columns, so later source mutations don't leak into the view.  The
+marked view shares its source's :class:`~repro.ccf.chain.PairGeometry` (the
+salts a real system would serialise alongside the table) and adds a
+parallel bool marks matrix to its fingerprint
+:class:`~repro.cuckoo.buckets.SlotMatrix` and a marks column to its stash,
+so it ships exactly the typed columns its wire format packs.
 """
 
 from __future__ import annotations
@@ -53,11 +55,14 @@ def extract_key_filter(source: ConditionalCuckooFilterBase, predicate: Predicate
         params.seed,
         params.packed,
     )
-    for bucket, slot, entry in source.iter_entries():
-        if source._entry_matches(entry, compiled):
-            view.buckets.set_slot(bucket, slot, entry.fp)
-    keep = [source._entry_matches(entry, compiled) for entry in source.stash.items]
-    view.stash.extend(source.stash.fps[keep], source.stash.pairs[keep])
+    buckets, slots = np.nonzero(source.buckets.occupied_mask())
+    keep = source._slots_admit(buckets, slots, compiled)
+    buckets, slots = buckets[keep], slots[keep]
+    view.buckets.fps[buckets, slots] = source.buckets.fps[buckets, slots]
+    view.buckets.recount()
+    stash = source.stash
+    keep = source._copies_admit(stash.avecs, stash.flags, stash.rows, compiled)
+    view.stash.extend(stash.fps[keep], stash.pairs[keep])
     view.num_items = view.buckets.filled + len(view.stash)
     view.failed = bool(view.stash)
     return view
@@ -67,7 +72,7 @@ class MarkedKeyFilter:
     """Chain-preserving predicate view of a chained CCF (§6.2).
 
     The fingerprint matrix keeps every copy; a parallel bool matrix holds
-    the per-slot matching mark (the stash, its entries' marks as items).
+    the per-slot matching mark (the stash, its entries' marks as a column).
     The lookup replays Algorithm 5's walk, counting every fingerprint copy
     toward the ``d`` continue-condition but reporting a hit only on marked
     copies.
@@ -88,12 +93,7 @@ class MarkedKeyFilter:
         self.marks = np.zeros((geometry.num_buckets, bucket_size), dtype=bool)
         self.max_dupes = max_dupes
         self.max_chain = max_chain
-        self.stash = Stash()
-
-    def set_slot(self, bucket: int, slot: int, fp: int, matching: bool) -> None:
-        """Store one (fingerprint, mark) pair."""
-        self.buckets.set_slot(bucket, slot, fp)
-        self.marks[bucket, slot] = matching
+        self.stash = Stash(marks=np.False_)
 
     @classmethod
     def from_ccf(cls, source: ConditionalCuckooFilterBase, predicate: Predicate) -> "MarkedKeyFilter":
@@ -106,10 +106,13 @@ class MarkedKeyFilter:
             source.params.max_chain,
             packed=source.params.packed,
         )
-        for bucket, slot, entry in source.iter_entries():
-            view.set_slot(bucket, slot, entry.fp, source._entry_matches(entry, compiled))
-        marks = [source._entry_matches(entry, compiled) for entry in source.stash.items]
-        view.stash.extend(source.stash.fps, source.stash.pairs, marks)
+        buckets, slots = np.nonzero(source.buckets.occupied_mask())
+        view.buckets.fps[buckets, slots] = source.buckets.fps[buckets, slots]
+        view.buckets.recount()
+        view.marks[buckets, slots] = source._slots_admit(buckets, slots, compiled)
+        stash = source.stash
+        marks = source._copies_admit(stash.avecs, stash.flags, stash.rows, compiled)
+        view.stash.extend(stash.fps, stash.pairs, marks=marks)
         return view
 
     def _walk_limit(self) -> int:
@@ -127,7 +130,7 @@ class MarkedKeyFilter:
         """Scalar lookup on precomputed hashes; `contains_many` equals it."""
 
         def pair_hit(left: int, right: int) -> tuple[int, bool]:
-            marks = [self.stash.items[at] for at in self.stash.find(fingerprint, left, right)]
+            marks = self.stash.marks[self.stash.find(fingerprint, left, right)].tolist()
             for bucket in (left,) if left == right else (left, right):
                 slots = np.flatnonzero(self.buckets.fps[bucket] == fingerprint)
                 marks += self.marks[bucket, slots].tolist()
@@ -148,8 +151,7 @@ class MarkedKeyFilter:
         fps = self.geometry.fingerprints_of_many(keys)
         homes = self.geometry.home_indices_of_many(keys)
         alts = self.geometry.alt_indices_many(homes, fps)
-        marks = self.marks
-        stash_marks = np.array(self.stash.items, dtype=bool)
+        marks, stash_marks = self.marks, self.stash.marks
 
         def pair_hit(lefts, rights, eq, rows, at):
             hit = (eq[:, 0] & marks[lefts]).any(axis=1) | (eq[:, 1] & marks[rights]).any(axis=1)
@@ -182,7 +184,7 @@ class MarkedKeyFilter:
     def num_matching(self) -> int:
         """Number of slots still marked as matching the predicate."""
         table = int((self.marks & self.buckets.occupied_mask()).sum())
-        return table + sum(self.stash.items)
+        return table + int(self.stash.marks.sum())
 
     def size_in_bits(self) -> int:
         """Size as a shipped artifact: fingerprint plus one marking bit."""

@@ -109,9 +109,10 @@ class SlotMatrix:
     * ``counts`` — per-bucket occupancy counts (uint8, length
       ``num_buckets``); the `insert_many` first wave sizes its conflict-free
       placements from this column without touching the matrix rows.
-    * ``payloads`` — optional flat (bucket-major) object column for slots
-      that carry more than a fingerprint; ``None`` when the structure is
-      fingerprint-only.
+    * ``payloads`` — optional flat (bucket-major) object column for the
+      hash tables' slots, which carry a key and a value beside the
+      fingerprint; ``None`` when the structure is fingerprint-only (every
+      filter, CCFs included).
 
     Slots may be non-contiguous within a bucket (deletions leave holes);
     ``try_add`` always fills the first free slot.
@@ -166,7 +167,6 @@ class SlotMatrix:
         fps: np.ndarray,
         counts: np.ndarray,
         fp_bits: int | None = None,
-        payloads: list[Any] | None = None,
     ) -> "SlotMatrix":
         """Adopt externally provided column arrays without copying.
 
@@ -210,7 +210,7 @@ class SlotMatrix:
         matrix.empty = empty
         matrix.fps = fps
         matrix.counts = counts
-        matrix.payloads = payloads
+        matrix.payloads = None
         matrix._filled = int(counts.sum())
         matrix._writeable = bool(fps.flags.writeable and counts.flags.writeable)
         return matrix
@@ -340,8 +340,8 @@ class SlotMatrix:
         ``placed`` is False), the advanced stream position, and each write
         as ``(bucket, slot, displaced fingerprint)`` — a home placement is
         the one-step path ``[(home, slot, empty)]`` — so callers with
-        companion columns (payloads, attribute vectors) move them along the
-        same chain.
+        companion columns (payloads, attribute vectors, sketch row ids) move
+        them along the same chain.
         """
         slot = self.try_add(home, fp)
         if slot >= 0:

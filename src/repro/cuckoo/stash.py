@@ -8,6 +8,7 @@ exactly as a slot probe of that pair does.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -17,40 +18,63 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 class Stash:
     """Parallel columns in stash order: ``fps``, ``pairs`` (the pair id
-    ``min(bucket, partner)``) and ``items``, one companion object per entry
-    (a CCF's entry, a marked view's mark, or None)."""
+    ``min(bucket, partner)``) and the typed companion columns its owner
+    names, one row per entry: a CCF's ``avecs``, ``flags`` and sketch
+    ``rows``, a marked view's ``marks``, none for a fingerprint filter.
 
-    __slots__ = ("fps", "pairs", "items")
+    Each companion is built from its *fill*, the value an entry stashed
+    without one takes; the fill's dtype and shape are the column's.
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, **fills: Any) -> None:
         self.fps = self.pairs = _EMPTY
-        self.items: list[Any] = []
+        self._fills = {name: np.asarray(fill) for name, fill in fills.items()}
+        for name, fill in self._fills.items():
+            setattr(self, name, np.empty((0, *fill.shape), dtype=fill.dtype))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.fps)
 
-    def __iter__(self) -> Iterator[tuple[int, int, Any]]:
-        return zip(self.fps.tolist(), self.pairs.tolist(), self.items)
+    def __iter__(self) -> Iterator[tuple[int, int, tuple]]:
+        """``(fp, pair, companions)`` per entry, the companions as a tuple
+        of plain values in declaration order."""
+        columns = [getattr(self, name).tolist() for name in self._fills]
+        companions = zip(*columns) if columns else repeat((), len(self))
+        return zip(self.fps.tolist(), self.pairs.tolist(), companions)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Stash) and list(self) == list(other)
 
-    def append(self, fp: int, pair: int, item: Any = None) -> None:
-        self.extend([fp], [pair], [item])
+    def append(self, fp: int, pair: int, **companions: Any) -> None:
+        self.extend([fp], [pair], **{name: [value] for name, value in companions.items()})
 
-    def extend(self, fps: Sequence[int], pairs: Sequence[int], items: Sequence | None = None) -> None:
+    def extend(self, fps: Sequence[int], pairs: Sequence[int], **companions: Any) -> None:
+        """Stash entries in order; a companion column not given takes its
+        fill."""
+        unknown = set(companions) - set(self._fills)
+        if unknown:
+            raise TypeError(f"this stash has no column {sorted(unknown)}")
+        count = len(fps)
         self.fps = np.concatenate((self.fps, np.asarray(fps, dtype=np.int64)))
         self.pairs = np.concatenate((self.pairs, np.asarray(pairs, dtype=np.int64)))
-        self.items.extend([None] * len(fps) if items is None else items)
+        for name, fill in self._fills.items():
+            values = companions.get(name)
+            shape = (count, *fill.shape)
+            if values is None:
+                values = np.broadcast_to(fill, shape)
+            else:
+                values = np.asarray(values, dtype=fill.dtype).reshape(shape)
+            setattr(self, name, np.concatenate((getattr(self, name), values)))
 
-    def pop(self, position: int) -> Any:
+    def pop(self, position: int) -> None:
         self.fps = np.delete(self.fps, position)
         self.pairs = np.delete(self.pairs, position)
-        return self.items.pop(position)
+        for name in self._fills:
+            setattr(self, name, np.delete(getattr(self, name), position, axis=0))
 
     def find(self, fp: int, left: int, right: int) -> list[int]:
         """Positions of the entries holding ``fp`` in pair ``(left, right)``."""
-        if not self.items:
+        if not len(self.fps):
             return []
         return np.flatnonzero((self.fps == fp) & (self.pairs == min(left, right))).tolist()
 
@@ -58,7 +82,7 @@ class Stash:
         """Batch `find`: every (probe row, stash position) agreeing on the
         fingerprint and the pair, a probe's positions in stash order.  The
         stash is sorted by pair once: O((n + s) log s), never O(n * s)."""
-        if not self.items:
+        if not len(self.fps):
             return _EMPTY, _EMPTY
         order = np.argsort(self.pairs, kind="stable")
         sorted_pairs = self.pairs[order]

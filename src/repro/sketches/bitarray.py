@@ -1,16 +1,15 @@
-"""Compact fixed-size bit arrays, alone or as rows of one shared buffer.
+"""Compact fixed-size bit arrays, and the bit rows of a CCF's sketches.
 
 This is the storage primitive under every Bloom filter in the repository.
 :class:`BitArray` deliberately exposes only what the sketches need: bit
 get/set/clear, a bulk set, popcount, bitwise union/intersection with an
 equally-sized array, and byte-level (de)serialisation.
 
-Every bit array is one row of a :class:`BitRows`: a growable buffer of
-equal-width rows.  A bit array made alone gets a one-row buffer of its own;
-the Bloom and Mixed CCFs keep the sketches of all their payload slots as
-rows of one buffer, so a batch probe gathers the matched sketches' bits
-with one numpy index (`BitRows.words`) instead of joining them object by
-object (DESIGN.md §6).
+:class:`BitRows` is a growable buffer of equal-width rows: the Bloom and
+Mixed CCFs keep the sketches of all their payload slots as its rows, with
+each sketch's matching flag and insert count in parallel columns, so a
+batch probe gathers the matched sketches' bits with one numpy index
+(`BitRows.words`) instead of joining them object by object (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -22,16 +21,17 @@ import numpy as np
 
 class BitRows:
     """Equal-width rows of ``num_bits`` bits, ``stride`` bytes apart, in one
-    ``bytearray`` that grows by doubling, and one flag per row in ``flags``
-    (True until cleared; the CCFs keep their payload entries' matching
-    flags there).
+    ``bytearray`` that grows by doubling, with two parallel columns: one
+    flag per row in ``flags`` (True until cleared; a CCF keeps each payload
+    sketch's matching flag there) and one count per row in ``counts`` (the
+    values the sketch took).
 
     Rows are only ever appended, and a row keeps its index: a full buffer is
-    copied into one twice as large, which the rows' bit arrays find through
-    ``buf``.  Bits past ``num_bits`` in a row stay zero.
+    copied into one twice as large.  Bits past ``num_bits`` in a row stay
+    zero.
     """
 
-    __slots__ = ("num_bits", "stride", "buf", "flags", "size", "_words")
+    __slots__ = ("num_bits", "stride", "buf", "flags", "counts", "size", "_words")
 
     def __init__(self, num_bits: int, stride: int | None = None) -> None:
         if num_bits < 0:
@@ -45,11 +45,13 @@ class BitRows:
         self.stride = stride
         self.buf = bytearray()
         self.flags = np.ones(1, dtype=bool)
+        self.counts = np.zeros(1, dtype=np.int64)
         self.size = 0
         self._words: np.ndarray | None = None
 
     def append(self) -> int:
-        """Add one row of zero bits; returns its index."""
+        """Add one row of zero bits, flag True and count 0; returns its
+        index."""
         end = (self.size + 1) * self.stride
         if end > len(self.buf):
             grown = bytearray(max(end, 2 * len(self.buf)))
@@ -58,8 +60,15 @@ class BitRows:
             self._words = None
         if self.size == len(self.flags):
             self.flags = np.concatenate((self.flags, np.ones(self.size, dtype=bool)))
+            self.counts = np.concatenate((self.counts, np.zeros(self.size, dtype=np.int64)))
         self.size += 1
         return self.size - 1
+
+    def row_bytes(self, row: int) -> bytes:
+        """The ``ceil(num_bits / 8)`` bytes of ``row`` (little-endian bit
+        order within bytes, as `BitArray.to_bytes`)."""
+        at = row * self.stride
+        return bytes(self.buf[at : at + (self.num_bits + 7) // 8])
 
     def words(self) -> np.ndarray:
         """The rows as a live ``(rows, stride // 8)`` little-endian uint64
@@ -71,30 +80,23 @@ class BitRows:
 
     def __getstate__(self) -> tuple:
         # The cached word view would unpickle as a copy of the old buffer.
-        return self.num_bits, self.stride, self.buf, self.flags, self.size
+        return self.num_bits, self.stride, self.buf, self.flags, self.counts, self.size
 
     def __setstate__(self, state: tuple) -> None:
-        self.num_bits, self.stride, self.buf, self.flags, self.size = state
+        self.num_bits, self.stride, self.buf, self.flags, self.counts, self.size = state
         self._words = None
 
 
 class BitArray:
-    """Fixed-length array of bits, all initially zero: one row of a
-    :class:`BitRows`, its own unless ``rows`` is given."""
+    """Fixed-length array of bits, all initially zero."""
 
-    __slots__ = ("num_bits", "_rows", "_row", "_at")
+    __slots__ = ("num_bits", "_buf")
 
-    def __init__(self, num_bits: int, rows: BitRows | None = None) -> None:
+    def __init__(self, num_bits: int) -> None:
         if num_bits < 0:
             raise ValueError("num_bits must be non-negative")
-        if rows is None:
-            rows = BitRows(num_bits)
-        elif rows.num_bits != num_bits:
-            raise ValueError(f"rows of {rows.num_bits} bits cannot hold {num_bits}")
         self.num_bits = num_bits
-        self._rows = rows
-        self._row = rows.append()
-        self._at = self._row * rows.stride
+        self._buf = bytearray((num_bits + 7) // 8)
 
     def _check_index(self, index: int) -> int:
         if index < 0:
@@ -103,39 +105,15 @@ class BitArray:
             raise IndexError(f"bit index {index} out of range for {self.num_bits} bits")
         return index
 
-    @property
-    def flag(self) -> bool:
-        """The row's flag (`BitRows.flags`), which moves with the bits."""
-        return bool(self._rows.flags[self._row])
-
-    @flag.setter
-    def flag(self, value: bool) -> None:
-        self._rows.flags[self._row] = value
-
-    def row_in(self, rows: BitRows) -> int:
-        """This array's row index in ``rows``, its bits and flag first moved
-        to a new row there if they live elsewhere (the old row is left
-        behind)."""
-        if rows is not self._rows:
-            if rows.num_bits != self.num_bits:
-                raise ValueError(f"rows of {rows.num_bits} bits cannot hold {self.num_bits}")
-            data, flag = self.to_bytes(), self.flag
-            row = rows.append()
-            at = row * rows.stride
-            rows.buf[at : at + len(data)] = data
-            self._rows, self._row, self._at = rows, row, at
-            self.flag = flag
-        return self._row
-
     def get(self, index: int) -> bool:
         """Return the bit at ``index``."""
         index = self._check_index(index)
-        return bool(self._rows.buf[self._at + (index >> 3)] & (1 << (index & 7)))
+        return bool(self._buf[index >> 3] & (1 << (index & 7)))
 
     def set(self, index: int) -> None:
         """Set the bit at ``index`` to one."""
         index = self._check_index(index)
-        self._rows.buf[self._at + (index >> 3)] |= 1 << (index & 7)
+        self._buf[index >> 3] |= 1 << (index & 7)
 
     def set_many(self, indices: Sequence[int]) -> None:
         """Set the bit at every index in ``indices`` to one.
@@ -145,14 +123,14 @@ class BitArray:
         """
         if indices and (min(indices) < 0 or max(indices) >= self.num_bits):
             raise IndexError(f"bit indices {list(indices)} out of range for {self.num_bits} bits")
-        buf, at = self._rows.buf, self._at
+        buf = self._buf
         for index in indices:
-            buf[at + (index >> 3)] |= 1 << (index & 7)
+            buf[index >> 3] |= 1 << (index & 7)
 
     def clear(self, index: int) -> None:
         """Set the bit at ``index`` to zero."""
         index = self._check_index(index)
-        self._rows.buf[self._at + (index >> 3)] &= ~(1 << (index & 7)) & 0xFF
+        self._buf[index >> 3] &= ~(1 << (index & 7)) & 0xFF
 
     def assign(self, index: int, value: bool) -> None:
         """Set the bit at ``index`` to ``value``."""
@@ -172,7 +150,7 @@ class BitArray:
 
     def count(self) -> int:
         """Return the number of one bits (popcount)."""
-        return int.from_bytes(self.to_bytes(), "little").bit_count()
+        return int.from_bytes(self._buf, "little").bit_count()
 
     def fill_ratio(self) -> float:
         """Return the fraction of bits set, or 0.0 for an empty array."""
@@ -182,12 +160,11 @@ class BitArray:
 
     def any(self) -> bool:
         """Return True if at least one bit is set."""
-        return any(self.to_bytes())
+        return any(self._buf)
 
     def reset(self) -> None:
         """Clear every bit."""
-        nbytes = (self.num_bits + 7) // 8
-        self._rows.buf[self._at : self._at + nbytes] = bytes(nbytes)
+        self._buf[:] = bytes(len(self._buf))
 
     def _check_compatible(self, other: "BitArray") -> None:
         if not isinstance(other, BitArray):
@@ -200,37 +177,33 @@ class BitArray:
     def union_update(self, other: "BitArray") -> None:
         """In-place bitwise OR with another array of the same size."""
         self._check_compatible(other)
-        buf, at = self._rows.buf, self._at
-        for i, byte in enumerate(other.to_bytes()):
-            buf[at + i] |= byte
+        for i, byte in enumerate(other._buf):
+            self._buf[i] |= byte
 
     def intersection_update(self, other: "BitArray") -> None:
         """In-place bitwise AND with another array of the same size."""
         self._check_compatible(other)
-        buf, at = self._rows.buf, self._at
-        for i, byte in enumerate(other.to_bytes()):
-            buf[at + i] &= byte
+        for i, byte in enumerate(other._buf):
+            self._buf[i] &= byte
 
     def is_subset_of(self, other: "BitArray") -> bool:
         """Return True if every set bit here is also set in ``other``."""
         self._check_compatible(other)
-        return all((mine & ~theirs) == 0 for mine, theirs in zip(self.to_bytes(), other.to_bytes()))
+        return all((mine & ~theirs) == 0 for mine, theirs in zip(self._buf, other._buf))
 
     def copy(self) -> "BitArray":
-        """Return an independent copy, flag included (in a buffer of its
-        own)."""
-        clone = BitArray.from_bytes(self.to_bytes(), self.num_bits)
-        clone.flag = self.flag
+        """Return an independent copy."""
+        clone = BitArray(self.num_bits)
+        clone._buf[:] = self._buf
         return clone
 
     def to_bytes(self) -> bytes:
         """Serialise to bytes (little-endian bit order within bytes)."""
-        return bytes(self._rows.buf[self._at : self._at + (self.num_bits + 7) // 8])
+        return bytes(self._buf)
 
     @classmethod
-    def from_bytes(cls, data: bytes, num_bits: int, rows: BitRows | None = None) -> "BitArray":
-        """Deserialise from :meth:`to_bytes` output, into a new row of
-        ``rows`` if given."""
+    def from_bytes(cls, data: bytes, num_bits: int) -> "BitArray":
+        """Deserialise from :meth:`to_bytes` output."""
         expected = (num_bits + 7) // 8
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes for {num_bits} bits, got {len(data)}")
@@ -238,14 +211,14 @@ class BitArray:
         spare = expected * 8 - num_bits
         if spare and data and (data[-1] >> (8 - spare)):
             raise ValueError("stray bits set beyond num_bits")
-        array = cls(num_bits, rows)
-        array._rows.buf[array._at : array._at + expected] = data
+        array = cls(num_bits)
+        array._buf[:] = data
         return array
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitArray):
             return NotImplemented
-        return self.num_bits == other.num_bits and self.to_bytes() == other.to_bytes()
+        return self.num_bits == other.num_bits and self._buf == other._buf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BitArray(num_bits={self.num_bits}, set={self.count()})"

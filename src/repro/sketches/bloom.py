@@ -6,13 +6,18 @@ Used in three places in the reproduction:
 * as the conversion target of the Mixed CCF (§6.1), and
 * as the classical baseline in bit-efficiency comparisons (§10.2).
 
+The CCFs keep their sketches as rows of one
+:class:`~repro.sketches.bitarray.BitRows` rather than as filter objects,
+and hash through the same :class:`SketchHashing`, so a CCF sketch holds
+exactly the bits of a :class:`BloomFilter` fed the same values.
+
 The filter is parameterised directly by bit count and hash count because the
 paper sizes the per-entry sketches that way (4-24 bits, 2-4 hashes);
 :meth:`BloomFilter.optimal_params` provides the textbook sizing for callers
 that start from an (n, target FPR) pair instead.
 
 :class:`BatchProbe` tests one predicate against many same-parameter filters
-at once: filters made as rows of one :class:`~repro.sketches.bitarray.BitRows`
+at once: filters kept as rows of one :class:`~repro.sketches.bitarray.BitRows`
 (as a CCF's payload sketches are) are gathered as one uint64 matrix by row
 index and compared with per-value bit masks computed once.
 
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro.hashing.families import HashFamily
 from repro.hashing.mixers import canonical_bytes
-from repro.sketches.bitarray import BitArray, BitRows
+from repro.sketches.bitarray import BitArray
 
 #: Distinct values one :class:`SketchHashing` memoises; older ones are
 #: evicted first.  A small tuple value and its positions take about 0.2 KiB,
@@ -109,17 +114,9 @@ def shared_hashing(num_bits: int, num_hashes: int, seed: int) -> SketchHashing:
 
 
 class BloomFilter:
-    """A fixed-size Bloom filter for arbitrary hashable values.
+    """A fixed-size Bloom filter for arbitrary hashable values."""
 
-    Its bits are one row of ``rows`` when given (the one copy, read and
-    written in place), else of a buffer of its own.  The row's ``flag``
-    travels with the bits; the CCFs keep their entries' matching flags
-    there.
-    """
-
-    def __init__(
-        self, num_bits: int, num_hashes: int, seed: int = 0, rows: BitRows | None = None
-    ) -> None:
+    def __init__(self, num_bits: int, num_hashes: int, seed: int = 0) -> None:
         if num_bits < 1:
             raise ValueError("a Bloom filter needs at least one bit")
         if num_hashes < 1:
@@ -128,7 +125,7 @@ class BloomFilter:
         self.num_hashes = num_hashes
         self.seed = seed
         self.num_inserted = 0
-        self._bits = BitArray(num_bits, rows)
+        self._bits = BitArray(num_bits)
         self._hashing = shared_hashing(num_bits, num_hashes, seed)
 
     @staticmethod
@@ -172,20 +169,6 @@ class BloomFilter:
     def contains(self, value: object) -> bool:
         """Return True if ``value`` may have been inserted (no false negatives)."""
         return value in self
-
-    @property
-    def flag(self) -> bool:
-        """The flag kept beside the filter's bits (`BitArray.flag`)."""
-        return self._bits.flag
-
-    @flag.setter
-    def flag(self, value: bool) -> None:
-        self._bits.flag = value
-
-    def row_in(self, rows: BitRows) -> int:
-        """The row of ``rows`` holding this filter's bits, moved there first
-        if they live elsewhere (`BitArray.row_in`)."""
-        return self._bits.row_in(rows)
 
     def fill_ratio(self) -> float:
         """Return the fraction of bits set."""
@@ -241,18 +224,11 @@ class BloomFilter:
 
     @classmethod
     def from_payload(
-        cls,
-        num_bits: int,
-        num_hashes: int,
-        seed: int,
-        payload: bytes,
-        num_inserted: int,
-        rows: BitRows | None = None,
+        cls, num_bits: int, num_hashes: int, seed: int, payload: bytes, num_inserted: int
     ) -> "BloomFilter":
-        """Reconstruct a filter from :meth:`payload_bytes` output, as a new
-        row of ``rows`` if given."""
+        """Reconstruct a filter from :meth:`payload_bytes` output."""
         bloom = cls(num_bits, num_hashes, seed)
-        bloom._bits = BitArray.from_bytes(payload, num_bits, rows)
+        bloom._bits = BitArray.from_bytes(payload, num_bits)
         bloom.num_inserted = num_inserted
         return bloom
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.entries import VectorEntry
 from repro.ccf.params import CCFParams
 from repro.ccf.plain import PlainCCF
 
@@ -52,7 +51,6 @@ def collect_live_rows(
     bucket (a stash row's is its pair id), fingerprint and attribute vector,
     which rows came from a stash, and the per-pair table-row counts.
     """
-    num_attrs = levels[0].schema.num_attributes
     parts = []
     for level in levels:
         # Each level's occupied slots straight out of the packed columns:
@@ -65,8 +63,7 @@ def collect_live_rows(
     num_table_rows = sum(len(part[1]) for part in parts)
     for level in levels:
         stash = level.stash
-        avecs = np.array([entry.avec for entry in stash.items], dtype=np.int64)
-        parts.append((stash.pairs, stash.fps, stash.pairs, avecs.reshape(-1, num_attrs)))
+        parts.append((stash.pairs, stash.fps, stash.pairs, stash.avecs.astype(np.int64)))
     buckets, fps, pairs, avecs = (np.concatenate(column) for column in zip(*parts))
     _, first = np.unique(np.column_stack((pairs, fps, avecs)), axis=0, return_index=True)
     first.sort()
@@ -153,9 +150,8 @@ def merge_levels(
             if stashed.any():  # a stash row's bucket is its pair id
                 rest = _scatter(merged, buckets, fps, avecs, np.flatnonzero(stashed))
                 alts = merged.geometry.alt_indices_many(buckets, fps)
-                rest = _scatter(merged, alts, fps, avecs, rest).tolist()
-                entries = [VectorEntry(int(fps[i]), tuple(avecs[i].tolist())) for i in rest]
-                merged.stash.extend(fps[rest], buckets[rest], entries)
+                rest = _scatter(merged, alts, fps, avecs, rest)
+                merged.stash.extend(fps[rest], buckets[rest], avecs=avecs[rest])
             merged.num_rows_inserted = sum(level.num_rows_inserted for level in levels)
             merged.num_rows_discarded = sum(level.num_rows_discarded for level in levels)
             return merged

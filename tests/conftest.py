@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import random
-from typing import Any
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In
@@ -47,28 +44,50 @@ def random_rows(
     return rows
 
 
-def _entry_state(entry: Any) -> tuple:
-    """One entry's stored content, payload sketch bits included."""
-    if isinstance(entry, VectorEntry):
-        return ("vector", entry.fp, tuple(entry.avec), entry.matching)
-    bloom = entry.group.bloom if isinstance(entry, GroupSlot) else entry.bloom
-    return (type(entry).__name__, entry.fp, bloom._bits.to_bytes(), entry.matching)
+def _sketch_state(ccf, rows: list[int]) -> list:
+    """Per copy with sketch row id ``rows[i]``: the sketch's bytes, flag
+    and insert count, or None for a vector copy (row -1)."""
+    sketches = ccf._sketch_rows
+    return [
+        None
+        if row < 0
+        else (sketches.row_bytes(row), bool(sketches.flags[row]), int(sketches.counts[row]))
+        for row in rows
+    ]
 
 
 def ccf_state(ccf) -> dict:
-    """Everything placement decides in a CCF: the slot columns, the payload
-    sketch bits, the stash with its pairs (in order), the kick count and the
-    failure latch."""
-    payloads = ccf.buckets.payloads or [None] * ccf.buckets.capacity
+    """Everything placement and the counters decide in a CCF, read from its
+    columns: the slot columns, each payload slot's sketch bytes, flag and
+    insert count, the stash columns with their pairs (in order), and the
+    counters.  Sketch row ids are not compared: twins built in another
+    order number their sketches differently."""
+    capacity = ccf.buckets.capacity
+    rows = [-1] * capacity if ccf._payload_rows is None else ccf._payload_rows.ravel().tolist()
+    stash = ccf.stash
     return {
         "fps": ccf.buckets.fps.tolist(),
         "counts": ccf.buckets.counts.tolist(),
         "avecs": ccf._avecs.tolist(),
         "flags": ccf._flags.tolist(),
-        "payloads": [None if p is None else _entry_state(p) for p in payloads],
-        "stash": [(fp, pair, _entry_state(entry)) for fp, pair, entry in ccf.stash],
-        "num_kicks": ccf.num_kicks,
-        "failed": ccf.failed,
+        "sketches": _sketch_state(ccf, rows),
+        "stash": list(
+            zip(
+                stash.fps.tolist(),
+                stash.pairs.tolist(),
+                stash.avecs.tolist(),
+                stash.flags.tolist(),
+                _sketch_state(ccf, stash.rows.tolist()),
+            )
+        ),
+        "counters": (
+            ccf.num_rows_inserted,
+            ccf.num_rows_discarded,
+            ccf.num_kicks,
+            ccf.failed,
+            getattr(ccf, "num_conversions", None),
+            getattr(ccf, "num_absorbed", None),
+        ),
     }
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
 from repro.ccf.base import first_copies
-from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import CCF_KINDS, make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In
@@ -29,7 +28,7 @@ from repro.cuckoo.hashtable import CuckooHashTable
 from repro.cuckoo.multiset import MultisetCuckooFilter
 from repro.cuckoo.semisort_filter import SemiSortedCuckooFilter
 
-from tests.conftest import TINY_PREDICATES, tiny_chained_ccfs
+from tests.conftest import TINY_PREDICATES, ccf_state, tiny_chained_ccfs
 from tests.test_bloom import fresh_bits
 
 SCHEMA = AttributeSchema(["color", "size"])
@@ -62,31 +61,10 @@ def _params(num_buckets_seed: int, max_chain=None) -> CCFParams:
     )
 
 
-def _entry_key(entry):
-    if isinstance(entry, VectorEntry):
-        return ("vec", entry.fp, entry.avec, entry.matching)
-    if isinstance(entry, GroupSlot):
-        return ("group", entry.fp, entry.group.bloom.payload_bytes())
-    return ("bloom", entry.fp, entry.bloom.payload_bytes())
-
-
-def _table_state(ccf):
-    return [
-        (bucket, slot, _entry_key(entry))
-        for bucket, slot, entry in ccf.iter_entries()
-    ]
-
-
 def _assert_ccf_twins_equal(scalar, batch):
-    assert _table_state(scalar) == _table_state(batch)
-    assert [_entry_key(e) for e in scalar.stash] == [_entry_key(e) for e in batch.stash]
-    assert scalar.num_rows_inserted == batch.num_rows_inserted
-    assert scalar.num_rows_discarded == batch.num_rows_discarded
-    assert scalar.num_kicks == batch.num_kicks
+    assert ccf_state(scalar) == ccf_state(batch)
     assert scalar.num_entries == batch.num_entries
-    assert scalar.failed == batch.failed
-    # The wire bytes also carry what the checks above do not read: the Mixed
-    # counters and every sketch's insert count.
+    # The wire bytes must agree too.
     assert dumps(scalar) == dumps(batch)
 
 
@@ -466,12 +444,12 @@ def test_mixed_batch_sees_in_place_group_absorption():
 
 
 def _unmark_every_third_payload(ccf):
-    """Clear the live ``matching`` flag of every third payload entry."""
-    entries = [entry for entry in ccf.buckets.payloads if entry is not None]
-    for entry in entries[::3]:
-        target = entry.group if isinstance(entry, GroupSlot) else entry
-        target.matching = False
-    return len(entries)
+    """Clear the live ``matching`` flag of every third payload slot's
+    sketch, in flat slot order."""
+    rows = ccf._payload_rows.ravel()
+    rows = rows[rows >= 0]
+    ccf._sketch_rows.flags[rows[::3]] = False
+    return len(rows)
 
 
 SKETCH_PREDICATES = (
@@ -561,14 +539,17 @@ def test_insert_many_validates_columns():
 
 
 def _payload_rows_agree(ccf):
-    """Every payload slot's row id names its sketch's row, and every other
-    slot's is -1."""
-    rows = ccf._payload_rows.ravel()
-    for index, entry in enumerate(ccf.buckets.payloads):
-        if entry is None:
-            assert rows[index] == -1
-        else:
-            assert rows[index] == entry.bloom.row_in(ccf._sketch_rows)
+    """Every payload slot's row id names a sketch row, every other slot's
+    is -1, and each sketch is held by its entry's one slot (Bloom) or its
+    group's ``d`` slots (Mixed), stashed ones included."""
+    rows, occupied = ccf._payload_rows, ccf.buckets.occupied_mask()
+    assert (rows[~occupied] == -1).all()
+    assert (rows < ccf._sketch_rows.size).all()
+    if ccf.kind == "bloom":
+        assert (rows[occupied] >= 0).all()
+    held = np.concatenate((rows[rows >= 0], ccf.stash.rows[ccf.stash.rows >= 0]))
+    _, slots_per_sketch = np.unique(held, return_counts=True)
+    assert (slots_per_sketch == (1 if ccf.kind == "bloom" else ccf.params.max_dupes)).all()
     return rows
 
 
@@ -587,7 +568,8 @@ def test_payload_rows_survive_the_wire_and_stashing(kind):
     ccf.insert_many(
         [k for k, _c, _s in rows], [[c for _k, c, _s in rows], [s for _k, _c, s in rows]]
     )
-    assert any(not isinstance(entry, VectorEntry) for entry in ccf.stash.items)
+    stash = ccf.stash
+    assert (stash.rows >= 0).any()
     if kind == "bloom":
         # Each stashed entry's bits are its (fingerprint, pair)'s rows, hashed
         # afresh.
@@ -596,9 +578,9 @@ def test_payload_rows_survive_the_wire_and_stashing(kind):
             fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
             pair = ccf.geometry.pair_id(home, fp)
             values.setdefault((fp, pair), []).extend([(0, color), (1, size)])
-        for fp, pair, entry in ccf.stash:
+        for fp, pair, row in zip(stash.fps.tolist(), stash.pairs.tolist(), stash.rows.tolist()):
             want = fresh_bits(params.bloom_bits, params.bloom_hashes, ccf._bloom_salt, values[fp, pair])
-            assert entry.bloom.payload_bytes() == want.to_bytes()
+            assert ccf._sketch_rows.row_bytes(row) == want.to_bytes()
     reloaded = loads(dumps(ccf))
     assert dumps(reloaded) == dumps(ccf)
     probes = np.arange(100)
@@ -608,27 +590,6 @@ def test_payload_rows_survive_the_wire_and_stashing(kind):
             compiled = twin.compile(predicate)
             want = [twin.query(int(key), compiled) for key in probes.tolist()]
             assert twin.query_many(probes, compiled).tolist() == want
-
-
-def test_a_bloom_entry_built_elsewhere_keeps_its_bits():
-    """An entry whose sketch was filled outside the CCF moves its bits into
-    the CCF's sketch rows when placed, and is matched from there."""
-    from repro.ccf.entries import BloomEntry
-    from repro.sketches.bloom import BloomFilter
-
-    params = _params(1).replace(bloom_bits=24, bloom_hashes=3)
-    ccf = make_ccf("bloom", SCHEMA, 16, params)
-    ccf.insert(1, ("blue", 2))
-    bloom = BloomFilter(params.bloom_bits, params.bloom_hashes, ccf._bloom_salt)
-    entry = BloomEntry(ccf.fingerprint_of(9), bloom)
-    entry.add_attributes(("red", 4))
-    before = bloom.payload_bytes()
-    home = ccf.home_index(9)
-    assert ccf._place_in_pair(home, ccf.alt_index(home, entry.fp), entry)
-    assert entry.bloom.payload_bytes() == before
-    _payload_rows_agree(ccf)
-    assert ccf.query_many([9], ccf.compile(Eq("color", "red"))).tolist() == [True]
-    assert ccf.query_many([9], ccf.compile(Eq("color", "green"))).tolist() == [False]
 
 
 @pytest.mark.parametrize("kind", ["bloom", "mixed"])

@@ -35,6 +35,16 @@ def fresh_bits(num_bits, num_hashes, seed, values):
     return bits
 
 
+def as_rows(filters, stride):
+    """The filters' bits copied into rows of one :class:`BitRows`."""
+    rows = BitRows(filters[0].num_bits if filters else 0, stride=stride)
+    for bloom in filters:
+        at = rows.append() * stride
+        payload = bloom.payload_bytes()
+        rows.buf[at : at + len(payload)] = payload
+    return rows
+
+
 class TestBasics:
     def test_membership_after_insert(self):
         bloom = BloomFilter(256, 3, seed=1)
@@ -201,75 +211,75 @@ class TestBatchProbe:
         ),
     )
     def test_matches_scalar_membership(self, num_bits, num_hashes, stored, alternatives):
-        """Live bits against precomputed masks, over one- and two-word
-        filters kept as rows of one buffer: equal to testing each value
-        with ``in``."""
-        rows = BitRows(num_bits, stride=8 * ((num_bits + 63) // 64))
+        """Bits against precomputed masks, over one- and two-word filters
+        kept as rows of one buffer: equal to testing each value with
+        ``in``."""
         filters = []
         for values in stored:
-            bloom = BloomFilter(num_bits, num_hashes, seed=5, rows=rows)
+            bloom = BloomFilter(num_bits, num_hashes, seed=5)
             for value in values:
                 bloom.add(value)
             filters.append(bloom)
+        rows = as_rows(filters, stride=8 * ((num_bits + 63) // 64))
         probe = BatchProbe(num_bits, num_hashes, 5, alternatives)
         want = [all(any(v in f for v in values) for values in alternatives) for f in filters]
-        words = rows.words()[[f.row_in(rows) for f in filters]]
+        words = rows.words()[: len(filters)]
         assert probe.matches(words).tolist() == want
 
     def test_sees_inserts_after_construction(self):
         rows = BitRows(40, stride=8)
-        bloom = BloomFilter(40, 3, seed=2, rows=rows)
+        rows.append()
         probe = BatchProbe(40, 3, 2, [["late"]])
         assert not probe.matches(rows.words()[[0]])[0]
-        bloom.add("late")
+        for position in shared_hashing(40, 3, 2).positions("late"):
+            rows.buf[position >> 3] |= 1 << (position & 7)
         assert probe.matches(rows.words()[[0]])[0]
 
 
 class TestSharedRows:
-    """Bloom filters whose bits are rows of one growing buffer."""
+    """Sketches kept as rows of one growing buffer, as a CCF keeps them."""
 
     def test_rows_grow_under_live_filters(self):
         """Every append past the buffer's room moves all rows to a larger
-        buffer; filters made before keep reading and writing their row."""
+        buffer; rows written before keep their bits, flags and counts, and
+        stay writable through the buffer."""
         rows = BitRows(70, stride=16)
-        filters = []
-        for i in range(300):
-            bloom = BloomFilter(70, 3, seed=9, rows=rows)
-            bloom.add(("row", i))
-            filters.append(bloom)
-            filters[i // 2].add(("late", i))
-        for i, bloom in enumerate(filters):
-            assert bloom.row_in(rows) == i
-            assert ("row", i) in bloom
-            assert all(("late", j) in bloom for j in (2 * i, 2 * i + 1) if j < 300)
-            fresh = BloomFilter(70, 3, seed=9)
-            for value in [("row", i)] + [("late", j) for j in (2 * i, 2 * i + 1) if j < 300]:
-                fresh.add(value)
-            assert bloom.payload_bytes() == fresh.payload_bytes()
-            assert rows.words()[i].tobytes()[:9] == fresh.payload_bytes()
+        hashing = shared_hashing(70, 3, 9)
+        written: list[list] = []
 
-    def test_a_filter_made_alone_moves_in_with_its_bits(self):
-        bloom = BloomFilter(24, 2, seed=3)
-        bloom.add("x")
-        rows = BitRows(24, stride=8)
-        BloomFilter(24, 2, seed=3, rows=rows)
-        assert bloom.row_in(rows) == 1 and bloom.row_in(rows) == 1
-        bloom.add("y")
-        assert "x" in bloom and "y" in bloom
-        assert rows.words()[1].tobytes()[:3] == bloom.payload_bytes()
-        with pytest.raises(ValueError):
-            bloom.row_in(BitRows(32, stride=8))
+        def add(row, value):
+            at = row * rows.stride
+            for position in hashing.positions(value):
+                rows.buf[at + (position >> 3)] |= 1 << (position & 7)
+            rows.counts[row] += 1
+            written[row].append(value)
+
+        for i in range(300):
+            assert rows.append() == i
+            written.append([])
+            add(i, ("row", i))
+            add(i // 2, ("late", i))
+            rows.flags[i] = i % 3 != 0
+        assert rows.size == 300 and len(rows.buf) >= 300 * rows.stride
+        for i, values in enumerate(written):
+            want = fresh_bits(70, 3, 9, values).to_bytes()
+            assert rows.row_bytes(i) == want
+            assert rows.words()[i].tobytes()[:9] == want
+            assert rows.counts[i] == len(values)
+            assert rows.flags[i] == (i % 3 != 0)
 
     def test_pickle_keeps_rows_live(self):
         rows = BitRows(40, stride=8)
-        blooms = [BloomFilter(40, 2, seed=1, rows=rows) for _ in range(3)]
-        blooms[1].add("z")
+        for _ in range(3):
+            rows.append()
+        rows.buf[8] = 0b101
+        rows.flags[1], rows.counts[1] = False, 4
         rows.words()  # a cached view must not travel
-        clone_rows, clone = pickle.loads(pickle.dumps((rows, blooms[1])))
-        clone.add("w")
-        assert clone.row_in(clone_rows) == 1
-        assert clone_rows.words()[1].tobytes()[:5] == clone.payload_bytes()
-        assert "w" not in blooms[1]
+        clone = pickle.loads(pickle.dumps(rows))
+        clone.buf[9] = 0b1
+        assert clone.words()[1].tobytes()[:2] == bytes([0b101, 0b1])
+        assert rows.words()[1].tobytes()[:2] == bytes([0b101, 0])
+        assert (clone.flags[1], clone.counts[1], clone.size) == (False, 4, 3)
 
 
 class TestSharedHashing:
@@ -329,13 +339,13 @@ class TestSharedHashing:
             pair = tuple(sorted((home, ccf.alt_index(home, fp))))
             rows.setdefault((fp, *pair), []).extend([(0, a), (1, b)])
         seen = set()
-        for bucket, _slot, entry in ccf.iter_entries():
-            pair = tuple(sorted((bucket, ccf.alt_index(bucket, entry.fp))))
+        for bucket, slot, fp, _payload in ccf.buckets.iter_entries():
+            pair = tuple(sorted((bucket, ccf.alt_index(bucket, fp))))
             want = fresh_bits(
-                params.bloom_bits, params.bloom_hashes, ccf._bloom_salt, rows[(entry.fp, *pair)]
+                params.bloom_bits, params.bloom_hashes, ccf._bloom_salt, rows[(fp, *pair)]
             )
-            assert entry.bloom._bits == want
-            seen.add((entry.fp, *pair))
+            assert ccf._sketch_rows.row_bytes(ccf._payload_rows[bucket, slot]) == want.to_bytes()
+            seen.add((fp, *pair))
         assert seen == set(rows)
 
     def test_memo_is_bounded(self, monkeypatch):

@@ -20,6 +20,20 @@ def build(rows, params=PARAMS):
     return build_ccf("bloom", SCHEMA, rows, params)
 
 
+def _sketch_row(ccf: BloomCCF, key) -> int:
+    """The sketch row id of ``key``'s one entry."""
+    fingerprint, home = ccf.fingerprint_of(key), ccf.home_index(key)
+    copies = ccf._fp_entries_in_pair(home, ccf.alt_index(home, fingerprint), fingerprint)
+    [row] = ccf._copy_rows(*copies)
+    return row
+
+
+def _sketch_fill(ccf: BloomCCF, key) -> float:
+    """The fraction of bits set in ``key``'s entry's sketch."""
+    sketch = ccf._sketch_rows.row_bytes(_sketch_row(ccf, key))
+    return int.from_bytes(sketch, "little").bit_count() / ccf._sketch_rows.num_bits
+
+
 class TestNoFalseNegatives:
     def test_exact_row_queries(self):
         rows = random_rows(400, 6, seed=1)
@@ -85,23 +99,25 @@ class TestCoOccurrenceWeakness:
             cross_matches += chained.query(1, cross)
         assert cross_matches <= 4  # ~2^-8 collision odds per seed
 
+    def test_sketched_value_carries_its_attribute_index(self):
+        """An entry's sketch holds (attribute index, raw value) pairs: the
+        same value under another attribute is another item."""
+        ccf = BloomCCF(SCHEMA, 64, PARAMS.replace(bloom_bits=256, bloom_hashes=3))
+        ccf.insert(1, ("red", 7))
+        row = _sketch_row(ccf, 1)
+        assert ccf._sketch_has(row, (0, "red")) and ccf._sketch_has(row, (1, 7))
+        assert int(ccf._sketch_rows.counts[row]) == 2
+        assert not ccf._sketch_has(row, (1, "red"))
+        assert ccf.query(1, Eq("color", "red")) and not ccf.query(1, Eq("size", "red"))
+        assert ccf.query_many([1], Eq("size", "red")).tolist() == [False]
+
     def test_fpr_grows_with_entry_fill(self):
         sparse = BloomCCF(SCHEMA, 1024, PARAMS)
         sparse.insert(1, ("red", 10))
         dense = BloomCCF(SCHEMA, 1024, PARAMS)
         for i in range(200):
             dense.insert(1, ("color-%d" % i, i))
-        sparse_entry = sparse._fp_entries_in_pair(
-            sparse.home_index(1),
-            sparse.alt_index(sparse.home_index(1), sparse.fingerprint_of(1)),
-            sparse.fingerprint_of(1),
-        )[0]
-        dense_entry = dense._fp_entries_in_pair(
-            dense.home_index(1),
-            dense.alt_index(dense.home_index(1), dense.fingerprint_of(1)),
-            dense.fingerprint_of(1),
-        )[0]
-        assert dense_entry.bloom.fill_ratio() > sparse_entry.bloom.fill_ratio()
+        assert _sketch_fill(dense, 1) > _sketch_fill(sparse, 1)
 
 
 class TestPredicateFilterExtraction:

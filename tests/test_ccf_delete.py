@@ -87,9 +87,9 @@ class TestPlainDelete:
         for size in range(12):
             ccf.insert(key, ("red", size))
         assert ccf.stash, "expected pair overflow to stash a victim"
-        stashed = ccf.stash.items[0]
+        stashed = tuple(ccf.stash.avecs[0].tolist())
         target = next(
-            s for s in range(12) if ccf.fingerprinter.vector(("red", s)) == stashed.avec
+            s for s in range(12) if ccf.fingerprinter.vector(("red", s)) == stashed
         )
         entries_before = ccf.num_entries
         stash_before = len(ccf.stash)
@@ -107,13 +107,15 @@ class TestPlainDelete:
         for size in sizes:
             ccf.insert(key, ("red", size))
         assert ccf.stash, "expected pair overflow to stash a victim"
-        stashed = ccf.stash.items[0]
+        fp, stashed = int(ccf.stash.fps[0]), ccf.stash.avecs[0].tolist()
         # Find the raw size whose fingerprint vector matches the stashed entry.
         target = next(
-            s for s in sizes if ccf.fingerprinter.vector(("red", s)) == stashed.avec
+            s for s in sizes if list(ccf.fingerprinter.vector(("red", s))) == stashed
         )
         assert ccf.delete(key, ("red", target))
-        assert not any(entry.same_row(stashed.fp, stashed.avec) for entry in ccf.stash.items)
+        assert [fp, stashed] not in [
+            [int(f), avec.tolist()] for f, avec in zip(ccf.stash.fps, ccf.stash.avecs)
+        ]
 
 
 class TestDeleteUnsupportedVariants:

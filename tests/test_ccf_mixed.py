@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import build_ccf
 from repro.ccf.mixed import MixedCCF, conversion_num_hashes, conversion_total_bits
 from repro.ccf.params import CCFParams
@@ -17,10 +16,13 @@ SCHEMA = AttributeSchema(["color", "size"])
 PARAMS = CCFParams(bucket_size=6, max_dupes=3, key_bits=12, attr_bits=8, seed=41)
 
 
-def pair_slots(ccf: MixedCCF, key) -> list:
+def pair_slots(ccf: MixedCCF, key) -> list[int]:
+    """The sketch row ids of ``key``'s copies in its pair: -1 for a vector
+    slot, the group's row for a converted group's slot."""
     fingerprint = ccf.fingerprint_of(key)
     home = ccf.home_index(key)
-    return ccf._fp_entries_in_pair(home, ccf.alt_index(home, fingerprint), fingerprint)
+    copies = ccf._fp_entries_in_pair(home, ccf.alt_index(home, fingerprint), fingerprint)
+    return ccf._copy_rows(*copies)
 
 
 class TestConversionTrigger:
@@ -30,7 +32,7 @@ class TestConversionTrigger:
             ccf.insert(1, ("a", i))
         slots = pair_slots(ccf, 1)
         assert len(slots) == PARAMS.max_dupes
-        assert all(isinstance(entry, VectorEntry) for entry in slots)
+        assert all(row == -1 for row in slots)
         assert ccf.num_conversions == 0
 
     def test_converts_on_d_plus_one(self):
@@ -39,7 +41,7 @@ class TestConversionTrigger:
             ccf.insert(1, ("a", i))
         slots = pair_slots(ccf, 1)
         assert len(slots) == PARAMS.max_dupes  # group occupies exactly d slots
-        assert all(isinstance(entry, GroupSlot) for entry in slots)
+        assert slots[0] >= 0 and slots == [slots[0]] * PARAMS.max_dupes
         assert ccf.num_conversions == 1
 
     def test_further_duplicates_absorbed_without_new_slots(self):
@@ -95,6 +97,23 @@ class TestInvariants:
         for key, (c, i) in rows:
             assert ccf.query(key, And([Eq("color", c), Eq("size", i)]))
 
+    def test_group_slots_share_one_sketch_and_flag(self):
+        """The d slots of a group hold the key's fingerprint and one sketch
+        row: its bits hold each folded vector's (attribute index,
+        fingerprint) components, and its one flag marks all d slots."""
+        ccf = MixedCCF(SCHEMA, 64, PARAMS)
+        for i in range(PARAMS.max_dupes + 1):
+            ccf.insert(1, ("a", i))
+        [group] = set(pair_slots(ccf, 1))
+        for i in range(PARAMS.max_dupes + 1):
+            avec = ccf.fingerprinter.vector(("a", i))
+            assert all(ccf._sketch_has(group, item) for item in enumerate(avec))
+        predicate = Eq("size", 2)
+        assert ccf.query(1, predicate) and ccf.query_many([1], predicate)[0]
+        ccf._sketch_rows.flags[group] = False
+        assert not ccf.query(1, predicate) and not ccf.query_many([1], predicate)[0]
+        assert not ccf.query(1, Eq("color", "a"))
+
 
 class TestAlgorithm3Formulas:
     def test_conversion_hashes_formula(self):
@@ -120,10 +139,9 @@ class TestAlgorithm3Formulas:
         ccf = MixedCCF(SCHEMA, 64, PARAMS)
         for i in range(PARAMS.max_dupes + 1):
             ccf.insert(1, ("a", i))
-        group = pair_slots(ccf, 1)[0].group
-        assert group.bloom.num_bits == ccf._conversion_bits()
-        assert group.bloom.num_hashes == ccf._conversion_hashes()
-
+        assert pair_slots(ccf, 1)[0] >= 0
+        assert ccf._sketch_rows.num_bits == ccf._conversion_bits()
+        assert ccf._sketch_hashes == ccf._conversion_hashes()
 
 class TestSizeAdvantages:
     def test_fewer_entries_than_chained_under_skew(self):

@@ -31,6 +31,11 @@ class TestBasics:
         for _ in range(5):
             ccf.insert(1, ("red", 2))
         assert ccf.num_entries == 1
+        # A row is its (fingerprint, vector): another vector is another
+        # entry, and a new entry is stored matching.
+        ccf.insert(1, ("red", 3))
+        assert ccf.num_entries == 2
+        assert ccf._flags[ccf.buckets.occupied_mask()].all()
 
     def test_slot_bits_no_flag(self):
         ccf = PlainCCF(SCHEMA, 64, PARAMS)

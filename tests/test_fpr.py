@@ -105,6 +105,27 @@ class TestEstimatorAgainstReality:
         assert present.key_part == 0.0
         assert present.overall <= 1.0
 
+    def test_key_part_counts_the_pairs_stashed_entries(self):
+        """Eq. (4)'s ``D`` is every entry a query probes in the key's pair:
+        its occupied slots and the pair's stashed entries (DESIGN.md §1)."""
+        from repro.ccf.factory import make_ccf
+
+        params = CCFParams(bucket_size=2, key_bits=8, attr_bits=8, seed=3)
+        ccf = make_ccf("plain", SCHEMA, 4, params)
+        for key in range(40):
+            ccf.insert(key, ("red", key))
+        assert len(ccf.stash) > 20
+        checked = 0
+        for key in range(10_000, 10_050):
+            fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
+            alt = ccf.alt_index(home, fp)
+            slots = ccf.buckets.count(home) + (ccf.buckets.count(alt) if alt != home else 0)
+            stashed = int((ccf.stash.pairs == min(home, alt)).sum())
+            estimate = estimate_query_fpr(ccf, key, Eq("color", "red"), key_in_data=False)
+            assert estimate.key_part == pytest.approx(min(1.0, (slots + stashed) * 2.0**-8))
+            checked += stashed > 0
+        assert checked
+
     def test_overall_is_union_bound(self):
         rows = random_rows(100, 2, seed=2)
         ccf = build_ccf("chained", SCHEMA, rows, PARAMS)

@@ -20,7 +20,6 @@ import numpy.lib.format as npy_format
 import pytest
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.entries import VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.mmapio import (
     COLUMN_NAMES,
@@ -99,7 +98,7 @@ class TestRoundTrip:
     def test_counters_stash_and_geometry_round_trip(self, tmp_path):
         ccf = _filled("plain", PARAMS)
         pair = ccf.geometry.pair_id(3, 7)
-        ccf.stash.append(7, pair, VectorEntry(7, (1, 2), True))
+        ccf.stash.append(7, pair, avecs=(1, 2), flags=True)
         ccf.num_rows_discarded = 5
         ccf.num_kicks = 42
         mapped = open_segment(write_segment(ccf, tmp_path / "level.seg"))
@@ -107,9 +106,9 @@ class TestRoundTrip:
         assert mapped.num_rows_discarded == 5
         assert mapped.num_kicks == 42
         assert mapped.failed == ccf.failed
-        [(fp, stashed_pair, entry)] = list(mapped.stash)
+        [(fp, stashed_pair, (avec, matching, row))] = list(mapped.stash)
         assert (fp, stashed_pair) == (7, pair)
-        assert (entry.fp, entry.avec, entry.matching) == (7, (1, 2), True)
+        assert (fp, tuple(avec), matching, row) == (7, (1, 2), True, -1)
         assert mapped.buckets.num_buckets == ccf.buckets.num_buckets
         assert mapped.num_entries == ccf.num_entries
         assert mapped.load_factor() == ccf.load_factor()
@@ -193,7 +192,7 @@ class TestCopyOnWrite:
         assert mapped.insert(10**6, ("red", 1))
         assert not isinstance(mapped.buckets.fps, np.memmap)
         assert not mapped._readonly
-        assert mapped.buckets.payloads is not None
+        assert mapped.buckets.payloads is None  # a CCF keeps no object column
         assert mapped.query(10**6)
         probes = np.arange(1200, dtype=np.int64)
         heap_twin = _filled("plain", PARAMS)
@@ -345,6 +344,15 @@ class TestCorruption:
         path = self._segment(tmp_path)
         _rewrite_meta(path, lambda meta: meta["columns"]["avecs"].update(nbytes=8))
         with pytest.raises(SerializeError, match="records 8 bytes"):
+            open_segment(path)
+
+    @pytest.mark.parametrize("entry", [[7, 3], [7, 3, [1, 2, 3], True], [7, 3, "x", True]])
+    def test_malformed_stash_entry_is_typed(self, tmp_path, entry):
+        """A stash entry that is not ``[fp, pair, avec, matching]`` with one
+        fingerprint per attribute raises SerializeError."""
+        path = self._segment(tmp_path)
+        _rewrite_meta(path, lambda meta: meta.update(stash=[entry]))
+        with pytest.raises(SerializeError, match="invalid stash"):
             open_segment(path)
 
     def test_oversized_shape_is_typed(self, tmp_path):

@@ -146,15 +146,14 @@ def test_stash_hits_count_keys_only_the_stash_admits(kind):
         fp, home = ccf.fingerprint_of(key), ccf.home_index(key)
         walk = ccf._pair_walk(home, fp) if kind == "chained" else [(home, ccf.alt_index(home, fp))]
         for left, right in walk:
-            entries = ccf._fp_entries_in_pair(left, right, fp)
-            stashed = len(ccf.stash.find(fp, left, right))
-            in_table = any(ccf._entry_matches(e, compiled) for e in entries[: len(entries) - stashed])
-            in_stash = any(ccf._entry_matches(e, compiled) for e in entries[len(entries) - stashed :])
+            slots, stashed = ccf._fp_entries_in_pair(left, right, fp)
+            in_table = ccf._any_admits(slots, [], compiled)
+            in_stash = ccf._any_admits([], stashed, compiled)
             if in_table or in_stash:
                 rescued += not in_table
                 both += in_table and in_stash
                 break
-            if kind != "chained" or len(entries) != params.max_dupes:
+            if kind != "chained" or len(slots) + len(stashed) != params.max_dupes:
                 break
     assert rescued and both  # both cases occur
     obs._reset_for_tests()
@@ -167,7 +166,6 @@ def test_stash_hits_count_only_at_the_deciding_pair():
     it also sees pairs past the one that decides a key.  A stashed copy
     there that admits the predicate must not count; once the walk reaches
     its pair, it does."""
-    from repro.ccf.entries import VectorEntry
     from repro.ccf.factory import make_ccf
     from repro.ccf.predicates import Eq
 
@@ -181,7 +179,7 @@ def test_stash_hits_count_only_at_the_deciding_pair():
     # The same fingerprint stashed in the third pair, say by a key whose
     # chain meets this one there.
     avec = ccf.fingerprinter.vector(("red", 0))
-    ccf.stash.append(fp, min(third), VectorEntry(fp, avec))
+    ccf.stash.append(fp, min(third), avecs=avec)
     compiled = ccf.compile(Eq("color", "red"))
     obs._reset_for_tests()
     assert not ccf.query(key, compiled)

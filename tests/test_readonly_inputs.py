@@ -12,7 +12,8 @@ Two freezing modes:
 * ``writeable=False`` heap arrays — any in-place write raises immediately;
 * real ``np.memmap`` columns loaded from .npy files — the exact storage the
   segment open path produces (for payload variants the typed columns map
-  while Bloom/group objects stay live, the hybrid the kernels must handle).
+  while the sketch rows and row ids stay on the heap, the hybrid the
+  kernels must handle).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def _map_columns(ccf, tmp_path, tag: str) -> None:
         loaded["fps"],
         loaded["counts"],
         fp_bits=ccf.params.key_bits if ccf.params.packed else None,
-        payloads=ccf.buckets.payloads,
     )
     ccf._avecs = loaded["avecs"]
     ccf._flags = loaded["flags"]
@@ -198,7 +198,6 @@ class TestMemmappedStorageColumns:
                 np.load(fps_path, mmap_mode="r"),
                 np.load(counts_path, mmap_mode="r"),
                 fp_bits=mapped.buckets.fp_bits,
-                payloads=mapped.buckets.payloads,
             )
         assert (
             mapped_cuckoo.contains_many(PROBES).tolist()

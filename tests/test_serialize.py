@@ -56,16 +56,10 @@ class TestCCFRoundTrips:
 
     def test_mixed_groups_shared_after_restore(self):
         """A converted group's slots must point at one shared payload."""
-        from repro.ccf.entries import GroupSlot
-
         ccf = build_ccf("mixed", SCHEMA, [(1, ("a", i)) for i in range(20)], PARAMS)
         restored = loads(dumps(ccf))
-        groups = {
-            id(entry.group)
-            for _b, _s, entry in restored.iter_entries()
-            if isinstance(entry, GroupSlot)
-        }
-        assert len(groups) == 1
+        groups = restored._payload_rows[restored._payload_rows >= 0]
+        assert len(set(groups.tolist())) == 1 and len(groups) == PARAMS.max_dupes
         restored.check_invariants()
         # Inserts into the restored filter keep absorbing into the group.
         restored.insert(1, ("a", 999))
@@ -121,7 +115,7 @@ class TestCCFRoundTrips:
         assert np.array_equal(restored._avecs, ccf._avecs)
         assert np.array_equal(restored._flags, ccf._flags)
         assert restored.buckets.counts.tolist() == ccf.buckets.counts.tolist()
-        assert restored._num_payload_slots == ccf._num_payload_slots
+        assert ccf_state(restored)["sketches"] == ccf_state(ccf)["sketches"]
 
     @pytest.mark.parametrize(
         "kind, num_keys", [("plain", 65), ("chained", 65), ("bloom", 135), ("mixed", 80)]
@@ -147,13 +141,12 @@ class TestCCFRoundTrips:
     def test_group_stashed_whole_round_trips(self):
         """Kicks can stash every slot of a converted group; the group must
         still reach the wire."""
-        from repro.ccf.entries import GroupSlot
-
         ccf = build_ccf("mixed", SCHEMA, [(1, ("a", i)) for i in range(20)], PARAMS)
-        for bucket, slot, entry in list(ccf.iter_entries()):
-            if isinstance(entry, GroupSlot):
-                ccf._clear_entry(bucket, slot)
-                ccf.stash.append(entry.fp, ccf.geometry.pair_id(bucket, entry.fp), entry)
+        for bucket, slot in zip(*np.nonzero(ccf._payload_rows >= 0)):
+            fp, row = int(ccf.buckets.fps[bucket, slot]), int(ccf._payload_rows[bucket, slot])
+            ccf._clear_entry(bucket, slot)
+            pair = ccf.geometry.pair_id(int(bucket), fp)
+            ccf.stash.append(fp, pair, avecs=ccf._avec_fill, rows=row)
         assert ccf.stash
         restored = loads(dumps(ccf))
         assert ccf_state(restored) == ccf_state(ccf)

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.entries import GroupSlot, VectorEntry
 from repro.ccf.factory import make_ccf
 from repro.ccf.mmapio import open_segment, write_segment
 from repro.ccf.params import CCFParams
@@ -49,20 +48,45 @@ def _other_pair(structure, pair: int) -> int:
     return (pair + 1) % structure.buckets.num_buckets or 1
 
 
+def _stash_row(ccf, fp: int, pair: int, values: tuple) -> int:
+    """Stash the row ``values`` as a copy of ``fp`` in ``pair``: in a new
+    sketch row for a Bloom CCF (returned), else as its attribute vector."""
+    if ccf.kind != "bloom":
+        ccf.stash.append(fp, pair, avecs=ccf.fingerprinter.vector(values))
+        return -1
+    row = ccf._new_sketch()
+    ccf._sketch_add(row, enumerate(values))
+    ccf.stash.append(fp, pair, avecs=ccf._avec_fill, rows=row)
+    return row
+
+
 class TestStashColumns:
     def test_append_find_pop(self):
-        stash = Stash()
-        stash.append(7, 3, "a")
-        stash.extend([7, 9, 7], [4, 3, 3], ["b", "c", "d"])
+        stash = Stash(marks=np.False_)
+        stash.append(7, 3, marks=True)
+        stash.extend([7, 9, 7], [4, 3, 3], marks=[False, True, False])
         assert len(stash) == 4
         assert stash.find(7, 3, 8) == stash.find(7, 8, 3) == [0, 3]
         assert stash.find(7, 5, 5) == []
-        assert stash.pop(0) == "a"
-        assert list(stash) == [(7, 4, "b"), (9, 3, "c"), (7, 3, "d")]
-        twin = Stash()
-        twin.extend([7, 9, 7], [4, 3, 3], ["b", "c", "d"])
+        stash.pop(0)
+        assert list(stash) == [(7, 4, (False,)), (9, 3, (True,)), (7, 3, (False,))]
+        twin = Stash(marks=np.False_)
+        twin.extend([7, 9, 7], [4, 3, 3], marks=[False, True, False])
         assert stash == twin and stash != Stash()
         assert Stash().find(7, 3, 3) == []
+
+    def test_companion_columns_are_typed_and_filled(self):
+        """An entry stashed without a companion value takes the column's
+        fill; a column the stash does not have is refused."""
+        stash = Stash(avecs=np.full(2, 255, dtype=np.uint8), rows=np.int64(-1))
+        stash.extend([5, 6], [1, 2], avecs=[(1, 2), (3, 4)])
+        stash.append(7, 3, rows=9)
+        assert stash.avecs.dtype == np.uint8
+        assert stash.avecs.tolist() == [[1, 2], [3, 4], [255, 255]]
+        assert stash.rows.tolist() == [-1, -1, 9]
+        with pytest.raises(TypeError, match="no column"):
+            stash.append(8, 3, marks=True)
+        assert len(stash) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -113,16 +137,13 @@ class TestAnotherPairsFingerprintDoesNotAnswer:
     @pytest.mark.parametrize("kind", ["plain", "chained", "bloom", "mixed"])
     def test_ccf_query(self, kind):
         ccf = make_ccf(kind, SCHEMA, 16, PARAMS)
-        donor = make_ccf(kind, SCHEMA, 16, PARAMS)
-        donor.insert(self.KEY, ("red", 3))
-        [(_bucket, _slot, entry)] = list(donor.iter_entries())
         fp, _home, _alt, pair = _pair(ccf, self.KEY)
-        ccf.stash.append(fp, _other_pair(ccf, pair), entry)
+        _stash_row(ccf, fp, _other_pair(ccf, pair), ("red", 3))
         red = Eq("color", "red")
         for predicate in (None, red):
             assert not ccf.query(self.KEY, predicate)
             assert not ccf.query_many([self.KEY], predicate).any()
-        ccf.stash.append(fp, pair, entry)
+        _stash_row(ccf, fp, pair, ("red", 3))
         for predicate in (None, red):
             assert ccf.query(self.KEY, predicate)
             assert ccf.query_many([self.KEY], predicate).all()
@@ -131,27 +152,23 @@ class TestAnotherPairsFingerprintDoesNotAnswer:
     @pytest.mark.parametrize("kind", ["bloom", "mixed"])
     def test_extracted_key_filter(self, kind):
         ccf = make_ccf(kind, SCHEMA, 16, PARAMS)
-        donor = make_ccf(kind, SCHEMA, 16, PARAMS)
-        donor.insert(self.KEY, ("red", 3))
-        [(_bucket, _slot, entry)] = list(donor.iter_entries())
         fp, _home, _alt, pair = _pair(ccf, self.KEY)
-        ccf.stash.append(fp, _other_pair(ccf, pair), entry)
+        _stash_row(ccf, fp, _other_pair(ccf, pair), ("red", 3))
         view = extract_key_filter(ccf, Eq("color", "red"))
         assert len(view.stash) == 1
         assert not view.contains(self.KEY)
-        ccf.stash.append(fp, pair, entry)
+        _stash_row(ccf, fp, pair, ("red", 3))
         view = extract_key_filter(ccf, Eq("color", "red"))
         assert view.contains(self.KEY) and view.contains_many([self.KEY]).all()
 
     def test_marked_view(self):
         ccf = make_ccf("chained", SCHEMA, 16, PARAMS)
         fp, _home, _alt, pair = _pair(ccf, self.KEY)
-        entry = VectorEntry(fp, ccf.fingerprinter.vector(("red", 3)))
-        ccf.stash.append(fp, _other_pair(ccf, pair), entry)
+        _stash_row(ccf, fp, _other_pair(ccf, pair), ("red", 3))
         view = MarkedKeyFilter.from_ccf(ccf, Eq("color", "red"))
         assert not view.contains(self.KEY)
         assert not view.contains_many([self.KEY]).any()
-        ccf.stash.append(fp, pair, entry)
+        _stash_row(ccf, fp, pair, ("red", 3))
         view = MarkedKeyFilter.from_ccf(ccf, Eq("color", "red"))
         assert view.contains(self.KEY) and view.contains_many([self.KEY]).all()
         assert view.num_matching() == 2
@@ -164,10 +181,10 @@ class TestPairRulePolicies:
         ccf = make_ccf("chained", SCHEMA, 64, PARAMS)
         key = 77
         fp, home, alt, pair = _pair(ccf, key)
-        blue = VectorEntry(fp, ccf.fingerprinter.vector(("blue", 1)))
-        ccf._place_in_pair(home, alt, blue)
-        ccf.stash.append(fp, pair, VectorEntry(fp, ccf.fingerprinter.vector(("blue", 2))))
-        assert len(ccf._fp_entries_in_pair(home, alt, fp)) == PARAMS.max_dupes
+        ccf._place_in_pair(home, alt, fp, ccf.fingerprinter.vector(("blue", 1)))
+        _stash_row(ccf, fp, pair, ("blue", 2))
+        slots, stashed = ccf._fp_entries_in_pair(home, alt, fp)
+        assert len(slots) + len(stashed) == PARAMS.max_dupes
         assert ccf.insert(key, ("red", 5))  # walks past the d-full first pair
         assert ccf.chain_length(key) == 2
         red = Eq("color", "red")
@@ -177,17 +194,14 @@ class TestPairRulePolicies:
 
     def test_bloom_merges_into_its_own_pairs_stashed_entry_only(self):
         ccf = make_ccf("bloom", SCHEMA, 16, PARAMS)
-        donor = make_ccf("bloom", SCHEMA, 16, PARAMS)
         key = 5
-        donor.insert(key, ("red", 1))
-        [(_bucket, _slot, entry)] = list(donor.iter_entries())
         fp, _home, _alt, pair = _pair(ccf, key)
-        ccf.stash.append(fp, _other_pair(ccf, pair), entry)
+        row = _stash_row(ccf, fp, _other_pair(ccf, pair), ("red", 1))
         ccf.insert(key, ("green", 2))
         assert ccf.num_entries == 1  # a fresh entry, not a merge elsewhere
-        assert (0, "green") not in entry.bloom
+        assert not ccf._sketch_has(row, (0, "green"))
         ccf.stash.pop(0)
-        ccf.stash.append(fp, pair, entry)
+        ccf.stash.append(fp, pair, avecs=ccf._avec_fill, rows=row)
         ccf = loads(dumps(ccf))
         ccf.insert(key, ("blue", 3))  # the pair's entries absorb it
         assert ccf.num_entries == 1
@@ -197,12 +211,11 @@ class TestPairRulePolicies:
         key = 9
         fp, home, alt, pair = _pair(ccf, key)
         ccf.insert(key, ("red", 1))
-        stashed = VectorEntry(fp, ccf.fingerprinter.vector(("green", 2)))
-        ccf.stash.append(fp, pair, stashed)
+        _stash_row(ccf, fp, pair, ("green", 2))
         assert ccf.insert(key, ("blue", 3))  # d = 2 copies: converts
         assert ccf.num_conversions == 1
-        [(_fp, _pair_id, item)] = list(ccf.stash)
-        assert isinstance(item, GroupSlot)
+        [group] = ccf.stash.rows.tolist()  # the stashed copy is a group slot
+        assert group >= 0 and group in ccf._payload_rows
         for color, size in (("red", 1), ("green", 2), ("blue", 3)):
             predicate = Eq("size", size)
             assert ccf.query(key, predicate) and ccf.query_many([key], predicate).all()

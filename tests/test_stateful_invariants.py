@@ -1,10 +1,11 @@
 """Stateful property tests: filters vs reference models under random ops.
 
-Hypothesis drives interleaved insert/query sequences against exact models;
-after every step the no-false-negative guarantee and the structural
-invariants (Lemma 1's pair cap, Mixed's no-shape-mixing) must hold.  The
-deletable structures (plain CCF, cuckoo filter) run on tables so small
-that short runs stash, so deletes exercise the stash's pair rule.
+Hypothesis drives interleaved insert/query sequences, scalar and batched,
+against exact models; after every step the no-false-negative guarantee and
+the structural invariants (Lemma 1's pair cap, Mixed's no-shape-mixing)
+must hold.  Every CCF and the cuckoo filter run on tables so small that
+short runs stash: stashed vectors, Bloom entries and group slots enter the
+models, and deletes exercise the stash's pair rule.
 """
 
 import numpy as np
@@ -23,7 +24,11 @@ from repro.cuckoo.chained_table import ChainedCuckooHashTable
 from repro.cuckoo.filter import CuckooFilter
 
 SCHEMA = AttributeSchema(["color", "size"])
-PARAMS = CCFParams(bucket_size=4, max_dupes=2, key_bits=10, attr_bits=6, seed=91)
+# 16 buckets of 2 slots, 8-bit keys and 20 kicks: chains, Bloom merges and
+# conversions all happen beside stashed entries within 40 steps.
+PARAMS = CCFParams(
+    bucket_size=2, max_dupes=2, key_bits=8, attr_bits=6, max_kicks=20, seed=91
+)
 
 KEYS = st.integers(min_value=0, max_value=40)
 COLORS = st.sampled_from(["r", "g", "b"])
@@ -37,8 +42,8 @@ class _CCFMachineBase(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        # Small table: plenty of collision/kick/chain pressure.
-        self.ccf = self.ccf_class(SCHEMA, 32, PARAMS)
+        # Tiny table: plenty of collision/kick/chain pressure, and stashes.
+        self.ccf = self.ccf_class(SCHEMA, 16, PARAMS)
         self.rows: set[tuple[int, tuple]] = set()
 
     @rule(key=KEYS, color=COLORS, size=SIZES)
@@ -46,10 +51,26 @@ class _CCFMachineBase(RuleBasedStateMachine):
         self.ccf.insert(key, (color, size))
         self.rows.add((key, (color, size)))
 
+    @rule(rows=st.lists(st.tuples(KEYS, COLORS, SIZES), max_size=8))
+    def insert_many(self, rows):
+        keys = np.array([key for key, _color, _size in rows], dtype=np.int64)
+        columns = [[color for _key, color, _size in rows], [size for _key, _color, size in rows]]
+        self.ccf.insert_many(keys, columns)
+        self.rows.update((key, (color, size)) for key, color, size in rows)
+
     @rule(key=KEYS, color=COLORS, size=SIZES)
     def query_never_false_negative(self, key, color, size):
         if (key, (color, size)) in self.rows:
             assert self.ccf.query(key, And([Eq("color", color), Eq("size", size)]))
+
+    @rule(color=COLORS, size=SIZES)
+    def query_many_equals_query_and_never_false_negative(self, color, size):
+        keys = np.arange(41, dtype=np.int64)
+        for predicate in (None, And([Eq("color", color), Eq("size", size)])):
+            answers = self.ccf.query_many(keys, predicate)
+            assert answers.tolist() == [self.ccf.query(key, predicate) for key in range(41)]
+            live = [key for key, row in self.rows if predicate is None or row == (color, size)]
+            assert answers[live].all()
 
     @rule(key=KEYS)
     def key_membership_never_false_negative(self, key):

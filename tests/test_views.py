@@ -223,7 +223,7 @@ class TestStashedFingerprints:
             return (
                 fp in stashed_fps
                 and (fp, min(home, alt)) not in stashed
-                and not ccf._fp_entries_in_pair(home, alt, fp)
+                and not any(ccf._fp_entries_in_pair(home, alt, fp))
             )
 
         probes = np.array([key for key in range(10**7, 10**7 + 100_000) if foreign(key)][:20])
