@@ -110,6 +110,9 @@ class AttributeFingerprinter:
             and 0 <= value <= self._mask
         ):
             return value
+        if isinstance(value, np.integer):
+            # As in `fingerprint_column`, which reads it from an int array.
+            return self.fingerprint(attr_index, int(value))
         return hash64(value, self._salts[attr_index]) & self._mask
 
     def vector(self, values: Sequence[Any]) -> tuple[int, ...]:

@@ -26,7 +26,8 @@ Batch queries probe the live columns — there is no snapshot to rebuild after
 a mutation — and evaluate predicate admissibility only on the slots whose
 fingerprint actually matched: per-attribute lookup tables for vector slots,
 one gather of sketch rows against the predicate's bit masks for payload
-slots, both precomputed once per predicate (LRU-cached).
+slots, both precomputed once per predicate.  Each CCF memoises its compiled
+predicates with their matchers under a type-exact key (`compile`).
 
 Placement goes through `SlotMatrix.place`, shared by every cuckoo
 structure, whose kick chain (`repro.kernels._sequential.kick_one`) only
@@ -40,6 +41,7 @@ entry it cannot seat is stashed as one more slot of its pair (§1).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import partial
 from itertools import repeat
@@ -58,8 +60,14 @@ from repro.hashing.mixers import as_native_list, canonical_bytes, coerce_int_col
 from repro.sketches.bitarray import BitRows
 from repro.sketches.bloom import BatchProbe, shared_hashing
 
-#: How many compiled predicates keep a precomputed matcher alive.
-MATCHER_CACHE_SIZE = 8
+#: Compiled predicates, with their matchers, one CCF memoises (the oldest
+#: is evicted first).  ``join`` probes at most 63-70 distinct predicates
+#: per filter and round (seeds 1-3, 9 and 10); twice that leaves headroom.
+PREDICATE_MEMO_LIMIT = 128
+
+# Misses of every CCF's predicate memo insert and evict under this one lock
+# (a lock per CCF would stop CCFs from pickling); hits take no lock.
+_MEMO_LOCK = threading.Lock()
 
 #: Widest attribute fingerprint tested through a lookup table (2**16 bools
 #: per constraint, built in microseconds); wider attribute fingerprints fall
@@ -84,6 +92,22 @@ _STASH_HITS = obs.counter(
     "Keys answered positively only by a stash entry, by CCF variant.",
     ("kind",),
 )
+
+#: Per variant, its pre-bound (hits, misses) children: `query_many` counts
+#: every batch, and two labels() round-trips cost more than the incs.
+#: Bound on a variant's first batch, so a variant that never queried shows
+#: no series; children survive registry clears.
+_QUERY_CHILDREN: dict[str, tuple[Any, Any]] = {}
+
+
+def _query_children(kind: str) -> tuple[Any, Any]:
+    children = _QUERY_CHILDREN.get(kind)
+    if children is None:
+        children = _QUERY_CHILDREN[kind] = (
+            _CCF_HITS.labels(kind=kind),
+            _CCF_MISSES.labels(kind=kind),
+        )
+    return children
 
 
 def validate_attr_columns(
@@ -166,26 +190,58 @@ class CellIndex:
         self.jumps = jumps
 
 
+def predicate_constraints(
+    schema: AttributeSchema, predicate: Predicate | None
+) -> list[tuple[int, frozenset]] | None:
+    """``predicate``'s admissible raw values per constrained attribute, as
+    ``(attribute index, values)`` in schema order; None for a key-only
+    query.  Raises like `compile_predicate`."""
+    if predicate is None:
+        return None
+    constraint_map = predicate.constraints()
+    if not constraint_map:
+        return None
+    return sorted((schema.index_of(column), values) for column, values in constraint_map.items())
+
+
+def predicate_key(constraints: Iterable[tuple[int, Iterable[Any]]]) -> tuple:
+    """A type-exact, hashable key of ``(attribute index, values)`` pairs.
+
+    A value is its own key when its type is exactly ``int`` or ``str``,
+    else its canonical hash encoding — the rule of
+    `~repro.sketches.bloom.SketchHashing.positions` — because Python's
+    ``1 == True == 1.0`` and ``0.0 == -0.0`` would merge values that
+    sketches and fingerprints hash apart.
+    """
+    return tuple(
+        (
+            index,
+            frozenset(
+                value if type(value) is int or type(value) is str else canonical_bytes(value)
+                for value in values
+            ),
+        )
+        for index, values in constraints
+    )
+
+
 class CompiledQuery:
     """A predicate compiled against a CCF's schema and fingerprinter.
 
     ``constraints`` holds one triple per constrained attribute:
     ``(attribute index, admissible raw values, admissible fingerprints)``.
-    ``key`` is the same content in a type-exact, hashable form — raw values
-    as their canonical hash encoding, because Python's ``1 == True == 1.0``
-    would merge values that Bloom sketches hash apart — and keys the
-    per-filter matcher cache, so recompiling an equal predicate reuses its
-    matcher.  Compiling once and reusing across many keys is the intended
-    hot path.
+    ``key`` is `predicate_key` of the indexes and raw values; it keys each
+    CCF's predicate memo, so an equal predicate compiled afresh (the join
+    pushdown compiles before every probe) finds its compiled form and its
+    matcher there.  Compiling once and reusing across many keys is the
+    intended hot path.
     """
 
     __slots__ = ("constraints", "key")
 
     def __init__(self, constraints: Sequence[tuple[int, tuple, frozenset[int]]]) -> None:
         self.constraints = tuple(constraints)
-        self.key = tuple(
-            (index, canonical_bytes(values), fps) for index, values, fps in self.constraints
-        )
+        self.key = predicate_key(c[:2] for c in self.constraints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledQuery({self.constraints!r})"
@@ -246,18 +302,22 @@ def compile_predicate(
     columns and :class:`~repro.ccf.predicates.UnsupportedPredicateError`
     for un-binned ranges, exactly like :meth:`ConditionalCuckooFilterBase.compile`.
     """
-    if predicate is None:
+    constraints = predicate_constraints(schema, predicate)
+    if constraints is None:
         return None
-    constraint_map = predicate.constraints()
-    if not constraint_map:
-        return None
+    return _compiled(fingerprinter, constraints)
+
+
+def _compiled(
+    fingerprinter: AttributeFingerprinter, constraints: Iterable[tuple[int, Iterable[Any]]]
+) -> CompiledQuery:
+    """Fingerprint each constraint's admissible values."""
     compiled = []
-    for column, values in constraint_map.items():
-        attr_index = schema.index_of(column)
+    for attr_index, values in constraints:
         raw_values = tuple(values)
-        fps = fingerprinter.candidate_fingerprints(attr_index, raw_values)
-        compiled.append((attr_index, raw_values, fps))
-    compiled.sort(key=lambda item: item[0])
+        compiled.append(
+            (attr_index, raw_values, fingerprinter.candidate_fingerprints(attr_index, raw_values))
+        )
     return CompiledQuery(compiled)
 
 
@@ -332,7 +392,9 @@ class ConditionalCuckooFilterBase:
         self.fingerprinter = self.make_fingerprinter(schema, params)
         self._bloom_salt = derive_seed(params.seed, "ccf-bloom")
         self._victim_seed = derive_seed(params.seed, "ccf-victim")
-        self._matcher_cache: OrderedDict[tuple, PredicateMatcher] = OrderedDict()
+        #: `compile`'s memo: `CompiledQuery.key` -> [compiled, its matcher
+        #: once a batch probe asked for it].
+        self._predicates: OrderedDict[tuple, list] = OrderedDict()
         # Statistics and health flags.
         self.num_rows_inserted = 0
         self.num_rows_discarded = 0
@@ -598,9 +660,33 @@ class ConditionalCuckooFilterBase:
         no constraints).  Raises ``KeyError`` if the predicate touches a
         column the schema does not sketch, and
         :class:`~repro.ccf.predicates.UnsupportedPredicateError` for
-        un-binned range predicates.
+        un-binned range predicates.  Memoised: a predicate whose
+        `predicate_key` was compiled before returns that compiled query.
         """
-        return compile_predicate(self.schema, self.fingerprinter, predicate)
+        constraints = predicate_constraints(self.schema, predicate)
+        if constraints is None:
+            return None
+        return self._memoised(predicate_key(constraints), constraints)[0]
+
+    def _memoised(self, key: tuple, constraints: Iterable[tuple[int, Iterable[Any]]]) -> list:
+        """The memo's entry under ``key``, compiled from ``constraints``
+        (attribute indexes and raw values) on a miss.
+
+        Hits are one dict read, so readers in several threads never race an
+        eviction; a miss inserts under `_MEMO_LOCK` and evicts the oldest
+        entries past :data:`PREDICATE_MEMO_LIMIT`.  Entries are pure
+        functions of the key, so eviction only costs a recompile, and two
+        threads filling one entry's matcher only build it twice.
+        """
+        entry = self._predicates.get(key)
+        if entry is None:
+            entry = [_compiled(self.fingerprinter, constraints), None]
+            with _MEMO_LOCK:
+                memo = self._predicates
+                while len(memo) >= PREDICATE_MEMO_LIMIT:
+                    memo.popitem(last=False)
+                memo[key] = entry
+        return entry
 
     def _admits(self, avec: np.ndarray, flag: bool, row: int, compiled: CompiledQuery) -> bool:
         """Does one copy, given its attribute vector, matching flag and
@@ -656,24 +742,24 @@ class ConditionalCuckooFilterBase:
         return self.compile(predicate)
 
     def _matcher(self, compiled: CompiledQuery) -> PredicateMatcher:
-        """The compiled predicate's batch matcher, LRU-cached by value.
+        """The compiled predicate's batch matcher, from the memo.
 
-        The cache is keyed by `CompiledQuery.key`, so a predicate compiled
-        afresh for every probe (the join pushdown's pattern) still finds its
-        lookup tables and sketch masks warm.
+        A query compiled elsewhere (a FilterStore compiles once for all its
+        levels) shares the memo entry of its key when its fingerprints are
+        this CCF's; one fingerprinted otherwise gets a matcher of its own.
         """
-        cache = self._matcher_cache
-        matcher = cache.get(compiled.key)
+        entry = self._memoised(compiled.key, (c[:2] for c in compiled.constraints))
+        memoised, matcher = entry
+        if memoised is not compiled and any(
+            mine[2] != theirs[2] for mine, theirs in zip(memoised.constraints, compiled.constraints)
+        ):
+            return self._new_matcher(compiled)
         if matcher is None:
-            matcher = PredicateMatcher(
-                compiled, self.params.attr_bits, self._sketch_probe(compiled)
-            )
-            cache[compiled.key] = matcher
-            if len(cache) > MATCHER_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(compiled.key)
+            matcher = entry[1] = self._new_matcher(memoised)
         return matcher
+
+    def _new_matcher(self, compiled: CompiledQuery) -> PredicateMatcher:
+        return PredicateMatcher(compiled, self.params.attr_bits, self._sketch_probe(compiled))
 
     def _sketch_probe(self, compiled: CompiledQuery) -> BatchProbe | None:
         """The predicate as bit masks over the payload sketch rows, or None
@@ -804,15 +890,15 @@ class ConditionalCuckooFilterBase:
         """
         columns = list(attr_columns)
         validate_attr_columns(columns, self.schema.num_attributes, len(keys))
-        fps = self.geometry.fingerprints_of_many(keys)
-        homes = self.geometry.home_indices_of_many(keys)
+        fps, homes, alts = self.geometry.hashes_of_many(keys)
         if self._needs_avec:
             rows = self.fingerprinter.vectors_many(columns)
             identity = [_codes(rows)]
         else:
             rows = list(zip(*(as_native_list(column) for column in columns)))
             identity = [_raw_value_codes(column) for column in columns]
-        return self._insert_hashed_rows(fps, homes, rows, first_copies([fps, homes, *identity]))
+        first = first_copies([fps, homes, *identity])
+        return self._insert_hashed_rows(fps, homes, rows, first, alts)
 
     def _insert_hashed_rows(
         self,
@@ -820,6 +906,7 @@ class ConditionalCuckooFilterBase:
         homes: np.ndarray,
         rows: Sequence[tuple[Any, ...]],
         first: np.ndarray | None = None,
+        alts: np.ndarray | None = None,
     ) -> np.ndarray:
         """The one row loop over the insert policy, on precomputed hashes.
 
@@ -828,9 +915,11 @@ class ConditionalCuckooFilterBase:
         ``first`` (from `first_copies`) gives each row the index of the
         first row of the batch with the same identity.  A later copy is
         credited (`_credit_copy`) instead of walked, and the first copies
-        share one `CellIndex` (DESIGN.md §7).  The FilterStore, which
-        hashes once for many shard levels, passes no ``first``: each row
-        runs `_insert_hashed`.  Bit-identical to scalar `insert` per row.
+        share one `CellIndex` (DESIGN.md §7), whose jumps come from the
+        partner buckets ``alts`` (derived when not given).  The
+        FilterStore, which hashes once for many shard levels, passes no
+        ``first``: each row runs `_insert_hashed`.  Bit-identical to scalar
+        `insert` per row.
         """
         num_rows = len(fps)
         out = np.ones(num_rows, dtype=bool)
@@ -840,7 +929,8 @@ class ConditionalCuckooFilterBase:
             firsts, pairs, insert = range(num_rows), nones, self._insert_hashed
         else:
             firsts = first.tolist()
-            alts = self.geometry.alt_indices_many(homes, fps)
+            if alts is None:
+                alts = self.geometry.alt_indices_many(homes, fps)
             pairs = np.minimum(homes, alts).tolist()
             jumps = dict(zip(fps.tolist(), (homes ^ alts).tolist()))
             insert = partial(self._insert_cells, CellIndex(jumps))
@@ -906,13 +996,13 @@ class ConditionalCuckooFilterBase:
         whatever mutations happened since the last batch).
         """
         compiled = self._resolve_compiled(predicate)
-        fps = self.geometry.fingerprints_of_many(keys)
-        homes = self.geometry.home_indices_of_many(keys)
-        answers = self._query_hashed_many(fps, homes, compiled)
+        fps, homes, alts = self.geometry.hashes_of_many(keys)
+        answers = self._query_hashed_many(fps, homes, compiled, alts)
         if obs.state.enabled and answers.size:
             hits = int(np.count_nonzero(answers))
-            _CCF_HITS.labels(kind=self.kind).inc(hits)
-            _CCF_MISSES.labels(kind=self.kind).inc(int(answers.size) - hits)
+            hits_child, misses_child = _query_children(self.kind)
+            hits_child.inc(hits)
+            misses_child.inc(int(answers.size) - hits)
         return answers
 
     def _query_hashed_many(
@@ -964,24 +1054,18 @@ class ConditionalCuckooFilterBase:
         """Batch `delete`: vectorised hashing, sequential removals."""
         columns = list(attr_columns)
         validate_attr_columns(columns, self.schema.num_attributes, len(keys))
-        fps = self.geometry.fingerprints_of_many(keys)
-        homes = self.geometry.home_indices_of_many(keys)
-        return self._delete_hashed_rows(fps, homes, self.fingerprinter.vectors_many(columns))
-
-    def _delete_hashed_rows(
-        self,
-        fps: np.ndarray,
-        homes: np.ndarray,
-        avecs: Sequence[tuple[int, ...]],
-    ) -> np.ndarray:
-        """Row loop over `_delete_hashed` on precomputed hashes."""
+        fps, homes, alts = self.geometry.hashes_of_many(keys)
+        avecs = self.fingerprinter.vectors_many(columns)
         out = np.empty(len(fps), dtype=bool)
-        for i, (fp, home) in enumerate(zip(fps.tolist(), homes.tolist())):
-            out[i] = self._delete_hashed(fp, home, avecs[i])
+        for i, (fp, home, alt) in enumerate(zip(fps.tolist(), homes.tolist(), alts.tolist())):
+            out[i] = self._delete_hashed(fp, home, avecs[i], alt)
         return out
 
-    def _delete_hashed(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
-        """Removal kernel; only deletion-capable variants implement it."""
+    def _delete_hashed(
+        self, fingerprint: int, home: int, avec: tuple[int, ...], alt: int | None = None
+    ) -> bool:
+        """Removal kernel; only deletion-capable variants implement it.
+        ``alt`` is the partner bucket, derived when not given."""
         raise NotImplementedError(
             f"{self.kind} CCFs cannot delete entries (sketched rows cannot be unlearned)"
         )

@@ -87,14 +87,19 @@ class PlainCCF(ConditionalCuckooFilterBase):
         right = self.geometry.alt_index(home, fingerprint)
         return self._row_at(home, right, fingerprint, avec) is not None
 
-    def _delete_hashed(self, fingerprint: int, home: int, avec: tuple[int, ...]) -> bool:
+    def _delete_hashed(
+        self, fingerprint: int, home: int, avec: tuple[int, ...], alt: int | None = None
+    ) -> bool:
         """Remove the entry storing exactly this (fingerprint, vector) row.
 
         Probes the key's single bucket pair (then its stashed entries) for
         the row and frees that one slot.  Exact-duplicate rows were
         deduplicated at insert time, so one removal forgets the row entirely.
+        ``alt`` is the partner bucket, derived when not given.
         """
-        found = self._row_at(home, self.geometry.alt_index(home, fingerprint), fingerprint, avec)
+        if alt is None:
+            alt = self.geometry.alt_index(home, fingerprint)
+        found = self._row_at(home, alt, fingerprint, avec)
         if found is None:
             return False
         if isinstance(found, int):

@@ -116,6 +116,16 @@ class Eq(Predicate):
         return hash(("Eq", self.column, self.value))
 
 
+def _repr_order(value: Any) -> tuple:
+    """A total sort key over any values: by type name, then by the value
+    where its type orders itself, else by its repr.  Values of one such
+    type sort as `sorted` sorts them."""
+    kind = type(value)
+    if kind is int or kind is float or kind is str or kind is bool:
+        return (kind.__name__, 0, value)
+    return (kind.__name__, 1, repr(value))
+
+
 class In(Predicate):
     """In-list predicate ``column IN (values)``."""
 
@@ -140,7 +150,7 @@ class In(Predicate):
         return {self.column: self.values}
 
     def __repr__(self) -> str:
-        return f"In({self.column!r}, {sorted(self.values)!r})"
+        return f"In({self.column!r}, {sorted(self.values, key=_repr_order)!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, In):

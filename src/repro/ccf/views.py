@@ -148,9 +148,7 @@ class MarkedKeyFilter:
         counts toward the ``d`` continue-condition.  Answers are identical
         to scalar `contains` per key.
         """
-        fps = self.geometry.fingerprints_of_many(keys)
-        homes = self.geometry.home_indices_of_many(keys)
-        alts = self.geometry.alt_indices_many(homes, fps)
+        fps, homes, alts = self.geometry.hashes_of_many(keys)
         marks, stash_marks = self.marks, self.stash.marks
 
         def pair_hit(lefts, rights, eq, rows, at):

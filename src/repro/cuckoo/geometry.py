@@ -13,18 +13,57 @@ a key filter extracted from a CCF (Algorithm 2) be a plain
 :class:`~repro.cuckoo.filter.CuckooFilter`.
 
 Every hash stream derives from the seed under a ``geom-*`` salt.  The
-scalar jump goes through a bounded :class:`~repro.hashing.mixers.JumpCache`;
-the batch forms hash vectorised and bypass it.
+scalar jump goes through a bounded :class:`~repro.hashing.mixers.JumpCache`.
+The batch forms bypass it: an integer key column is mixed under the
+fingerprint and index salts in one pass (`hashes_of_many`), and a batch of
+jumps is read from a table of every fingerprint's jump hash
+(`jump_table`), shared by all geometries of one salt and width.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro.cuckoo.buckets import fingerprint_fold, is_power_of_two
-from repro.hashing.mixers import JumpCache, _mixed_seed, derive_seed, hash64, hash64_many_masked
+from repro.hashing.mixers import (
+    JumpCache,
+    _mixed_seed,
+    coerce_int_column,
+    derive_seed,
+    hash64,
+    hash64_many,
+    hash64_many_masked,
+    mix64_many,
+)
+
+#: Widest fingerprint whose batch jumps are read from a `jump_table`
+#: (``2**16`` int64 hashes, 512 KiB); wider ones are hashed per batch.
+JUMP_TABLE_MAX_BITS = 16
+
+#: (salt, width) pairs whose jump table stays alive, least recently used
+#: evicted.  A geometry looks its table up per batch instead of holding it,
+#: so a pickled geometry never carries one.
+JUMP_TABLES_LIMIT = 16
+
+
+def _int_hashes(column: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """`hash64` of an integer column under each mixed salt of ``seeds`` (a
+    ``(k, 1)`` uint64 column), as ``(k, n)`` int64 rows: `hash64_many`'s
+    integer path for ``k`` salts in one pass.  An int64 mask of a row keeps
+    its low bits exactly."""
+    return mix64_many(column.astype(np.uint64) ^ seeds).view(np.int64)
+
+
+@functools.lru_cache(maxsize=JUMP_TABLES_LIMIT)
+def jump_table(salt: int, key_bits: int) -> np.ndarray:
+    """``hash64(fp, salt)`` of every ``key_bits``-wide fingerprint, as
+    read-only int64; masked by a bucket count it is that geometry's jump."""
+    table = hash64_many(np.arange(1 << key_bits, dtype=np.int64), salt).view(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 class BucketGeometry:
@@ -41,6 +80,7 @@ class BucketGeometry:
         "_fp_salt",
         "_jump_salt",
         "_jump_cache",
+        "_key_seeds",
     )
 
     def __init__(self, num_buckets: int, key_bits: int, seed: int = 0) -> None:
@@ -57,6 +97,10 @@ class BucketGeometry:
         self._fp_salt = derive_seed(seed, "geom-fp")
         self._jump_salt = derive_seed(seed, "geom-jump")
         self._jump_cache = JumpCache(self._jump_salt, num_buckets - 1)
+        # The fingerprint and index salts as `_int_hashes` mixes them in.
+        self._key_seeds = np.array(
+            [[_mixed_seed(self._fp_salt)], [_mixed_seed(self._index_salt)]], dtype=np.uint64
+        )
         #: The jump hash as the kick kernels compute it:
         #: ``mix64(fp ^ jump_seed) & (num_buckets - 1)`` is `fp_jump`.
         self.jump_seed = _mixed_seed(self._jump_salt)
@@ -93,17 +137,51 @@ class BucketGeometry:
 
     # -- batch geometry ----------------------------------------------------
 
+    def hashes_of_many(
+        self, keys: Sequence[object] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batch (`fingerprint_of`, `home_index`, partner bucket) per key.
+
+        An integer key column is mixed under both salts in one pass
+        (`_int_hashes`); other keys hash element-wise.  Bit-identical per
+        element to the scalar forms, as int64 arrays.
+        """
+        column = coerce_int_column(keys)
+        if column is None:
+            fps, homes = self.fingerprints_of_many(keys), self.home_indices_of_many(keys)
+        else:
+            hashes = _int_hashes(column, self._key_seeds)
+            fps, homes = self._fingerprints(hashes[0]), hashes[1] & (self.num_buckets - 1)
+        return fps, homes, self.alt_indices_many(homes, fps)
+
     def fingerprints_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Batch `fingerprint_of` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._fp_salt, self._fp_mask, self._fp_fold)
+        column = coerce_int_column(keys)
+        if column is None:
+            return hash64_many_masked(keys, self._fp_salt, self._fp_mask, self._fp_fold)
+        return self._fingerprints(_int_hashes(column, self._key_seeds[:1])[0])
 
     def home_indices_of_many(self, keys: Sequence[object] | np.ndarray) -> np.ndarray:
         """Batch `home_index` (int64 array, bit-identical per element)."""
-        return hash64_many_masked(keys, self._index_salt, self.num_buckets - 1)
+        column = coerce_int_column(keys)
+        if column is None:
+            return hash64_many_masked(keys, self._index_salt, self.num_buckets - 1)
+        return _int_hashes(column, self._key_seeds[1:])[0] & (self.num_buckets - 1)
+
+    def _fingerprints(self, hashes: np.ndarray) -> np.ndarray:
+        """Key fingerprints from int64 key hashes, the reserved value folded."""
+        fps = hashes & self._fp_mask
+        if self._fp_fold is not None:
+            fps[fps == self._fp_fold] = 0
+        return fps
 
     def fp_jump_many(self, fingerprints: np.ndarray) -> np.ndarray:
-        """Batch `fp_jump`, computed on the fly (bypasses the memo)."""
-        return hash64_many_masked(fingerprints, self._jump_salt, self.num_buckets - 1)
+        """Batch `fp_jump` (bypasses the memo): read from the `jump_table`
+        up to :data:`JUMP_TABLE_MAX_BITS`, hashed beyond."""
+        mask = self.num_buckets - 1
+        if self.key_bits <= JUMP_TABLE_MAX_BITS:
+            return jump_table(self._jump_salt, self.key_bits)[fingerprints] & mask
+        return hash64_many_masked(fingerprints, self._jump_salt, mask)
 
     def alt_indices_many(self, indices: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
         """Batch `alt_index`."""

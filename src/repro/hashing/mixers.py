@@ -109,10 +109,16 @@ def hash64(value: object, seed: int = 0) -> int:
 
     Integers (excluding bools) take the fast `mix64` path; all other values
     are canonically encoded and hashed with lookup3.  The two paths occupy
-    disjoint input spaces, so mixing them in one structure is safe.
+    disjoint input spaces, so mixing them in one structure is safe.  A
+    numpy scalar hashes as its Python value (``.item()``).
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return mix64(value ^ _mixed_seed(seed))
+    if isinstance(value, np.generic):
+        # A numpy scalar hashes as its Python value, as it does in a batch.
+        value = value.item()
+        if type(value) is int:
+            return mix64(value ^ _mixed_seed(seed))
     return hashlittle64(canonical_bytes(value), seed & _MASK64)
 
 
@@ -131,8 +137,8 @@ def coerce_int_column(values: Sequence[object] | np.ndarray) -> np.ndarray | Non
 
     None means element-wise processing is required to preserve scalar
     semantics: non-integer dtypes, nested shapes, ints outside 64 bits, and
-    Python bools (which would silently coerce to ints but hash/fingerprint
-    through the canonical path, not the integer fast path).
+    Python or numpy bools (which would silently coerce to ints but
+    hash/fingerprint through the canonical path, not the integer fast path).
     """
     if isinstance(values, np.ndarray):
         return values if values.ndim == 1 and values.dtype.kind in "iu" else None
@@ -143,7 +149,7 @@ def coerce_int_column(values: Sequence[object] | np.ndarray) -> np.ndarray | Non
     if (
         candidate.ndim == 1
         and candidate.dtype.kind in "iu"
-        and not any(isinstance(v, bool) for v in values)
+        and not any(isinstance(v, (bool, np.bool_)) for v in values)
     ):
         return candidate
     return None

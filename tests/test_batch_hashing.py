@@ -60,6 +60,14 @@ def test_hash64_many_plain_int_list_takes_vector_path():
     assert hash64_many(values, 5).tolist() == [hash64(v, 5) for v in values]
 
 
+def test_hash64_many_numpy_bools_are_bools():
+    """A numpy bool in a list hashes as a bool, as a Python one does,
+    not as the integer it would coerce to."""
+    values = [np.True_, 2, np.False_]
+    assert hash64_many(values, 5).tolist() == [hash64(True, 5), hash64(2, 5), hash64(False, 5)]
+    assert hash64_many(values, 5).tolist() == hash64_many([True, 2, False], 5).tolist()
+
+
 def test_hash64_many_huge_ints_fall_back():
     values = [2**80, -(2**70), 3]
     assert hash64_many(values, 1).tolist() == [hash64(v, 1) for v in values]

@@ -10,6 +10,8 @@ undersized in some cases so the stash/failure paths are exercised too.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccf.attributes import AttributeSchema
-from repro.ccf.base import first_copies
+from repro.ccf import base as ccf_base
+from repro.ccf.base import compile_predicate, first_copies
 from repro.ccf.factory import CCF_KINDS, make_ccf
 from repro.ccf.params import CCFParams
 from repro.ccf.predicates import And, Eq, In
@@ -508,7 +511,7 @@ def test_matcher_cache_is_keyed_by_value():
     ccf.insert(5, ("red", 1))
     for _ in range(3):
         assert ccf.query_many([5], ccf.compile(Eq("color", "red")))[0]
-    assert len(ccf._matcher_cache) == 1
+    assert len(ccf._predicates) == 1
 
 
 def test_matcher_cache_tells_bool_from_int():
@@ -528,6 +531,115 @@ def test_matcher_cache_tells_bool_from_int():
     ccf.insert(5, (True,))
     assert not ccf.query_many([5], as_int)[0]
     assert ccf.query_many([5], as_bool)[0]
+
+
+def test_predicate_memo_keeps_equal_values_apart():
+    """``1 == True == 1.0`` and ``0.0 == -0.0`` under Python equality, but
+    each of these predicates gets its own memo entry, and compiling one
+    again returns its entry's compiled query."""
+    schema = AttributeSchema(["flag"])
+    ccf = make_ccf("bloom", schema, 16, CCFParams(bucket_size=4, key_bits=8, attr_bits=2, seed=1))
+    values = (1, True, 1.0, "1", 0.0, -0.0)
+    compiled = [ccf.compile(Eq("flag", value)) for value in values]
+    assert len(ccf._predicates) == len(values)
+    assert len({id(c) for c in compiled}) == len(values)
+    for value, first in zip(values, compiled):
+        assert ccf.compile(Eq("flag", value)) is first
+        assert ccf.compile(In("flag", [value])) is first
+    for value in values:
+        ccf.insert(5, (value,))
+        answers = [ccf.query_many([5], c)[0] for c in compiled]
+        assert answers == [ccf.query(5, c) for c in compiled]
+
+
+def test_predicate_memo_is_bounded(monkeypatch):
+    """The memo holds at most `PREDICATE_MEMO_LIMIT` predicates, oldest
+    out first, and an evicted compiled query still probes right."""
+    monkeypatch.setattr(ccf_base, "PREDICATE_MEMO_LIMIT", 6)
+    ccf = make_ccf("chained", SCHEMA, 16, _params(2))
+    ccf.insert_many(np.arange(40), [[COLORS[k % 3] for k in range(40)], np.arange(40) % 9])
+    compiled = [ccf.compile(Eq("size", size)) for size in range(9)]
+    assert len(ccf._predicates) == 6
+    assert list(ccf._predicates) == [c.key for c in compiled[3:]]
+    for c in compiled:
+        want = [ccf.query(key, c) for key in range(45)]
+        assert ccf.query_many(np.arange(45), c).tolist() == want
+    assert len(ccf._predicates) == 6
+
+
+def test_matcher_of_a_query_compiled_elsewhere():
+    """A query compiled for the same fingerprinter (a FilterStore's) shares
+    the memo's matcher; one compiled under other salts keeps its own
+    fingerprints and answers as the scalar test does."""
+    ccf = make_ccf("chained", SCHEMA, 16, _params(3))
+    ccf.insert_many(np.arange(30), [[COLORS[k % 3] for k in range(30)], np.arange(30) % 7])
+    predicate = In("color", ("red", "blue")) & In("size", (1, 2, 3))
+    shared = compile_predicate(SCHEMA, ccf.fingerprinter, predicate)
+    assert shared is not ccf.compile(predicate)
+    assert ccf._matcher(shared) is ccf._matcher(ccf.compile(predicate))
+    foreign = make_ccf("chained", SCHEMA, 16, _params(4)).compile(predicate)
+    assert foreign.constraints[0][2] != ccf.compile(predicate).constraints[0][2]
+    assert ccf._matcher(foreign) is not ccf._matcher(shared)
+    want = [ccf.query(key, foreign) for key in range(35)]
+    assert ccf.query_many(np.arange(35), foreign).tolist() == want
+
+
+def test_predicate_memo_serves_concurrent_readers(monkeypatch):
+    """Threads compiling and matching more predicates than the memo holds
+    never see an error: a hit is one dict read, and eviction happens under
+    the memo's lock."""
+    monkeypatch.setattr(ccf_base, "PREDICATE_MEMO_LIMIT", 8, raising=False)
+    ccf = make_ccf("bloom", SCHEMA, 64, _params(5))
+    ccf.insert_many(np.arange(100), [[COLORS[k % 3] for k in range(100)], np.arange(100) % 30])
+    predicates = [Eq("size", size) for size in range(40)]
+    compiled = [ccf.compile(p) for p in predicates]
+    errors = []
+
+    def work(seed):
+        picks = np.random.default_rng(seed).integers(0, len(predicates), 3000).tolist()
+        try:
+            for i in picks:
+                ccf._matcher(compiled[i])
+                ccf.compile(predicates[i])
+        except Exception as exc:  # noqa: BLE001 - any error fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(ccf._predicates) <= 8
+    for c in compiled[::7]:
+        assert ccf.query_many(np.arange(110), c).tolist() == [ccf.query(k, c) for k in range(110)]
+
+
+def test_numpy_scalars_query_and_insert_as_python_values():
+    """A key or attribute value read out of an int array answers and
+    stores as its Python value, as the batch paths read it."""
+    keys = np.arange(20, dtype=np.int64) * 7
+    sizes = np.arange(20, dtype=np.int64) % 9
+    colors = [COLORS[k % 3] for k in range(20)]
+    for kind in sorted(CCF_KINDS):
+        batch = make_ccf(kind, SCHEMA, 16, _params(6))
+        batch.insert_many(keys, [colors, sizes])
+        scalar = make_ccf(kind, SCHEMA, 16, _params(6))
+        # A Bloom sketch keys raw values by their canonical encoding, which
+        # takes Python values only.
+        values = sizes.tolist() if kind == "bloom" else sizes
+        for key, color, size in zip(keys, colors, values):
+            scalar.insert(key, (color, size))
+        _assert_ccf_twins_equal(scalar, batch)
+        compiled = batch.compile(Eq("size", 3))
+        assert [batch.query(key, compiled) for key in keys] == batch.query_many(keys, compiled).tolist()
+        assert batch.query(keys[0]) and batch.query(np.uint32(keys[1]))
 
 
 def test_insert_many_validates_columns():

@@ -1,5 +1,6 @@
 """Tests for 64-bit mixers, canonical encoding and hash64."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,22 @@ class TestHash64:
         expected = 4096 / 8
         for count in buckets:
             assert abs(count - expected) < expected * 0.25
+
+    def test_numpy_scalars_hash_as_python_values(self):
+        pairs = [
+            (np.int64(-3), -3),
+            (np.uint32(7), 7),
+            (np.uint64(2**64 - 1), 2**64 - 1),
+            (np.bool_(True), True),
+            (np.bool_(False), False),
+            (np.float32(1.5), 1.5),
+            (np.float64(-0.0), -0.0),
+            (np.str_("title"), "title"),
+        ]
+        for value, native in pairs:
+            assert hash64(value, 5) == hash64(native, 5), value
+        with pytest.raises(TypeError):
+            hash64(np.longdouble(1.5), 5)
 
     def test_mixed_types_no_trivial_collisions(self):
         values = [0, 1, "0", "1", b"0", 0.0, None, (0,), (1,), ("0",)]

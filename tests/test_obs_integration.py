@@ -129,6 +129,39 @@ def test_ccf_query_many_counts_probe_outcomes():
     assert kinds == {ccf.kind}
 
 
+def test_query_counters_bind_on_a_variants_first_query():
+    """A variant's hit and miss series appear with its first batch query
+    (never before), and its bound children keep counting after a clear."""
+    from repro.ccf.base import _QUERY_CHILDREN
+    from repro.ccf.plain import PlainCCF
+
+    class ProbedOnceCCF(PlainCCF):
+        kind = "probed-once"
+
+    def series() -> list:
+        snap = obs.snapshot()
+        return [
+            sample["value"]
+            for name in ("repro_ccf_query_hits_total", "repro_ccf_query_misses_total")
+            for sample in snap[name]["samples"]
+            if sample["labels"]["kind"] == ProbedOnceCCF.kind
+        ]
+
+    ccf = ProbedOnceCCF(SCHEMA, 64, PARAMS)
+    keys = np.arange(50, dtype=np.int64)
+    ccf.insert_many(keys, row_columns(keys))
+    ccf.query(3)
+    assert series() == []
+    hits = int(ccf.query_many(np.arange(100)).sum())
+    assert series() == [hits, 100 - hits]
+    children = _QUERY_CHILDREN[ProbedOnceCCF.kind]
+    obs._reset_for_tests()
+    assert series() == [0, 0]
+    ccf.query_many(np.arange(100))
+    assert _QUERY_CHILDREN[ProbedOnceCCF.kind] is children
+    assert series() == [hits, 100 - hits]
+
+
 @pytest.mark.parametrize("kind", ["plain", "chained"])
 def test_stash_hits_count_keys_only_the_stash_admits(kind):
     """A stash hit counts when the pair that answers a key admits it through

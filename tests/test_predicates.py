@@ -58,6 +58,18 @@ class TestIn:
         with pytest.raises(ValueError):
             In("size", [])
 
+    def test_repr_sorts_values(self):
+        assert repr(In("size", [10, 9, 2])) == "In('size', [2, 9, 10])"
+        assert repr(In("c", ["b", "a"])) == "In('c', ['a', 'b'])"
+
+    def test_repr_of_mixed_types(self):
+        """Values that do not compare sort by type name, then by value."""
+        assert repr(In("c", [1, "a"])) == "In('c', [1, 'a'])"
+        assert repr(In("c", ["b", None, 2, (1,), 1.5])) == (
+            "In('c', [None, 1.5, 2, 'b', (1,)])"
+        )
+        assert sorted([In("c", [1, "a"]), In("c", [2])], key=repr)
+
 
 class TestRange:
     def test_matches_row_inclusive(self):

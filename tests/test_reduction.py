@@ -248,3 +248,36 @@ def test_bulk_builds_keep_their_bytes():
                     merges.append(ccf.num_rows_inserted - ccf.num_entries)
     assert min(chains) >= 5 and min(conversions) > 0 and min(merges) > 0
     assert digest.hexdigest() == PINNED_BUILD_SHA256
+
+
+#: sha256 of every JOB-light probe answer of the chained, Bloom and Mixed
+#: bundles under LARGE_PARAMS on ``generate_imdb(scale=0.0002, seed=1)``
+#: (1,884 `compile` + `query_many` calls).  A change to hashing, predicate
+#: compilation or probing that keeps the answers keeps it.
+PINNED_ANSWERS_SHA256 = "a9cf917e15426aa3a892047e251bede3366971c9abd03d5fdf0e79804cdd57be"
+
+
+def test_join_probe_answers_keep_their_digest():
+    """Every (query, base table, joined table, bundle) probe of a JOB-light
+    workload answers as pinned, compiled afresh before each probe as the
+    join pushdown does."""
+    small = generate_imdb(scale=0.0002, seed=1)
+    bundles = [
+        build_filter_bundle(small, kind, LARGE_PARAMS, name=kind)
+        for kind in ("chained", "bloom", "mixed")
+    ]
+    digest = hashlib.sha256()
+    calls = 0
+    for query in make_job_light_workload(small, seed=1):
+        for base_ref in query.tables:
+            relation = small.table(base_ref.table)
+            mask = base_ref.predicate.mask(relation.columns)
+            keys = np.unique(relation.column(small.join_key(base_ref.table))[mask])
+            for other in query.others(base_ref.table):
+                for bundle in bundles:
+                    ccf = bundle.ccfs[other.table]
+                    predicate = bundle.query_predicate(other.table, other.predicate)
+                    digest.update(np.packbits(ccf.query_many(keys, ccf.compile(predicate))).tobytes())
+                    calls += 1
+    assert calls == 1884
+    assert digest.hexdigest() == PINNED_ANSWERS_SHA256
