@@ -916,7 +916,7 @@ class ConditionalCuckooFilterBase:
         first row of the batch with the same identity.  A later copy is
         credited (`_credit_copy`) instead of walked, and the first copies
         share one `CellIndex` (DESIGN.md §7), whose jumps come from the
-        partner buckets ``alts`` (derived when not given).  The
+        partner buckets ``alts``, required with ``first``.  The
         FilterStore, which hashes once for many shard levels, passes no
         ``first``: each row runs `_insert_hashed`.  Bit-identical to scalar
         `insert` per row.
@@ -929,8 +929,6 @@ class ConditionalCuckooFilterBase:
             firsts, pairs, insert = range(num_rows), nones, self._insert_hashed
         else:
             firsts = first.tolist()
-            if alts is None:
-                alts = self.geometry.alt_indices_many(homes, fps)
             pairs = np.minimum(homes, alts).tolist()
             jumps = dict(zip(fps.tolist(), (homes ^ alts).tolist()))
             insert = partial(self._insert_cells, CellIndex(jumps))

@@ -117,9 +117,9 @@ class Eq(Predicate):
 
 
 def _repr_order(value: Any) -> tuple:
-    """A total sort key over any values: by type name, then by the value
-    where its type orders itself, else by its repr.  Values of one such
-    type sort as `sorted` sorts them."""
+    """A total sort key over any values, for values that do not compare:
+    by type name, then by the value where its type orders itself, else by
+    its repr."""
     kind = type(value)
     if kind is int or kind is float or kind is str or kind is bool:
         return (kind.__name__, 0, value)
@@ -150,7 +150,11 @@ class In(Predicate):
         return {self.column: self.values}
 
     def __repr__(self) -> str:
-        return f"In({self.column!r}, {sorted(self.values, key=_repr_order)!r})"
+        try:
+            values = sorted(self.values)
+        except TypeError:
+            values = sorted(self.values, key=_repr_order)
+        return f"In({self.column!r}, {values!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, In):

@@ -61,6 +61,7 @@ class TestIn:
     def test_repr_sorts_values(self):
         assert repr(In("size", [10, 9, 2])) == "In('size', [2, 9, 10])"
         assert repr(In("c", ["b", "a"])) == "In('c', ['a', 'b'])"
+        assert repr(In("c", [2.5, 1])) == "In('c', [1, 2.5])"
 
     def test_repr_of_mixed_types(self):
         """Values that do not compare sort by type name, then by value."""
